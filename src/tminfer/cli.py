@@ -104,8 +104,7 @@ def cmd_fit(args) -> int:
     scope = args.scope or cfg.scope
     sfx = _suffix(args)
     ds = _read_dataset(cfg, out, fp, bool(sfx))
-    est = fit_all_rows(ds, scope=scope, opts=cfg.optim_options(),
-                       threads=cfg.resolve_threads(args.threads))
+    est = fit_all_rows(ds, scope=scope, threads=cfg.resolve_threads(args.threads))
     meta = json.loads((out / "dataset.meta.json").read_text())
     name = f"estimate_full{sfx}.json"
     tio.write_estimate(est, out / name, fingerprint=fp,
@@ -126,8 +125,7 @@ def cmd_select(args) -> int:
     initial = tio.read_estimate(out / full_name, fingerprint=fp)
     if initial.dataset_fingerprint != dataset_fingerprint(ds):
         raise tio.ChainError(f"{full_name} was fitted on different data")
-    path, best = run_decimation(ds, scope=scope, fit_opts=cfg.optim_options(),
-                                decim_opts=cfg.decimation_options(),
+    path, best = run_decimation(ds, scope=scope, decim_opts=cfg.decimation_options(),
                                 initial=initial,
                                 threads=cfg.resolve_threads(args.threads))
     meta = json.loads((out / "dataset.meta.json").read_text())
@@ -235,8 +233,8 @@ def cmd_sweep(args) -> int:
     sweep_cfg = SweepConfig(
         dims=cfg.dims, density=cfg.density, m_samples=cfg.m_samples,
         sigma_grid=grid, master_seed=cfg.seed, replicates=cfg.replicates,
-        scope=cfg.scope, fit_opts=cfg.optim_options(),
-        decim_opts=cfg.decimation_options(), include_balance=cfg.include_balance,
+        scope=cfg.scope, decim_opts=cfg.decimation_options(),
+        include_balance=cfg.include_balance,
         threads=cfg.resolve_threads(args.threads))
     report = run_sweep(sweep_cfg)
     # Wall-clock timings are the one nondeterministic field; they stay out of

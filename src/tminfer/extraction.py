@@ -239,7 +239,6 @@ def parameterize_tm(
         rows=tuple(rows),
         masks=tuple(masks),
         converged=tuple(True for _ in nh_sites),
-        iterations=tuple(0 for _ in nh_sites),
         row_objectives=tuple(math.nan for _ in nh_sites),
         total_pl=None,
         dataset_fingerprint="parameterized",
@@ -296,7 +295,6 @@ def parameterize_channel(
         rows=tuple(rows),
         masks=tuple(masks),
         converged=tuple(True for _ in sites),
-        iterations=tuple(0 for _ in sites),
         row_objectives=tuple(math.nan for _ in sites),
         total_pl=None,
         dataset_fingerprint="parameterized",

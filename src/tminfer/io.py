@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .model import Dataset, Dimensions, TransmissionMatrix
-from .optimize import CouplingEstimate, OptimOptions
+from .optimize import CouplingEstimate
 from .pseudolikelihood import RowMask, RowParams
 from .selection import DecimationOptions, DecimationPath
 
@@ -123,13 +123,12 @@ def _check_fingerprint(artifact: dict, expected: str, name: str) -> None:
 # Run configuration
 
 
-_OPT_KEYS = {"max_iters", "grad_tol", "memory", "a_floor"}
 _DEC_KEYS = {"batch_fraction", "min_batch", "count_curvatures", "pl_in_bic"}
 _TOP_KEYS = {
     "w", "density", "m_samples", "sigma", "sigma_grid", "seed", "replicates",
     "scope", "threads", "binary_io", "include_balance",
     "spot_width", "spot_amplitude", "spot_background",
-    "optimizer", "decimation",
+    "decimation",
 }
 
 
@@ -151,7 +150,6 @@ class RunConfig:
     spot_width: float = 1.2
     spot_amplitude: float = 0.004
     spot_background: float = 0.5
-    optimizer: dict = field(default_factory=dict)
     decimation: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -167,9 +165,6 @@ class RunConfig:
             raise ConfigError("sigma must be nonnegative")
         if self.replicates < 1:
             raise ConfigError("replicates must be >= 1")
-        bad = set(self.optimizer) - _OPT_KEYS
-        if bad:
-            raise ConfigError(f"unknown optimizer keys: {sorted(bad)}")
         bad = set(self.decimation) - _DEC_KEYS
         if bad:
             raise ConfigError(f"unknown decimation keys: {sorted(bad)}")
@@ -185,6 +180,9 @@ class RunConfig:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
+        if "optimizer" in raw:
+            raise ConfigError("rows are now solved in closed form; the 'optimizer' "
+                              "config section was removed")
         unknown = set(raw) - _TOP_KEYS
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -205,9 +203,6 @@ class RunConfig:
     @property
     def dims(self) -> Dimensions:
         return Dimensions(w=self.w)
-
-    def optim_options(self) -> OptimOptions:
-        return OptimOptions(**self.optimizer)
 
     def decimation_options(self) -> DecimationOptions:
         return DecimationOptions(**self.decimation)
@@ -340,7 +335,6 @@ def write_estimate(est: CouplingEstimate, path: str | Path, fingerprint: str,
             "positions": [int(p) for p in active],
             "values": [est.rows[r].k[p] for p in active],
             "converged": bool(est.converged[r]),
-            "iterations": int(est.iterations[r]),
             "objective": est.row_objectives[r],
         })
     doc = {
@@ -366,7 +360,7 @@ def read_estimate(path: str | Path, fingerprint: str | None = None) -> CouplingE
         _check_fingerprint(doc, fingerprint, Path(path).name)
     dims = Dimensions(w=doc["w"])
     n = dims.n
-    rows, masks, conv, iters, objs, sites = [], [], [], [], [], []
+    rows, masks, conv, objs, sites = [], [], [], [], []
     for rec in doc["rows"]:
         k = np.zeros(n - 1)
         act = np.zeros(n - 1, dtype=bool)
@@ -378,7 +372,6 @@ def read_estimate(path: str | Path, fingerprint: str | None = None) -> CouplingE
         rows.append(RowParams(site=rec["site"], a=rec["a"], k=k))
         masks.append(RowMask(site=rec["site"], active=act))
         conv.append(rec["converged"])
-        iters.append(rec["iterations"])
         objs.append(rec["objective"])
     return CouplingEstimate(
         dims=dims,
@@ -388,7 +381,6 @@ def read_estimate(path: str | Path, fingerprint: str | None = None) -> CouplingE
         rows=tuple(rows),
         masks=tuple(masks),
         converged=tuple(conv),
-        iterations=tuple(iters),
         row_objectives=tuple(objs),
         total_pl=doc["total_pl"],
         dataset_fingerprint=doc["dataset_fingerprint"],

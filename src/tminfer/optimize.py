@@ -1,10 +1,10 @@
-"""Quasi-Newton minimization of the per-row objective and the batch driver.
+"""Closed-form row solves and the batch driver.
 
-Each row is an independent smooth convex problem over theta = [a, k_active].
-A limited-memory BFGS loop with backtracking (sufficient-decrease) line search
-does the work; positivity of the curvature is enforced by treating any trial
-point with ``a <= a_floor`` as +inf, which the objective itself approaches as
-a -> 0+, so the barrier is natural rather than a reparameterization.
+Each row's pseudolikelihood optimum is the conditional-Gaussian MLE: the
+no-intercept least-squares fit ``beta`` of the site on its active regressors,
+curvature ``a = 1 / (2 * rss)`` with ``rss`` the mean squared residual, and
+couplings ``k = 2 * a * beta``.  This is neighbourhood regression for a
+Gaussian graphical model (Meinshausen & Buhlmann, Ann. Stat. 2006).
 
 Rows never share mutable state, so the batch driver may fan them out over a
 thread pool; results are merged by site index and are identical for any
@@ -14,7 +14,6 @@ thread count.
 from __future__ import annotations
 
 import hashlib
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -44,165 +43,51 @@ __all__ = [
 
 SCOPES = ("output", "all")
 
+# Inf-norm bound on the projected gradient for a row to count as converged.
+GRAD_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class OptimOptions:
-    """Knobs for the row minimizer.
+    """Settings of the row solve.
 
-    ``grad_tol`` is an inf-norm stopping threshold on the projected gradient;
-    ``memory`` is the quasi-Newton history length; ``a_floor`` is the
-    curvature value at and below which a trial point is rejected as +inf.
     ``a_cap`` bounds the curvature above: on noise-free data the objective
-    decreases forever along a -> inf, and without a cap the stopping point is
-    an iteration-history lottery that leaves O(ln a) noise in recorded
-    pseudolikelihoods; projecting onto the cap parks every exact-fit row at
-    the same curvature instead.  The cap corresponds to a noise floor of
-    ``(2 * a_cap) ** -0.5`` per channel (7.1e-5 at the default).
+    decreases forever along a -> inf, so every exact-fit row parks at the cap
+    instead.  The cap corresponds to a noise floor of ``(2 * a_cap) ** -0.5``
+    per channel (7.1e-5 at the default).
     """
 
-    max_iters: int = 500
-    grad_tol: float = 1e-6
-    memory: int = 10
-    a_floor: float = 1e-12
     a_cap: float = 1e8
-    armijo_c1: float = 1e-4
-    backtrack: float = 0.5
-    max_backtracks: int = 60
-    keep_trace: bool = False
 
     def __post_init__(self) -> None:
-        if min(self.max_iters, self.grad_tol, self.memory, self.a_floor,
-               self.armijo_c1, self.max_backtracks) <= 0 or not 0 < self.backtrack < 1:
-            raise ValueError("optimizer options must all be positive (backtrack in (0,1))")
-        if self.a_cap <= self.a_floor:
-            raise ValueError("a_cap must exceed a_floor")
+        if not self.a_cap > 0:
+            raise ValueError("a_cap must be positive")
 
 
 @dataclass(frozen=True)
 class RowFit:
-    """Outcome of one row minimization."""
+    """Outcome of one row solve; ``iterations`` is 1 for the closed form."""
 
     params: RowParams
     converged: bool
     iterations: int
     objective: float
     grad_norm: float
-    trace: tuple[float, ...] = ()
-
-
-def _lbfgs_direction(g, s_hist, y_hist, rho_hist):
-    q = g.copy()
-    alphas = []
-    for s, yv, rho in zip(reversed(s_hist), reversed(y_hist), reversed(rho_hist)):
-        al = rho * (s @ q)
-        q -= al * yv
-        alphas.append(al)
-    if s_hist:
-        s, yv = s_hist[-1], y_hist[-1]
-        q *= (s @ yv) / (yv @ yv)
-    for (s, yv, rho), al in zip(zip(s_hist, y_hist, rho_hist), reversed(alphas)):
-        be = rho * (yv @ q)
-        q += (al - be) * s
-    return -q
-
-
-def _minimize(fval, fgrad, theta0, opts: OptimOptions):
-    """L-BFGS with Armijo backtracking, curvature boxed into (a_floor, a_cap].
-
-    Trial points below the floor evaluate to +inf (the objective itself
-    diverges there); trial points above the cap are projected onto it, and
-    convergence is judged on the projected gradient.  Returns (theta, f,
-    pgnorm, iters, converged, trace); on line-search failure the best visited
-    point is returned with converged=False.
-    """
-    x = np.asarray(theta0, dtype=np.float64).copy()
-    x[0] = min(x[0], opts.a_cap)
-    f, g = fgrad(x)
-    trace = [f] if opts.keep_trace else None
-    s_hist: list[np.ndarray] = []
-    y_hist: list[np.ndarray] = []
-    rho_hist: list[float] = []
-    iters = 0
-    converged = False
-
-    def pgnorm(x, g) -> float:
-        pg0 = 0.0 if (x[0] >= opts.a_cap and g[0] < 0.0) else abs(g[0])
-        return max(pg0, float(np.max(np.abs(g[1:]))) if g.shape[0] > 1 else 0.0)
-
-    while True:
-        pg = pgnorm(x, g)
-        if pg <= opts.grad_tol:
-            converged = True
-            break
-        if iters >= opts.max_iters:
-            break
-        d = _lbfgs_direction(g, s_hist, y_hist, rho_hist)
-        if x[0] >= opts.a_cap and d[0] > 0.0:
-            d[0] = 0.0  # bound active: step in the reduced space
-        dg = float(d @ g)
-        if not math.isfinite(dg) or dg >= 0.0:
-            d = -g.copy()
-            if x[0] >= opts.a_cap and d[0] > 0.0:
-                d[0] = 0.0
-            dg = float(d @ g)
-            if dg >= 0.0:
-                break
-        alpha = 1.0 if s_hist else min(1.0, 1.0 / max(1.0, pg))
-        accepted = False
-        for _ in range(opts.max_backtracks):
-            xt = x + alpha * d
-            # Snap near-cap trials onto the cap so capped rows all park at
-            # bit-identical curvature (keeps recorded PL flat across masks).
-            if xt[0] > opts.a_cap * (1.0 - 1e-9):
-                xt[0] = opts.a_cap
-            ft = fval(xt)
-            step_g = float(g @ (xt - x))
-            # Sufficient decrease along the (possibly projected) step.  The
-            # strict ft < f guards against zero-progress acceptances once
-            # c1 * step_g underflows below one ulp of f.
-            if step_g < 0.0 and ft < f and ft <= f + opts.armijo_c1 * step_g:
-                accepted = True
-                break
-            alpha *= opts.backtrack
-        if not accepted:
-            break
-        f_new, g_new = fgrad(xt)
-        if xt[0] >= opts.a_cap and x[0] < opts.a_cap:
-            # Active set changed: curvature pairs from the unconstrained
-            # phase misscale the capped geometry, so restart the history.
-            s_hist.clear()
-            y_hist.clear()
-            rho_hist.clear()
-        else:
-            s = xt - x
-            yv = g_new - g
-            sy = float(s @ yv)
-            if sy > 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(yv)):
-                s_hist.append(s)
-                y_hist.append(yv)
-                rho_hist.append(1.0 / sy)
-                if len(s_hist) > opts.memory:
-                    s_hist.pop(0)
-                    y_hist.pop(0)
-                    rho_hist.pop(0)
-        x, f, g = xt, f_new, g_new
-        iters += 1
-        if trace is not None:
-            trace.append(f)
-    return x, f, pgnorm(x, g), iters, converged, tuple(trace or ())
 
 
 def minimize_row(
     site: int,
     dataset: Dataset,
     mask: RowMask | None = None,
-    init: RowParams | None = None,
     opts: OptimOptions = OptimOptions(),
 ) -> RowFit:
     """Fit one site's conditional Gaussian under a support mask.
 
-    Masked couplings stay exactly 0 (they are simply not optimization
-    variables).  Cold start is a = 1, k = 0 unless ``init`` is given.
+    Masked couplings stay exactly 0.  The least-squares step solves the
+    normal equations by ``lstsq``, which returns the minimum-norm solution
+    when the active columns are collinear (e.g. all-sites scope on noise-free
+    data).  ``converged`` reports whether the projected gradient of the
+    objective at the returned point is within ``GRAD_TOL``.
     """
     n = dataset.dims.n
     y, x_full = _design(dataset, site)
@@ -212,39 +97,23 @@ def minimize_row(
         raise ValueError("mask does not match site / dims")
     active = mask.active
     xa = x_full[:, active]
-    m = y.shape[0]
 
-    def fval(theta):
-        a = theta[0]
-        if a <= opts.a_floor:
-            return math.inf
-        return _neg_logpl_value(a, xa @ theta[1:], y)
+    beta = np.linalg.lstsq(xa.T @ xa, xa.T @ y, rcond=None)[0]
+    r = y - xa @ beta
+    rss = float(np.mean(r * r))
+    a = opts.a_cap if rss <= 0.5 / opts.a_cap else 0.5 / rss
+    k_active = 2.0 * a * beta
+    b = xa @ k_active
+    d_a, d_k = _neg_logpl_grad(a, b, y, xa)
+    # At the cap a negative d/da only pushes against the bound: it is projected out.
+    pg_a = 0.0 if (a >= opts.a_cap and d_a < 0.0) else abs(d_a)
+    grad_norm = max(pg_a, float(np.max(np.abs(d_k), initial=0.0)))
 
-    def fgrad(theta):
-        a = theta[0]
-        b = xa @ theta[1:]
-        f = _neg_logpl_value(a, b, y)
-        d_a, d_k = _neg_logpl_grad(a, b, y, xa)
-        g = np.empty(theta.shape[0])
-        g[0] = d_a
-        g[1:] = d_k
-        return f, g
-
-    theta0 = np.zeros(1 + int(active.sum()))
-    if init is None:
-        theta0[0] = 1.0
-    else:
-        if init.site != site or init.k.shape[0] != n - 1:
-            raise ValueError("init does not match site / dims")
-        theta0[0] = max(init.a, 2.0 * opts.a_floor)
-        theta0[1:] = init.k[active]
-
-    theta, f, gnorm, iters, converged, trace = _minimize(fval, fgrad, theta0, opts)
     k = np.zeros(n - 1)
-    k[active] = theta[1:]
-    params = RowParams(site=site, a=float(theta[0]), k=k)
-    return RowFit(params=params, converged=converged, iterations=iters,
-                  objective=float(f), grad_norm=gnorm, trace=trace)
+    k[active] = k_active
+    return RowFit(params=RowParams(site=site, a=a, k=k),
+                  converged=grad_norm <= GRAD_TOL, iterations=1,
+                  objective=_neg_logpl_value(a, b, y), grad_norm=grad_norm)
 
 
 @dataclass(frozen=True)
@@ -265,7 +134,6 @@ class CouplingEstimate:
     rows: tuple[RowParams, ...]
     masks: tuple[RowMask, ...]
     converged: tuple[bool, ...]
-    iterations: tuple[int, ...]
     row_objectives: tuple[float, ...]
     total_pl: float | None
     dataset_fingerprint: str = ""
@@ -354,14 +222,12 @@ def fit_all_rows(
     masks: tuple[RowMask, ...] | None = None,
     scope: str = "output",
     opts: OptimOptions = OptimOptions(),
-    warm: CouplingEstimate | None = None,
     threads: int = 1,
 ) -> CouplingEstimate:
     """Fit every row in scope independently and assemble the estimate.
 
-    Rows are separate convex problems over a read-only dataset; execution
-    order (and thread count) does not affect the result.  ``warm`` seeds each
-    row from a previous estimate, as used between decimation steps.
+    Rows are separate problems over a read-only dataset; execution order (and
+    thread count) does not affect the result.
     """
     sites = _scope_sites(dataset.dims, scope)
     if not sites:
@@ -371,13 +237,8 @@ def fit_all_rows(
     if len(masks) != len(sites) or any(mk.site != s for mk, s in zip(masks, sites)):
         raise ValueError("masks inconsistent with scope sites")
 
-    inits: list[RowParams | None] = [None] * len(sites)
-    if warm is not None:
-        for r, site in enumerate(sites):
-            inits[r] = warm.row_for(site)
-
     def fit_one(r: int) -> RowFit:
-        return minimize_row(sites[r], dataset, masks[r], inits[r], opts)
+        return minimize_row(sites[r], dataset, masks[r], opts)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -395,7 +256,6 @@ def fit_all_rows(
         rows=tuple(f.params for f in fits),
         masks=masks,
         converged=tuple(f.converged for f in fits),
-        iterations=tuple(f.iterations for f in fits),
         row_objectives=objectives,
         total_pl=float(-m * sum(objectives)),
         dataset_fingerprint=dataset_fingerprint(dataset),
@@ -419,21 +279,15 @@ def refit_rows(
     opts: OptimOptions = OptimOptions(),
     threads: int = 1,
 ) -> CouplingEstimate:
-    """Refit the given row indices under new masks, warm-started from
-    ``estimate``; untouched rows carry over unchanged.
-
-    Warm starts drop the newly decimated coordinates and keep the rest, so a
-    refit only has to re-balance the surviving couplings.
-    """
+    """Refit the given row indices of ``estimate`` under new masks; untouched
+    rows carry over unchanged."""
     rows = list(estimate.rows)
     converged = list(estimate.converged)
-    iterations = list(estimate.iterations)
     objectives = list(estimate.row_objectives)
     idx = sorted(rows_to_refit)
 
     def fit_one(r: int) -> RowFit:
-        return minimize_row(estimate.fitted_sites[r], dataset, new_masks[r],
-                            init=estimate.rows[r], opts=opts)
+        return minimize_row(estimate.fitted_sites[r], dataset, new_masks[r], opts)
 
     if threads > 1 and len(idx) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -443,7 +297,6 @@ def refit_rows(
     for r, fit in zip(idx, fits):
         rows[r] = fit.params
         converged[r] = fit.converged
-        iterations[r] = fit.iterations
         objectives[r] = fit.objective
     m = dataset.m_samples
     return replace(
@@ -451,7 +304,6 @@ def refit_rows(
         rows=tuple(rows),
         masks=new_masks,
         converged=tuple(converged),
-        iterations=tuple(iterations),
         row_objectives=tuple(objectives),
         total_pl=float(-m * sum(objectives)),
     )

@@ -7,12 +7,12 @@ Each site i of the concatenated intensity vector gets a conditional model
 where ``a`` is the (strictly positive) curvature natural parameter and
 ``B_i = sum_{j != i} k[j] * I_j`` is the linear field induced by the coupling
 vector ``k``.  The per-row negative log-pseudolikelihood averaged over a
-dataset is jointly convex in (a, k) and is what the optimizer minimizes.
+dataset is jointly convex in (a, k) and is what each row solve minimizes.
 
 Numerics note: the per-sample term ``I*B - I**2*a - ln Z`` is evaluated in the
 algebraically identical form ``-a*(I - B/(2a))**2 - ln2 - 0.5*ln(pi/(4a))``.
 The naive form cancels catastrophically once ``a`` grows large (noise-free
-data drives it to the gradient-tolerance boundary), the residual form does not.
+data drives it to the curvature cap), the residual form does not.
 """
 
 from __future__ import annotations

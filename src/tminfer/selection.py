@@ -2,8 +2,8 @@
 
 The loop alternates refits and prunes: fit the model, record its total
 log-pseudolikelihood and BIC, zero out the globally smallest surviving
-couplings, refit the affected rows warm-started, and repeat until nothing is
-left.  The record with the minimum BIC names the selected support.
+couplings, refit the affected rows, and repeat until nothing is left.  The
+record with the minimum BIC names the selected support.
 """
 
 from __future__ import annotations

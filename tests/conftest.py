@@ -39,11 +39,6 @@ def data4_clean(channel4):
     return tm.generate_dataset(channel4, 500, tm.NoiseSpec(sigma=0.0), seed=11)
 
 
-@pytest.fixture(scope="session")
-def tight_opts():
-    return tm.OptimOptions(grad_tol=1e-9, max_iters=400)
-
-
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

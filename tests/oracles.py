@@ -1,12 +1,16 @@
 """Independent reference implementations used to pin expected values.
 
 Everything here deliberately avoids the package's own code paths: OLS goes
-through raw normal equations, gradients through central differences, and the
-Gaussian normalizer through adaptive quadrature.
+through raw normal equations, gradients through central differences, the
+Gaussian normalizer through adaptive quadrature, and the iterative row optimum
+through scipy's L-BFGS-B on the objective's public definition.
 """
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.optimize import minimize
+
+import tminfer as tm
 
 
 def ols_conditional(dataset, site, regressor_sites):
@@ -23,6 +27,24 @@ def ols_conditional(dataset, site, regressor_sites):
     resvar = float(np.mean((y - x @ w) ** 2))
     a = 1.0 / (2.0 * resvar)
     return w, resvar, a, 2.0 * a * w
+
+
+def lbfgs_row(dataset, site, start):
+    """Minimize ``row_neg_logpl`` over (a, k) for a full-support row by
+    L-BFGS-B from ``start`` (a RowParams), returning the optimum RowParams.
+
+    The curvature is bounded away from 0, where the objective diverges.
+    """
+    def fun(theta):
+        params = tm.RowParams(site=site, a=theta[0], k=theta[1:])
+        d_a, d_k = tm.row_grad(params, dataset)
+        return tm.row_neg_logpl(params, dataset), np.concatenate([[d_a], d_k])
+
+    res = minimize(fun, np.concatenate([[start.a], start.k]), jac=True,
+                   method="L-BFGS-B",
+                   bounds=[(1e-8, None)] + [(None, None)] * start.k.shape[0],
+                   options={"maxiter": 20000, "ftol": 1e-15, "gtol": 1e-11})
+    return tm.RowParams(site=site, a=res.x[0], k=res.x[1:])
 
 
 def central_difference(fn, x, h_rel=1e-5):

@@ -20,7 +20,7 @@ from tminfer.experiments import (
     image_reconstruction,
     infer_channel,
 )
-from oracles import central_difference, ols_conditional
+from oracles import central_difference, lbfgs_row, ols_conditional
 
 
 def report(criterion, ok, detail):
@@ -64,8 +64,7 @@ def test_criterion_2_oracle_equivalence():
     dims = tm.Dimensions(w=4)
     t_true = tm.build_random_tm(dims, 0.25, seed=7)
     ds = tm.generate_dataset(t_true, 500, tm.NoiseSpec(sigma=0.1), seed=11)
-    opts = tm.OptimOptions(grad_tol=1e-9, max_iters=400)
-    est = tm.fit_all_rows(ds, scope="output", opts=opts)
+    est = tm.fit_all_rows(ds, scope="output")
     worst_coef, worst_var = 0.0, 0.0
     for g in range(dims.n_half):
         site = dims.n_half + g
@@ -87,9 +86,7 @@ def test_criterion_3_zero_noise_recovery():
     t_true = tm.build_random_tm(dims, 0.25, seed=7)
     ds = tm.generate_dataset(t_true, 500, tm.NoiseSpec(sigma=0.0), seed=11)
     path, best = tm.run_decimation(
-        ds, scope="output",
-        fit_opts=tm.OptimOptions(grad_tol=1e-10, max_iters=400),
-        decim_opts=tm.DecimationOptions(batch_fraction=0.0))
+        ds, scope="output", decim_opts=tm.DecimationOptions(batch_fraction=0.0))
     t_inf, _ = tm.extract_tm(best)
     q = tm.quality_q(t_true.entries, t_inf.entries).q
     support_exact = np.array_equal(t_inf.entries != 0, t_true.entries != 0)
@@ -101,7 +98,6 @@ def test_criterion_3_zero_noise_recovery():
 
 def test_criterion_4_bic_vs_noise():
     dims = tm.Dimensions(w=6)
-    opts = tm.OptimOptions(grad_tol=1e-7, max_iters=400)
     dopts = tm.DecimationOptions(batch_fraction=0.10)
 
     def selected_counts(sigma):
@@ -110,8 +106,7 @@ def test_criterion_4_bic_vs_noise():
             t_true = tm.build_random_tm(dims, 0.20, seed=40 + rep)
             ds = tm.generate_dataset(t_true, 2000, tm.NoiseSpec(sigma=sigma),
                                      seed=800 + rep)
-            path, _ = tm.run_decimation(ds, scope="output", fit_opts=opts,
-                                        decim_opts=dopts)
+            path, _ = tm.run_decimation(ds, scope="output", decim_opts=dopts)
             rec = path.selected_record
             i = path.selected
             gap = max(
@@ -138,8 +133,7 @@ def test_criterion_5_noise_inference():
     dims = tm.Dimensions(w=4)
     t_true = tm.build_random_tm(dims, 0.25, seed=7)
     ds = tm.generate_dataset(t_true, 500, tm.NoiseSpec(sigma=0.1), seed=11)
-    est = tm.fit_all_rows(ds, scope="output",
-                          opts=tm.OptimOptions(grad_tol=1e-8, max_iters=300))
+    est = tm.fit_all_rows(ds, scope="output")
     _, noise = tm.extract_tm(est)
     mean_sigma = float(np.mean(noise.sigma_hat))
     report(5, abs(mean_sigma - 0.1) <= 0.01,
@@ -149,16 +143,14 @@ def test_criterion_5_noise_inference():
 def test_criterion_6_inverse_route_superiority():
     dims = tm.Dimensions(w=4)
     t_true = tm.build_random_tm(dims, 0.25, seed=7)
-    opts = tm.OptimOptions(grad_tol=1e-7, max_iters=400)
     dopts = tm.DecimationOptions(batch_fraction=0.10)
     obj = glyph_image(dims)
     q_inv_all, q_pinv_all = [], []
     for i, sigma in enumerate((0.1, 0.2, 0.3, 0.4)):
         ds = tm.generate_dataset(t_true, 1000, tm.NoiseSpec(sigma=sigma),
                                  seed=300 + i)
-        _, _, t_inf, _ = infer_channel(ds, fit_opts=opts, decim_opts=dopts)
-        _, _, t_inv, _ = infer_channel(tm.reverse_dataset(ds), fit_opts=opts,
-                                       decim_opts=dopts)
+        _, _, t_inf, _ = infer_channel(ds, decim_opts=dopts)
+        _, _, t_inv, _ = infer_channel(tm.reverse_dataset(ds), decim_opts=dopts)
         noise = tm.NoiseSpec(sigma=sigma)
         _, q_inv = image_reconstruction(t_inv, t_true, obj, noise,
                                         np.random.default_rng(777))
@@ -179,7 +171,6 @@ def test_criterion_6_inverse_route_superiority():
 
 def test_criterion_7_focusing_degradation():
     dims = tm.Dimensions(w=6)
-    opts = tm.OptimOptions(grad_tol=1e-7, max_iters=400)
     dopts = tm.DecimationOptions(batch_fraction=0.10)
     # channels screened for invertibility (cond <= 200): focusing through a
     # near-singular intensity channel is infeasible regardless of inference
@@ -193,7 +184,7 @@ def test_criterion_7_focusing_degradation():
         for sigma, bucket in ((0.02, q_low), (0.2, q_high)):
             ds = tm.generate_dataset(t_true, 2000, tm.NoiseSpec(sigma=sigma),
                                      seed=500 + rep * 10 + int(sigma * 100))
-            _, _, t_inf, _ = infer_channel(ds, fit_opts=opts, decim_opts=dopts)
+            _, _, t_inf, _ = infer_channel(ds, decim_opts=dopts)
             # paired propagation noise: same rng seed for both sigma legs
             _, q = focusing_experiment(t_true, t_inf, target,
                                        tm.NoiseSpec(sigma=sigma),
@@ -225,22 +216,22 @@ def test_criterion_8_convexity_and_uniqueness():
         worst_gap = max(worst_gap, gap)
     convex_ok = worst_gap <= 1e-10
 
-    opts = tm.OptimOptions(grad_tol=1e-9, max_iters=400)
     worst_rel = 0.0
     for _ in range(20):
         site = int(rng.integers(0, dims.n))
         k0 = rng.normal(0, 3, dims.n - 1)
-        init = tm.RowParams(site=site, a=float(rng.uniform(0.2, 5.0)), k=k0)
-        cold = tm.minimize_row(site, ds, opts=opts)
-        warm = tm.minimize_row(site, ds, init=init, opts=opts)
-        scale = max(float(np.abs(cold.params.k).max()), cold.params.a)
-        diff = max(float(np.abs(warm.params.k - cold.params.k).max()),
-                   abs(warm.params.a - cold.params.a))
+        start = tm.RowParams(site=site, a=float(rng.uniform(0.2, 5.0)), k=k0)
+        fit = tm.minimize_row(site, ds)
+        ref = lbfgs_row(ds, site, start)
+        scale = max(float(np.abs(fit.params.k).max()), fit.params.a)
+        diff = max(float(np.abs(ref.k - fit.params.k).max()),
+                   abs(ref.a - fit.params.a))
         worst_rel = max(worst_rel, diff / scale)
     unique_ok = worst_rel <= 1e-5
     report(8, convex_ok and unique_ok,
-           f"convexity gap max {worst_gap:.2e} (tol 1e-10); two-init "
-           f"disagreement max {worst_rel:.2e} over 20 rows (tol 1e-5)")
+           f"convexity gap max {worst_gap:.2e} (tol 1e-10); closed form vs "
+           f"L-BFGS-B from random starts: disagreement max {worst_rel:.2e} "
+           f"over 20 rows (tol 1e-5)")
 
 
 def test_criterion_9_determinism_across_threads(tmp_path):
@@ -248,7 +239,6 @@ def test_criterion_9_determinism_across_threads(tmp_path):
     cfg_path.write_text(json.dumps({
         "w": 4, "density": 0.25, "m_samples": 300, "sigma": 0.1, "seed": 42,
         "scope": "output",
-        "optimizer": {"grad_tol": 1e-7, "max_iters": 300},
         "decimation": {"batch_fraction": 0.1},
     }))
     outs = {}
@@ -274,9 +264,8 @@ def test_criterion_10_full_scale_smoke():
     t_true = tm.build_random_tm(dims, 0.20, seed=1)
     ds = tm.generate_dataset(t_true, 5000, tm.NoiseSpec(sigma=0.05), seed=2)
     path, best = tm.run_decimation(
-        ds, scope="output",
-        fit_opts=tm.OptimOptions(grad_tol=1e-7, max_iters=400),
-        decim_opts=tm.DecimationOptions(batch_fraction=0.10), threads=4)
+        ds, scope="output", decim_opts=tm.DecimationOptions(batch_fraction=0.10),
+        threads=4)
     t_inf, _ = tm.extract_tm(best)
     q = tm.quality_q(t_true.entries, t_inf.entries).q
 

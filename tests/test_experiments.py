@@ -14,11 +14,6 @@ from tminfer.experiments import (
 
 
 @pytest.fixture(scope="module")
-def fast_opts():
-    return tm.OptimOptions(grad_tol=1e-7, max_iters=300)
-
-
-@pytest.fixture(scope="module")
 def fast_decim():
     return tm.DecimationOptions(batch_fraction=0.10)
 
@@ -55,10 +50,8 @@ class TestFocusing:
         assert rep.q <= 1e-12
         assert np.allclose(achieved, target)
 
-    def test_zero_noise_pipeline_focus(self, channel4, data4_clean, fast_opts,
-                                       fast_decim):
-        _, _, t_inf, _ = infer_channel(data4_clean, fit_opts=fast_opts,
-                                       decim_opts=fast_decim)
+    def test_zero_noise_pipeline_focus(self, channel4, data4_clean, fast_decim):
+        _, _, t_inf, _ = infer_channel(data4_clean, decim_opts=fast_decim)
         target = gaussian_spot(channel4.dims)
         _, rep = focusing_experiment(channel4, t_inf, target,
                                      tm.NoiseSpec(sigma=0.0),
@@ -96,11 +89,10 @@ class TestImageReconstruction:
         assert np.allclose(rec, obj, atol=1e-10)
 
     def test_route_consistency_at_zero_noise(self, channel4, data4_clean,
-                                             fast_opts, fast_decim):
+                                             fast_decim):
         # inferred-inverse route vs exact-inversion route
         rev = tm.reverse_dataset(data4_clean)
-        _, _, t_inv_inf, _ = infer_channel(rev, fit_opts=fast_opts,
-                                           decim_opts=fast_decim)
+        _, _, t_inv_inf, _ = infer_channel(rev, decim_opts=fast_decim)
         exact_inv = tm.TransmissionMatrix(
             dims=channel4.dims, entries=np.linalg.inv(channel4.entries),
             role="inverse")
@@ -123,7 +115,6 @@ class TestSweep:
         cfg = tm.SweepConfig(
             dims=dims4, density=0.25, m_samples=300, sigma_grid=(0.0, 0.1),
             master_seed=5, replicates=1,
-            fit_opts=tm.OptimOptions(grad_tol=1e-7, max_iters=300),
             include_balance=False)
         report = run_sweep(cfg)
         assert len(report.records) == 2
@@ -141,7 +132,6 @@ class TestSweep:
         cfg = tm.SweepConfig(
             dims=dims4, density=0.25, m_samples=200, sigma_grid=(0.1,),
             master_seed=9, replicates=1,
-            fit_opts=tm.OptimOptions(grad_tol=1e-6, max_iters=200),
             include_balance=False)
         a = run_sweep(cfg)
         b = run_sweep(cfg)
@@ -166,7 +156,6 @@ class TestSweep:
         cfg = tm.SweepConfig(
             dims=dims4, density=0.25, m_samples=200, sigma_grid=(0.0, 0.1),
             master_seed=5, replicates=1,
-            fit_opts=tm.OptimOptions(grad_tol=1e-6, max_iters=200),
             include_balance=False)
         report = run_sweep(cfg)
         assert len(report.records) == 2
@@ -183,7 +172,7 @@ class TestSweep:
         with pytest.raises(ValueError):
             tm.SweepConfig(dims=dims4, replicates=0)
 
-    def test_monotone_degradation(self, fast_opts, fast_decim):
+    def test_monotone_degradation(self, fast_decim):
         # averaged over 3 channels, matrix error grows with channel noise
         dims = tm.Dimensions(w=4)
         grid = (0.02, 0.1, 0.25, 0.4)
@@ -194,8 +183,7 @@ class TestSweep:
                 t_true = tm.build_random_tm(dims, 0.25, seed=seed)
                 ds = tm.generate_dataset(t_true, 400, tm.NoiseSpec(sigma=sigma),
                                          seed=50 + seed)
-                _, _, t_inf, _ = infer_channel(ds, fit_opts=fast_opts,
-                                               decim_opts=fast_decim)
+                _, _, t_inf, _ = infer_channel(ds, decim_opts=fast_decim)
                 qs.append(tm.quality_q(t_true.entries, t_inf.entries).q)
             means.append(float(np.mean(qs)))
         assert all(later >= 0.95 * earlier

@@ -12,7 +12,6 @@ from tminfer.optimize import dataset_fingerprint
 CONFIG = {
     "w": 4, "density": 0.25, "m_samples": 120, "sigma": 0.1, "seed": 42,
     "scope": "output",
-    "optimizer": {"grad_tol": 1e-6, "max_iters": 200},
     "decimation": {"batch_fraction": 0.1},
 }
 
@@ -30,7 +29,6 @@ class TestRunConfig:
     def test_happy_path(self, tmp_path):
         cfg = tio.RunConfig.from_file(write_config(tmp_path))
         assert cfg.w == 4
-        assert cfg.optim_options().grad_tol == 1e-6
         assert cfg.decimation_options().batch_fraction == 0.1
 
     def test_unknown_top_level_key(self, tmp_path):
@@ -38,9 +36,18 @@ class TestRunConfig:
             tio.RunConfig.from_file(write_config(tmp_path, {"wavelength": 633}))
 
     def test_unknown_nested_key(self, tmp_path):
-        with pytest.raises(tio.ConfigError, match="unknown optimizer keys"):
+        with pytest.raises(tio.ConfigError, match="unknown decimation keys"):
             tio.RunConfig.from_file(
-                write_config(tmp_path, {"optimizer": {"lr": 0.1}}))
+                write_config(tmp_path, {"decimation": {"lr": 0.1}}))
+
+    def test_removed_optimizer_section(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"optimizer": {"grad_tol": 1e-6}})
+        with pytest.raises(tio.ConfigError, match="closed form.*'optimizer'.*removed"):
+            tio.RunConfig.from_file(path)
+        code = main(["generate", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "closed form" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_w(self, tmp_path):
         path = tmp_path / "c.json"
@@ -108,8 +115,7 @@ class TestFormats:
         assert tio.read_matrix(tmp_path / "inv.csv").role == "inverse"
 
     def test_estimate_round_trip(self, tmp_path, data4_noisy):
-        est = tm.fit_all_rows(data4_noisy, scope="output",
-                              opts=tm.OptimOptions(grad_tol=1e-6, max_iters=200))
+        est = tm.fit_all_rows(data4_noisy, scope="output")
         tio.write_estimate(est, tmp_path / "e.json", fingerprint="fp",
                            dataset_sha256="x")
         back = tio.read_estimate(tmp_path / "e.json", fingerprint="fp")
@@ -122,8 +128,7 @@ class TestFormats:
             assert np.array_equal(m1.active, m2.active)
 
     def test_fingerprint_mismatch_rejected(self, tmp_path, data4_noisy):
-        est = tm.fit_all_rows(data4_noisy, scope="output",
-                              opts=tm.OptimOptions(grad_tol=1e-6, max_iters=200))
+        est = tm.fit_all_rows(data4_noisy, scope="output")
         tio.write_estimate(est, tmp_path / "e.json", fingerprint="fp-A",
                            dataset_sha256="x")
         with pytest.raises(tio.ChainError, match="fingerprint"):

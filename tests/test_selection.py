@@ -21,7 +21,7 @@ def toy_estimate(dims, k_rows, a=1.0):
     return tm.CouplingEstimate(
         dims=dims, scope="output", direction="forward", fitted_sites=sites,
         rows=tuple(rows), masks=tuple(masks),
-        converged=tuple(True for _ in sites), iterations=tuple(0 for _ in sites),
+        converged=tuple(True for _ in sites),
         row_objectives=tuple(0.0 for _ in sites), total_pl=0.0,
         dataset_fingerprint="toy")
 
@@ -57,9 +57,8 @@ class TestDecimateStep:
         with pytest.raises(ValueError):
             tm.decimate_step(est, batch=1)
 
-    def test_zero_noise_ranking_separates_support(self, channel4, data4_clean,
-                                                  tight_opts):
-        est = tm.fit_all_rows(data4_clean, scope="output", opts=tight_opts)
+    def test_zero_noise_ranking_separates_support(self, channel4, data4_clean):
+        est = tm.fit_all_rows(data4_clean, scope="output")
         k_in = est.coupling_matrix()[:, :16]
         sup = channel4.entries != 0
         assert np.abs(k_in[sup]).min() > np.abs(k_in[~sup]).max()
@@ -100,10 +99,8 @@ class TestSelectBest:
 
 @pytest.fixture(scope="module")
 def clean_path(data4_clean):
-    opts = tm.OptimOptions(grad_tol=1e-10, max_iters=400)
     return tm.run_decimation(
-        data4_clean, scope="output", fit_opts=opts,
-        decim_opts=tm.DecimationOptions(batch_fraction=0.0))
+        data4_clean, scope="output", decim_opts=tm.DecimationOptions(batch_fraction=0.0))
 
 
 class TestRunDecimation:
@@ -133,28 +130,24 @@ class TestRunDecimation:
         assert best.n_active_couplings == path.selected_record.n_couplings
 
     def test_geometric_schedule_batch_sizes(self, data4_noisy):
-        opts = tm.OptimOptions(grad_tol=1e-6, max_iters=200)
         path, _ = tm.run_decimation(
-            data4_noisy, scope="output", fit_opts=opts,
-            decim_opts=tm.DecimationOptions(batch_fraction=0.10))
+            data4_noisy, scope="output", decim_opts=tm.DecimationOptions(batch_fraction=0.10))
         counts = [r.n_couplings for r in path.records]
         for before, after in zip(counts, counts[1:]):
             expected = min(before, max(1, int(0.10 * before)))
             assert before - after == expected
 
-    def test_pl_nested_model_monotonicity(self, data4_noisy, tight_opts):
-        full = tm.fit_all_rows(data4_noisy, scope="output", opts=tight_opts)
+    def test_pl_nested_model_monotonicity(self, data4_noisy):
+        full = tm.fit_all_rows(data4_noisy, scope="output")
         sub_masks = tm.decimate_step(full, batch=60)
-        sub = tm.fit_all_rows(data4_noisy, masks=sub_masks, scope="output",
-                              opts=tight_opts)
+        sub = tm.fit_all_rows(data4_noisy, masks=sub_masks, scope="output")
         assert full.total_pl >= sub.total_pl - 1e-8 * abs(full.total_pl)
 
     def test_pl_flat_then_drops(self, channel4):
         # moderate noise path: selected PL close to full PL, over-decimated
         # PL far below
         ds = tm.generate_dataset(channel4, 500, tm.NoiseSpec(sigma=0.05), seed=21)
-        opts = tm.OptimOptions(grad_tol=1e-7, max_iters=300)
-        path, _ = tm.run_decimation(ds, scope="output", fit_opts=opts,
+        path, _ = tm.run_decimation(ds, scope="output",
                                     decim_opts=tm.DecimationOptions(batch_fraction=0.05))
         full_pl = path.records[0].total_pl
         sel = path.selected_record
@@ -164,51 +157,41 @@ class TestRunDecimation:
         assert over.total_pl - full_pl < -eps
 
     def test_path_independent_of_threads(self, data4_noisy):
-        opts = tm.OptimOptions(grad_tol=1e-7, max_iters=300)
         dopts = tm.DecimationOptions(batch_fraction=0.10)
-        p1, b1 = tm.run_decimation(data4_noisy, scope="output", fit_opts=opts,
-                                   decim_opts=dopts, threads=1)
-        p4, b4 = tm.run_decimation(data4_noisy, scope="output", fit_opts=opts,
-                                   decim_opts=dopts, threads=4)
+        p1, b1 = tm.run_decimation(data4_noisy, scope="output", decim_opts=dopts, threads=1)
+        p4, b4 = tm.run_decimation(data4_noisy, scope="output", decim_opts=dopts, threads=4)
         assert p1.selected == p4.selected
         for r1, r4 in zip(p1.records, p4.records):
             assert r1.n_couplings == r4.n_couplings
             assert r1.total_pl == r4.total_pl
             assert r1.bic == r4.bic
 
-    def test_initial_estimate_is_reused(self, data4_noisy, tight_opts):
-        est = tm.fit_all_rows(data4_noisy, scope="output", opts=tight_opts)
-        path, _ = tm.run_decimation(data4_noisy, scope="output",
-                                    fit_opts=tight_opts, initial=est)
+    def test_initial_estimate_is_reused(self, data4_noisy):
+        est = tm.fit_all_rows(data4_noisy, scope="output")
+        path, _ = tm.run_decimation(data4_noisy, scope="output", initial=est)
         assert path.records[0].estimate is est
 
-    def test_scope_mismatch_rejected(self, data4_noisy, tight_opts):
-        est = tm.fit_all_rows(data4_noisy, scope="output", opts=tight_opts)
+    def test_scope_mismatch_rejected(self, data4_noisy):
+        est = tm.fit_all_rows(data4_noisy, scope="output")
         with pytest.raises(ValueError):
             tm.run_decimation(data4_noisy, scope="all", initial=est)
 
 
 class TestBicConventions:
     def test_curvature_counting_switch(self, data4_noisy):
-        opts = tm.OptimOptions(grad_tol=1e-6, max_iters=200)
         with_curv, _ = tm.run_decimation(
-            data4_noisy, scope="output", fit_opts=opts,
-            decim_opts=tm.DecimationOptions(count_curvatures=True))
+            data4_noisy, scope="output", decim_opts=tm.DecimationOptions(count_curvatures=True))
         without, _ = tm.run_decimation(
-            data4_noisy, scope="output", fit_opts=opts,
-            decim_opts=tm.DecimationOptions(count_curvatures=False))
+            data4_noisy, scope="output", decim_opts=tm.DecimationOptions(count_curvatures=False))
         assert with_curv.records[0].k_free == without.records[0].k_free + 16
         # identical PL values, shifted parameter counts
         assert with_curv.records[0].total_pl == without.records[0].total_pl
 
     def test_mean_pl_switch(self, data4_noisy):
-        opts = tm.OptimOptions(grad_tol=1e-6, max_iters=200)
         summed, _ = tm.run_decimation(
-            data4_noisy, scope="output", fit_opts=opts,
-            decim_opts=tm.DecimationOptions(pl_in_bic="sum"))
+            data4_noisy, scope="output", decim_opts=tm.DecimationOptions(pl_in_bic="sum"))
         meaned, _ = tm.run_decimation(
-            data4_noisy, scope="output", fit_opts=opts,
-            decim_opts=tm.DecimationOptions(pl_in_bic="mean"))
+            data4_noisy, scope="output", decim_opts=tm.DecimationOptions(pl_in_bic="mean"))
         r_sum, r_mean = summed.records[0], meaned.records[0]
         m = data4_noisy.m_samples
         assert r_mean.bic == pytest.approx(
