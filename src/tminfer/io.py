@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -304,6 +305,7 @@ def write_matrix(tm: TransmissionMatrix, path: str | Path,
 
 
 def read_matrix(path: str | Path) -> TransmissionMatrix:
+    """Read a square matrix of side w**2; a CSV must match its header."""
     path = Path(path)
     if path.suffix == ".npy":
         entries = np.load(path)
@@ -311,12 +313,19 @@ def read_matrix(path: str | Path) -> TransmissionMatrix:
     else:
         with open(path) as fh:
             header = fh.readline()
-        if not header.startswith("#"):
-            raise ChainError(f"{path} lacks the '#' shape header")
         parts = header[1:].split()
+        if not (header.startswith("#") and len(parts) >= 2
+                and parts[0].isdigit() and parts[1].isdigit()):
+            raise ChainError(f"{path} lacks the '# rows cols role' header")
         role = parts[2] if len(parts) > 2 else "direct"
         entries = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
-    w = int(round(entries.shape[0] ** 0.5))
+        if entries.shape != (int(parts[0]), int(parts[1])):
+            raise ChainError(f"{path} holds a {entries.shape} matrix, its header "
+                             f"says ({parts[0]}, {parts[1]})")
+    w = math.isqrt(entries.shape[0]) if entries.ndim == 2 else 0
+    if entries.shape != (w * w, w * w):
+        raise ChainError(f"{path} holds a {entries.shape} matrix; a transmission "
+                         "matrix is square with a side of w**2")
     return TransmissionMatrix(dims=Dimensions(w=w), entries=entries, role=role)
 
 

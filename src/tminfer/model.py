@@ -154,6 +154,9 @@ class Dataset:
     ``direction`` is ``forward`` for as-measured pairs and ``reversed`` when
     input/output have been swapped (the representation used to infer the
     inverse map).  ``meta`` carries seed, sigma, and a source description.
+    Row fits read the data only through ``second_moments()``, cached on this
+    object alone: a ``dataclasses.replace`` or ``reverse_dataset`` copy
+    builds its own.
     """
 
     dims: Dimensions
@@ -191,6 +194,20 @@ class Dataset:
     def site_matrix(self) -> np.ndarray:
         """(M, n) matrix of concatenated site vectors, one sample per row."""
         return np.hstack([self.inputs, self.outputs])
+
+    def second_moments(self) -> np.ndarray:
+        """Read-only (n, n) matrix ``S^T S / M``, built on the first call.
+
+        Not locked: threads racing on the first call each build an equal copy,
+        so ``fit_all_rows`` and ``refit_rows`` build it before they fan out.
+        """
+        c = self.__dict__.get("_second_moments")
+        if c is None:
+            s = self.site_matrix()
+            c = s.T @ s / self.m_samples
+            c.flags.writeable = False
+            object.__setattr__(self, "_second_moments", c)
+        return c
 
 
 @dataclass(frozen=True)

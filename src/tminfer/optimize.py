@@ -6,9 +6,11 @@ curvature ``a = 1 / (2 * rss)`` with ``rss`` the mean squared residual, and
 couplings ``k = 2 * a * beta``.  This is neighbourhood regression for a
 Gaussian graphical model (Meinshausen & Buhlmann, Ann. Stat. 2006).
 
-Rows never share mutable state, so the batch driver may fan them out over a
-thread pool; results are merged by site index and are identical for any
-thread count.
+The optimum and its gradient depend on the data only through the sample
+second moments ``C = S^T S / M`` (``Dataset.second_moments``): a row solve is
+one small solve on a block of ``C`` and never touches the (M, n) site matrix.
+Rows share no mutable state, so the batch driver may fan them out over a
+thread pool; results are identical for any thread count.
 """
 
 from __future__ import annotations
@@ -16,18 +18,12 @@ from __future__ import annotations
 import hashlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
 from .model import Dataset, Dimensions
-from .pseudolikelihood import (
-    RowMask,
-    RowParams,
-    _design,
-    _neg_logpl_grad,
-    _neg_logpl_value,
-    other_sites,
-)
+from .pseudolikelihood import RowMask, RowParams, log_partition, other_sites
 
 __all__ = [
     "OptimOptions",
@@ -83,37 +79,37 @@ def minimize_row(
 ) -> RowFit:
     """Fit one site's conditional Gaussian under a support mask.
 
-    Masked couplings stay exactly 0.  The least-squares step solves the
-    normal equations by ``lstsq``, which returns the minimum-norm solution
-    when the active columns are collinear (e.g. all-sites scope on noise-free
-    data).  ``converged`` reports whether the projected gradient of the
-    objective at the returned point is within ``GRAD_TOL``.
+    Reads only ``C = dataset.second_moments()``.  ``beta`` solves
+    ``C[A,A] beta = C[A,y]`` by ``lstsq``, the minimum-norm solution when the
+    active regressors are collinear (noise-free all-sites fits, fewer samples
+    than regressors); ``rss = C[y,y] - 2 beta.C[A,y] + beta.C[A,A] beta`` is
+    clamped at 0, where it cancels on exact fits.  Masked couplings stay 0.
+    ``converged``: the projected gradient is within ``GRAD_TOL``.
     """
     n = dataset.dims.n
-    y, x_full = _design(dataset, site)
     if mask is None:
         mask = RowMask(site=site, active=np.ones(n - 1, dtype=bool))
     elif mask.site != site or mask.active.shape[0] != n - 1:
         raise ValueError("mask does not match site / dims")
-    active = mask.active
-    xa = x_full[:, active]
-
-    beta = np.linalg.lstsq(xa.T @ xa, xa.T @ y, rcond=None)[0]
-    r = y - xa @ beta
-    rss = float(np.mean(r * r))
+    c = dataset.second_moments()
+    idx = other_sites(site, n)[mask.active]
+    c_aa, c_ay, c_yy = c[np.ix_(idx, idx)], c[idx, site], c[site, site]
+    beta = np.linalg.lstsq(c_aa, c_ay, rcond=None)[0]
+    c_aa_beta = c_aa @ beta
+    fitted = float(beta @ c_aa_beta)
+    rss = max(c_yy - 2.0 * float(beta @ c_ay) + fitted, 0.0)
     a = opts.a_cap if rss <= 0.5 / opts.a_cap else 0.5 / rss
-    k_active = 2.0 * a * beta
-    b = xa @ k_active
-    d_a, d_k = _neg_logpl_grad(a, b, y, xa)
+    d_k = c_aa_beta - c_ay
+    d_a = c_yy - fitted - 0.5 / a
     # At the cap a negative d/da only pushes against the bound: it is projected out.
     pg_a = 0.0 if (a >= opts.a_cap and d_a < 0.0) else abs(d_a)
     grad_norm = max(pg_a, float(np.max(np.abs(d_k), initial=0.0)))
 
     k = np.zeros(n - 1)
-    k[active] = k_active
+    k[mask.active] = 2.0 * a * beta
     return RowFit(params=RowParams(site=site, a=a, k=k),
                   converged=grad_norm <= GRAD_TOL, iterations=1,
-                  objective=_neg_logpl_value(a, b, y), grad_norm=grad_norm)
+                  objective=a * rss + log_partition(a, 0.0), grad_norm=grad_norm)
 
 
 @dataclass(frozen=True)
@@ -217,6 +213,18 @@ def true_support_masks(dims: Dimensions, support: np.ndarray) -> tuple[RowMask, 
     return tuple(masks)
 
 
+def _solve_rows(dataset: Dataset, sites, masks, opts: OptimOptions,
+                threads: int) -> list[RowFit]:
+    """``minimize_row`` per (site, mask), on a pool when ``threads > 1``; ``C``
+    is built first, on the calling thread, so pool workers only read it."""
+    dataset.second_moments()
+    args = (sites, repeat(dataset), masks, repeat(opts))
+    if threads > 1 and len(sites) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(minimize_row, *args))
+    return list(map(minimize_row, *args))
+
+
 def fit_all_rows(
     dataset: Dataset,
     masks: tuple[RowMask, ...] | None = None,
@@ -236,16 +244,7 @@ def fit_all_rows(
         masks = initial_masks(dataset.dims, scope)
     if len(masks) != len(sites) or any(mk.site != s for mk, s in zip(masks, sites)):
         raise ValueError("masks inconsistent with scope sites")
-
-    def fit_one(r: int) -> RowFit:
-        return minimize_row(sites[r], dataset, masks[r], opts)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            fits = list(pool.map(fit_one, range(len(sites))))
-    else:
-        fits = [fit_one(r) for r in range(len(sites))]
-
+    fits = _solve_rows(dataset, sites, masks, opts, threads)
     m = dataset.m_samples
     objectives = tuple(f.objective for f in fits)
     return CouplingEstimate(
@@ -285,15 +284,8 @@ def refit_rows(
     converged = list(estimate.converged)
     objectives = list(estimate.row_objectives)
     idx = sorted(rows_to_refit)
-
-    def fit_one(r: int) -> RowFit:
-        return minimize_row(estimate.fitted_sites[r], dataset, new_masks[r], opts)
-
-    if threads > 1 and len(idx) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            fits = list(pool.map(fit_one, idx))
-    else:
-        fits = [fit_one(r) for r in idx]
+    fits = _solve_rows(dataset, [estimate.fitted_sites[r] for r in idx],
+                       [new_masks[r] for r in idx], opts, threads)
     for r, fit in zip(idx, fits):
         rows[r] = fit.params
         converged[r] = fit.converged

@@ -148,22 +148,6 @@ def _design(dataset: Dataset, site: int) -> tuple[np.ndarray, np.ndarray]:
     return s[:, site], s[:, other_sites(site, s.shape[1])]
 
 
-def _neg_logpl_value(a: float, b_vec: np.ndarray, y: np.ndarray) -> float:
-    r = y - b_vec / (2.0 * a)
-    return float(np.mean(a * r * r) + _LN2 + 0.5 * (_LNPI - math.log(4.0 * a)))
-
-
-def _neg_logpl_grad(
-    a: float, b_vec: np.ndarray, y: np.ndarray, x: np.ndarray
-) -> tuple[float, np.ndarray]:
-    m = y.shape[0]
-    yhat = b_vec / (2.0 * a)
-    r = y - yhat
-    d_k = -(x.T @ r) / m
-    d_a = float(np.mean(r * (y + yhat)) - 1.0 / (2.0 * a))
-    return d_a, d_k
-
-
 def row_neg_logpl(params: RowParams, dataset: Dataset, mask: RowMask | None = None) -> float:
     """Negative log-pseudolikelihood of one row, averaged over samples.
 
@@ -174,9 +158,10 @@ def row_neg_logpl(params: RowParams, dataset: Dataset, mask: RowMask | None = No
         raise ValueError("params and mask refer to different sites")
     if not (params.a > 0):
         return math.inf
+    a = params.a
     y, x = _design(dataset, params.site)
-    b_vec = x @ _masked_k(params, mask)
-    return _neg_logpl_value(params.a, b_vec, y)
+    r = y - (x @ _masked_k(params, mask)) / (2.0 * a)
+    return float(np.mean(a * r * r) + _LN2 + 0.5 * (_LNPI - math.log(4.0 * a)))
 
 
 def row_grad(
@@ -190,9 +175,12 @@ def row_grad(
         raise ValueError("params and mask refer to different sites")
     if not (params.a > 0):
         raise ValueError("gradient undefined for a <= 0")
+    a = params.a
     y, x = _design(dataset, params.site)
-    b_vec = x @ _masked_k(params, mask)
-    d_a, d_k = _neg_logpl_grad(params.a, b_vec, y, x)
+    yhat = (x @ _masked_k(params, mask)) / (2.0 * a)
+    r = y - yhat
+    d_k = -(x.T @ r) / y.shape[0]
+    d_a = float(np.mean(r * (y + yhat)) - 1.0 / (2.0 * a))
     if mask is not None:
         d_k = np.where(mask.active, d_k, 0.0)
     return d_a, d_k

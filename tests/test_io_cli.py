@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -113,6 +117,26 @@ class TestFormats:
                                     role="inverse")
         tio.write_matrix(inv, tmp_path / "inv.csv")
         assert tio.read_matrix(tmp_path / "inv.csv").role == "inverse"
+
+    @pytest.mark.parametrize("header, rows, cols", [
+        ("# 16 16 direct", 15, 16),    # body shorter than the header says
+        ("# 16 16 direct", 16, 15),    # body narrower than the header says
+        ("# 16 15 direct", 16, 15),    # not square
+        ("# 15 15 direct", 15, 15),    # side is not w**2
+        ("# direct", 16, 16),          # no shape in the header
+        ("", 16, 16),                  # no header
+    ])
+    def test_matrix_shape_checked(self, tmp_path, header, rows, cols):
+        body = [",".join(["0.5"] * cols)] * rows
+        (tmp_path / "m.csv").write_text("\n".join([header, *body]) + "\n")
+        with pytest.raises(tio.ChainError):
+            tio.read_matrix(tmp_path / "m.csv")
+
+    def test_npy_matrix_shape_checked(self, tmp_path):
+        for shape in ((16, 15), (15, 15), (16,)):
+            np.save(tmp_path / "m.npy", np.zeros(shape))
+            with pytest.raises(tio.ChainError):
+                tio.read_matrix(tmp_path / "m.npy")
 
     def test_estimate_round_trip(self, tmp_path, data4_noisy):
         est = tm.fit_all_rows(data4_noisy, scope="output")
@@ -288,3 +312,33 @@ class TestCli:
         # forward full fit cannot seed a reversed selection
         assert self.run("select", "--config", str(cfg), "--out", str(out),
                         "--reversed") == 1
+
+
+@pytest.mark.slow
+def test_artifacts_identical_across_blas_threads(tmp_path):
+    # The only large BLAS call left in a fit is S^T S; every artifact of the
+    # full-scale chain must come out byte-identical for 1 and 2 BLAS threads.
+    cfg = write_config(tmp_path, {"w": 12, "density": 0.2, "m_samples": 5000,
+                                  "sigma": 0.05, "seed": 1})
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    stages = ["generate", "fit", "select", "extract", "fit --reversed",
+              "select --reversed", "extract --reversed", "eval", "report"]
+    outs = {}
+    for blas_threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env.pop("TMINFER_THREADS", None)
+        out = tmp_path / f"blas{blas_threads}"
+        for stage in stages:
+            res = subprocess.run([sys.executable, "-m", "tminfer.cli", *stage.split(),
+                                  "--config", str(cfg), "--out", str(out)],
+                                 env=env, capture_output=True, text=True)
+            assert res.returncode == 0, (stage, blas_threads, res.stderr)
+        outs[blas_threads] = out
+    names = sorted(p.name for p in outs["1"].iterdir())
+    assert names == sorted(p.name for p in outs["2"].iterdir())
+    assert "t_inv_inf.csv" in names
+    diffs = [n for n in names
+             if (outs["1"] / n).read_bytes() != (outs["2"] / n).read_bytes()]
+    assert not diffs

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -175,6 +177,46 @@ class TestReverseDataset:
         rev = tm.reverse_dataset(data4_noisy)
         m = data4_noisy.m_samples // 2
         assert np.array_equal(rev.sample(m).input, data4_noisy.sample(m).output)
+
+
+class TestSecondMoments:
+    @staticmethod
+    def reference(ds):
+        s = ds.site_matrix()
+        return np.einsum("mi,mj->ij", s, s) / ds.m_samples
+
+    def test_matches_site_matrix(self, data4_noisy, data4_clean):
+        for ds in (data4_noisy, data4_clean):
+            c = ds.second_moments()
+            assert c.shape == (ds.dims.n, ds.dims.n)
+            np.testing.assert_allclose(c, self.reference(ds), rtol=1e-13, atol=0)
+
+    def test_cached_and_read_only(self, channel4):
+        ds = tm.generate_dataset(channel4, 50, tm.NoiseSpec(sigma=0.1), seed=5)
+        c = ds.second_moments()
+        assert ds.second_moments() is c
+        assert not c.flags.writeable
+        with pytest.raises(ValueError):
+            c[0, 0] = 1.0
+
+    def test_reversed_copy_gets_its_own_block_swap(self, data4_noisy):
+        fwd = data4_noisy.second_moments()
+        rev = tm.reverse_dataset(data4_noisy).second_moments()
+        assert not np.shares_memory(rev, fwd)
+        nh = data4_noisy.dims.n_half
+        swap = np.r_[nh:2 * nh, 0:nh]
+        np.testing.assert_allclose(rev, fwd[np.ix_(swap, swap)], rtol=1e-13, atol=0)
+
+    def test_replaced_copy_gets_its_own(self, data4_noisy):
+        fwd = data4_noisy.second_moments()
+        scaled = dataclasses.replace(data4_noisy, outputs=2.0 * data4_noisy.outputs)
+        c = scaled.second_moments()
+        assert not np.shares_memory(c, fwd)
+        np.testing.assert_allclose(c, self.reference(scaled), rtol=1e-13, atol=0)
+        nh = data4_noisy.dims.n_half
+        np.testing.assert_allclose(c[nh:, nh:], 4.0 * fwd[nh:, nh:], rtol=1e-13)
+        same = dataclasses.replace(data4_noisy, meta={})
+        assert not np.shares_memory(same.second_moments(), fwd)
 
 
 class TestGroundTruthCoupling:

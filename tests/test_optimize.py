@@ -134,6 +134,45 @@ class TestFitAllRows:
             resid = y - np.delete(s, row.site, axis=1) @ (row.k / (2.0 * row.a))
             assert np.sqrt(np.mean(resid**2)) <= 1e-3 * np.sqrt(np.mean(y**2))
 
+    @pytest.mark.parametrize("scope", ["output", "all"])
+    def test_moment_solve_matches_data_definitions(self, data4_noisy, data4_clean,
+                                                   scope):
+        # Every row is solved from C = S^T S / M; row_neg_logpl and row_grad
+        # evaluate the same quantities on the raw samples.
+        for ds in (data4_noisy, data4_clean):
+            est = tm.fit_all_rows(ds, scope=scope)
+            for row, mask, obj in zip(est.rows, est.masks, est.row_objectives):
+                fit = tm.minimize_row(row.site, ds, mask)
+                assert fit.params.k.tobytes() == row.k.tobytes()
+                assert fit.objective == obj
+                ref = tm.row_neg_logpl(row, ds, mask)
+                if row.a < A_CAP:
+                    assert obj == pytest.approx(ref, rel=1e-9, abs=0)
+                else:
+                    # At the cap the objective carries a_cap * rss, and the
+                    # moment form of rss cancels to ~1e-15 instead of ~1e-30.
+                    assert abs(obj - ref) <= A_CAP * 1e-14
+                # rss is clamped at 0: the term a * rss is never negative.
+                assert obj - tm.log_partition(row.a, 0.0) >= 0.0
+                d_a, d_k = tm.row_grad(row, ds, mask)
+                if row.a == A_CAP:
+                    d_a = max(d_a, 0.0)
+                data_norm = max(abs(d_a), float(np.abs(d_k).max()))
+                assert abs(fit.grad_norm - data_norm) <= 1e-9
+
+    @pytest.mark.parametrize("scope", ["output", "all"])
+    @pytest.mark.parametrize("m", [1, 8])
+    def test_fewer_samples_than_regressors(self, channel4, scope, m):
+        # C[A,A] has rank <= M < |A|: the minimum-norm solution interpolates
+        # the samples, so every row is an exact fit parked at the cap.
+        ds = tm.generate_dataset(channel4, m, tm.NoiseSpec(sigma=0.1), seed=3)
+        est = tm.fit_all_rows(ds, scope=scope)
+        assert max(mk.n_active for mk in est.masks) > m
+        assert all(est.converged)
+        for row in est.rows:
+            assert np.all(np.isfinite(row.k))
+            assert row.a == A_CAP
+
     def test_fingerprint_binds_to_data(self, channel4, data4_noisy):
         other = tm.generate_dataset(channel4, 500, tm.NoiseSpec(sigma=0.1), seed=12)
         est1 = tm.fit_all_rows(data4_noisy, scope="output")
