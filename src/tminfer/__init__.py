@@ -9,12 +9,13 @@ noise levels, then evaluates the result in focusing and image-reconstruction
 experiments.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .model import (
     Dataset,
     Dimensions,
     GroundTruthCoupling,
+    Moments,
     NoiseSpec,
     Sample,
     TransmissionMatrix,
@@ -75,7 +76,7 @@ from .experiments import (
 
 __all__ = [
     "__version__",
-    "Dataset", "Dimensions", "GroundTruthCoupling", "NoiseSpec", "Sample",
+    "Dataset", "Dimensions", "GroundTruthCoupling", "Moments", "NoiseSpec", "Sample",
     "TransmissionMatrix", "assemble_ground_truth_coupling", "build_random_tm",
     "generate_dataset", "reverse_dataset", "transmit",
     "RowMask", "RowParams", "field_b", "log_partition", "row_grad",

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
@@ -30,7 +29,7 @@ from .experiments import (
 )
 from .extraction import extract_gramian, extract_tm
 from .model import NoiseSpec, TransmissionMatrix, build_random_tm, generate_dataset, reverse_dataset
-from .optimize import dataset_fingerprint, fit_all_rows
+from .optimize import fit_all_rows
 from .selection import run_decimation
 
 
@@ -93,22 +92,19 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _read_dataset(cfg, out, fp, reversed_data: bool):
-    ds = tio.read_dataset(out, fingerprint=fp)
-    return reverse_dataset(ds) if reversed_data else ds
-
-
 def cmd_fit(args) -> int:
     """Fit all rows under the full support mask."""
     cfg, out, fp = _load(args)
     scope = args.scope or cfg.scope
     sfx = _suffix(args)
-    ds = _read_dataset(cfg, out, fp, bool(sfx))
+    ds, meta = tio.read_dataset(out, fingerprint=fp, with_meta=True)
+    if sfx:
+        ds = reverse_dataset(ds)
     est = fit_all_rows(ds, scope=scope, threads=cfg.resolve_threads(args.threads))
-    meta = json.loads((out / "dataset.meta.json").read_text())
     name = f"estimate_full{sfx}.json"
+    # The second moments ride along, so select never re-reads the samples.
     tio.write_estimate(est, out / name, fingerprint=fp,
-                       dataset_sha256=meta["data_sha256"])
+                       dataset_sha256=meta["data_sha256"], dataset=ds)
     tio.register_artifacts(out, name)
     print(f"fit {len(est.rows)} rows, total_pl={est.total_pl:.6g}")
     return 0
@@ -119,16 +115,20 @@ def cmd_select(args) -> int:
     cfg, out, fp = _load(args)
     scope = args.scope or cfg.scope
     sfx = _suffix(args)
-    ds = _read_dataset(cfg, out, fp, bool(sfx))
+    meta = tio.verify_dataset(out, fingerprint=fp)
     full_name = f"estimate_full{sfx}.json"
     tio.verify_artifact(out, full_name)
-    initial = tio.read_estimate(out / full_name, fingerprint=fp)
-    if initial.dataset_fingerprint != dataset_fingerprint(ds):
-        raise tio.ChainError(f"{full_name} was fitted on different data")
-    path, best = run_decimation(ds, scope=scope, decim_opts=cfg.decimation_options(),
-                                initial=initial,
+    initial, moments = tio.read_estimate(out / full_name, fingerprint=fp,
+                                         dataset_sha256=meta["data_sha256"],
+                                         with_moments=True)
+    direction = "reversed" if sfx else "forward"
+    if moments.direction != direction:
+        raise tio.ChainError(f"{full_name} was fitted on the {moments.direction} "
+                             f"dataset, not the {direction} one")
+    # Decimation reads the data only through C, so it runs on the recorded moments.
+    path, best = run_decimation(moments, scope=scope,
+                                decim_opts=cfg.decimation_options(), initial=initial,
                                 threads=cfg.resolve_threads(args.threads))
-    meta = json.loads((out / "dataset.meta.json").read_text())
     tio.write_path(path, out / f"path{sfx}.json", fingerprint=fp, sigma=cfg.sigma,
                    dataset_sha256=meta["data_sha256"])
     tio.write_estimate(best, out / f"estimate_selected{sfx}.json", fingerprint=fp,

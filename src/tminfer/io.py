@@ -4,22 +4,28 @@ Text formats are comma-separated with reals printed at 17 significant digits
 (exact float64 round trip); the optional binary variant stores arrays as .npy.
 Every artifact embeds the run-config fingerprint, and a per-directory manifest
 records content hashes so chained stages can refuse tampered or mismatched
-inputs.  All writes go through a temp file plus atomic rename.
+inputs.  Every write goes to a fresh temp file beside its target and is renamed
+onto it only when complete; large tables are formatted, hashed and written in
+blocks, never held whole as text.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io as _io
+import itertools
 import json
 import math
 import os
+import secrets
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .model import Dataset, Dimensions, TransmissionMatrix
+from .model import Dataset, Dimensions, Moments, TransmissionMatrix
 from .optimize import CouplingEstimate
 from .pseudolikelihood import RowMask, RowParams
 from .selection import DecimationOptions, DecimationPath
@@ -30,6 +36,7 @@ __all__ = [
     "RunConfig",
     "config_fingerprint",
     "write_dataset",
+    "verify_dataset",
     "read_dataset",
     "write_matrix",
     "read_matrix",
@@ -41,6 +48,9 @@ __all__ = [
 ]
 
 MANIFEST = "MANIFEST.json"
+# Rows formatted per block of a CSV table, and bytes per read when hashing.
+_BLOCK_ROWS = 2048
+_HASH_CHUNK = 1 << 20
 
 
 class ConfigError(ValueError):
@@ -55,23 +65,60 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _csv_blocks(*columns: np.ndarray):
+    """Encoded CSV lines of the side-by-side ``columns``, ``_BLOCK_ROWS`` rows
+    per block.  One ``%``-format per block; ``"%.17g" % x`` is the same text
+    as ``_fmt(x)``."""
+    row = ",".join(["%.17g"] * sum(c.shape[1] for c in columns)) + "\n"
+    for start in range(0, columns[0].shape[0], _BLOCK_ROWS):
+        block = np.hstack([c[start:start + _BLOCK_ROWS] for c in columns])
+        yield ((row * block.shape[0]) % tuple(block.ravel().tolist())).encode()
+
+
 def _sha256_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
 def _sha256_file(path: Path) -> str:
-    return _sha256_bytes(Path(path).read_bytes())
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(_HASH_CHUNK):
+            h.update(chunk)
+    return h.hexdigest()
 
 
-def _atomic_write_bytes(path: Path, data: bytes) -> None:
+@contextmanager
+def _atomic_open(path: Path):
+    """Binary handle on a fresh temp file beside ``path``: renamed onto
+    ``path`` when the block completes, removed when it raises.  The random
+    name keeps concurrent writers of one target out of each other's files."""
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
-    _atomic_write_bytes(path, text.encode())
+def _atomic_write_blocks(path: Path, blocks) -> str:
+    """Write the byte ``blocks`` to ``path`` atomically; return their sha256."""
+    h = hashlib.sha256()
+    with _atomic_open(path) as fh:
+        for block in blocks:
+            h.update(block)
+            fh.write(block)
+    return h.hexdigest()
+
+
+def _atomic_write_bytes(path: Path, data: bytes) -> str:
+    return _atomic_write_blocks(path, (data,))
+
+
+def _atomic_write_text(path: Path, text: str) -> str:
+    return _atomic_write_bytes(path, text.encode())
 
 
 def _canonical_json(obj) -> str:
@@ -94,14 +141,14 @@ def _load_manifest(out_dir: Path) -> dict:
     return json.loads(p.read_text())
 
 
-def _register(out_dir: Path, *names: str) -> None:
+def _register(out_dir: Path, hashes: dict[str, str]) -> None:
     man = _load_manifest(out_dir)
-    for name in names:
-        man[name] = _sha256_file(Path(out_dir) / name)
+    man.update(hashes)
     _atomic_write_text(_manifest_path(out_dir), _canonical_json(man) + "\n")
 
 
-def _verify(out_dir: Path, name: str) -> None:
+def _verify(out_dir: Path, name: str) -> str:
+    """Check ``name`` against its manifest hash; return that hash."""
     man = _load_manifest(out_dir)
     if name not in man:
         raise ChainError(f"{name} is not registered in {MANIFEST}; "
@@ -110,6 +157,7 @@ def _verify(out_dir: Path, name: str) -> None:
     if actual != man[name]:
         raise ChainError(f"{name} fails checksum validation (file was modified "
                          "after it was produced)")
+    return actual
 
 
 def _check_fingerprint(artifact: dict, expected: str, name: str) -> None:
@@ -231,18 +279,15 @@ def write_dataset(ds: Dataset, out_dir: str | Path, fingerprint: str,
     """Write dataset data + sidecar metadata into ``out_dir``."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    table = np.hstack([ds.inputs, ds.outputs])
     if binary:
         data_name = "dataset.npy"
-        import io as _io
-
         buf = _io.BytesIO()
-        np.save(buf, table)
-        _atomic_write_bytes(out / data_name, buf.getvalue())
+        np.save(buf, np.hstack([ds.inputs, ds.outputs]))
+        data_sha256 = _atomic_write_bytes(out / data_name, buf.getvalue())
     else:
         data_name = "dataset.csv"
-        lines = [",".join(_fmt(v) for v in row) for row in table]
-        _atomic_write_text(out / data_name, "\n".join(lines) + "\n")
+        data_sha256 = _atomic_write_blocks(out / data_name,
+                                           _csv_blocks(ds.inputs, ds.outputs))
     meta = {
         "format": "tminfer-dataset",
         "versions": {"tminfer": __version__, "numpy": np.__version__},
@@ -251,36 +296,52 @@ def write_dataset(ds: Dataset, out_dir: str | Path, fingerprint: str,
         "direction": ds.direction,
         "meta": ds.meta,
         "data_file": data_name,
-        "data_sha256": _sha256_file(out / data_name),
+        "data_sha256": data_sha256,
         "config_fingerprint": fingerprint,
     }
-    _atomic_write_text(out / "dataset.meta.json", json.dumps(meta, indent=1) + "\n")
-    _register(out, data_name, "dataset.meta.json")
+    meta_sha256 = _atomic_write_text(out / "dataset.meta.json",
+                                     json.dumps(meta, indent=1) + "\n")
+    _register(out, {data_name: data_sha256, "dataset.meta.json": meta_sha256})
 
 
-def read_dataset(out_dir: str | Path, fingerprint: str | None = None) -> Dataset:
-    """Read a dataset back, verifying checksums (and fingerprint if given)."""
+def verify_dataset(out_dir: str | Path, fingerprint: str | None = None) -> dict:
+    """Check ``dataset.meta.json`` and its data file against the manifest and
+    against each other (and the fingerprint if given) without parsing the
+    samples; return the verified metadata."""
     out = Path(out_dir)
     _verify(out, "dataset.meta.json")
     meta = json.loads((out / "dataset.meta.json").read_text())
     if fingerprint is not None:
         _check_fingerprint(meta, fingerprint, "dataset.meta.json")
     data_name = meta["data_file"]
-    _verify(out, data_name)
-    if _sha256_file(out / data_name) != meta["data_sha256"]:
+    if _verify(out, data_name) != meta["data_sha256"]:
         raise ChainError(f"{data_name} does not match the checksum in its metadata")
+    return meta
+
+
+def read_dataset(out_dir: str | Path, fingerprint: str | None = None,
+                 with_meta: bool = False):
+    """Read a dataset back, verifying checksums (and fingerprint if given).
+
+    Returns the ``Dataset``, or ``(dataset, meta)`` with ``with_meta``, where
+    ``meta`` is the verified ``dataset.meta.json`` content.
+    """
+    out = Path(out_dir)
+    meta = verify_dataset(out, fingerprint)
+    data_name = meta["data_file"]
     if data_name.endswith(".npy"):
         table = np.load(out / data_name)
     else:
         table = np.loadtxt(out / data_name, delimiter=",", ndmin=2)
     nh = meta["w"] ** 2
-    return Dataset(
+    ds = Dataset(
         dims=Dimensions(w=meta["w"]),
         inputs=table[:, :nh],
         outputs=table[:, nh:],
         direction=meta["direction"],
         meta=meta["meta"],
     )
+    return (ds, meta) if with_meta else ds
 
 
 # ---------------------------------------------------------------------------
@@ -291,17 +352,14 @@ def write_matrix(tm: TransmissionMatrix, path: str | Path,
                  binary: bool = False) -> None:
     """One row per line, comma separated, '#'-prefixed shape/role header."""
     path = Path(path)
+    m = tm.entries
     if binary:
-        import io as _io
-
         buf = _io.BytesIO()
-        np.save(buf, tm.entries)
+        np.save(buf, m)
         _atomic_write_bytes(path, buf.getvalue())
         return
-    m = tm.entries
-    lines = [f"# {m.shape[0]} {m.shape[1]} {tm.role}"]
-    lines += [",".join(_fmt(v) for v in row) for row in m]
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    header = f"# {m.shape[0]} {m.shape[1]} {tm.role}\n".encode()
+    _atomic_write_blocks(path, itertools.chain((header,), _csv_blocks(m)))
 
 
 def read_matrix(path: str | Path) -> TransmissionMatrix:
@@ -334,7 +392,13 @@ def read_matrix(path: str | Path) -> TransmissionMatrix:
 
 
 def write_estimate(est: CouplingEstimate, path: str | Path, fingerprint: str,
-                   dataset_sha256: str) -> None:
+                   dataset_sha256: str, dataset: Dataset | None = None) -> None:
+    """Write ``est`` as JSON.  With ``dataset``, the data ``est`` was fitted on,
+    also record its sample count and exact second moments ``C`` (JSON floats
+    round-trip bit for bit), all that decimation needs to continue from the
+    file without the samples."""
+    if dataset is not None and dataset.direction != est.direction:
+        raise ValueError("dataset and estimate directions differ")
     rows = []
     for r, site in enumerate(est.fitted_sites):
         active = np.flatnonzero(est.masks[r].active)
@@ -358,15 +422,29 @@ def write_estimate(est: CouplingEstimate, path: str | Path, fingerprint: str,
         "config_fingerprint": fingerprint,
         "rows": rows,
     }
+    if dataset is not None:
+        doc["m_samples"] = dataset.m_samples
+        doc["second_moments"] = dataset.second_moments().tolist()
     _atomic_write_text(Path(path), json.dumps(doc, indent=1) + "\n")
 
 
-def read_estimate(path: str | Path, fingerprint: str | None = None) -> CouplingEstimate:
+def read_estimate(path: str | Path, fingerprint: str | None = None,
+                  dataset_sha256: str | None = None, with_moments: bool = False):
+    """Read an estimate, checking the config fingerprint and the sha256 of the
+    data file it was fitted on when they are given.
+
+    Returns the ``CouplingEstimate``, or ``(estimate, Moments)`` with
+    ``with_moments``: the record of the fitted data that ``write_estimate``
+    stored (``ChainError`` if the file holds none).
+    """
+    name = Path(path).name
     doc = json.loads(Path(path).read_text())
     if doc.get("format") != "tminfer-estimate":
         raise ChainError(f"{path} is not an estimate artifact")
     if fingerprint is not None:
-        _check_fingerprint(doc, fingerprint, Path(path).name)
+        _check_fingerprint(doc, fingerprint, name)
+    if dataset_sha256 is not None and doc.get("dataset_sha256") != dataset_sha256:
+        raise ChainError(f"{name} was fitted on different data")
     dims = Dimensions(w=doc["w"])
     n = dims.n
     rows, masks, conv, objs, sites = [], [], [], [], []
@@ -382,7 +460,7 @@ def read_estimate(path: str | Path, fingerprint: str | None = None) -> CouplingE
         masks.append(RowMask(site=rec["site"], active=act))
         conv.append(rec["converged"])
         objs.append(rec["objective"])
-    return CouplingEstimate(
+    est = CouplingEstimate(
         dims=dims,
         scope=doc["scope"],
         direction=doc["direction"],
@@ -394,6 +472,19 @@ def read_estimate(path: str | Path, fingerprint: str | None = None) -> CouplingE
         total_pl=doc["total_pl"],
         dataset_fingerprint=doc["dataset_fingerprint"],
     )
+    if not with_moments:
+        return est
+    if "second_moments" not in doc or "m_samples" not in doc:
+        raise ChainError(f"{name} holds no second moments (tminfer < 0.3.0 wrote "
+                         "none); re-run fit")
+    try:
+        moments = Moments(dims=dims, direction=doc["direction"],
+                          m_samples=doc["m_samples"],
+                          c=np.array(doc["second_moments"], dtype=np.float64),
+                          fingerprint=doc["dataset_fingerprint"])
+    except ValueError as exc:
+        raise ChainError(f"{name}: {exc}") from exc
+    return est, moments
 
 
 def write_path(path_obj: DecimationPath, path: str | Path, fingerprint: str,
@@ -438,7 +529,8 @@ def read_json_artifact(path: str | Path, fingerprint: str | None = None) -> dict
 
 def register_artifacts(out_dir: str | Path, *names: str) -> None:
     """Record content hashes of freshly written artifacts in the manifest."""
-    _register(Path(out_dir), *names)
+    out = Path(out_dir)
+    _register(out, {name: _sha256_file(out / name) for name in names})
 
 
 def verify_artifact(out_dir: str | Path, name: str) -> None:

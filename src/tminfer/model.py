@@ -24,6 +24,7 @@ __all__ = [
     "NoiseSpec",
     "Sample",
     "Dataset",
+    "Moments",
     "GroundTruthCoupling",
     "build_random_tm",
     "transmit",
@@ -208,6 +209,41 @@ class Dataset:
             c.flags.writeable = False
             object.__setattr__(self, "_second_moments", c)
         return c
+
+
+@dataclass(frozen=True)
+class Moments:
+    """The sufficient statistics of a dataset for row fits, without its samples.
+
+    Row fits and decimation read a ``Dataset`` only through ``dims``,
+    ``direction``, ``m_samples``, ``second_moments()`` and its content
+    fingerprint, so this record of exactly those can stand in for one; the CLI
+    builds it from the ``C`` that ``fit`` recorded, and ``select`` never
+    re-reads the samples.
+    """
+
+    dims: Dimensions
+    direction: str
+    m_samples: int
+    c: np.ndarray
+    fingerprint: str
+
+    def __post_init__(self) -> None:
+        if self.direction not in ("forward", "reversed"):
+            raise ValueError(f"direction must be 'forward' or 'reversed', got {self.direction!r}")
+        if self.m_samples < 1:
+            raise ValueError("m_samples must be >= 1")
+        c = np.asarray(self.c, dtype=np.float64)
+        n = self.dims.n
+        if c.shape != (n, n):
+            raise ValueError(f"second moments must have shape ({n}, {n}), got {c.shape}")
+        if not np.all(np.isfinite(c)):
+            raise ValueError("second moments must all be finite")
+        object.__setattr__(self, "c", _readonly(c))
+
+    def second_moments(self) -> np.ndarray:
+        """Read-only (n, n) matrix ``S^T S / M``."""
+        return self.c
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,8 @@ Gaussian graphical model (Meinshausen & Buhlmann, Ann. Stat. 2006).
 
 The optimum and its gradient depend on the data only through the sample
 second moments ``C = S^T S / M`` (``Dataset.second_moments``): a row solve is
-one small solve on a block of ``C`` and never touches the (M, n) site matrix.
+one small solve on a block of ``C`` and never touches the (M, n) site matrix,
+so a ``Moments`` record can stand in for the dataset everywhere here.
 Rows share no mutable state, so the batch driver may fan them out over a
 thread pool; results are identical for any thread count.
 """
@@ -22,7 +23,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .model import Dataset, Dimensions
+from .model import Dataset, Dimensions, Moments
 from .pseudolikelihood import RowMask, RowParams, log_partition, other_sites
 
 __all__ = [
@@ -73,7 +74,7 @@ class RowFit:
 
 def minimize_row(
     site: int,
-    dataset: Dataset,
+    dataset: Dataset | Moments,
     mask: RowMask | None = None,
     opts: OptimOptions = OptimOptions(),
 ) -> RowFit:
@@ -213,7 +214,7 @@ def true_support_masks(dims: Dimensions, support: np.ndarray) -> tuple[RowMask, 
     return tuple(masks)
 
 
-def _solve_rows(dataset: Dataset, sites, masks, opts: OptimOptions,
+def _solve_rows(dataset: Dataset | Moments, sites, masks, opts: OptimOptions,
                 threads: int) -> list[RowFit]:
     """``minimize_row`` per (site, mask), on a pool when ``threads > 1``; ``C``
     is built first, on the calling thread, so pool workers only read it."""
@@ -226,7 +227,7 @@ def _solve_rows(dataset: Dataset, sites, masks, opts: OptimOptions,
 
 
 def fit_all_rows(
-    dataset: Dataset,
+    dataset: Dataset | Moments,
     masks: tuple[RowMask, ...] | None = None,
     scope: str = "output",
     opts: OptimOptions = OptimOptions(),
@@ -261,8 +262,11 @@ def fit_all_rows(
     )
 
 
-def dataset_fingerprint(ds: Dataset) -> str:
-    """Short content hash binding estimates to the dataset they were fit on."""
+def dataset_fingerprint(ds: Dataset | Moments) -> str:
+    """Short content hash binding estimates to the dataset they were fit on;
+    a ``Moments`` record carries the fingerprint of the samples it came from."""
+    if isinstance(ds, Moments):
+        return ds.fingerprint
     h = hashlib.sha256()
     h.update(f"{ds.dims.w}|{ds.direction}|{ds.m_samples}|".encode())
     h.update(np.ascontiguousarray(ds.inputs).tobytes())
@@ -272,7 +276,7 @@ def dataset_fingerprint(ds: Dataset) -> str:
 
 def refit_rows(
     estimate: CouplingEstimate,
-    dataset: Dataset,
+    dataset: Dataset | Moments,
     new_masks: tuple[RowMask, ...],
     rows_to_refit,
     opts: OptimOptions = OptimOptions(),

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset
+from .model import Dataset, Moments
 from .optimize import (
     CouplingEstimate,
     OptimOptions,
@@ -159,7 +159,7 @@ def _record(
 
 
 def run_decimation(
-    dataset: Dataset,
+    dataset: Dataset | Moments,
     scope: str = "output",
     fit_opts: OptimOptions = OptimOptions(),
     decim_opts: DecimationOptions = DecimationOptions(),
@@ -169,7 +169,8 @@ def run_decimation(
     """Full decimation run: fit, prune, refit until no couplings remain.
 
     Returns the path and the estimate at the BIC-optimal record.  ``initial``
-    may supply an existing full-mask fit to avoid repeating it.
+    may supply an existing full-mask fit to avoid repeating it; ``dataset``
+    may then be the ``Moments`` record of the data it was fitted on.
     """
     if initial is None:
         estimate = fit_all_rows(dataset, scope=scope, opts=fit_opts, threads=threads)

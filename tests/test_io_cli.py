@@ -2,10 +2,15 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import tminfer as tm
 import tminfer.io as tio
@@ -167,6 +172,193 @@ class TestFormats:
             tio.read_dataset(tmp_path, fingerprint="fp")
 
 
+# Finite float64 values, weighted toward the cases a text codec gets wrong:
+# signed zero, subnormals, extreme exponents and integral values.
+FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1.7976931348623157e308, -1e-300, 1e300, 0.1, 1e16, 2.0 ** 53]),
+    st.integers(-2 ** 60, 2 ** 60).map(float),
+)
+
+
+def reference_csv(table) -> bytes:
+    """The per-value text the block writer must reproduce exactly."""
+    return "".join(",".join(format(float(x), ".17g") for x in row) + "\n"
+                   for row in table).encode()
+
+
+class TestStreamingCodec:
+    @settings(max_examples=60, deadline=None)
+    @given(w=st.sampled_from([2, 3]), m=st.integers(1, 9), block=st.integers(1, 4),
+           data=st.data())
+    def test_block_writer_is_the_reference_text(self, w, m, block, data):
+        nh = w * w
+        inputs = data.draw(arrays(np.float64, (m, nh), elements=FINITE))
+        outputs = data.draw(arrays(np.float64, (m, nh), elements=FINITE))
+        ds = tm.Dataset(dims=tm.Dimensions(w=w), inputs=inputs, outputs=outputs)
+        matrix = tm.TransmissionMatrix(
+            dims=ds.dims, entries=data.draw(arrays(np.float64, (nh, nh), elements=FINITE)))
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(tio, "_BLOCK_ROWS", block):
+            out = Path(tmp)
+            tio.write_dataset(ds, out, fingerprint="fp")
+            raw = (out / "dataset.csv").read_bytes()
+            assert raw == reference_csv(np.hstack([inputs, outputs]))
+            back = tio.read_dataset(out, fingerprint="fp")
+            assert back.inputs.tobytes() == inputs.tobytes()
+            assert back.outputs.tobytes() == outputs.tobytes()
+            tio.write_matrix(matrix, out / "m.csv")
+            header = f"# {nh} {nh} direct\n".encode()
+            assert (out / "m.csv").read_bytes() == header + reference_csv(matrix.entries)
+            assert tio.read_matrix(out / "m.csv").entries.tobytes() == \
+                matrix.entries.tobytes()
+
+    def test_write_dataset_streams(self, tmp_path):
+        rng = np.random.default_rng(3)
+        ds = tm.Dataset(dims=tm.Dimensions(w=4), inputs=rng.random((40000, 16)),
+                        outputs=rng.standard_normal((40000, 16)))
+        tracemalloc.start()
+        try:
+            tio.write_dataset(ds, tmp_path, fingerprint="fp")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        text = (tmp_path / "dataset.csv").stat().st_size
+        assert text > 20e6
+        # One block of text and its floats (~6 MB), never the whole table.
+        assert peak < text / 3
+
+    def test_write_does_not_reread_to_hash(self, tmp_path, channel4, monkeypatch):
+        ds = tm.generate_dataset(channel4, 30, tm.NoiseSpec(sigma=0.2), seed=3)
+        monkeypatch.setattr(tio, "_sha256_file", mock.Mock(side_effect=AssertionError))
+        tio.write_dataset(ds, tmp_path, fingerprint="fp")
+        manifest = json.loads((tmp_path / "MANIFEST.json").read_text())
+        for name in ("dataset.csv", "dataset.meta.json"):
+            assert manifest[name] == tio._sha256_bytes((tmp_path / name).read_bytes())
+
+    def test_read_hashes_the_data_once(self, tmp_path, channel4, monkeypatch):
+        ds = tm.generate_dataset(channel4, 30, tm.NoiseSpec(sigma=0.2), seed=3)
+        tio.write_dataset(ds, tmp_path, fingerprint="fp")
+        hashed = []
+        real = tio._sha256_file
+        monkeypatch.setattr(tio, "_sha256_file",
+                            lambda p: hashed.append(Path(p).name) or real(p))
+        back, meta = tio.read_dataset(tmp_path, fingerprint="fp", with_meta=True)
+        assert hashed.count("dataset.csv") == 1
+        assert meta == json.loads((tmp_path / "dataset.meta.json").read_text())
+        assert back.inputs.tobytes() == ds.inputs.tobytes()
+
+    def test_verify_dataset_does_not_parse(self, tmp_path, channel4, monkeypatch):
+        ds = tm.generate_dataset(channel4, 10, tm.NoiseSpec(sigma=0.0), seed=1)
+        tio.write_dataset(ds, tmp_path, fingerprint="fp")
+        monkeypatch.setattr(np, "loadtxt", mock.Mock(side_effect=AssertionError))
+        assert tio.verify_dataset(tmp_path, fingerprint="fp")["m_samples"] == 10
+        with pytest.raises(tio.ChainError, match="fingerprint"):
+            tio.verify_dataset(tmp_path, fingerprint="other")
+        data = (tmp_path / "dataset.csv").read_text()
+        (tmp_path / "dataset.csv").write_text(data.replace("0.", "1.", 1))
+        with pytest.raises(tio.ChainError, match="checksum"):
+            tio.verify_dataset(tmp_path, fingerprint="fp")
+
+
+class TestAtomicWrites:
+    def test_failed_dataset_write_keeps_previous(self, tmp_path, channel4, monkeypatch):
+        old = tm.generate_dataset(channel4, 5000, tm.NoiseSpec(sigma=0.1), seed=1)
+        tio.write_dataset(old, tmp_path, fingerprint="fp")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        real = tio._csv_blocks
+
+        def one_block_then_fail(*columns):
+            yield next(real(*columns))
+            raise OSError("disk full")
+
+        monkeypatch.setattr(tio, "_csv_blocks", one_block_then_fail)
+        new = tm.generate_dataset(channel4, 5000, tm.NoiseSpec(sigma=0.1), seed=2)
+        with pytest.raises(OSError, match="disk full"):
+            tio.write_dataset(new, tmp_path, fingerprint="fp")
+        assert not list(tmp_path.glob("*.tmp"))
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        monkeypatch.undo()
+        assert tio.read_dataset(tmp_path, "fp").inputs.tobytes() == old.inputs.tobytes()
+
+    def test_failed_bytes_write_keeps_previous(self, tmp_path):
+        target = tmp_path / "a.json"
+        tio._atomic_write_text(target, "old\n")
+        with pytest.raises(RuntimeError):
+            with tio._atomic_open(target) as fh:
+                fh.write(b"partial")
+                raise RuntimeError("interrupted")
+        assert target.read_text() == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json"]
+
+    def test_concurrent_writers_use_their_own_temp_files(self, tmp_path):
+        target = tmp_path / "a.json"
+        with tio._atomic_open(target) as first:
+            first.write(b"first")
+            with tio._atomic_open(target) as second:
+                second.write(b"second")
+            assert len(list(tmp_path.glob("*.tmp"))) == 1
+        # Each writer renames its own complete file; the last rename wins.
+        assert target.read_bytes() == b"first"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json"]
+
+
+class TestRecordedMoments:
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_decimation_from_recorded_moments_matches_dataset(
+            self, tmp_path, channel4, reverse):
+        ds = tm.generate_dataset(channel4, 300, tm.NoiseSpec(sigma=0.1), seed=4)
+        tio.write_dataset(ds, tmp_path, fingerprint="fp")
+        ds = tio.read_dataset(tmp_path, fingerprint="fp")
+        if reverse:
+            ds = tm.reverse_dataset(ds)
+        full = tm.fit_all_rows(ds, scope="output")
+        tio.write_estimate(full, tmp_path / "e.json", fingerprint="fp",
+                           dataset_sha256="x", dataset=ds)
+        initial, moments = tio.read_estimate(tmp_path / "e.json", fingerprint="fp",
+                                             dataset_sha256="x", with_moments=True)
+        assert moments.second_moments().tobytes() == ds.second_moments().tobytes()
+        assert (moments.dims, moments.direction, moments.m_samples) == \
+            (ds.dims, ds.direction, ds.m_samples)
+        assert moments.fingerprint == dataset_fingerprint(ds)
+
+        ref_path, ref_best = tm.run_decimation(ds, initial=full)
+        path, best = tm.run_decimation(moments, initial=initial)
+        assert [r.k_free for r in path.records] == [r.k_free for r in ref_path.records]
+        assert [r.total_pl for r in path.records] == [r.total_pl for r in ref_path.records]
+        assert [r.bic for r in path.records] == [r.bic for r in ref_path.records]
+        assert path.selected == ref_path.selected
+        assert best.dataset_fingerprint == ref_best.dataset_fingerprint
+        assert best.row_objectives == ref_best.row_objectives
+        assert best.converged == ref_best.converged
+        for r1, r2, m1, m2 in zip(best.rows, ref_best.rows, best.masks, ref_best.masks):
+            assert r1.a == r2.a
+            assert r1.k.tobytes() == r2.k.tobytes()
+            assert np.array_equal(m1.active, m2.active)
+
+    def test_old_estimate_without_moments(self, tmp_path, data4_noisy):
+        est = tm.fit_all_rows(data4_noisy, scope="output")
+        tio.write_estimate(est, tmp_path / "e.json", fingerprint="fp", dataset_sha256="x")
+        assert tio.read_estimate(tmp_path / "e.json").total_pl == est.total_pl
+        with pytest.raises(tio.ChainError, match="re-run fit"):
+            tio.read_estimate(tmp_path / "e.json", with_moments=True)
+
+    def test_dataset_sha256_checked(self, tmp_path, data4_noisy):
+        est = tm.fit_all_rows(data4_noisy, scope="output")
+        tio.write_estimate(est, tmp_path / "e.json", fingerprint="fp",
+                           dataset_sha256="x", dataset=data4_noisy)
+        with pytest.raises(tio.ChainError, match="different data"):
+            tio.read_estimate(tmp_path / "e.json", dataset_sha256="y")
+
+    def test_direction_must_match(self, tmp_path, data4_noisy):
+        est = tm.fit_all_rows(data4_noisy, scope="output")
+        with pytest.raises(ValueError, match="direction"):
+            tio.write_estimate(est, tmp_path / "e.json", fingerprint="fp",
+                               dataset_sha256="x",
+                               dataset=tm.reverse_dataset(data4_noisy))
+
+
 class TestCli:
     def run(self, *argv):
         return main(list(argv))
@@ -312,6 +504,55 @@ class TestCli:
         # forward full fit cannot seed a reversed selection
         assert self.run("select", "--config", str(cfg), "--out", str(out),
                         "--reversed") == 1
+
+    def fitted(self, tmp_path):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "run"
+        for verb in ("generate", "fit"):
+            assert self.run(verb, "--config", str(cfg), "--out", str(out)) == 0
+        return cfg, out
+
+    def test_forward_fit_registered_as_reversed_blocks_select(self, tmp_path, capsys):
+        cfg, out = self.fitted(tmp_path)
+        (out / "estimate_full_reversed.json").write_bytes(
+            (out / "estimate_full.json").read_bytes())
+        tio.register_artifacts(out, "estimate_full_reversed.json")
+        assert self.run("select", "--config", str(cfg), "--out", str(out),
+                        "--reversed") == 1
+        assert "forward dataset" in capsys.readouterr().err
+
+    def test_rewritten_dataset_blocks_select(self, tmp_path, capsys):
+        cfg, out = self.fitted(tmp_path)
+        other = tm.generate_dataset(tm.build_random_tm(tm.Dimensions(w=4), 0.25, seed=1),
+                                    120, tm.NoiseSpec(sigma=0.1), seed=2)
+        fp = tio.config_fingerprint(tio.RunConfig.from_file(cfg))
+        tio.write_dataset(other, out, fingerprint=fp)
+        assert self.run("select", "--config", str(cfg), "--out", str(out)) == 1
+        assert "fitted on different data" in capsys.readouterr().err
+
+    def test_estimate_without_moments_blocks_select(self, tmp_path, capsys):
+        cfg, out = self.fitted(tmp_path)
+        doc = json.loads((out / "estimate_full.json").read_text())
+        del doc["second_moments"], doc["m_samples"]
+        (out / "estimate_full.json").write_text(json.dumps(doc))
+        tio.register_artifacts(out, "estimate_full.json")
+        assert self.run("select", "--config", str(cfg), "--out", str(out)) == 1
+        assert "re-run fit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_select_never_parses_the_samples(self, tmp_path, monkeypatch, reverse):
+        cfg, out = self.fitted(tmp_path)
+        flag = ("--reversed",) if reverse else ()
+        common = ("--config", str(cfg), "--out", str(out), *flag)
+        assert self.run("fit", *common) == 0
+        before = (out / "dataset.csv").read_bytes()
+        monkeypatch.setattr(tio, "read_dataset", mock.Mock(side_effect=AssertionError))
+        monkeypatch.setattr(np, "loadtxt", mock.Mock(side_effect=AssertionError))
+        assert self.run("select", *common) == 0
+        assert (out / "dataset.csv").read_bytes() == before
+        sfx = "_reversed" if reverse else ""
+        doc = json.loads((out / f"estimate_selected{sfx}.json").read_text())
+        assert doc["direction"] == ("reversed" if reverse else "forward")
 
 
 @pytest.mark.slow

@@ -219,6 +219,45 @@ class TestSecondMoments:
         assert not np.shares_memory(same.second_moments(), fwd)
 
 
+class TestMoments:
+    @staticmethod
+    def of(ds):
+        return tm.Moments(dims=ds.dims, direction=ds.direction, m_samples=ds.m_samples,
+                          c=ds.second_moments(), fingerprint="fp")
+
+    def test_read_only_copy(self, data4_noisy):
+        c = np.array(data4_noisy.second_moments())
+        mo = tm.Moments(dims=data4_noisy.dims, direction="forward", m_samples=500,
+                        c=c, fingerprint="fp")
+        assert mo.second_moments() is mo.c
+        assert not mo.c.flags.writeable
+        assert not np.shares_memory(mo.c, c)
+        assert mo.c.tobytes() == c.tobytes()
+
+    @pytest.mark.parametrize("change", [
+        {"c": np.zeros((31, 31))},
+        {"c": np.full((32, 32), np.nan)},
+        {"direction": "sideways"},
+        {"m_samples": 0},
+    ])
+    def test_validation(self, data4_noisy, change):
+        kw = dict(dims=data4_noisy.dims, direction="forward", m_samples=500,
+                  c=data4_noisy.second_moments(), fingerprint="fp")
+        kw.update(change)
+        with pytest.raises(ValueError):
+            tm.Moments(**kw)
+
+    @pytest.mark.parametrize("scope", ["output", "all"])
+    def test_fits_like_its_dataset(self, data4_noisy, scope):
+        ref = tm.fit_all_rows(data4_noisy, scope=scope)
+        est = tm.fit_all_rows(self.of(data4_noisy), scope=scope)
+        assert est.dataset_fingerprint == "fp"
+        assert est.total_pl == ref.total_pl
+        assert est.row_objectives == ref.row_objectives
+        for r1, r2 in zip(est.rows, ref.rows):
+            assert r1.a == r2.a and r1.k.tobytes() == r2.k.tobytes()
+
+
 class TestGroundTruthCoupling:
     def test_identity_channel_blocks(self):
         dims = tm.Dimensions(w=2)
