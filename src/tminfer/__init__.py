@@ -9,17 +9,14 @@ noise levels, then evaluates the result in focusing and image-reconstruction
 experiments.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .model import (
     Dataset,
     Dimensions,
-    GroundTruthCoupling,
     Moments,
     NoiseSpec,
-    Sample,
     TransmissionMatrix,
-    assemble_ground_truth_coupling,
     build_random_tm,
     generate_dataset,
     reverse_dataset,
@@ -28,7 +25,6 @@ from .model import (
 from .pseudolikelihood import (
     RowMask,
     RowParams,
-    field_b,
     log_partition,
     row_grad,
     row_neg_logpl,
@@ -54,13 +50,9 @@ from .selection import (
 from .extraction import (
     ChannelNoiseEstimate,
     QualityReport,
-    parameterize_channel,
     extract_gramian,
     extract_tm,
-    output_output_couplings,
-    parameterize_tm,
     quality_q,
-    symmetrize,
 )
 from .experiments import (
     ExperimentReport,
@@ -76,18 +68,16 @@ from .experiments import (
 
 __all__ = [
     "__version__",
-    "Dataset", "Dimensions", "GroundTruthCoupling", "Moments", "NoiseSpec", "Sample",
-    "TransmissionMatrix", "assemble_ground_truth_coupling", "build_random_tm",
-    "generate_dataset", "reverse_dataset", "transmit",
-    "RowMask", "RowParams", "field_b", "log_partition", "row_grad",
+    "Dataset", "Dimensions", "Moments", "NoiseSpec", "TransmissionMatrix",
+    "build_random_tm", "generate_dataset", "reverse_dataset", "transmit",
+    "RowMask", "RowParams", "log_partition", "row_grad",
     "row_neg_logpl", "total_pl",
     "CouplingEstimate", "OptimOptions", "RowFit", "fit_all_rows",
     "initial_masks", "minimize_row", "true_support_masks",
     "DecimationOptions", "DecimationPath", "DecimationRecord", "bic_score",
     "decimate_step", "run_decimation",
-    "ChannelNoiseEstimate", "QualityReport", "parameterize_channel",
-    "extract_gramian", "extract_tm", "output_output_couplings",
-    "parameterize_tm", "quality_q", "symmetrize",
+    "ChannelNoiseEstimate", "QualityReport", "extract_gramian", "extract_tm",
+    "quality_q",
     "ExperimentReport", "SweepConfig", "SweepRecord", "focusing_experiment",
     "gaussian_spot", "glyph_image", "image_reconstruction", "infer_channel",
     "run_sweep",

@@ -38,7 +38,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", required=True, help="artifact directory")
     p.add_argument("--seed", type=int, default=None, help="override config seed")
     p.add_argument("--threads", type=int, default=None,
-                   help="row-fit parallelism (default: config, then TMINFER_THREADS, then 1)")
+                   help="accepted and ignored: rows are solved on one thread")
     p.add_argument("--scope", choices=("output", "all"), default=None,
                    help="override config fit scope")
     p.add_argument("--binary-io", action="store_true", help="write arrays as .npy")
@@ -100,7 +100,7 @@ def cmd_fit(args) -> int:
     ds, meta = tio.read_dataset(out, fingerprint=fp, with_meta=True)
     if sfx:
         ds = reverse_dataset(ds)
-    est = fit_all_rows(ds, scope=scope, threads=cfg.resolve_threads(args.threads))
+    est = fit_all_rows(ds, scope=scope)
     name = f"estimate_full{sfx}.json"
     # The second moments ride along, so select never re-reads the samples.
     tio.write_estimate(est, out / name, fingerprint=fp,
@@ -127,8 +127,7 @@ def cmd_select(args) -> int:
                              f"dataset, not the {direction} one")
     # Decimation reads the data only through C, so it runs on the recorded moments.
     path, best = run_decimation(moments, scope=scope,
-                                decim_opts=cfg.decimation_options(), initial=initial,
-                                threads=cfg.resolve_threads(args.threads))
+                                decim_opts=cfg.decimation_options(), initial=initial)
     tio.write_path(path, out / f"path{sfx}.json", fingerprint=fp, sigma=cfg.sigma,
                    dataset_sha256=meta["data_sha256"])
     tio.write_estimate(best, out / f"estimate_selected{sfx}.json", fingerprint=fp,
@@ -234,8 +233,7 @@ def cmd_sweep(args) -> int:
         dims=cfg.dims, density=cfg.density, m_samples=cfg.m_samples,
         sigma_grid=grid, master_seed=cfg.seed, replicates=cfg.replicates,
         scope=cfg.scope, decim_opts=cfg.decimation_options(),
-        include_balance=cfg.include_balance,
-        threads=cfg.resolve_threads(args.threads))
+        include_balance=cfg.include_balance)
     report = run_sweep(sweep_cfg)
     # Wall-clock timings are the one nondeterministic field; they stay out of
     # the artifact so identical configs produce identical bytes.

@@ -148,19 +148,19 @@ def infer_channel(
     decim_opts: DecimationOptions = DecimationOptions(),
     threads: int = 1,
 ):
-    """Fit + decimate + extract in one call.
+    """Fit + decimate + extract in one call; ``threads`` is accepted and ignored.
 
     Returns (path, selected_estimate, tm, noise_estimate).
     """
     path, est = run_decimation(dataset, scope=scope, fit_opts=fit_opts,
-                               decim_opts=decim_opts, threads=threads)
+                               decim_opts=decim_opts)
     tm, noise_est = extract_tm(est)
     return path, est, tm, noise_est
 
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Grid definition for a noise sweep."""
+    """Grid definition for a noise sweep; ``threads`` is accepted and ignored."""
 
     dims: Dimensions
     density: float = 0.20
@@ -212,9 +212,6 @@ class ExperimentReport:
     config: SweepConfig
     records: tuple[SweepRecord, ...] = field(default_factory=tuple)
 
-    def for_sigma(self, sigma: float) -> list[SweepRecord]:
-        return [r for r in self.records if r.sigma == sigma]
-
 
 def _seed_int(seq: np.random.SeedSequence) -> int:
     return int(seq.generate_state(1)[0])
@@ -234,19 +231,19 @@ def _sweep_point(
 
     path, est, t_inf, noise_est = infer_channel(
         ds, scope=config.scope, fit_opts=config.fit_opts,
-        decim_opts=config.decim_opts, threads=config.threads)
+        decim_opts=config.decim_opts)
     q_bic = quality_q(tm_true.entries, t_inf.entries).q
 
     support = tm_true.entries != 0
     sup_est = fit_all_rows(ds, masks=true_support_masks(config.dims, support),
-                           scope="output", opts=config.fit_opts, threads=config.threads)
+                           scope="output", opts=config.fit_opts)
     t_sup, _ = extract_tm(sup_est)
     q_true_support = quality_q(tm_true.entries, t_sup.entries).q
 
     rev = reverse_dataset(ds)
     _, _, t_inv_inf, _ = infer_channel(
         rev, scope=config.scope, fit_opts=config.fit_opts,
-        decim_opts=config.decim_opts, threads=config.threads)
+        decim_opts=config.decim_opts)
     inv_selected = int((t_inv_inf.entries != 0).sum())
 
     obj = glyph_image(config.dims)
@@ -263,7 +260,7 @@ def _sweep_point(
 
     balance = None
     if config.include_balance:
-        full = fit_all_rows(ds, scope="all", opts=config.fit_opts, threads=config.threads)
+        full = fit_all_rows(ds, scope="all", opts=config.fit_opts)
         _, balance = extract_gramian(full)
 
     return SweepRecord(

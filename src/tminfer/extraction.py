@@ -11,24 +11,20 @@ Gramian, whose consistency with ``T^T T`` gives a self-diagnostic ("balance").
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .model import TransmissionMatrix
 from .optimize import CouplingEstimate
-from .pseudolikelihood import RowMask, RowParams, other_sites
+from .pseudolikelihood import RowParams, other_sites
 
 __all__ = [
     "ChannelNoiseEstimate",
     "QualityReport",
     "extract_tm",
     "extract_gramian",
-    "output_output_couplings",
-    "symmetrize",
     "quality_q",
-    "parameterize_tm",
-    "parameterize_channel",
 ]
 
 
@@ -93,7 +89,7 @@ def extract_tm(estimate: CouplingEstimate) -> tuple[TransmissionMatrix, ChannelN
     the input-site couplings, sigma_g = (2 * a_g) ** -0.5.  Rows flagged
     non-converged keep their entries; the flags ride along in the noise
     estimate.  Fitted output-to-output couplings (all-sites scope) are not
-    folded in; see ``output_output_couplings``.
+    folded in.
     """
     dims = estimate.dims
     nh = dims.n_half
@@ -111,25 +107,6 @@ def extract_tm(estimate: CouplingEstimate) -> tuple[TransmissionMatrix, ChannelN
     role = "direct" if estimate.direction == "forward" else "inverse"
     tm = TransmissionMatrix(dims=dims, entries=t, role=role)
     return tm, ChannelNoiseEstimate(sigma_hat=sigma_hat, beta_hat=a_vec, converged=conv)
-
-
-def output_output_couplings(estimate: CouplingEstimate) -> np.ndarray:
-    """Diagnostic residual block: fitted output-to-output couplings in J units.
-
-    Zero in the generative model, so nonzero values measure overfitting of the
-    all-sites scope.  Diagonal slots are 0 (self-couplings live in ``a``).
-    """
-    if estimate.scope != "all":
-        raise ValueError("output-output couplings are only fitted in all-sites scope")
-    nh = estimate.dims.n_half
-    out = np.zeros((nh, nh))
-    for g in range(nh):
-        site = nh + g
-        row = estimate.row_for(site)
-        others = other_sites(site, estimate.dims.n)
-        sel = others >= nh
-        out[g, others[sel] - nh] = row.k[sel] / row.a
-    return out
 
 
 def _input_beta(estimate: CouplingEstimate) -> float:
@@ -168,134 +145,3 @@ def extract_gramian(estimate: CouplingEstimate) -> tuple[np.ndarray, float]:
     gram = tm.entries.T @ tm.entries
     balance = float(np.linalg.norm(u - gram) / np.linalg.norm(gram))
     return u, balance
-
-
-def symmetrize(estimate: CouplingEstimate, dataset=None) -> CouplingEstimate:
-    """Average the coupling matrix with its transpose (in J units).
-
-    Row fits leave the two copies of each coupling untied; the generative
-    block structure is symmetric, so averaging after rescaling each row by
-    1/beta is the natural repair.  Masks become the union of the two sides'
-    supports.  ``total_pl`` is recomputed when ``dataset`` is given and
-    cleared otherwise.
-    """
-    if estimate.scope != "all":
-        raise ValueError("symmetrization needs an all-sites estimate")
-    dims = estimate.dims
-    n = dims.n
-    nh = dims.n_half
-    beta_in = _input_beta(estimate)
-    beta = np.array([estimate.rows[r].a if site >= nh else beta_in
-                     for r, site in enumerate(estimate.fitted_sites)])
-    j = np.zeros((n, n))
-    for r, site in enumerate(estimate.fitted_sites):
-        j[site, other_sites(site, n)] = estimate.rows[r].k / beta[r]
-    j = 0.5 * (j + j.T)
-    rows = []
-    masks = []
-    for r, site in enumerate(estimate.fitted_sites):
-        others = other_sites(site, n)
-        k = beta[r] * j[site, others]
-        rows.append(RowParams(site=site, a=estimate.rows[r].a, k=k))
-        masks.append(RowMask(site=site, active=k != 0.0))
-    est = replace(estimate, rows=tuple(rows), masks=tuple(masks), total_pl=None)
-    if dataset is not None:
-        from .pseudolikelihood import total_pl as _total_pl
-
-        est = replace(est, total_pl=_total_pl(est.rows, dataset, est.masks))
-    return est
-
-
-def parameterize_tm(
-    tm: TransmissionMatrix, sigma: float | np.ndarray
-) -> CouplingEstimate:
-    """Exact natural parameters of a known channel at a known noise level.
-
-    Inverse of ``extract_tm`` on its output rows: a = 1 / (2 * sigma**2),
-    k over inputs = 2 * a * T row.  Useful as an oracle starting point and in
-    round-trip tests.
-    """
-    dims = tm.dims
-    nh = dims.n_half
-    sig = np.broadcast_to(np.asarray(sigma, dtype=np.float64), (nh,))
-    if np.any(sig <= 0):
-        raise ValueError("noise must be strictly positive to parameterize")
-    rows = []
-    masks = []
-    for g in range(nh):
-        a = 1.0 / (2.0 * sig[g] ** 2)
-        k = np.zeros(dims.n - 1)
-        k[:nh] = 2.0 * a * tm.entries[g]
-        rows.append(RowParams(site=nh + g, a=a, k=k))
-        act = np.zeros(dims.n - 1, dtype=bool)
-        act[:nh] = True
-        masks.append(RowMask(site=nh + g, active=act))
-    nh_sites = tuple(range(nh, dims.n))
-    return CouplingEstimate(
-        dims=dims,
-        scope="output",
-        direction="forward" if tm.role == "direct" else "reversed",
-        fitted_sites=nh_sites,
-        rows=tuple(rows),
-        masks=tuple(masks),
-        converged=tuple(True for _ in nh_sites),
-        row_objectives=tuple(math.nan for _ in nh_sites),
-        total_pl=None,
-        dataset_fingerprint="parameterized",
-    )
-
-
-def parameterize_channel(
-    tm: TransmissionMatrix, sigma: float | np.ndarray
-) -> CouplingEstimate:
-    """All-sites natural parameters a fit would recover for a known channel.
-
-    Output row g: a = beta, couplings 2 * beta * T[g, :] to inputs, none to
-    other outputs.  Input row a: a = beta * U[a, a] with U = T^T T, couplings
-    -2 * beta * U[a, a'] to other inputs and 2 * beta * T[:, a] to outputs.
-    Every input channel must reach at least one output (no zero column in T),
-    otherwise its conditional has no curvature.  Injecting this estimate
-    gives extraction paths an exact reference: extract_tm returns (T, sigma)
-    and extract_gramian returns U with balance 0.
-    """
-    dims = tm.dims
-    nh = dims.n_half
-    sig = np.broadcast_to(np.asarray(sigma, dtype=np.float64), (nh,))
-    if np.any(sig <= 0):
-        raise ValueError("noise must be strictly positive to parameterize")
-    t = tm.entries
-    b_out = 1.0 / (2.0 * sig**2)
-    # Input-row quantities weight each output channel by its own beta; for
-    # homogeneous noise this reduces to beta * U with U = T^T T.
-    uw = t.T @ (b_out[:, None] * t)
-    if np.any(np.diag(uw) <= 0):
-        raise ValueError("channel has a dead input (zero column); curvature undefined")
-    rows = []
-    masks = []
-    for al in range(nh):
-        k = np.zeros(dims.n - 1)
-        others = other_sites(al, dims.n)
-        in_sel = others < nh
-        k[in_sel] = -2.0 * uw[al, others[in_sel]]
-        k[~in_sel] = 2.0 * b_out * t[:, al]
-        rows.append(RowParams(site=al, a=uw[al, al], k=k))
-        masks.append(RowMask(site=al, active=k != 0.0))
-    for g in range(nh):
-        a = 1.0 / (2.0 * sig[g] ** 2)
-        k = np.zeros(dims.n - 1)
-        k[:nh] = 2.0 * a * t[g]
-        rows.append(RowParams(site=nh + g, a=a, k=k))
-        masks.append(RowMask(site=nh + g, active=k != 0.0))
-    sites = tuple(range(dims.n))
-    return CouplingEstimate(
-        dims=dims,
-        scope="all",
-        direction="forward" if tm.role == "direct" else "reversed",
-        fitted_sites=sites,
-        rows=tuple(rows),
-        masks=tuple(masks),
-        converged=tuple(True for _ in sites),
-        row_objectives=tuple(math.nan for _ in sites),
-        total_pl=None,
-        dataset_fingerprint="parameterized",
-    )

@@ -172,18 +172,30 @@ def _check_fingerprint(artifact: dict, expected: str, name: str) -> None:
 # Run configuration
 
 
-_DEC_KEYS = {"batch_fraction", "min_batch", "count_curvatures", "pl_in_bic"}
+_DEC_KEYS = {"batch_fraction"}
 _TOP_KEYS = {
     "w", "density", "m_samples", "sigma", "sigma_grid", "seed", "replicates",
-    "scope", "threads", "binary_io", "include_balance",
+    "scope", "binary_io", "include_balance",
     "spot_width", "spot_amplitude", "spot_background",
     "decimation",
 }
+_INT_KEYS = ("w", "m_samples", "seed", "replicates")
+_REAL_KEYS = ("density", "sigma", "spot_width", "spot_amplitude", "spot_background")
+_BOOL_KEYS = ("binary_io", "include_balance")
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated knobs for a whole run; unknown keys are rejected."""
+    """Validated knobs for a whole run; unknown keys and mistyped values are
+    rejected when the config is loaded, before any stage does work."""
 
     w: int
     density: float = 0.20
@@ -193,7 +205,6 @@ class RunConfig:
     seed: int = 0
     replicates: int = 3
     scope: str = "output"
-    threads: int | None = None
     binary_io: bool = False
     include_balance: bool = False
     spot_width: float = 1.2
@@ -202,6 +213,19 @@ class RunConfig:
     decimation: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        for keys, ok, kind in ((_INT_KEYS, _is_int, "an integer"),
+                               (_REAL_KEYS, _is_real, "a finite number"),
+                               (_BOOL_KEYS, lambda x: isinstance(x, bool), "true or false")):
+            for key in keys:
+                if not ok(getattr(self, key)):
+                    raise ConfigError(f"{key} must be {kind}, got {getattr(self, key)!r}")
+        if self.sigma_grid is not None and not (
+                isinstance(self.sigma_grid, (list, tuple))
+                and all(map(_is_real, self.sigma_grid))):
+            raise ConfigError(f"sigma_grid must be a list of finite numbers, "
+                              f"got {self.sigma_grid!r}")
+        if not isinstance(self.decimation, dict):
+            raise ConfigError(f"decimation must be an object, got {self.decimation!r}")
         if self.scope not in ("output", "all"):
             raise ConfigError(f"scope must be 'output' or 'all', got {self.scope!r}")
         if self.w < 2:
@@ -212,11 +236,18 @@ class RunConfig:
             raise ConfigError("m_samples must be >= 1")
         if self.sigma < 0:
             raise ConfigError("sigma must be nonnegative")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.replicates < 1:
             raise ConfigError("replicates must be >= 1")
         bad = set(self.decimation) - _DEC_KEYS
         if bad:
             raise ConfigError(f"unknown decimation keys: {sorted(bad)}")
+        try:
+            object.__setattr__(self, "_decimation_options",
+                               DecimationOptions(**self.decimation))
+        except ValueError as exc:
+            raise ConfigError(f"decimation: {exc}") from exc
         if self.sigma_grid is not None:
             object.__setattr__(self, "sigma_grid",
                                tuple(float(s) for s in self.sigma_grid))
@@ -246,7 +277,6 @@ class RunConfig:
         d = asdict(self)
         if d["sigma_grid"] is not None:
             d["sigma_grid"] = list(d["sigma_grid"])
-        d.pop("threads")  # execution detail, not part of the result identity
         return d
 
     @property
@@ -254,20 +284,7 @@ class RunConfig:
         return Dimensions(w=self.w)
 
     def decimation_options(self) -> DecimationOptions:
-        return DecimationOptions(**self.decimation)
-
-    def resolve_threads(self, cli_value: int | None = None) -> int:
-        if cli_value is not None:
-            return max(1, cli_value)
-        if self.threads is not None:
-            return max(1, self.threads)
-        env = os.environ.get("TMINFER_THREADS")
-        if env:
-            try:
-                return max(1, int(env))
-            except ValueError as exc:
-                raise ConfigError(f"TMINFER_THREADS must be an integer, got {env!r}") from exc
-        return 1
+        return self._decimation_options
 
 
 # ---------------------------------------------------------------------------

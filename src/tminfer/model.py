@@ -22,15 +22,12 @@ __all__ = [
     "Dimensions",
     "TransmissionMatrix",
     "NoiseSpec",
-    "Sample",
     "Dataset",
     "Moments",
-    "GroundTruthCoupling",
     "build_random_tm",
     "transmit",
     "generate_dataset",
     "reverse_dataset",
-    "assemble_ground_truth_coupling",
 ]
 
 
@@ -126,28 +123,6 @@ class NoiseSpec:
 
 
 @dataclass(frozen=True)
-class Sample:
-    """One paired observation: input and output intensity vectors."""
-
-    input: np.ndarray
-    output: np.ndarray
-
-    def __post_init__(self) -> None:
-        i = np.asarray(self.input, dtype=np.float64)
-        o = np.asarray(self.output, dtype=np.float64)
-        if i.ndim != 1 or o.ndim != 1 or i.shape != o.shape:
-            raise ValueError("input and output must be 1-d vectors of equal length")
-        if not (np.all(np.isfinite(i)) and np.all(np.isfinite(o))):
-            raise ValueError("sample intensities must all be finite")
-        object.__setattr__(self, "input", _readonly(i))
-        object.__setattr__(self, "output", _readonly(o))
-
-    def sites(self) -> np.ndarray:
-        """Concatenated site vector [input, output] of length n."""
-        return np.concatenate([self.input, self.output])
-
-
-@dataclass(frozen=True)
 class Dataset:
     """M paired intensity observations plus generation metadata.
 
@@ -185,23 +160,12 @@ class Dataset:
     def m_samples(self) -> int:
         return self.inputs.shape[0]
 
-    def sample(self, m: int) -> Sample:
-        return Sample(self.inputs[m], self.outputs[m])
-
-    @property
-    def samples(self) -> list[Sample]:
-        return [self.sample(m) for m in range(self.m_samples)]
-
     def site_matrix(self) -> np.ndarray:
         """(M, n) matrix of concatenated site vectors, one sample per row."""
         return np.hstack([self.inputs, self.outputs])
 
     def second_moments(self) -> np.ndarray:
-        """Read-only (n, n) matrix ``S^T S / M``, built on the first call.
-
-        Not locked: threads racing on the first call each build an equal copy,
-        so ``fit_all_rows`` and ``refit_rows`` build it before they fan out.
-        """
+        """Read-only (n, n) matrix ``S^T S / M``, built on the first call."""
         c = self.__dict__.get("_second_moments")
         if c is None:
             s = self.site_matrix()
@@ -244,27 +208,6 @@ class Moments:
     def second_moments(self) -> np.ndarray:
         """Read-only (n, n) matrix ``S^T S / M``."""
         return self.c
-
-
-@dataclass(frozen=True)
-class GroundTruthCoupling:
-    """Symmetric n x n interaction matrix assembled from a known channel.
-
-    Block structure over [input | output] sites:
-
-        [ -T^T T    2 T^T ]
-        [  2 T     -Id    ]
-
-    Used only to validate inference results, never inside inference itself.
-    """
-
-    j: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.j, dtype=np.float64)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("coupling matrix must be square")
-        object.__setattr__(self, "j", _readonly(m))
 
 
 def build_random_tm(dims: Dimensions, density: float, seed: int | None = None) -> TransmissionMatrix:
@@ -369,17 +312,3 @@ def reverse_dataset(ds: Dataset) -> Dataset:
     meta = dict(ds.meta)
     meta["source"] = f"{meta.get('source', 'unknown')} (reversed)"
     return replace(ds, inputs=ds.outputs, outputs=ds.inputs, direction="reversed", meta=meta)
-
-
-def assemble_ground_truth_coupling(tm: TransmissionMatrix) -> GroundTruthCoupling:
-    """Assemble the symmetric block coupling matrix of a known direct channel."""
-    if tm.role != "direct":
-        raise ValueError("ground-truth coupling is defined for direct-role matrices")
-    t = tm.entries
-    nh = tm.dims.n_half
-    j = np.empty((2 * nh, 2 * nh), dtype=np.float64)
-    j[:nh, :nh] = -(t.T @ t)
-    j[:nh, nh:] = 2.0 * t.T
-    j[nh:, :nh] = 2.0 * t
-    j[nh:, nh:] = -np.eye(nh)
-    return GroundTruthCoupling(j=j)

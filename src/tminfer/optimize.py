@@ -10,16 +10,14 @@ The optimum and its gradient depend on the data only through the sample
 second moments ``C = S^T S / M`` (``Dataset.second_moments``): a row solve is
 one small solve on a block of ``C`` and never touches the (M, n) site matrix,
 so a ``Moments`` record can stand in for the dataset everywhere here.
-Rows share no mutable state, so the batch driver may fan them out over a
-thread pool; results are identical for any thread count.
+A solve costs well under a millisecond, so rows run one after another on the
+calling thread.
 """
 
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from itertools import repeat
 
 import numpy as np
 
@@ -154,9 +152,6 @@ class CouplingEstimate:
     def row_for(self, site: int) -> RowParams:
         return self.rows[self.index_of(site)]
 
-    def mask_for(self, site: int) -> RowMask:
-        return self.masks[self.index_of(site)]
-
     def coupling_matrix(self) -> np.ndarray:
         """(n_rows, n-1) stack of the fitted coupling-field vectors."""
         return np.vstack([r.k for r in self.rows])
@@ -214,16 +209,10 @@ def true_support_masks(dims: Dimensions, support: np.ndarray) -> tuple[RowMask, 
     return tuple(masks)
 
 
-def _solve_rows(dataset: Dataset | Moments, sites, masks, opts: OptimOptions,
-                threads: int) -> list[RowFit]:
-    """``minimize_row`` per (site, mask), on a pool when ``threads > 1``; ``C``
-    is built first, on the calling thread, so pool workers only read it."""
-    dataset.second_moments()
-    args = (sites, repeat(dataset), masks, repeat(opts))
-    if threads > 1 and len(sites) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(minimize_row, *args))
-    return list(map(minimize_row, *args))
+def _solve_rows(dataset: Dataset | Moments, sites, masks,
+                opts: OptimOptions) -> list[RowFit]:
+    """``minimize_row`` per (site, mask), in order."""
+    return [minimize_row(site, dataset, mask, opts) for site, mask in zip(sites, masks)]
 
 
 def fit_all_rows(
@@ -235,8 +224,7 @@ def fit_all_rows(
 ) -> CouplingEstimate:
     """Fit every row in scope independently and assemble the estimate.
 
-    Rows are separate problems over a read-only dataset; execution order (and
-    thread count) does not affect the result.
+    ``threads`` is accepted and ignored: rows are solved on the calling thread.
     """
     sites = _scope_sites(dataset.dims, scope)
     if not sites:
@@ -245,7 +233,7 @@ def fit_all_rows(
         masks = initial_masks(dataset.dims, scope)
     if len(masks) != len(sites) or any(mk.site != s for mk, s in zip(masks, sites)):
         raise ValueError("masks inconsistent with scope sites")
-    fits = _solve_rows(dataset, sites, masks, opts, threads)
+    fits = _solve_rows(dataset, sites, masks, opts)
     m = dataset.m_samples
     objectives = tuple(f.objective for f in fits)
     return CouplingEstimate(
@@ -283,13 +271,13 @@ def refit_rows(
     threads: int = 1,
 ) -> CouplingEstimate:
     """Refit the given row indices of ``estimate`` under new masks; untouched
-    rows carry over unchanged."""
+    rows carry over unchanged.  ``threads`` is accepted and ignored."""
     rows = list(estimate.rows)
     converged = list(estimate.converged)
     objectives = list(estimate.row_objectives)
     idx = sorted(rows_to_refit)
     fits = _solve_rows(dataset, [estimate.fitted_sites[r] for r in idx],
-                       [new_masks[r] for r in idx], opts, threads)
+                       [new_masks[r] for r in idx], opts)
     for r, fit in zip(idx, fits):
         rows[r] = fit.params
         converged[r] = fit.converged

@@ -28,8 +28,6 @@ __all__ = [
     "RowParams",
     "RowMask",
     "other_sites",
-    "position_of",
-    "field_b",
     "log_partition",
     "row_neg_logpl",
     "row_grad",
@@ -46,13 +44,6 @@ def other_sites(site: int, n: int) -> np.ndarray:
         raise ValueError(f"site {site} out of range for n={n}")
     idx = np.arange(n, dtype=np.intp)
     return np.concatenate([idx[:site], idx[site + 1:]])
-
-
-def position_of(site: int, other: int) -> int:
-    """Position of coupling (site, other) inside the length n-1 k vector."""
-    if other == site:
-        raise ValueError("a site carries no coupling to itself")
-    return other if other < site else other - 1
 
 
 @dataclass(frozen=True)
@@ -117,15 +108,6 @@ def _masked_k(params: RowParams, mask: RowMask | None) -> np.ndarray:
     if mask.active.shape != params.k.shape:
         raise ValueError("mask and k lengths differ")
     return np.where(mask.active, params.k, 0.0)
-
-
-def field_b(params: RowParams, sample_sites: np.ndarray, mask: RowMask | None = None) -> float:
-    """Linear field B = sum_{j != site} k[j] * I_j for one concatenated sample."""
-    sites = np.asarray(sample_sites, dtype=np.float64)
-    if sites.shape != (params.k.shape[0] + 1,):
-        raise ValueError(f"sample vector must have length {params.k.shape[0] + 1}")
-    k = _masked_k(params, mask)
-    return float(k @ sites[other_sites(params.site, sites.shape[0])])
 
 
 def log_partition(a: float, b) -> float | np.ndarray:

@@ -35,27 +35,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DecimationOptions:
-    """Schedule and scoring conventions for the decimation loop.
+    """Schedule of the decimation loop.
 
     ``batch_fraction`` of the remaining active couplings is removed per step,
-    never fewer than ``min_batch``; a fraction of 0 decimates one coupling at
-    a time.  ``count_curvatures`` includes the per-row curvature parameters in
-    the BIC parameter count; ``pl_in_bic`` selects the sample-sum (default) or
-    per-sample-mean total PL inside the score.
+    never fewer than one; a fraction of 0 decimates one coupling at a time.
     """
 
     batch_fraction: float = 0.10
-    min_batch: int = 1
-    count_curvatures: bool = True
-    pl_in_bic: str = "sum"
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.batch_fraction < 1.0:
-            raise ValueError("batch_fraction must lie in [0, 1)")
-        if self.min_batch < 1:
-            raise ValueError("min_batch must be >= 1")
-        if self.pl_in_bic not in ("sum", "mean"):
-            raise ValueError("pl_in_bic must be 'sum' or 'mean'")
+        f = self.batch_fraction
+        if isinstance(f, bool) or not isinstance(f, (int, float)) or not 0.0 <= f < 1.0:
+            raise ValueError(f"batch_fraction must be a number in [0, 1), got {f!r}")
 
 
 @dataclass(frozen=True)
@@ -63,7 +54,7 @@ class DecimationRecord:
     """One point on the decimation path.
 
     ``n_couplings`` counts active couplings; ``k_free`` is the BIC parameter
-    count (couplings plus curvatures under the default convention).
+    count, couplings plus one curvature per row.
     """
 
     n_couplings: int
@@ -140,18 +131,14 @@ def decimate_step(estimate: CouplingEstimate, batch: int) -> tuple[RowMask, ...]
     )
 
 
-def _record(
-    estimate: CouplingEstimate, m_samples: int, opts: DecimationOptions
-) -> DecimationRecord:
+def _record(estimate: CouplingEstimate, m_samples: int) -> DecimationRecord:
     n_coup = estimate.n_active_couplings
-    k_free = n_coup + (len(estimate.rows) if opts.count_curvatures else 0)
-    pl = estimate.total_pl
-    pl_for_bic = pl / m_samples if opts.pl_in_bic == "mean" else pl
+    k_free = n_coup + len(estimate.rows)
     return DecimationRecord(
         n_couplings=n_coup,
         k_free=k_free,
-        total_pl=pl,
-        bic=bic_score(k_free, m_samples, pl_for_bic),
+        total_pl=estimate.total_pl,
+        bic=bic_score(k_free, m_samples, estimate.total_pl),
         masks=estimate.masks,
         estimate=estimate,
         all_converged=all(estimate.converged),
@@ -171,28 +158,27 @@ def run_decimation(
     Returns the path and the estimate at the BIC-optimal record.  ``initial``
     may supply an existing full-mask fit to avoid repeating it; ``dataset``
     may then be the ``Moments`` record of the data it was fitted on.
+    ``threads`` is accepted and ignored.
     """
     if initial is None:
-        estimate = fit_all_rows(dataset, scope=scope, opts=fit_opts, threads=threads)
+        estimate = fit_all_rows(dataset, scope=scope, opts=fit_opts)
     else:
         if initial.scope != scope:
             raise ValueError("initial estimate scope differs from requested scope")
         estimate = initial
 
     m = dataset.m_samples
-    records = [_record(estimate, m, decim_opts)]
+    records = [_record(estimate, m)]
     while estimate.n_active_couplings > 0:
         remaining = estimate.n_active_couplings
-        batch = min(remaining,
-                    max(decim_opts.min_batch, int(decim_opts.batch_fraction * remaining)))
+        batch = min(remaining, max(1, int(decim_opts.batch_fraction * remaining)))
         new_masks = decimate_step(estimate, batch)
         changed = [
             r for r in range(len(new_masks))
             if not np.array_equal(new_masks[r].active, estimate.masks[r].active)
         ]
-        estimate = refit_rows(estimate, dataset, new_masks, changed,
-                              opts=fit_opts, threads=threads)
-        records.append(_record(estimate, m, decim_opts))
+        estimate = refit_rows(estimate, dataset, new_masks, changed, opts=fit_opts)
+        records.append(_record(estimate, m))
 
     path = DecimationPath(records=tuple(records), selected=select_best(records))
     return path, path.selected_record.estimate

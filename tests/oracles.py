@@ -3,14 +3,19 @@
 Everything here deliberately avoids the package's own code paths: OLS goes
 through raw normal equations, gradients through central differences, the
 Gaussian normalizer through adaptive quadrature, and the iterative row optimum
-through scipy's L-BFGS-B on the objective's public definition.
+through scipy's L-BFGS-B on the objective's public definition.  The
+``parameterize_*`` builders write a known channel's exact natural parameters
+as an estimate, the reference that extraction must invert.
 """
+
+import math
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import minimize
 
 import tminfer as tm
+from tminfer.pseudolikelihood import other_sites
 
 
 def ols_conditional(dataset, site, regressor_sites):
@@ -103,3 +108,101 @@ def assemble_coupling_blocks(t):
             j[nh + a, b] = 2.0 * t[a, b]
             j[nh + a, nh + b] = -1.0 if a == b else 0.0
     return j
+
+
+def position_of(site, other):
+    """Position of coupling (site, other) inside the length n-1 k vector."""
+    if other == site:
+        raise ValueError("a site carries no coupling to itself")
+    return other if other < site else other - 1
+
+
+def parameterize_tm(channel, sigma):
+    """Exact natural parameters of a known channel at a known noise level.
+
+    Inverse of ``extract_tm`` on its output rows: a = 1 / (2 * sigma**2),
+    k over inputs = 2 * a * T row.  Useful as an oracle starting point and in
+    round-trip tests.
+    """
+    dims = channel.dims
+    nh = dims.n_half
+    sig = np.broadcast_to(np.asarray(sigma, dtype=np.float64), (nh,))
+    if np.any(sig <= 0):
+        raise ValueError("noise must be strictly positive to parameterize")
+    rows = []
+    masks = []
+    for g in range(nh):
+        a = 1.0 / (2.0 * sig[g] ** 2)
+        k = np.zeros(dims.n - 1)
+        k[:nh] = 2.0 * a * channel.entries[g]
+        rows.append(tm.RowParams(site=nh + g, a=a, k=k))
+        act = np.zeros(dims.n - 1, dtype=bool)
+        act[:nh] = True
+        masks.append(tm.RowMask(site=nh + g, active=act))
+    nh_sites = tuple(range(nh, dims.n))
+    return tm.CouplingEstimate(
+        dims=dims,
+        scope="output",
+        direction="forward" if channel.role == "direct" else "reversed",
+        fitted_sites=nh_sites,
+        rows=tuple(rows),
+        masks=tuple(masks),
+        converged=tuple(True for _ in nh_sites),
+        row_objectives=tuple(math.nan for _ in nh_sites),
+        total_pl=None,
+        dataset_fingerprint="parameterized",
+    )
+
+
+def parameterize_channel(channel, sigma):
+    """All-sites natural parameters a fit would recover for a known channel.
+
+    Output row g: a = beta, couplings 2 * beta * T[g, :] to inputs, none to
+    other outputs.  Input row a: a = beta * U[a, a] with U = T^T T, couplings
+    -2 * beta * U[a, a'] to other inputs and 2 * beta * T[:, a] to outputs.
+    Every input channel must reach at least one output (no zero column in T),
+    otherwise its conditional has no curvature.  Injecting this estimate
+    gives extraction paths an exact reference: extract_tm returns (T, sigma)
+    and extract_gramian returns U with balance 0.
+    """
+    dims = channel.dims
+    nh = dims.n_half
+    sig = np.broadcast_to(np.asarray(sigma, dtype=np.float64), (nh,))
+    if np.any(sig <= 0):
+        raise ValueError("noise must be strictly positive to parameterize")
+    t = channel.entries
+    b_out = 1.0 / (2.0 * sig**2)
+    # Input-row quantities weight each output channel by its own beta; for
+    # homogeneous noise this reduces to beta * U with U = T^T T.
+    uw = t.T @ (b_out[:, None] * t)
+    if np.any(np.diag(uw) <= 0):
+        raise ValueError("channel has a dead input (zero column); curvature undefined")
+    rows = []
+    masks = []
+    for al in range(nh):
+        k = np.zeros(dims.n - 1)
+        others = other_sites(al, dims.n)
+        in_sel = others < nh
+        k[in_sel] = -2.0 * uw[al, others[in_sel]]
+        k[~in_sel] = 2.0 * b_out * t[:, al]
+        rows.append(tm.RowParams(site=al, a=uw[al, al], k=k))
+        masks.append(tm.RowMask(site=al, active=k != 0.0))
+    for g in range(nh):
+        a = 1.0 / (2.0 * sig[g] ** 2)
+        k = np.zeros(dims.n - 1)
+        k[:nh] = 2.0 * a * t[g]
+        rows.append(tm.RowParams(site=nh + g, a=a, k=k))
+        masks.append(tm.RowMask(site=nh + g, active=k != 0.0))
+    sites = tuple(range(dims.n))
+    return tm.CouplingEstimate(
+        dims=dims,
+        scope="all",
+        direction="forward" if channel.role == "direct" else "reversed",
+        fitted_sites=sites,
+        rows=tuple(rows),
+        masks=tuple(masks),
+        converged=tuple(True for _ in sites),
+        row_objectives=tuple(math.nan for _ in sites),
+        total_pl=None,
+        dataset_fingerprint="parameterized",
+    )

@@ -126,7 +126,7 @@ class TestSweep:
                           "focus_peak_ratio", "sigma_hat_mean",
                           "runtime_seconds"):
                 assert getattr(rec, field) is not None, field
-        assert len(report.for_sigma(0.1)) == 1
+        assert [r.sigma for r in report.records] == [0.0, 0.1]
 
     def test_sweep_is_deterministic(self, dims4):
         cfg = tm.SweepConfig(

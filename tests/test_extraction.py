@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import tminfer as tm
+from oracles import parameterize_channel, parameterize_tm
 
 
 class TestQualityQ:
@@ -43,7 +44,7 @@ class TestQualityQ:
 
 class TestExtractTm:
     def test_round_trip_through_parameterization(self, channel4):
-        est = tm.parameterize_tm(channel4, 0.07)
+        est = parameterize_tm(channel4, 0.07)
         t_out, noise = tm.extract_tm(est)
         assert np.allclose(t_out.entries, channel4.entries, rtol=0, atol=1e-15)
         assert np.allclose(noise.sigma_hat, 0.07, rtol=1e-14)
@@ -52,7 +53,7 @@ class TestExtractTm:
 
     def test_round_trip_vector_noise(self, channel4, rng):
         sig = rng.uniform(0.05, 0.3, 16)
-        est = tm.parameterize_tm(channel4, sig)
+        est = parameterize_tm(channel4, sig)
         _, noise = tm.extract_tm(est)
         assert np.allclose(noise.sigma_hat, sig, rtol=1e-14)
 
@@ -62,7 +63,7 @@ class TestExtractTm:
         a = 1.0 / (2 * sigma**2)
         entries = np.zeros((16, 16))
         entries[5] = t_row
-        est = tm.parameterize_tm(
+        est = parameterize_tm(
             tm.TransmissionMatrix(dims=dims4, entries=entries), sigma)
         t_out, noise = tm.extract_tm(est)
         assert np.allclose(t_out.entries[5], t_row, rtol=0, atol=1e-16)
@@ -96,7 +97,7 @@ class TestExtractTm:
 
 class TestExtractGramian:
     def test_injected_ground_truth_balances_exactly(self, channel4):
-        est = tm.parameterize_channel(channel4, 0.05)
+        est = parameterize_channel(channel4, 0.05)
         u, balance = tm.extract_gramian(est)
         gram = channel4.entries.T @ channel4.entries
         assert np.allclose(u, gram, rtol=0, atol=1e-13)
@@ -109,7 +110,7 @@ class TestExtractGramian:
         assert balance <= 0.2
 
     def test_unrelated_operands_give_order_one(self, channel4, rng):
-        est = tm.parameterize_channel(channel4, 0.05)
+        est = parameterize_channel(channel4, 0.05)
         u, _ = tm.extract_gramian(est)
         gram = channel4.entries.T @ channel4.entries
         scrambled = rng.permutation(gram.ravel()).reshape(gram.shape)
@@ -120,77 +121,6 @@ class TestExtractGramian:
         est = tm.fit_all_rows(data4_noisy, scope="output")
         with pytest.raises(ValueError):
             tm.extract_gramian(est)
-
-
-class TestOutputOutputCouplings:
-    def test_zero_for_injected_channel(self, channel4):
-        est = tm.parameterize_channel(channel4, 0.05)
-        res = tm.output_output_couplings(est)
-        assert res.shape == (16, 16)
-        assert np.all(res == 0.0)
-
-    def test_scope_guard(self, data4_noisy):
-        est = tm.fit_all_rows(data4_noisy, scope="output")
-        with pytest.raises(ValueError):
-            tm.output_output_couplings(est)
-
-    def test_small_for_moderate_noise_fit(self, channel4):
-        ds = tm.generate_dataset(channel4, 2000, tm.NoiseSpec(sigma=0.1), seed=3)
-        est = tm.fit_all_rows(ds, scope="all")
-        res = tm.output_output_couplings(est)
-        t_scale = 2.0  # couplings to inputs sit at 2*T, entries ~ 0.5
-        assert np.abs(res).max() < t_scale
-
-
-class TestSymmetrize:
-    def test_fixed_point_on_symmetric_structure(self, channel4):
-        est = tm.parameterize_channel(channel4, 0.05)
-        sym = tm.symmetrize(est)
-        for before, after in zip(est.rows, sym.rows):
-            assert np.allclose(after.k, before.k, rtol=1e-12, atol=1e-15)
-            assert after.a == before.a
-
-    def test_averages_untied_pair(self):
-        # two-site toy structure: J[0,1]=0.4 from row 0, J[1,0]=0.6 from row 1
-        dims = tm.Dimensions(w=2)
-        n = dims.n
-        rows, masks = [], []
-        for site in range(n):
-            k = np.zeros(n - 1)
-            if site == 0:
-                k[0] = 0.4   # coupling to site 1
-            elif site == 1:
-                k[0] = 0.6   # coupling to site 0
-            rows.append(tm.RowParams(site=site, a=1.0, k=k))
-            masks.append(tm.RowMask(site=site, active=k != 0.0))
-        est = tm.CouplingEstimate(
-            dims=dims, scope="all", direction="forward",
-            fitted_sites=tuple(range(n)), rows=tuple(rows), masks=tuple(masks),
-            converged=tuple(True for _ in range(n)),
-            row_objectives=tuple(0.0 for _ in range(n)), total_pl=None)
-        sym = tm.symmetrize(est)
-        assert sym.rows[0].k[0] == pytest.approx(0.5, rel=1e-15)
-        assert sym.rows[1].k[0] == pytest.approx(0.5, rel=1e-15)
-        # union support becomes active on both sides
-        assert sym.masks[0].active[0] and sym.masks[1].active[0]
-
-    def test_quality_shift_is_small_on_fitted_run(self, channel4):
-        ds = tm.generate_dataset(channel4, 2000, tm.NoiseSpec(sigma=0.1), seed=5)
-        est = tm.fit_all_rows(ds, scope="all")
-        q_raw = tm.quality_q(channel4.entries, tm.extract_tm(est)[0].entries).q
-        sym = tm.symmetrize(est, ds)
-        q_sym = tm.quality_q(channel4.entries, tm.extract_tm(sym)[0].entries).q
-        assert q_sym - q_raw <= 5e-3
-        assert sym.total_pl is not None
-
-    def test_total_pl_cleared_without_dataset(self, channel4):
-        est = tm.parameterize_channel(channel4, 0.05)
-        assert tm.symmetrize(est).total_pl is None
-
-    def test_scope_guard(self, data4_noisy):
-        est = tm.fit_all_rows(data4_noisy, scope="output")
-        with pytest.raises(ValueError):
-            tm.symmetrize(est)
 
 
 class TestChannelNoiseEstimate:

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -66,10 +67,21 @@ class TestRunConfig:
 
     @pytest.mark.parametrize("bad", [
         {"scope": "some"}, {"density": 0.0}, {"m_samples": 0}, {"sigma": -1},
+        {"m_samples": 500.5}, {"m_samples": True}, {"w": 4.0}, {"seed": "7"},
+        {"seed": -1}, {"replicates": 1.5}, {"density": "0.2"}, {"sigma": None},
+        {"spot_width": [1.2]}, {"sigma_grid": [0.0, "0.1"]}, {"binary_io": "yes"},
+        {"decimation": {"batch_fraction": "0.1"}}, {"decimation": {"batch_fraction": 1.0}},
+        {"decimation": [0.1]},
     ])
-    def test_field_validation(self, tmp_path, bad):
+    def test_field_validation(self, tmp_path, capsys, bad):
+        # Every bad value stops the first stage as a validation error (exit 1).
+        path = write_config(tmp_path, bad)
         with pytest.raises(tio.ConfigError):
-            tio.RunConfig.from_file(write_config(tmp_path, bad))
+            tio.RunConfig.from_file(path)
+        out = tmp_path / "out"
+        assert main(["generate", "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     def test_fingerprint_tracks_content(self, tmp_path):
         a = tio.RunConfig.from_file(write_config(tmp_path))
@@ -77,23 +89,20 @@ class TestRunConfig:
         assert tio.config_fingerprint(a) == tio.config_fingerprint(a)
         assert tio.config_fingerprint(a) != tio.config_fingerprint(b)
 
-    def test_threads_not_in_fingerprint(self, tmp_path):
-        a = tio.RunConfig.from_file(write_config(tmp_path))
-        b = tio.RunConfig.from_file(write_config(tmp_path, {"threads": 8}, "c2.json"))
-        assert tio.config_fingerprint(a) == tio.config_fingerprint(b)
-
-    def test_threads_resolution_order(self, tmp_path, monkeypatch):
+    def test_threads_not_in_fingerprint(self, tmp_path, capsys):
         cfg = tio.RunConfig.from_file(write_config(tmp_path))
-        monkeypatch.delenv("TMINFER_THREADS", raising=False)
-        assert cfg.resolve_threads() == 1
-        monkeypatch.setenv("TMINFER_THREADS", "3")
-        assert cfg.resolve_threads() == 3
-        assert cfg.resolve_threads(5) == 5
-        cfg2 = tio.RunConfig.from_file(write_config(tmp_path, {"threads": 2}, "c3.json"))
-        assert cfg2.resolve_threads() == 2
+        assert "threads" not in cfg.to_dict()
+        path = write_config(tmp_path, {"threads": 8}, "c2.json")
+        with pytest.raises(tio.ConfigError, match="unknown config keys.*threads"):
+            tio.RunConfig.from_file(path)
+        assert main(["generate", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert "threads" in capsys.readouterr().err
+
+    def test_threads_environment_not_read(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TMINFER_THREADS", "junk")
-        with pytest.raises(tio.ConfigError):
-            cfg.resolve_threads()
+        common = ["--config", str(write_config(tmp_path)), "--out", str(tmp_path / "o")]
+        for verb in ("generate", "fit", "select"):
+            assert main([verb, *common]) == 0, verb
 
 
 class TestFormats:
@@ -555,6 +564,21 @@ class TestCli:
         assert doc["direction"] == ("reversed" if reverse else "forward")
 
 
+def test_no_thread_is_started(tmp_path, data4_noisy):
+    # Rows are solved on the calling thread: a thread count is accepted and
+    # ignored, so nothing may start a thread even when one asks for four.
+    common = ["--config", str(write_config(tmp_path)), "--out", str(tmp_path / "out"),
+              "--threads", "4"]
+    with mock.patch.object(threading.Thread, "start",
+                           side_effect=AssertionError("a thread was started")):
+        est = tm.fit_all_rows(data4_noisy, threads=4)
+        path, best = tm.run_decimation(data4_noisy, threads=4)
+        for verb in ("generate", "fit", "select"):
+            assert main([verb, *common]) == 0, verb
+    assert est.total_pl == tm.fit_all_rows(data4_noisy).total_pl
+    assert best.n_active_couplings == path.selected_record.n_couplings
+
+
 @pytest.mark.slow
 def test_artifacts_identical_across_blas_threads(tmp_path):
     # The only large BLAS call left in a fit is S^T S; every artifact of the
@@ -569,7 +593,6 @@ def test_artifacts_identical_across_blas_threads(tmp_path):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads,
                    PYTHONPATH=os.pathsep.join(
                        filter(None, [src, os.environ.get("PYTHONPATH")])))
-        env.pop("TMINFER_THREADS", None)
         out = tmp_path / f"blas{blas_threads}"
         for stage in stages:
             res = subprocess.run([sys.executable, "-m", "tminfer.cli", *stage.split(),

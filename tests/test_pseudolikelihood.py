@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 import tminfer as tm
-from tminfer.pseudolikelihood import other_sites, position_of
+from tminfer.pseudolikelihood import other_sites
 from oracles import (
     central_difference,
     ols_conditional,
+    position_of,
     quadrature_density_mass,
     quadrature_log_partition,
 )
@@ -36,30 +37,6 @@ class TestLayoutHelpers:
     def test_self_coupling_rejected(self):
         with pytest.raises(ValueError):
             position_of(3, 3)
-
-
-class TestFieldB:
-    def test_zero_couplings(self, dims4, rng):
-        p = tm.RowParams(site=0, a=1.0, k=np.zeros(dims4.n - 1))
-        assert tm.field_b(p, rng.random(dims4.n)) == 0.0
-
-    def test_single_active_coupling(self):
-        dims = tm.Dimensions(w=2)
-        k = np.zeros(dims.n - 1)
-        site, j = 0, 3
-        k[position_of(site, j)] = 2.0
-        sites = np.zeros(dims.n)
-        sites[j] = 0.5
-        p = tm.RowParams(site=site, a=1.0, k=k)
-        assert tm.field_b(p, sites) == 1.0
-
-    def test_matches_direct_dot_product(self, dims4, rng):
-        for _ in range(5):
-            p = random_row(dims4, rng)
-            sites = rng.random(dims4.n)
-            manual = sum(p.k[position_of(p.site, j)] * sites[j]
-                         for j in range(dims4.n) if j != p.site)
-            assert math.isclose(tm.field_b(p, sites), manual, rel_tol=1e-12)
 
 
 class TestLogPartition:

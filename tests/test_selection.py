@@ -166,6 +166,14 @@ class TestRunDecimation:
             assert r1.total_pl == r4.total_pl
             assert r1.bic == r4.bic
 
+    def test_records_count_curvatures_and_sum_pl(self, data4_noisy):
+        path, _ = tm.run_decimation(data4_noisy, scope="output")
+        m = data4_noisy.m_samples
+        for rec in path.records:
+            assert rec.k_free == rec.n_couplings + 16
+            assert rec.bic == tm.bic_score(rec.k_free, m, rec.total_pl)
+            assert rec.total_pl == rec.estimate.total_pl
+
     def test_initial_estimate_is_reused(self, data4_noisy):
         est = tm.fit_all_rows(data4_noisy, scope="output")
         path, _ = tm.run_decimation(data4_noisy, scope="output", initial=est)
@@ -175,24 +183,3 @@ class TestRunDecimation:
         est = tm.fit_all_rows(data4_noisy, scope="output")
         with pytest.raises(ValueError):
             tm.run_decimation(data4_noisy, scope="all", initial=est)
-
-
-class TestBicConventions:
-    def test_curvature_counting_switch(self, data4_noisy):
-        with_curv, _ = tm.run_decimation(
-            data4_noisy, scope="output", decim_opts=tm.DecimationOptions(count_curvatures=True))
-        without, _ = tm.run_decimation(
-            data4_noisy, scope="output", decim_opts=tm.DecimationOptions(count_curvatures=False))
-        assert with_curv.records[0].k_free == without.records[0].k_free + 16
-        # identical PL values, shifted parameter counts
-        assert with_curv.records[0].total_pl == without.records[0].total_pl
-
-    def test_mean_pl_switch(self, data4_noisy):
-        summed, _ = tm.run_decimation(
-            data4_noisy, scope="output", decim_opts=tm.DecimationOptions(pl_in_bic="sum"))
-        meaned, _ = tm.run_decimation(
-            data4_noisy, scope="output", decim_opts=tm.DecimationOptions(pl_in_bic="mean"))
-        r_sum, r_mean = summed.records[0], meaned.records[0]
-        m = data4_noisy.m_samples
-        assert r_mean.bic == pytest.approx(
-            r_sum.k_free * math.log(m) - 2.0 * r_sum.total_pl / m, rel=1e-12)
