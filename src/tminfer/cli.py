@@ -1,11 +1,12 @@
 """Command-line pipeline: generate, fit, select, extract, eval, sweep, report.
 
 Each verb reads prior-stage files from the output directory, so any stage can
-be re-run in isolation.  The ``--reversed`` variants of fit/select/extract
-work on the input/output-swapped dataset and produce the inverse-map
-artifacts (suffix ``_reversed``, matrix ``t_inv_inf``).  Exit codes: 0
-success, 1 validation error (bad config, checksum/fingerprint mismatch,
-scope misuse), 2 runtime failure.
+be re-run in isolation; only ``fit`` parses the samples, and ``select`` and
+``fit --reversed`` continue from the moments it records.  The ``--reversed``
+variants of fit/select/extract work on the input/output-swapped data and
+produce the inverse-map artifacts (suffix ``_reversed``, matrix
+``t_inv_inf``).  Exit codes: 0 success, 1 validation error (bad config,
+checksum/fingerprint mismatch, scope misuse), 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -18,17 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from . import io as tio
-from .experiments import (
-    SweepConfig,
-    focus_contrast,
-    focusing_experiment,
-    gaussian_spot,
-    glyph_image,
-    image_reconstruction,
-    run_sweep,
-)
+from .experiments import SweepConfig, evaluate_channel, gaussian_spot, run_sweep
 from .extraction import extract_gramian, extract_tm
-from .model import NoiseSpec, TransmissionMatrix, build_random_tm, generate_dataset, reverse_dataset
+from .model import Moments, NoiseSpec, TransmissionMatrix, build_random_tm, generate_dataset
 from .optimize import fit_all_rows
 from .selection import run_decimation
 
@@ -92,19 +85,39 @@ def cmd_generate(args) -> int:
     return 0
 
 
+def _recorded_fit(out: Path, fp: str, sfx: str):
+    """Verified dataset meta, full fit and recorded moments of
+    ``estimate_full{sfx}.json``, checked against the data hash and direction."""
+    meta = tio.verify_dataset(out, fingerprint=fp)
+    name = f"estimate_full{sfx}.json"
+    tio.verify_artifact(out, name)
+    est, moments = tio.read_estimate(out / name, fingerprint=fp,
+                                     dataset_sha256=meta["data_sha256"],
+                                     with_moments=True)
+    direction = "reversed" if sfx else "forward"
+    if moments.direction != direction:
+        raise tio.ChainError(f"{name} was fitted on the {moments.direction} "
+                             f"dataset, not the {direction} one")
+    return meta, est, moments
+
+
 def cmd_fit(args) -> int:
     """Fit all rows under the full support mask."""
     cfg, out, fp = _load(args)
     scope = args.scope or cfg.scope
     sfx = _suffix(args)
-    ds, meta = tio.read_dataset(out, fingerprint=fp, with_meta=True)
     if sfx:
-        ds = reverse_dataset(ds)
-    est = fit_all_rows(ds, scope=scope)
+        # The swapped samples' C is a block permutation of the forward C.
+        meta, _, moments = _recorded_fit(out, fp, "")
+        moments = moments.reversed()
+    else:
+        ds, meta = tio.read_dataset(out, fingerprint=fp)
+        moments = Moments.of(ds)
+    est = fit_all_rows(moments, scope=scope)
     name = f"estimate_full{sfx}.json"
-    # The second moments ride along, so select never re-reads the samples.
+    # The second moments ride along, so no later stage re-reads the samples.
     tio.write_estimate(est, out / name, fingerprint=fp,
-                       dataset_sha256=meta["data_sha256"], dataset=ds)
+                       dataset_sha256=meta["data_sha256"], moments=moments)
     tio.register_artifacts(out, name)
     print(f"fit {len(est.rows)} rows, total_pl={est.total_pl:.6g}")
     return 0
@@ -115,17 +128,7 @@ def cmd_select(args) -> int:
     cfg, out, fp = _load(args)
     scope = args.scope or cfg.scope
     sfx = _suffix(args)
-    meta = tio.verify_dataset(out, fingerprint=fp)
-    full_name = f"estimate_full{sfx}.json"
-    tio.verify_artifact(out, full_name)
-    initial, moments = tio.read_estimate(out / full_name, fingerprint=fp,
-                                         dataset_sha256=meta["data_sha256"],
-                                         with_moments=True)
-    direction = "reversed" if sfx else "forward"
-    if moments.direction != direction:
-        raise tio.ChainError(f"{full_name} was fitted on the {moments.direction} "
-                             f"dataset, not the {direction} one")
-    # Decimation reads the data only through C, so it runs on the recorded moments.
+    meta, initial, moments = _recorded_fit(out, fp, sfx)
     path, best = run_decimation(moments, scope=scope,
                                 decim_opts=cfg.decimation_options(), initial=initial)
     tio.write_path(path, out / f"path{sfx}.json", fingerprint=fp, sigma=cfg.sigma,
@@ -192,33 +195,17 @@ def cmd_eval(args) -> int:
     cfg, out, fp = _load(args)
     t_true = _read_registered_matrix(out, ("t_true.csv", "t_true.npy"))
     t_inf = _read_registered_matrix(out, ("t_inf.csv", "t_inf.npy"))
-    noise = NoiseSpec(sigma=cfg.sigma)
+    t_inv_names = [n for n in ("t_inv_inf.csv", "t_inv_inf.npy") if (out / n).exists()]
+    t_inv = _read_registered_matrix(out, t_inv_names) if t_inv_names else None
     target = gaussian_spot(cfg.dims, width=cfg.spot_width,
                            amplitude=cfg.spot_amplitude,
                            background=cfg.spot_background)
-    achieved, q_focus = focusing_experiment(
-        t_true, t_inf, target, noise, np.random.default_rng(cfg.seed + 101))
-    obj = glyph_image(cfg.dims)
-    t_pinv = TransmissionMatrix(dims=cfg.dims,
-                                entries=np.linalg.pinv(t_inf.entries),
-                                role="inverse")
-    _, q_img_pinv = image_reconstruction(
-        t_pinv, t_true, obj, noise, np.random.default_rng(cfg.seed + 102))
     doc = {
         "format": "tminfer-eval",
         "sigma": cfg.sigma,
-        "q_focus": q_focus.q,
-        "focus_peak_ratio": focus_contrast(achieved, target),
-        "q_image_pinv": q_img_pinv.q,
+        **evaluate_channel(t_true, t_inf, NoiseSpec(sigma=cfg.sigma), target,
+                           cfg.seed + 101, cfg.seed + 102, t_inv=t_inv),
     }
-    t_inv_name = next((n for n in ("t_inv_inf.csv", "t_inv_inf.npy")
-                       if (out / n).exists()), None)
-    if t_inv_name is not None:
-        tio.verify_artifact(out, t_inv_name)
-        t_inv = tio.read_matrix(out / t_inv_name)
-        _, q_img_inv = image_reconstruction(
-            t_inv, t_true, obj, noise, np.random.default_rng(cfg.seed + 102))
-        doc["q_image_inverse"] = q_img_inv.q
     tio.write_json_artifact(doc, out / "eval.json", fingerprint=fp)
     tio.register_artifacts(out, "eval.json")
     print(f"eval: q_focus={doc['q_focus']:.4g}, q_image_pinv={doc['q_image_pinv']:.4g}")

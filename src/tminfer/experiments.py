@@ -20,6 +20,7 @@ from .extraction import QualityReport, extract_gramian, extract_tm, quality_q
 from .model import (
     Dataset,
     Dimensions,
+    Moments,
     NoiseSpec,
     TransmissionMatrix,
     build_random_tm,
@@ -39,6 +40,7 @@ __all__ = [
     "focus_contrast",
     "focusing_experiment",
     "image_reconstruction",
+    "evaluate_channel",
     "infer_channel",
     "run_sweep",
 ]
@@ -70,13 +72,15 @@ def gaussian_spot(
 
 
 def glyph_image(dims: Dimensions) -> np.ndarray:
-    """Flattened w x w binary plus-sign glyph used as the test object."""
+    """Flattened w x w binary plus-sign glyph used as the test object; at w=2
+    the arms reach the far edge, lighting three of the four pixels."""
     w = dims.w
     img = np.zeros((w, w))
     mid = w // 2
     lo, hi = max(0, mid - w // 6 - 1), min(w, mid + w // 6 + 1)
-    img[lo:hi, 1:w - 1] = 1.0
-    img[1:w - 1, lo:hi] = 1.0
+    arm = slice(1, max(w - 1, 2))
+    img[lo:hi, arm] = 1.0
+    img[arm, lo:hi] = 1.0
     return img.ravel()
 
 
@@ -139,6 +143,29 @@ def image_reconstruction(
     i_out = transmit(t_true, o, noise, rng)
     o_rec = t_inv_inf.entries @ i_out
     return o_rec, quality_q(o, o_rec, operands="object vs reconstruction")
+
+
+def evaluate_channel(t_true: TransmissionMatrix, t_inf: TransmissionMatrix, noise: NoiseSpec,
+                     target: np.ndarray, seed_focus: int, seed_img: int,
+                     t_inv: TransmissionMatrix | None = None) -> dict[str, float]:
+    """The evaluation experiments of an inferred channel: focusing on ``target``
+    through ``t_inf``, and glyph reconstruction through ``pinv(t_inf)`` and, when
+    given, ``t_inv``.  Each draws its noise from a generator of its own, seeded
+    ``seed_focus`` or ``seed_img``.  Returns each Q under its ``SweepRecord`` name."""
+    achieved, q_focus = focusing_experiment(
+        t_true, t_inf, target, noise, np.random.default_rng(seed_focus))
+    obj = glyph_image(t_true.dims)
+    t_pinv = TransmissionMatrix(dims=t_true.dims, entries=np.linalg.pinv(t_inf.entries),
+                                role="inverse")
+    _, q_img_pinv = image_reconstruction(
+        t_pinv, t_true, obj, noise, np.random.default_rng(seed_img))
+    out = {"q_focus": q_focus.q, "focus_peak_ratio": focus_contrast(achieved, target),
+           "q_image_pinv": q_img_pinv.q}
+    if t_inv is not None:
+        _, q_img_inv = image_reconstruction(
+            t_inv, t_true, obj, noise, np.random.default_rng(seed_img))
+        out["q_image_inverse"] = q_img_inv.q
+    return out
 
 
 def infer_channel(
@@ -235,7 +262,8 @@ def _sweep_point(
     q_bic = quality_q(tm_true.entries, t_inf.entries).q
 
     support = tm_true.entries != 0
-    sup_est = fit_all_rows(ds, masks=true_support_masks(config.dims, support),
+    moments = Moments.of(ds)
+    sup_est = fit_all_rows(moments, masks=true_support_masks(config.dims, support),
                            scope="output", opts=config.fit_opts)
     t_sup, _ = extract_tm(sup_est)
     q_true_support = quality_q(tm_true.entries, t_sup.entries).q
@@ -246,21 +274,12 @@ def _sweep_point(
         decim_opts=config.decim_opts)
     inv_selected = int((t_inv_inf.entries != 0).sum())
 
-    obj = glyph_image(config.dims)
-    _, q_img_inv = image_reconstruction(
-        t_inv_inf, tm_true, obj, noise, np.random.default_rng(seed_img))
-    t_pinv = TransmissionMatrix(dims=config.dims,
-                                entries=np.linalg.pinv(t_inf.entries), role="inverse")
-    _, q_img_pinv = image_reconstruction(
-        t_pinv, tm_true, obj, noise, np.random.default_rng(seed_img))
-
-    target = gaussian_spot(config.dims)
-    achieved, q_focus = focusing_experiment(
-        tm_true, t_inf, target, noise, np.random.default_rng(seed_focus))
+    scores = evaluate_channel(tm_true, t_inf, noise, gaussian_spot(config.dims),
+                              seed_focus, seed_img, t_inv=t_inv_inf)
 
     balance = None
     if config.include_balance:
-        full = fit_all_rows(ds, scope="all", opts=config.fit_opts)
+        full = fit_all_rows(moments, scope="all", opts=config.fit_opts)
         _, balance = extract_gramian(full)
 
     return SweepRecord(
@@ -272,13 +291,10 @@ def _sweep_point(
         selected_couplings=int((t_inf.entries != 0).sum()),
         true_couplings=int(support.sum()),
         inverse_selected_couplings=inv_selected,
-        q_image_inverse=q_img_inv.q,
-        q_image_pinv=q_img_pinv.q,
-        q_focus=q_focus.q,
-        focus_peak_ratio=focus_contrast(achieved, target),
         sigma_hat_mean=float(np.mean(noise_est.sigma_hat)),
         balance=balance,
         runtime_seconds=time.perf_counter() - t0,
+        **scores,
     )
 
 

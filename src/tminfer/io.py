@@ -336,12 +336,11 @@ def verify_dataset(out_dir: str | Path, fingerprint: str | None = None) -> dict:
     return meta
 
 
-def read_dataset(out_dir: str | Path, fingerprint: str | None = None,
-                 with_meta: bool = False):
+def read_dataset(out_dir: str | Path, fingerprint: str | None = None) -> tuple[Dataset, dict]:
     """Read a dataset back, verifying checksums (and fingerprint if given).
 
-    Returns the ``Dataset``, or ``(dataset, meta)`` with ``with_meta``, where
-    ``meta`` is the verified ``dataset.meta.json`` content.
+    Returns ``(dataset, meta)``, ``meta`` being the verified
+    ``dataset.meta.json`` content.
     """
     out = Path(out_dir)
     meta = verify_dataset(out, fingerprint)
@@ -358,7 +357,7 @@ def read_dataset(out_dir: str | Path, fingerprint: str | None = None,
         direction=meta["direction"],
         meta=meta["meta"],
     )
-    return (ds, meta) if with_meta else ds
+    return ds, meta
 
 
 # ---------------------------------------------------------------------------
@@ -409,13 +408,13 @@ def read_matrix(path: str | Path) -> TransmissionMatrix:
 
 
 def write_estimate(est: CouplingEstimate, path: str | Path, fingerprint: str,
-                   dataset_sha256: str, dataset: Dataset | None = None) -> None:
-    """Write ``est`` as JSON.  With ``dataset``, the data ``est`` was fitted on,
-    also record its sample count and exact second moments ``C`` (JSON floats
-    round-trip bit for bit), all that decimation needs to continue from the
-    file without the samples."""
-    if dataset is not None and dataset.direction != est.direction:
-        raise ValueError("dataset and estimate directions differ")
+                   dataset_sha256: str, moments: Moments | None = None) -> None:
+    """Write ``est`` as JSON.  With ``moments``, the record of the data ``est``
+    was fitted on, also record its sample count and exact second moments ``C``
+    (JSON floats round-trip bit for bit), all that a later fit or decimation
+    needs to continue from the file without the samples."""
+    if moments is not None and moments.fingerprint != est.dataset_fingerprint:
+        raise ValueError("moments and estimate dataset fingerprints differ")
     rows = []
     for r, site in enumerate(est.fitted_sites):
         active = np.flatnonzero(est.masks[r].active)
@@ -439,9 +438,9 @@ def write_estimate(est: CouplingEstimate, path: str | Path, fingerprint: str,
         "config_fingerprint": fingerprint,
         "rows": rows,
     }
-    if dataset is not None:
-        doc["m_samples"] = dataset.m_samples
-        doc["second_moments"] = dataset.second_moments().tolist()
+    if moments is not None:
+        doc["m_samples"] = moments.m_samples
+        doc["second_moments"] = moments.c.tolist()
     _atomic_write_text(Path(path), json.dumps(doc, indent=1) + "\n")
 
 
@@ -452,7 +451,7 @@ def read_estimate(path: str | Path, fingerprint: str | None = None,
 
     Returns the ``CouplingEstimate``, or ``(estimate, Moments)`` with
     ``with_moments``: the record of the fitted data that ``write_estimate``
-    stored (``ChainError`` if the file holds none).
+    stored (``ChainError`` if the file holds none, or one of other data).
     """
     name = Path(path).name
     doc = json.loads(Path(path).read_text())
@@ -497,10 +496,12 @@ def read_estimate(path: str | Path, fingerprint: str | None = None,
     try:
         moments = Moments(dims=dims, direction=doc["direction"],
                           m_samples=doc["m_samples"],
-                          c=np.array(doc["second_moments"], dtype=np.float64),
-                          fingerprint=doc["dataset_fingerprint"])
+                          c=np.array(doc["second_moments"], dtype=np.float64))
     except ValueError as exc:
         raise ChainError(f"{name}: {exc}") from exc
+    if moments.fingerprint != est.dataset_fingerprint:
+        raise ChainError(f"{name}: second_moments do not match its dataset_fingerprint "
+                         "(edited, or written by tminfer < 0.5.0); re-run fit")
     return est, moments
 
 

@@ -14,6 +14,7 @@ decimation, extraction) operates on the concatenated site vector
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -130,9 +131,7 @@ class Dataset:
     ``direction`` is ``forward`` for as-measured pairs and ``reversed`` when
     input/output have been swapped (the representation used to infer the
     inverse map).  ``meta`` carries seed, sigma, and a source description.
-    Row fits read the data only through ``second_moments()``, cached on this
-    object alone: a ``dataclasses.replace`` or ``reverse_dataset`` copy
-    builds its own.
+    Row fits read the data only through ``Moments.of(dataset)``.
     """
 
     dims: Dimensions
@@ -164,33 +163,19 @@ class Dataset:
         """(M, n) matrix of concatenated site vectors, one sample per row."""
         return np.hstack([self.inputs, self.outputs])
 
-    def second_moments(self) -> np.ndarray:
-        """Read-only (n, n) matrix ``S^T S / M``, built on the first call."""
-        c = self.__dict__.get("_second_moments")
-        if c is None:
-            s = self.site_matrix()
-            c = s.T @ s / self.m_samples
-            c.flags.writeable = False
-            object.__setattr__(self, "_second_moments", c)
-        return c
-
 
 @dataclass(frozen=True)
 class Moments:
-    """The sufficient statistics of a dataset for row fits, without its samples.
-
-    Row fits and decimation read a ``Dataset`` only through ``dims``,
-    ``direction``, ``m_samples``, ``second_moments()`` and its content
-    fingerprint, so this record of exactly those can stand in for one; the CLI
-    builds it from the ``C`` that ``fit`` recorded, and ``select`` never
-    re-reads the samples.
+    """The sufficient statistics of a dataset for row fits, without its samples:
+    ``dims``, ``direction``, ``m_samples`` and the second moments
+    ``c = S^T S / M``.  The CLI also builds it from the ``c`` that ``fit``
+    recorded, so no stage after ``fit`` re-reads the samples.
     """
 
     dims: Dimensions
     direction: str
     m_samples: int
     c: np.ndarray
-    fingerprint: str
 
     def __post_init__(self) -> None:
         if self.direction not in ("forward", "reversed"):
@@ -205,9 +190,28 @@ class Moments:
             raise ValueError("second moments must all be finite")
         object.__setattr__(self, "c", _readonly(c))
 
-    def second_moments(self) -> np.ndarray:
-        """Read-only (n, n) matrix ``S^T S / M``."""
-        return self.c
+    @classmethod
+    def of(cls, data: Dataset | Moments) -> Moments:
+        """The record of a ``Dataset``; a ``Moments`` record is returned as is."""
+        if isinstance(data, Moments):
+            return data
+        s = data.site_matrix()
+        return cls(data.dims, data.direction, data.m_samples, s.T @ s / data.m_samples)
+
+    @property
+    def fingerprint(self) -> str:
+        """Short hash of everything a fit depends on: w, direction, M and ``c``."""
+        h = hashlib.sha256(f"{self.dims.w}|{self.direction}|{self.m_samples}|".encode())
+        h.update(self.c.tobytes())
+        return h.hexdigest()[:16]
+
+    def reversed(self) -> Moments:
+        """The record of the swapped samples, ``c`` permuted to
+        ``[[C_OO, C_OI], [C_IO, C_II]]``: bit for bit the ``c`` of ``reverse_dataset``."""
+        nh = self.dims.n_half
+        swap = np.r_[nh:2 * nh, 0:nh]
+        direction = "forward" if self.direction == "reversed" else "reversed"
+        return replace(self, direction=direction, c=self.c[np.ix_(swap, swap)])
 
 
 def build_random_tm(dims: Dimensions, density: float, seed: int | None = None) -> TransmissionMatrix:

@@ -7,16 +7,14 @@ couplings ``k = 2 * a * beta``.  This is neighbourhood regression for a
 Gaussian graphical model (Meinshausen & Buhlmann, Ann. Stat. 2006).
 
 The optimum and its gradient depend on the data only through the sample
-second moments ``C = S^T S / M`` (``Dataset.second_moments``): a row solve is
-one small solve on a block of ``C`` and never touches the (M, n) site matrix,
-so a ``Moments`` record can stand in for the dataset everywhere here.
-A solve costs well under a millisecond, so rows run one after another on the
-calling thread.
+second moments ``C = S^T S / M``, which every entry point reads from the
+record ``Moments.of(dataset)``: a row solve is one small solve on a block of
+``C``.  A solve costs well under a millisecond, so rows run one after another
+on the calling thread.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -78,7 +76,7 @@ def minimize_row(
 ) -> RowFit:
     """Fit one site's conditional Gaussian under a support mask.
 
-    Reads only ``C = dataset.second_moments()``.  ``beta`` solves
+    Reads only ``C = Moments.of(dataset).c``.  ``beta`` solves
     ``C[A,A] beta = C[A,y]`` by ``lstsq``, the minimum-norm solution when the
     active regressors are collinear (noise-free all-sites fits, fewer samples
     than regressors); ``rss = C[y,y] - 2 beta.C[A,y] + beta.C[A,A] beta`` is
@@ -90,7 +88,7 @@ def minimize_row(
         mask = RowMask(site=site, active=np.ones(n - 1, dtype=bool))
     elif mask.site != site or mask.active.shape[0] != n - 1:
         raise ValueError("mask does not match site / dims")
-    c = dataset.second_moments()
+    c = Moments.of(dataset).c
     idx = other_sites(site, n)[mask.active]
     c_aa, c_ay, c_yy = c[np.ix_(idx, idx)], c[idx, site], c[site, site]
     beta = np.linalg.lstsq(c_aa, c_ay, rcond=None)[0]
@@ -209,10 +207,9 @@ def true_support_masks(dims: Dimensions, support: np.ndarray) -> tuple[RowMask, 
     return tuple(masks)
 
 
-def _solve_rows(dataset: Dataset | Moments, sites, masks,
-                opts: OptimOptions) -> list[RowFit]:
+def _solve_rows(moments: Moments, sites, masks, opts: OptimOptions) -> list[RowFit]:
     """``minimize_row`` per (site, mask), in order."""
-    return [minimize_row(site, dataset, mask, opts) for site, mask in zip(sites, masks)]
+    return [minimize_row(site, moments, mask, opts) for site, mask in zip(sites, masks)]
 
 
 def fit_all_rows(
@@ -226,40 +223,34 @@ def fit_all_rows(
 
     ``threads`` is accepted and ignored: rows are solved on the calling thread.
     """
-    sites = _scope_sites(dataset.dims, scope)
+    moments = Moments.of(dataset)
+    sites = _scope_sites(moments.dims, scope)
     if not sites:
         raise ValueError("empty fit scope")
     if masks is None:
-        masks = initial_masks(dataset.dims, scope)
+        masks = initial_masks(moments.dims, scope)
     if len(masks) != len(sites) or any(mk.site != s for mk, s in zip(masks, sites)):
         raise ValueError("masks inconsistent with scope sites")
-    fits = _solve_rows(dataset, sites, masks, opts)
-    m = dataset.m_samples
+    fits = _solve_rows(moments, sites, masks, opts)
+    m = moments.m_samples
     objectives = tuple(f.objective for f in fits)
     return CouplingEstimate(
-        dims=dataset.dims,
+        dims=moments.dims,
         scope=scope,
-        direction=dataset.direction,
+        direction=moments.direction,
         fitted_sites=sites,
         rows=tuple(f.params for f in fits),
         masks=masks,
         converged=tuple(f.converged for f in fits),
         row_objectives=objectives,
         total_pl=float(-m * sum(objectives)),
-        dataset_fingerprint=dataset_fingerprint(dataset),
+        dataset_fingerprint=moments.fingerprint,
     )
 
 
 def dataset_fingerprint(ds: Dataset | Moments) -> str:
-    """Short content hash binding estimates to the dataset they were fit on;
-    a ``Moments`` record carries the fingerprint of the samples it came from."""
-    if isinstance(ds, Moments):
-        return ds.fingerprint
-    h = hashlib.sha256()
-    h.update(f"{ds.dims.w}|{ds.direction}|{ds.m_samples}|".encode())
-    h.update(np.ascontiguousarray(ds.inputs).tobytes())
-    h.update(np.ascontiguousarray(ds.outputs).tobytes())
-    return h.hexdigest()[:16]
+    """Short content hash binding estimates to the data they were fit on."""
+    return Moments.of(ds).fingerprint
 
 
 def refit_rows(
@@ -276,7 +267,7 @@ def refit_rows(
     converged = list(estimate.converged)
     objectives = list(estimate.row_objectives)
     idx = sorted(rows_to_refit)
-    fits = _solve_rows(dataset, [estimate.fitted_sites[r] for r in idx],
+    fits = _solve_rows(Moments.of(dataset), [estimate.fitted_sites[r] for r in idx],
                        [new_masks[r] for r in idx], opts)
     for r, fit in zip(idx, fits):
         rows[r] = fit.params

@@ -61,7 +61,6 @@ class DecimationRecord:
     k_free: int
     total_pl: float
     bic: float
-    masks: tuple[RowMask, ...]
     estimate: CouplingEstimate
     all_converged: bool
 
@@ -139,7 +138,6 @@ def _record(estimate: CouplingEstimate, m_samples: int) -> DecimationRecord:
         k_free=k_free,
         total_pl=estimate.total_pl,
         bic=bic_score(k_free, m_samples, estimate.total_pl),
-        masks=estimate.masks,
         estimate=estimate,
         all_converged=all(estimate.converged),
     )
@@ -156,18 +154,18 @@ def run_decimation(
     """Full decimation run: fit, prune, refit until no couplings remain.
 
     Returns the path and the estimate at the BIC-optimal record.  ``initial``
-    may supply an existing full-mask fit to avoid repeating it; ``dataset``
-    may then be the ``Moments`` record of the data it was fitted on.
-    ``threads`` is accepted and ignored.
+    may supply an existing full-mask fit to avoid repeating it.  ``threads``
+    is accepted and ignored.
     """
+    moments = Moments.of(dataset)
     if initial is None:
-        estimate = fit_all_rows(dataset, scope=scope, opts=fit_opts)
+        estimate = fit_all_rows(moments, scope=scope, opts=fit_opts)
     else:
         if initial.scope != scope:
             raise ValueError("initial estimate scope differs from requested scope")
         estimate = initial
 
-    m = dataset.m_samples
+    m = moments.m_samples
     records = [_record(estimate, m)]
     while estimate.n_active_couplings > 0:
         remaining = estimate.n_active_couplings
@@ -177,7 +175,7 @@ def run_decimation(
             r for r in range(len(new_masks))
             if not np.array_equal(new_masks[r].active, estimate.masks[r].active)
         ]
-        estimate = refit_rows(estimate, dataset, new_masks, changed, opts=fit_opts)
+        estimate = refit_rows(estimate, moments, new_masks, changed, opts=fit_opts)
         records.append(_record(estimate, m))
 
     path = DecimationPath(records=tuple(records), selected=select_best(records))

@@ -28,10 +28,19 @@ class TestTargets:
         assert img.max() == img[1:3, 1:3].max()
 
     def test_glyph_binary_and_nonempty(self):
-        for w in (4, 6, 12):
+        for w in (2, 3, 4, 6, 12):
             g = glyph_image(tm.Dimensions(w=w))
             assert set(np.unique(g)) <= {0.0, 1.0}
             assert 0 < g.sum() < g.size
+
+    def test_glyph_unchanged_from_three_pixels_up(self):
+        for w in range(3, 17):
+            ref = np.zeros((w, w))
+            mid = w // 2
+            lo, hi = max(0, mid - w // 6 - 1), min(w, mid + w // 6 + 1)
+            ref[lo:hi, 1:w - 1] = 1.0
+            ref[1:w - 1, lo:hi] = 1.0
+            assert np.array_equal(glyph_image(tm.Dimensions(w=w)), ref.ravel()), w
 
     def test_focus_contrast(self):
         target = np.array([0.0, 1.0, 0.0, 0.0])
@@ -163,6 +172,14 @@ class TestSweep:
         assert len(failed) == 1
         assert "synthetic fault" in failed[0].failure
         assert report.records[1].failure is None
+
+    def test_two_pixel_frame(self):
+        cfg = tm.SweepConfig(
+            dims=tm.Dimensions(w=2), density=0.5, m_samples=200, sigma_grid=(0.0, 0.1),
+            master_seed=3, replicates=1)
+        report = run_sweep(cfg)
+        assert [r.failure for r in report.records] == [None, None]
+        assert all(np.isfinite(r.q_image_inverse) for r in report.records)
 
     def test_config_validation(self, dims4):
         with pytest.raises(ValueError):

@@ -16,7 +16,6 @@ from hypothesis.extra.numpy import arrays
 import tminfer as tm
 import tminfer.io as tio
 from tminfer.cli import main
-from tminfer.optimize import dataset_fingerprint
 
 
 CONFIG = {
@@ -110,10 +109,10 @@ class TestFormats:
     def test_dataset_round_trip(self, tmp_path, channel4, binary):
         ds = tm.generate_dataset(channel4, 30, tm.NoiseSpec(sigma=0.2), seed=3)
         tio.write_dataset(ds, tmp_path, fingerprint="fp", binary=binary)
-        back = tio.read_dataset(tmp_path, fingerprint="fp")
+        back, meta = tio.read_dataset(tmp_path, fingerprint="fp")
         assert back.inputs.tobytes() == ds.inputs.tobytes()
         assert back.outputs.tobytes() == ds.outputs.tobytes()
-        assert back.direction == ds.direction
+        assert back.direction == ds.direction == meta["direction"]
         assert back.meta["seed"] == 3
 
     @pytest.mark.parametrize("binary", [False, True])
@@ -214,7 +213,7 @@ class TestStreamingCodec:
             tio.write_dataset(ds, out, fingerprint="fp")
             raw = (out / "dataset.csv").read_bytes()
             assert raw == reference_csv(np.hstack([inputs, outputs]))
-            back = tio.read_dataset(out, fingerprint="fp")
+            back, _ = tio.read_dataset(out, fingerprint="fp")
             assert back.inputs.tobytes() == inputs.tobytes()
             assert back.outputs.tobytes() == outputs.tobytes()
             tio.write_matrix(matrix, out / "m.csv")
@@ -253,7 +252,7 @@ class TestStreamingCodec:
         real = tio._sha256_file
         monkeypatch.setattr(tio, "_sha256_file",
                             lambda p: hashed.append(Path(p).name) or real(p))
-        back, meta = tio.read_dataset(tmp_path, fingerprint="fp", with_meta=True)
+        back, meta = tio.read_dataset(tmp_path, fingerprint="fp")
         assert hashed.count("dataset.csv") == 1
         assert meta == json.loads((tmp_path / "dataset.meta.json").read_text())
         assert back.inputs.tobytes() == ds.inputs.tobytes()
@@ -289,7 +288,7 @@ class TestAtomicWrites:
         assert not list(tmp_path.glob("*.tmp"))
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
         monkeypatch.undo()
-        assert tio.read_dataset(tmp_path, "fp").inputs.tobytes() == old.inputs.tobytes()
+        assert tio.read_dataset(tmp_path, "fp")[0].inputs.tobytes() == old.inputs.tobytes()
 
     def test_failed_bytes_write_keeps_previous(self, tmp_path):
         target = tmp_path / "a.json"
@@ -319,18 +318,18 @@ class TestRecordedMoments:
             self, tmp_path, channel4, reverse):
         ds = tm.generate_dataset(channel4, 300, tm.NoiseSpec(sigma=0.1), seed=4)
         tio.write_dataset(ds, tmp_path, fingerprint="fp")
-        ds = tio.read_dataset(tmp_path, fingerprint="fp")
+        ds, _ = tio.read_dataset(tmp_path, fingerprint="fp")
         if reverse:
             ds = tm.reverse_dataset(ds)
         full = tm.fit_all_rows(ds, scope="output")
         tio.write_estimate(full, tmp_path / "e.json", fingerprint="fp",
-                           dataset_sha256="x", dataset=ds)
+                           dataset_sha256="x", moments=tm.Moments.of(ds))
         initial, moments = tio.read_estimate(tmp_path / "e.json", fingerprint="fp",
                                              dataset_sha256="x", with_moments=True)
-        assert moments.second_moments().tobytes() == ds.second_moments().tobytes()
+        assert moments.c.tobytes() == tm.Moments.of(ds).c.tobytes()
         assert (moments.dims, moments.direction, moments.m_samples) == \
             (ds.dims, ds.direction, ds.m_samples)
-        assert moments.fingerprint == dataset_fingerprint(ds)
+        assert moments.fingerprint == full.dataset_fingerprint
 
         ref_path, ref_best = tm.run_decimation(ds, initial=full)
         path, best = tm.run_decimation(moments, initial=initial)
@@ -356,16 +355,18 @@ class TestRecordedMoments:
     def test_dataset_sha256_checked(self, tmp_path, data4_noisy):
         est = tm.fit_all_rows(data4_noisy, scope="output")
         tio.write_estimate(est, tmp_path / "e.json", fingerprint="fp",
-                           dataset_sha256="x", dataset=data4_noisy)
+                           dataset_sha256="x", moments=tm.Moments.of(data4_noisy))
         with pytest.raises(tio.ChainError, match="different data"):
             tio.read_estimate(tmp_path / "e.json", dataset_sha256="y")
 
     def test_direction_must_match(self, tmp_path, data4_noisy):
+        # The fingerprint hashes the direction, so moments of the swapped
+        # samples are not those of a forward fit.
         est = tm.fit_all_rows(data4_noisy, scope="output")
-        with pytest.raises(ValueError, match="direction"):
+        with pytest.raises(ValueError, match="fingerprints differ"):
             tio.write_estimate(est, tmp_path / "e.json", fingerprint="fp",
                                dataset_sha256="x",
-                               dataset=tm.reverse_dataset(data4_noisy))
+                               moments=tm.Moments.of(data4_noisy).reversed())
 
 
 class TestCli:
@@ -548,20 +549,83 @@ class TestCli:
         assert self.run("select", "--config", str(cfg), "--out", str(out)) == 1
         assert "re-run fit" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("reverse", [False, True])
-    def test_select_never_parses_the_samples(self, tmp_path, monkeypatch, reverse):
+    @pytest.mark.parametrize("stages", [
+        ("select",),
+        ("fit --reversed", "select --reversed"),
+        ("fit --reversed",),
+    ], ids=["select", "select-reversed", "fit-reversed"])
+    def test_select_never_parses_the_samples(self, tmp_path, monkeypatch, stages):
+        # Only forward fit parses the samples; the stages after it continue
+        # from the second moments recorded in estimate_full.json.
         cfg, out = self.fitted(tmp_path)
-        flag = ("--reversed",) if reverse else ()
-        common = ("--config", str(cfg), "--out", str(out), *flag)
-        assert self.run("fit", *common) == 0
+        common = ("--config", str(cfg), "--out", str(out))
+        *prior, stage = stages
+        for verb in prior:
+            assert self.run(*verb.split(), *common) == 0
         before = (out / "dataset.csv").read_bytes()
         monkeypatch.setattr(tio, "read_dataset", mock.Mock(side_effect=AssertionError))
         monkeypatch.setattr(np, "loadtxt", mock.Mock(side_effect=AssertionError))
-        assert self.run("select", *common) == 0
+        assert self.run(*stage.split(), *common) == 0
         assert (out / "dataset.csv").read_bytes() == before
-        sfx = "_reversed" if reverse else ""
-        doc = json.loads((out / f"estimate_selected{sfx}.json").read_text())
+        reverse = "--reversed" in stage
+        kind = "full" if stage.startswith("fit") else "selected"
+        doc = json.loads((out / f"estimate_{kind}{'_reversed' * reverse}.json").read_text())
         assert doc["direction"] == ("reversed" if reverse else "forward")
+
+    def test_reversed_fit_matches_the_swapped_samples(self, tmp_path):
+        cfg, out = self.fitted(tmp_path)
+        assert self.run("fit", "--config", str(cfg), "--out", str(out), "--reversed") == 0
+        est, moments = tio.read_estimate(out / "estimate_full_reversed.json",
+                                         with_moments=True)
+        rev = tm.reverse_dataset(tio.read_dataset(out)[0])
+        ref = tm.fit_all_rows(rev, scope="output")
+        assert moments.c.tobytes() == tm.Moments.of(rev).c.tobytes()
+        assert est.dataset_fingerprint == ref.dataset_fingerprint
+        assert est.total_pl == ref.total_pl
+        for r1, r2 in zip(est.rows, ref.rows):
+            assert r1.a == r2.a and r1.k.tobytes() == r2.k.tobytes()
+
+    def test_reversed_fit_needs_the_forward_fit(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "run"
+        common = ("--config", str(cfg), "--out", str(out))
+        assert self.run("generate", *common) == 0
+        assert self.run("fit", *common, "--reversed") == 1
+        assert "estimate_full.json is not registered" in capsys.readouterr().err
+        assert not (out / "estimate_full_reversed.json").exists()
+
+    @pytest.mark.parametrize("stage", ["select", "fit --reversed"])
+    def test_edited_moments_block_the_next_stage(self, tmp_path, capsys, stage):
+        cfg, out = self.fitted(tmp_path)
+        doc = json.loads((out / "estimate_full.json").read_text())
+        doc["second_moments"][1][2] *= 1.5
+        doc["second_moments"][2][1] *= 1.5
+        (out / "estimate_full.json").write_text(json.dumps(doc))
+        tio.register_artifacts(out, "estimate_full.json")
+        assert self.run(*stage.split(), "--config", str(cfg), "--out", str(out)) == 1
+        assert "do not match its dataset_fingerprint" in capsys.readouterr().err
+
+    def test_whole_chain_parses_the_samples_once(self, tmp_path, monkeypatch):
+        # The config of the benchmark's CLI workload: a 25 MB CSV.
+        cfg = write_config(tmp_path, {"w": 4, "density": 0.5, "m_samples": 40000,
+                                      "sigma": 0.1, "seed": 3})
+        common = ("--config", str(cfg), "--out", str(tmp_path / "run"))
+        parse = mock.Mock(wraps=tio.read_dataset)
+        monkeypatch.setattr(tio, "read_dataset", parse)
+        for stage in ("generate", "fit", "select", "extract", "fit --reversed",
+                      "select --reversed", "extract --reversed", "eval", "report"):
+            assert self.run(*stage.split(), *common) == 0, stage
+        assert parse.call_count == 1
+
+    def test_two_pixel_frame_chain(self, tmp_path):
+        cfg = write_config(tmp_path, {"w": 2, "density": 0.5})
+        common = ("--config", str(cfg), "--out", str(tmp_path / "run"))
+        for stage in ("generate", "fit", "select", "extract", "fit --reversed",
+                      "select --reversed", "extract --reversed", "eval"):
+            assert self.run(*stage.split(), *common) == 0, stage
+        doc = json.loads((tmp_path / "run" / "eval.json").read_text())
+        assert all(np.isfinite(doc[k]) for k in ("q_focus", "q_image_pinv",
+                                                 "q_image_inverse"))
 
 
 def test_no_thread_is_started(tmp_path, data4_noisy):

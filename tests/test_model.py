@@ -188,49 +188,56 @@ class TestSecondMoments:
 
     def test_matches_site_matrix(self, data4_noisy, data4_clean):
         for ds in (data4_noisy, data4_clean):
-            c = ds.second_moments()
+            c = tm.Moments.of(ds).c
             assert c.shape == (ds.dims.n, ds.dims.n)
             np.testing.assert_allclose(c, self.reference(ds), rtol=1e-13, atol=0)
 
-    def test_cached_and_read_only(self, channel4):
+    def test_read_only_and_idempotent(self, channel4):
         ds = tm.generate_dataset(channel4, 50, tm.NoiseSpec(sigma=0.1), seed=5)
-        c = ds.second_moments()
-        assert ds.second_moments() is c
-        assert not c.flags.writeable
+        mo = tm.Moments.of(ds)
+        assert tm.Moments.of(mo) is mo
+        assert (mo.dims, mo.direction, mo.m_samples) == (ds.dims, ds.direction, 50)
+        assert not mo.c.flags.writeable
         with pytest.raises(ValueError):
-            c[0, 0] = 1.0
+            mo.c[0, 0] = 1.0
 
     def test_reversed_copy_gets_its_own_block_swap(self, data4_noisy):
-        fwd = data4_noisy.second_moments()
-        rev = tm.reverse_dataset(data4_noisy).second_moments()
+        fwd = tm.Moments.of(data4_noisy).c
+        rev = tm.Moments.of(tm.reverse_dataset(data4_noisy)).c
         assert not np.shares_memory(rev, fwd)
         nh = data4_noisy.dims.n_half
         swap = np.r_[nh:2 * nh, 0:nh]
         np.testing.assert_allclose(rev, fwd[np.ix_(swap, swap)], rtol=1e-13, atol=0)
 
     def test_replaced_copy_gets_its_own(self, data4_noisy):
-        fwd = data4_noisy.second_moments()
+        fwd = tm.Moments.of(data4_noisy).c
         scaled = dataclasses.replace(data4_noisy, outputs=2.0 * data4_noisy.outputs)
-        c = scaled.second_moments()
-        assert not np.shares_memory(c, fwd)
+        c = tm.Moments.of(scaled).c
         np.testing.assert_allclose(c, self.reference(scaled), rtol=1e-13, atol=0)
         nh = data4_noisy.dims.n_half
         np.testing.assert_allclose(c[nh:, nh:], 4.0 * fwd[nh:, nh:], rtol=1e-13)
-        same = dataclasses.replace(data4_noisy, meta={})
-        assert not np.shares_memory(same.second_moments(), fwd)
+
+    @pytest.mark.parametrize("w, m", [(4, 300), (4, 40000), (12, 5000)])
+    def test_reversed_is_the_swapped_samples_bit_for_bit(self, w, m):
+        # The CLI fits the inverse map from the permuted forward C, so the
+        # permutation must equal S^T S of the swapped samples exactly.
+        channel = tm.build_random_tm(tm.Dimensions(w=w), 0.5 if w == 4 else 0.2, seed=w)
+        ds = tm.generate_dataset(channel, m, tm.NoiseSpec(sigma=0.1), seed=m)
+        fwd = tm.Moments.of(ds)
+        rev = fwd.reversed()
+        ref = tm.Moments.of(tm.reverse_dataset(ds))
+        assert rev.c.tobytes() == ref.c.tobytes()
+        assert rev.fingerprint == ref.fingerprint
+        assert (rev.direction, rev.m_samples) == ("reversed", m)
+        back = rev.reversed()
+        assert back.c.tobytes() == fwd.c.tobytes()
+        assert back.fingerprint == fwd.fingerprint
 
 
 class TestMoments:
-    @staticmethod
-    def of(ds):
-        return tm.Moments(dims=ds.dims, direction=ds.direction, m_samples=ds.m_samples,
-                          c=ds.second_moments(), fingerprint="fp")
-
     def test_read_only_copy(self, data4_noisy):
-        c = np.array(data4_noisy.second_moments())
-        mo = tm.Moments(dims=data4_noisy.dims, direction="forward", m_samples=500,
-                        c=c, fingerprint="fp")
-        assert mo.second_moments() is mo.c
+        c = np.array(tm.Moments.of(data4_noisy).c)
+        mo = tm.Moments(dims=data4_noisy.dims, direction="forward", m_samples=500, c=c)
         assert not mo.c.flags.writeable
         assert not np.shares_memory(mo.c, c)
         assert mo.c.tobytes() == c.tobytes()
@@ -243,16 +250,24 @@ class TestMoments:
     ])
     def test_validation(self, data4_noisy, change):
         kw = dict(dims=data4_noisy.dims, direction="forward", m_samples=500,
-                  c=data4_noisy.second_moments(), fingerprint="fp")
+                  c=tm.Moments.of(data4_noisy).c)
         kw.update(change)
         with pytest.raises(ValueError):
             tm.Moments(**kw)
 
+    def test_fingerprint_hashes_what_a_fit_reads(self, data4_noisy):
+        mo = tm.Moments.of(data4_noisy)
+        assert mo.fingerprint == tm.Moments(**vars(mo)).fingerprint
+        c = np.array(mo.c)
+        c[3, 3] = np.nextafter(c[3, 3], 1.0)
+        for change in ({"c": c}, {"m_samples": 499}, {"direction": "reversed"}):
+            assert tm.Moments(**{**vars(mo), **change}).fingerprint != mo.fingerprint
+
     @pytest.mark.parametrize("scope", ["output", "all"])
     def test_fits_like_its_dataset(self, data4_noisy, scope):
         ref = tm.fit_all_rows(data4_noisy, scope=scope)
-        est = tm.fit_all_rows(self.of(data4_noisy), scope=scope)
-        assert est.dataset_fingerprint == "fp"
+        est = tm.fit_all_rows(tm.Moments.of(data4_noisy), scope=scope)
+        assert est.dataset_fingerprint == ref.dataset_fingerprint
         assert est.total_pl == ref.total_pl
         assert est.row_objectives == ref.row_objectives
         for r1, r2 in zip(est.rows, ref.rows):

@@ -82,7 +82,7 @@ class TestBicScore:
 class TestSelectBest:
     def _rec(self, k_free, bic):
         return DecimationRecord(n_couplings=k_free, k_free=k_free, total_pl=0.0,
-                                bic=bic, masks=(), estimate=None, all_converged=True)
+                                bic=bic, estimate=None, all_converged=True)
 
     def test_minimum_wins(self):
         recs = [self._rec(10, 5.0), self._rec(8, 3.0), self._rec(6, 4.0)]
