@@ -80,7 +80,6 @@ def cmd_generate(args) -> int:
     tio.write_dataset(ds, out, fingerprint=fp, binary=binary)
     t_name = "t_true.npy" if binary else "t_true.csv"
     tio.write_matrix(tm, out / t_name, binary=binary)
-    tio.register_artifacts(out, t_name)
     print(f"wrote {out}/dataset.{'npy' if binary else 'csv'}, dataset.meta.json, {t_name}")
     return 0
 
@@ -90,7 +89,6 @@ def _recorded_fit(out: Path, fp: str, sfx: str):
     ``estimate_full{sfx}.json``, checked against the data hash and direction."""
     meta = tio.verify_dataset(out, fingerprint=fp)
     name = f"estimate_full{sfx}.json"
-    tio.verify_artifact(out, name)
     est, moments = tio.read_estimate(out / name, fingerprint=fp,
                                      dataset_sha256=meta["data_sha256"],
                                      with_moments=True)
@@ -118,7 +116,6 @@ def cmd_fit(args) -> int:
     # The second moments ride along, so no later stage re-reads the samples.
     tio.write_estimate(est, out / name, fingerprint=fp,
                        dataset_sha256=meta["data_sha256"], moments=moments)
-    tio.register_artifacts(out, name)
     print(f"fit {len(est.rows)} rows, total_pl={est.total_pl:.6g}")
     return 0
 
@@ -135,7 +132,6 @@ def cmd_select(args) -> int:
                    dataset_sha256=meta["data_sha256"])
     tio.write_estimate(best, out / f"estimate_selected{sfx}.json", fingerprint=fp,
                        dataset_sha256=meta["data_sha256"])
-    tio.register_artifacts(out, f"path{sfx}.json", f"estimate_selected{sfx}.json")
     rec = path.selected_record
     print(f"selected {rec.n_couplings} couplings (k_free={rec.k_free}, "
           f"bic={rec.bic:.6g}) out of {path.records[0].n_couplings}")
@@ -150,7 +146,6 @@ def cmd_extract(args) -> int:
     name = f"estimate_selected{sfx}.json"
     if not (out / name).exists():
         name = f"estimate_full{sfx}.json"
-    tio.verify_artifact(out, name)
     est = tio.read_estimate(out / name, fingerprint=fp)
     if args.gramian and est.scope != "all":
         raise tio.ChainError("Gramian extraction requires an all-sites estimate; "
@@ -167,16 +162,13 @@ def cmd_extract(args) -> int:
         "beta_hat": [float(b) for b in noise.beta_hat],
         "rows_converged": [bool(c) for c in noise.converged],
     }
-    extra = []
     if args.gramian:
         u, balance = extract_gramian(est)
         doc["balance"] = balance
         u_tm = TransmissionMatrix(dims=est.dims, entries=u, role="direct")
         g_name = "gramian_inf.npy" if binary else "gramian_inf.csv"
         tio.write_matrix(u_tm, out / g_name, binary=binary)
-        extra.append(g_name)
     tio.write_json_artifact(doc, out / f"extract{sfx}.json", fingerprint=fp)
-    tio.register_artifacts(out, t_name, f"extract{sfx}.json", *extra)
     print(f"extracted {t_name} ({tm.role}), mean sigma_hat="
           f"{float(np.mean(noise.sigma_hat)):.4g}")
     return 0
@@ -185,7 +177,6 @@ def cmd_extract(args) -> int:
 def _read_registered_matrix(out: Path, names) -> TransmissionMatrix:
     for n in names:
         if (out / n).exists():
-            tio.verify_artifact(out, n)
             return tio.read_matrix(out / n)
     raise tio.ChainError(f"none of {names} found in {out}; run the producing stage")
 
@@ -207,7 +198,6 @@ def cmd_eval(args) -> int:
                            cfg.seed + 101, cfg.seed + 102, t_inv=t_inv),
     }
     tio.write_json_artifact(doc, out / "eval.json", fingerprint=fp)
-    tio.register_artifacts(out, "eval.json")
     print(f"eval: q_focus={doc['q_focus']:.4g}, q_image_pinv={doc['q_image_pinv']:.4g}")
     return 0
 
@@ -230,7 +220,6 @@ def cmd_sweep(args) -> int:
            "replicates": cfg.replicates, "records": records}
     out.mkdir(parents=True, exist_ok=True)
     tio.write_json_artifact(doc, out / "sweep.json", fingerprint=fp)
-    tio.register_artifacts(out, "sweep.json")
     n_fail = sum(1 for r in records if r["failure"])
     print(f"sweep complete: {len(records)} records, {n_fail} failures")
     return 0
@@ -244,33 +233,19 @@ def cmd_report(args) -> int:
         pname = f"path{sfx}.json"
         if not (out / pname).exists():
             continue
-        tio.verify_artifact(out, pname)
         doc = tio.read_json_artifact(out / pname, fingerprint=fp)
-        lines = ["k_active,sigma,total_pl,bic,selected_flag"]
-        for i, rec in enumerate(doc["records"]):
-            lines.append(",".join([
-                str(rec["k_free"]), tio._fmt(doc["sigma"]),
-                tio._fmt(rec["total_pl"]), tio._fmt(rec["bic"]),
-                str(int(i == doc["selected"])),
-            ]))
         tname = f"path_table{sfx}.csv"
-        tio._atomic_write_text(out / tname, "\n".join(lines) + "\n")
-        tio.register_artifacts(out, tname)
+        tio.write_table(out / tname, ["k_active", "sigma", "total_pl", "bic", "selected_flag"],
+                        ([rec["k_free"], doc["sigma"], rec["total_pl"], rec["bic"],
+                          int(i == doc["selected"])] for i, rec in enumerate(doc["records"])))
         wrote.append(tname)
     if (out / "sweep.json").exists():
-        tio.verify_artifact(out, "sweep.json")
         doc = tio.read_json_artifact(out / "sweep.json", fingerprint=fp)
         cols = ["sigma", "replicate", "q_bic", "q_true_support", "q_focus",
                 "q_image_inverse", "q_image_pinv", "selected_couplings",
                 "true_couplings", "balance"]
-        lines = [",".join(cols)]
-        for rec in doc["records"]:
-            lines.append(",".join(
-                "" if rec.get(c) is None else
-                (str(rec[c]) if isinstance(rec[c], int) else tio._fmt(rec[c]))
-                for c in cols))
-        tio._atomic_write_text(out / "sweep_table.csv", "\n".join(lines) + "\n")
-        tio.register_artifacts(out, "sweep_table.csv")
+        tio.write_table(out / "sweep_table.csv", cols,
+                        ([rec.get(c) for c in cols] for rec in doc["records"]))
         wrote.append("sweep_table.csv")
     if not wrote:
         raise tio.ChainError("nothing to report: no path.json or sweep.json in out dir")

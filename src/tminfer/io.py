@@ -2,15 +2,17 @@
 
 Text formats are comma-separated with reals printed at 17 significant digits
 (exact float64 round trip); the optional binary variant stores arrays as .npy.
-Every artifact embeds the run-config fingerprint, and a per-directory manifest
-records content hashes so chained stages can refuse tampered or mismatched
-inputs.  Every write goes to a fresh temp file beside its target and is renamed
-onto it only when complete; large tables are formatted, hashed and written in
-blocks, never held whole as text.
+JSON artifacts embed the versions and the run-config fingerprint.  Each write
+goes to a fresh temp file beside its target, is renamed onto it only when
+complete and registers the sha256 it streamed in the directory's manifest,
+under a lock; each read verifies its file against the manifest first, so
+chained stages refuse tampered or mismatched inputs.  Large tables are
+formatted, hashed and written in blocks, never held whole as text.
 """
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import io as _io
 import itertools
@@ -45,12 +47,14 @@ __all__ = [
     "write_path",
     "write_json_artifact",
     "read_json_artifact",
+    "write_table",
 ]
 
 MANIFEST = "MANIFEST.json"
 # Rows formatted per block of a CSV table, and bytes per read when hashing.
 _BLOCK_ROWS = 2048
 _HASH_CHUNK = 1 << 20
+_VERSIONS = {"tminfer": __version__, "numpy": np.__version__}
 
 
 class ConfigError(ValueError):
@@ -61,14 +65,10 @@ class ChainError(ValueError):
     """Artifact fails checksum or fingerprint validation."""
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _csv_blocks(*columns: np.ndarray):
     """Encoded CSV lines of the side-by-side ``columns``, ``_BLOCK_ROWS`` rows
     per block.  One ``%``-format per block; ``"%.17g" % x`` is the same text
-    as ``_fmt(x)``."""
+    as ``format(x, ".17g")``."""
     row = ",".join(["%.17g"] * sum(c.shape[1] for c in columns)) + "\n"
     for start in range(0, columns[0].shape[0], _BLOCK_ROWS):
         block = np.hstack([c[start:start + _BLOCK_ROWS] for c in columns])
@@ -113,12 +113,18 @@ def _atomic_write_blocks(path: Path, blocks) -> str:
     return h.hexdigest()
 
 
-def _atomic_write_bytes(path: Path, data: bytes) -> str:
-    return _atomic_write_blocks(path, (data,))
+def _npy_blocks(a: np.ndarray) -> tuple[bytes]:
+    buf = _io.BytesIO()
+    np.save(buf, a)
+    return (buf.getvalue(),)
 
 
-def _atomic_write_text(path: Path, text: str) -> str:
-    return _atomic_write_bytes(path, text.encode())
+def _write_artifact(path: Path, blocks) -> str:
+    """Write the byte ``blocks`` to ``path`` atomically and register the
+    sha256 they streamed in the manifest beside it; return that hash."""
+    digest = _atomic_write_blocks(path, blocks)
+    register_artifacts(path.parent, {path.name: digest})
+    return digest
 
 
 def _canonical_json(obj) -> str:
@@ -130,25 +136,28 @@ def config_fingerprint(config: "RunConfig") -> str:
     return _sha256_bytes(_canonical_json(config.to_dict()).encode())[:16]
 
 
-def _manifest_path(out_dir: Path) -> Path:
-    return Path(out_dir) / MANIFEST
-
-
 def _load_manifest(out_dir: Path) -> dict:
-    p = _manifest_path(out_dir)
-    if not p.exists():
-        return {}
-    return json.loads(p.read_text())
+    p = Path(out_dir) / MANIFEST
+    return json.loads(p.read_text()) if p.exists() else {}
 
 
-def _register(out_dir: Path, hashes: dict[str, str]) -> None:
-    man = _load_manifest(out_dir)
-    man.update(hashes)
-    _atomic_write_text(_manifest_path(out_dir), _canonical_json(man) + "\n")
+def register_artifacts(out_dir: str | Path, hashes: dict[str, str]) -> None:
+    """Record the sha256 ``hashes`` of written artifacts in the manifest of
+    ``out_dir``, locking the directory so concurrent stages keep every entry."""
+    out = Path(out_dir)
+    fd = os.open(out, os.O_RDONLY | os.O_DIRECTORY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        man = _load_manifest(out)
+        man.update(hashes)
+        _atomic_write_blocks(out / MANIFEST, ((_canonical_json(man) + "\n").encode(),))
+    finally:
+        os.close(fd)
 
 
-def _verify(out_dir: Path, name: str) -> str:
-    """Check ``name`` against its manifest hash; return that hash."""
+def verify_artifact(out_dir: str | Path, name: str) -> str:
+    """Check ``name`` against its manifest hash and return that hash; raise
+    ChainError if it is unregistered or modified."""
     man = _load_manifest(out_dir)
     if name not in man:
         raise ChainError(f"{name} is not registered in {MANIFEST}; "
@@ -298,16 +307,14 @@ def write_dataset(ds: Dataset, out_dir: str | Path, fingerprint: str,
     out.mkdir(parents=True, exist_ok=True)
     if binary:
         data_name = "dataset.npy"
-        buf = _io.BytesIO()
-        np.save(buf, np.hstack([ds.inputs, ds.outputs]))
-        data_sha256 = _atomic_write_bytes(out / data_name, buf.getvalue())
+        blocks = _npy_blocks(np.hstack([ds.inputs, ds.outputs]))
     else:
         data_name = "dataset.csv"
-        data_sha256 = _atomic_write_blocks(out / data_name,
-                                           _csv_blocks(ds.inputs, ds.outputs))
+        blocks = _csv_blocks(ds.inputs, ds.outputs)
+    data_sha256 = _write_artifact(out / data_name, blocks)
     meta = {
         "format": "tminfer-dataset",
-        "versions": {"tminfer": __version__, "numpy": np.__version__},
+        "versions": _VERSIONS,
         "w": ds.dims.w,
         "m_samples": ds.m_samples,
         "direction": ds.direction,
@@ -316,9 +323,7 @@ def write_dataset(ds: Dataset, out_dir: str | Path, fingerprint: str,
         "data_sha256": data_sha256,
         "config_fingerprint": fingerprint,
     }
-    meta_sha256 = _atomic_write_text(out / "dataset.meta.json",
-                                     json.dumps(meta, indent=1) + "\n")
-    _register(out, {data_name: data_sha256, "dataset.meta.json": meta_sha256})
+    write_json_artifact(meta, out / "dataset.meta.json", fingerprint)
 
 
 def verify_dataset(out_dir: str | Path, fingerprint: str | None = None) -> dict:
@@ -326,12 +331,9 @@ def verify_dataset(out_dir: str | Path, fingerprint: str | None = None) -> dict:
     against each other (and the fingerprint if given) without parsing the
     samples; return the verified metadata."""
     out = Path(out_dir)
-    _verify(out, "dataset.meta.json")
-    meta = json.loads((out / "dataset.meta.json").read_text())
-    if fingerprint is not None:
-        _check_fingerprint(meta, fingerprint, "dataset.meta.json")
+    meta = read_json_artifact(out / "dataset.meta.json", fingerprint)
     data_name = meta["data_file"]
-    if _verify(out, data_name) != meta["data_sha256"]:
+    if verify_artifact(out, data_name) != meta["data_sha256"]:
         raise ChainError(f"{data_name} does not match the checksum in its metadata")
     return meta
 
@@ -367,20 +369,19 @@ def read_dataset(out_dir: str | Path, fingerprint: str | None = None) -> tuple[D
 def write_matrix(tm: TransmissionMatrix, path: str | Path,
                  binary: bool = False) -> None:
     """One row per line, comma separated, '#'-prefixed shape/role header."""
-    path = Path(path)
     m = tm.entries
     if binary:
-        buf = _io.BytesIO()
-        np.save(buf, m)
-        _atomic_write_bytes(path, buf.getvalue())
-        return
-    header = f"# {m.shape[0]} {m.shape[1]} {tm.role}\n".encode()
-    _atomic_write_blocks(path, itertools.chain((header,), _csv_blocks(m)))
+        blocks = _npy_blocks(m)
+    else:
+        header = f"# {m.shape[0]} {m.shape[1]} {tm.role}\n".encode()
+        blocks = itertools.chain((header,), _csv_blocks(m))
+    _write_artifact(Path(path), blocks)
 
 
 def read_matrix(path: str | Path) -> TransmissionMatrix:
-    """Read a square matrix of side w**2; a CSV must match its header."""
+    """Read a registered square matrix of side w**2; a CSV must match its header."""
     path = Path(path)
+    verify_artifact(path.parent, path.name)
     if path.suffix == ".npy":
         entries = np.load(path)
         role = "direct"
@@ -428,7 +429,7 @@ def write_estimate(est: CouplingEstimate, path: str | Path, fingerprint: str,
         })
     doc = {
         "format": "tminfer-estimate",
-        "versions": {"tminfer": __version__, "numpy": np.__version__},
+        "versions": _VERSIONS,
         "w": est.dims.w,
         "scope": est.scope,
         "direction": est.direction,
@@ -441,24 +442,22 @@ def write_estimate(est: CouplingEstimate, path: str | Path, fingerprint: str,
     if moments is not None:
         doc["m_samples"] = moments.m_samples
         doc["second_moments"] = moments.c.tolist()
-    _atomic_write_text(Path(path), json.dumps(doc, indent=1) + "\n")
+    write_json_artifact(doc, path, fingerprint)
 
 
 def read_estimate(path: str | Path, fingerprint: str | None = None,
                   dataset_sha256: str | None = None, with_moments: bool = False):
-    """Read an estimate, checking the config fingerprint and the sha256 of the
-    data file it was fitted on when they are given.
+    """Read a registered estimate, checking the config fingerprint and the
+    sha256 of the data file it was fitted on when they are given.
 
     Returns the ``CouplingEstimate``, or ``(estimate, Moments)`` with
     ``with_moments``: the record of the fitted data that ``write_estimate``
     stored (``ChainError`` if the file holds none, or one of other data).
     """
     name = Path(path).name
-    doc = json.loads(Path(path).read_text())
+    doc = read_json_artifact(path, fingerprint)
     if doc.get("format") != "tminfer-estimate":
         raise ChainError(f"{path} is not an estimate artifact")
-    if fingerprint is not None:
-        _check_fingerprint(doc, fingerprint, name)
     if dataset_sha256 is not None and doc.get("dataset_sha256") != dataset_sha256:
         raise ChainError(f"{name} was fitted on different data")
     dims = Dimensions(w=doc["w"])
@@ -517,14 +516,14 @@ def write_path(path_obj: DecimationPath, path: str | Path, fingerprint: str,
     } for r in path_obj.records]
     doc = {
         "format": "tminfer-path",
-        "versions": {"tminfer": __version__, "numpy": np.__version__},
+        "versions": _VERSIONS,
         "sigma": sigma,
         "selected": path_obj.selected,
         "records": records,
         "dataset_sha256": dataset_sha256,
         "config_fingerprint": fingerprint,
     }
-    _atomic_write_text(Path(path), json.dumps(doc, indent=1) + "\n")
+    write_json_artifact(doc, path, fingerprint)
 
 
 # ---------------------------------------------------------------------------
@@ -532,25 +531,29 @@ def write_path(path_obj: DecimationPath, path: str | Path, fingerprint: str,
 
 
 def write_json_artifact(doc: dict, path: str | Path, fingerprint: str) -> None:
+    """Write ``doc`` as JSON, adding the versions and config ``fingerprint``;
+    keys ``doc`` already holds keep their place in the file."""
     doc = dict(doc)
-    doc.setdefault("versions", {"tminfer": __version__, "numpy": np.__version__})
+    doc.setdefault("versions", _VERSIONS)
     doc["config_fingerprint"] = fingerprint
-    _atomic_write_text(Path(path), json.dumps(doc, indent=1) + "\n")
+    _write_artifact(Path(path), ((json.dumps(doc, indent=1) + "\n").encode(),))
 
 
 def read_json_artifact(path: str | Path, fingerprint: str | None = None) -> dict:
-    doc = json.loads(Path(path).read_text())
+    """Read a registered JSON artifact, checking ``fingerprint`` if given."""
+    path = Path(path)
+    verify_artifact(path.parent, path.name)
+    doc = json.loads(path.read_text())
     if fingerprint is not None:
-        _check_fingerprint(doc, fingerprint, Path(path).name)
+        _check_fingerprint(doc, fingerprint, path.name)
     return doc
 
 
-def register_artifacts(out_dir: str | Path, *names: str) -> None:
-    """Record content hashes of freshly written artifacts in the manifest."""
-    out = Path(out_dir)
-    _register(out, {name: _sha256_file(out / name) for name in names})
+def write_table(path: str | Path, columns, rows) -> None:
+    """A CSV report under a ``columns`` header: integers as ``str``, ``None``
+    as an empty cell, other reals at 17 significant digits."""
+    def cell(x) -> str:
+        return "" if x is None else str(x) if isinstance(x, int) else format(x, ".17g")
 
-
-def verify_artifact(out_dir: str | Path, name: str) -> None:
-    """Raise ChainError unless the named artifact matches its manifest hash."""
-    _verify(Path(out_dir), name)
+    lines = [",".join(columns), *(",".join(map(cell, row)) for row in rows)]
+    _write_artifact(Path(path), (("\n".join(lines) + "\n").encode(),))

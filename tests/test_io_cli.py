@@ -1,9 +1,12 @@
+import ast
+import hashlib
 import json
 import os
 import subprocess
 import sys
 import tempfile
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -23,6 +26,16 @@ CONFIG = {
     "scope": "output",
     "decimation": {"batch_fraction": 0.1},
 }
+
+
+def register(out, name):
+    """Register a hand-written or hand-edited file as its stage would."""
+    data = (Path(out) / name).read_bytes()
+    tio.register_artifacts(out, {name: hashlib.sha256(data).hexdigest()})
+
+
+# Every message of read_matrix's shape checks, and none of its manifest checks.
+SHAPE_ERROR = r"header|square with a side of w\*\*2"
 
 
 def write_config(tmp_path, overrides=None, name="config.json"):
@@ -142,13 +155,15 @@ class TestFormats:
     def test_matrix_shape_checked(self, tmp_path, header, rows, cols):
         body = [",".join(["0.5"] * cols)] * rows
         (tmp_path / "m.csv").write_text("\n".join([header, *body]) + "\n")
-        with pytest.raises(tio.ChainError):
+        register(tmp_path, "m.csv")
+        with pytest.raises(tio.ChainError, match=SHAPE_ERROR):
             tio.read_matrix(tmp_path / "m.csv")
 
     def test_npy_matrix_shape_checked(self, tmp_path):
         for shape in ((16, 15), (15, 15), (16,)):
             np.save(tmp_path / "m.npy", np.zeros(shape))
-            with pytest.raises(tio.ChainError):
+            register(tmp_path, "m.npy")
+            with pytest.raises(tio.ChainError, match=SHAPE_ERROR):
                 tio.read_matrix(tmp_path / "m.npy")
 
     def test_estimate_round_trip(self, tmp_path, data4_noisy):
@@ -178,6 +193,49 @@ class TestFormats:
         (tmp_path / "dataset.csv").write_text(data.replace("0.", "1.", 1))
         with pytest.raises(tio.ChainError, match="checksum"):
             tio.read_dataset(tmp_path, fingerprint="fp")
+
+    @pytest.mark.parametrize("reader", ["matrix", "estimate", "json"])
+    def test_readers_verify_before_parsing(self, tmp_path, data4_noisy, channel4, reader):
+        est = tm.fit_all_rows(data4_noisy, scope="output")
+        name, write, read = {
+            "matrix": ("m.csv", lambda p: tio.write_matrix(channel4, p), tio.read_matrix),
+            "estimate": ("e.json", lambda p: tio.write_estimate(
+                est, p, fingerprint="fp", dataset_sha256="x"), tio.read_estimate),
+            "json": ("d.json", lambda p: tio.write_json_artifact({"q": 0.5}, p, "fp"),
+                     tio.read_json_artifact),
+        }[reader]
+        write(tmp_path / name)
+        read(tmp_path / name)
+        raw = (tmp_path / name).read_bytes()
+        # A byte that parses the same: only the manifest can tell.
+        (tmp_path / name).write_bytes(raw + b"\n")
+        with pytest.raises(tio.ChainError, match="checksum"):
+            read(tmp_path / name)
+        (tmp_path / "other").mkdir()
+        (tmp_path / "other" / name).write_bytes(raw)
+        with pytest.raises(tio.ChainError, match="not registered"):
+            read(tmp_path / "other" / name)
+
+    def test_concurrent_registrations_keep_every_entry(self, tmp_path, monkeypatch):
+        # Four stages register into one directory at once; each read of the
+        # manifest pauses, so unlocked read-modify-writes overwrite each other.
+        real = tio._load_manifest
+
+        def slow_load(out_dir):
+            man = real(out_dir)
+            time.sleep(0.05)
+            return man
+
+        monkeypatch.setattr(tio, "_load_manifest", slow_load)
+        names = [f"a{i}.json" for i in range(4)]
+        workers = [threading.Thread(target=tio.register_artifacts,
+                                    args=(tmp_path, {n: "0" * 64})) for n in names]
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=10)
+        assert not any(t.is_alive() for t in workers)
+        assert sorted(json.loads((tmp_path / "MANIFEST.json").read_text())) == names
 
 
 # Finite float64 values, weighted toward the cases a text codec gets wrong:
@@ -237,13 +295,27 @@ class TestStreamingCodec:
         # One block of text and its floats (~6 MB), never the whole table.
         assert peak < text / 3
 
-    def test_write_does_not_reread_to_hash(self, tmp_path, channel4, monkeypatch):
+    def test_write_does_not_reread_to_hash(self, tmp_path, channel4, data4_noisy,
+                                           monkeypatch):
         ds = tm.generate_dataset(channel4, 30, tm.NoiseSpec(sigma=0.2), seed=3)
+        est = tm.fit_all_rows(data4_noisy, scope="output")
+        path, _ = tm.run_decimation(data4_noisy)
         monkeypatch.setattr(tio, "_sha256_file", mock.Mock(side_effect=AssertionError))
         tio.write_dataset(ds, tmp_path, fingerprint="fp")
+        tio.write_matrix(channel4, tmp_path / "m.csv")
+        tio.write_matrix(channel4, tmp_path / "m.npy", binary=True)
+        tio.write_estimate(est, tmp_path / "e.json", fingerprint="fp", dataset_sha256="x")
+        tio.write_path(path, tmp_path / "p.json", fingerprint="fp", sigma=0.1,
+                       dataset_sha256="x")
+        tio.write_json_artifact({"q": 0.5}, tmp_path / "d.json", "fp")
+        tio.write_table(tmp_path / "t.csv", ("a", "b"), [(1, 0.5), (None, 2)])
         manifest = json.loads((tmp_path / "MANIFEST.json").read_text())
-        for name in ("dataset.csv", "dataset.meta.json"):
-            assert manifest[name] == tio._sha256_bytes((tmp_path / name).read_bytes())
+        names = ["d.json", "dataset.csv", "dataset.meta.json", "e.json", "m.csv",
+                 "m.npy", "p.json", "t.csv"]
+        assert sorted(manifest) == names
+        for name in names:
+            assert manifest[name] == hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert (tmp_path / "t.csv").read_text() == "a,b\n1,0.5\n,2\n"
 
     def test_read_hashes_the_data_once(self, tmp_path, channel4, monkeypatch):
         ds = tm.generate_dataset(channel4, 30, tm.NoiseSpec(sigma=0.2), seed=3)
@@ -292,7 +364,7 @@ class TestAtomicWrites:
 
     def test_failed_bytes_write_keeps_previous(self, tmp_path):
         target = tmp_path / "a.json"
-        tio._atomic_write_text(target, "old\n")
+        target.write_text("old\n")
         with pytest.raises(RuntimeError):
             with tio._atomic_open(target) as fh:
                 fh.write(b"partial")
@@ -526,7 +598,7 @@ class TestCli:
         cfg, out = self.fitted(tmp_path)
         (out / "estimate_full_reversed.json").write_bytes(
             (out / "estimate_full.json").read_bytes())
-        tio.register_artifacts(out, "estimate_full_reversed.json")
+        register(out, "estimate_full_reversed.json")
         assert self.run("select", "--config", str(cfg), "--out", str(out),
                         "--reversed") == 1
         assert "forward dataset" in capsys.readouterr().err
@@ -545,7 +617,7 @@ class TestCli:
         doc = json.loads((out / "estimate_full.json").read_text())
         del doc["second_moments"], doc["m_samples"]
         (out / "estimate_full.json").write_text(json.dumps(doc))
-        tio.register_artifacts(out, "estimate_full.json")
+        register(out, "estimate_full.json")
         assert self.run("select", "--config", str(cfg), "--out", str(out)) == 1
         assert "re-run fit" in capsys.readouterr().err
 
@@ -601,9 +673,35 @@ class TestCli:
         doc["second_moments"][1][2] *= 1.5
         doc["second_moments"][2][1] *= 1.5
         (out / "estimate_full.json").write_text(json.dumps(doc))
-        tio.register_artifacts(out, "estimate_full.json")
+        register(out, "estimate_full.json")
         assert self.run(*stage.split(), "--config", str(cfg), "--out", str(out)) == 1
         assert "do not match its dataset_fingerprint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, stage", [
+        ("t_true.csv", "eval"),
+        ("t_inf.csv", "eval"),
+        ("t_inv_inf.csv", "eval"),
+        ("path.json", "report"),
+        ("sweep.json", "report"),
+        ("estimate_selected.json", "extract"),
+        ("estimate_full_reversed.json", "select --reversed"),
+    ])
+    def test_tampered_input_blocks_its_consumer(self, tmp_path, capsys, name, stage):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "run"
+        common = ("--config", str(cfg), "--out", str(out))
+        for verb in ("generate", "fit", "select", "extract", "fit --reversed",
+                     "select --reversed", "extract --reversed"):
+            assert self.run(*verb.split(), *common) == 0, verb
+        if name == "sweep.json":
+            tio.write_json_artifact({"format": "tminfer-sweep", "records": []},
+                                    out / name, tio.config_fingerprint(
+                                        tio.RunConfig.from_file(cfg)))
+        capsys.readouterr()
+        with open(out / name, "ab") as fh:
+            fh.write(b"\n")
+        assert self.run(*stage.split(), *common) == 1
+        assert "checksum" in capsys.readouterr().err
 
     def test_whole_chain_parses_the_samples_once(self, tmp_path, monkeypatch):
         # The config of the benchmark's CLI workload: a 25 MB CSV.
@@ -670,3 +768,19 @@ def test_artifacts_identical_across_blas_threads(tmp_path):
     diffs = [n for n in names
              if (outs["1"] / n).read_bytes() != (outs["2"] / n).read_bytes()]
     assert not diffs
+
+
+def test_only_io_knows_the_artifact_contract():
+    # cli says what to write and read; registration, verification and the
+    # number format stay inside io.
+    src = Path(__file__).resolve().parents[1] / "src" / "tminfer" / "cli.py"
+    found = []
+    for node in ast.walk(ast.parse(src.read_text())):
+        # An attribute, a bare name, or an imported or defined name.
+        name = next((getattr(node, a) for a in ("attr", "id", "name")
+                     if isinstance(getattr(node, a, None), str)), "")
+        private = isinstance(node, ast.Attribute) and ast.unparse(node.value) == "tio" \
+            and name.startswith("_")
+        if private or name in ("register_artifacts", "verify_artifact"):
+            found.append(ast.unparse(node))
+    assert not found
