@@ -157,12 +157,16 @@ def register_artifacts(out_dir: str | Path, hashes: dict[str, str]) -> None:
 
 def verify_artifact(out_dir: str | Path, name: str) -> str:
     """Check ``name`` against its manifest hash and return that hash; raise
-    ChainError if it is unregistered or modified."""
+    ChainError if it is unregistered, missing or modified."""
     man = _load_manifest(out_dir)
     if name not in man:
         raise ChainError(f"{name} is not registered in {MANIFEST}; "
                          "run the producing stage first")
-    actual = _sha256_file(Path(out_dir) / name)
+    try:
+        actual = _sha256_file(Path(out_dir) / name)
+    except FileNotFoundError:
+        raise ChainError(f"{name} is registered but missing; "
+                         "re-run the producing stage") from None
     if actual != man[name]:
         raise ChainError(f"{name} fails checksum validation (file was modified "
                          "after it was produced)")

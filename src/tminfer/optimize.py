@@ -9,8 +9,9 @@ Gaussian graphical model (Meinshausen & Buhlmann, Ann. Stat. 2006).
 The optimum and its gradient depend on the data only through the sample
 second moments ``C = S^T S / M``, which every entry point reads from the
 record ``Moments.of(dataset)``: a row solve is one small solve on a block of
-``C``.  A solve costs well under a millisecond, so rows run one after another
-on the calling thread.
+``C``.  The block is factorised by Cholesky first; ``lstsq`` takes over where
+the block is singular or has more than ``CHOLESKY_MAX`` rows.  A solve costs
+well under a millisecond, so rows run one after another on the calling thread.
 """
 
 from __future__ import annotations
@@ -38,6 +39,22 @@ SCOPES = ("output", "all")
 
 # Inf-norm bound on the projected gradient for a row to count as converged.
 GRAD_TOL = 1e-6
+
+# Largest active set solved by Cholesky; larger ones go to lstsq.  OpenBLAS
+# runs getrf with several threads from n = 100 and potrf from n ~ 128 up, and
+# the bits of the solution then depend on OPENBLAS_NUM_THREADS.  lstsq gives
+# the same bits at any thread count, so every artifact stays byte-identical
+# across BLAS settings.
+CHOLESKY_MAX = 96
+
+# Smallest Cholesky pivot, as a share of its diagonal entry of C[A,A], taken
+# as positive definite.  The pivot L_jj**2 is C_jj * (1 - R_j**2), with R_j**2
+# the squared multiple correlation of regressor j with the ones before it.  A
+# regressor that the others reproduce exactly leaves only rounding there, up
+# to ~1e-13, and the factorisation need not fail: noise-free data through a
+# singular channel, fitted reversed, does this on most rows.  Regressors with
+# noise leave 1e-4 and more (w=4, sigma >= 0.01).
+PIVOT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -68,6 +85,28 @@ class RowFit:
     grad_norm: float
 
 
+def _solve_normal(c_aa: np.ndarray, c_ay: np.ndarray) -> np.ndarray:
+    """``beta`` with ``c_aa beta = c_ay``.
+
+    Up to ``CHOLESKY_MAX`` regressors, a Cholesky factorisation whose pivots
+    all clear ``PIVOT_TOL`` certifies ``c_aa`` positive definite, and an LU
+    solve is then exact to rounding (numpy has no triangular solve; LU costs
+    less than two solves on the factor).  Otherwise the regressors are
+    collinear (noise-free all-sites fits, fewer samples than regressors,
+    duplicated or dead channels, a singular channel), and ``lstsq`` returns
+    the minimum-norm solution.  ``lstsq`` also takes every larger block, for
+    the thread-invariance above.
+    """
+    if c_aa.shape[0] <= CHOLESKY_MAX:
+        try:
+            pivots = np.diagonal(np.linalg.cholesky(c_aa)) ** 2
+            if np.all(pivots > PIVOT_TOL * np.diagonal(c_aa)):
+                return np.linalg.solve(c_aa, c_ay)
+        except np.linalg.LinAlgError:
+            pass
+    return np.linalg.lstsq(c_aa, c_ay, rcond=None)[0]
+
+
 def minimize_row(
     site: int,
     dataset: Dataset | Moments,
@@ -77,11 +116,14 @@ def minimize_row(
     """Fit one site's conditional Gaussian under a support mask.
 
     Reads only ``C = Moments.of(dataset).c``.  ``beta`` solves
-    ``C[A,A] beta = C[A,y]`` by ``lstsq``, the minimum-norm solution when the
-    active regressors are collinear (noise-free all-sites fits, fewer samples
-    than regressors); ``rss = C[y,y] - 2 beta.C[A,y] + beta.C[A,A] beta`` is
-    clamped at 0, where it cancels on exact fits.  Masked couplings stay 0.
-    ``converged``: the projected gradient is within ``GRAD_TOL``.
+    ``C[A,A] beta = C[A,y]`` (``_solve_normal``): by Cholesky where
+    ``C[A,A]`` is positive definite, else by ``lstsq``, the minimum-norm
+    solution when the active regressors are collinear.  Blocks of more than
+    ``CHOLESKY_MAX`` regressors always go to ``lstsq``, whose bits do not
+    depend on the BLAS thread count.
+    ``rss = C[y,y] - 2 beta.C[A,y] + beta.C[A,A] beta`` is clamped at 0, where
+    it cancels on exact fits.  Masked couplings stay 0.  ``converged``: the
+    projected gradient is within ``GRAD_TOL``.
     """
     n = dataset.dims.n
     if mask is None:
@@ -90,8 +132,8 @@ def minimize_row(
         raise ValueError("mask does not match site / dims")
     c = Moments.of(dataset).c
     idx = other_sites(site, n)[mask.active]
-    c_aa, c_ay, c_yy = c[np.ix_(idx, idx)], c[idx, site], c[site, site]
-    beta = np.linalg.lstsq(c_aa, c_ay, rcond=None)[0]
+    c_aa, c_ay, c_yy = c[idx[:, None], idx], c[idx, site], c[site, site]
+    beta = _solve_normal(c_aa, c_ay)
     c_aa_beta = c_aa @ beta
     fitted = float(beta @ c_aa_beta)
     rss = max(c_yy - 2.0 * float(beta @ c_ay) + fitted, 0.0)

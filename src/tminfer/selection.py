@@ -110,8 +110,13 @@ def decimate_step(estimate: CouplingEstimate, batch: int) -> tuple[RowMask, ...]
 
     Ranking is by |k| ascending across all fitted rows (ties broken by row
     then position, so the result is order-independent).  Curvature parameters
-    are never decimated.
+    are never decimated.  Rows that lose no coupling keep their mask object.
     """
+    return _prune(estimate, batch)[0]
+
+
+def _prune(estimate: CouplingEstimate, batch: int) -> tuple[tuple[RowMask, ...], list[int]]:
+    """``decimate_step``'s masks plus the sorted indices of the rows they change."""
     active = estimate.active_matrix()
     n_active = int(active.sum())
     if n_active == 0:
@@ -122,19 +127,18 @@ def decimate_step(estimate: CouplingEstimate, batch: int) -> tuple[RowMask, ...]
     magnitudes = np.abs(estimate.coupling_matrix().ravel()[flat_idx])
     order = np.argsort(magnitudes, kind="stable")
     drop = flat_idx[order[:batch]]
-    new_active = active.copy()
-    new_active.ravel()[drop] = False
-    return tuple(
-        RowMask(site=mk.site, active=new_active[r])
-        for r, mk in enumerate(estimate.masks)
-    )
+    active.ravel()[drop] = False
+    rows = sorted(set((drop // active.shape[1]).tolist()))
+    masks = list(estimate.masks)
+    for r in rows:
+        masks[r] = RowMask(site=masks[r].site, active=active[r])
+    return tuple(masks), rows
 
 
-def _record(estimate: CouplingEstimate, m_samples: int) -> DecimationRecord:
-    n_coup = estimate.n_active_couplings
-    k_free = n_coup + len(estimate.rows)
+def _record(estimate: CouplingEstimate, n_couplings: int, m_samples: int) -> DecimationRecord:
+    k_free = n_couplings + len(estimate.rows)
     return DecimationRecord(
-        n_couplings=n_coup,
+        n_couplings=n_couplings,
         k_free=k_free,
         total_pl=estimate.total_pl,
         bic=bic_score(k_free, m_samples, estimate.total_pl),
@@ -166,17 +170,14 @@ def run_decimation(
         estimate = initial
 
     m = moments.m_samples
-    records = [_record(estimate, m)]
-    while estimate.n_active_couplings > 0:
-        remaining = estimate.n_active_couplings
+    remaining = estimate.n_active_couplings
+    records = [_record(estimate, remaining, m)]
+    while remaining > 0:
         batch = min(remaining, max(1, int(decim_opts.batch_fraction * remaining)))
-        new_masks = decimate_step(estimate, batch)
-        changed = [
-            r for r in range(len(new_masks))
-            if not np.array_equal(new_masks[r].active, estimate.masks[r].active)
-        ]
+        new_masks, changed = _prune(estimate, batch)
         estimate = refit_rows(estimate, moments, new_masks, changed, opts=fit_opts)
-        records.append(_record(estimate, m))
+        remaining -= batch
+        records.append(_record(estimate, remaining, m))
 
     path = DecimationPath(records=tuple(records), selected=select_best(records))
     return path, path.selected_record.estimate

@@ -2,10 +2,11 @@
 
 Everything here deliberately avoids the package's own code paths: OLS goes
 through raw normal equations, gradients through central differences, the
-Gaussian normalizer through adaptive quadrature, and the iterative row optimum
-through scipy's L-BFGS-B on the objective's public definition.  The
-``parameterize_*`` builders write a known channel's exact natural parameters
-as an estimate, the reference that extraction must invert.
+Gaussian normalizer through adaptive quadrature, the iterative row optimum
+through scipy's L-BFGS-B on the objective's public definition, the moment row
+solve through ``lstsq`` alone, and the decimation loop through per-row mask
+comparisons.  The ``parameterize_*`` builders write a known channel's exact
+natural parameters as an estimate, the reference that extraction must invert.
 """
 
 import math
@@ -15,7 +16,9 @@ from scipy.integrate import quad
 from scipy.optimize import minimize
 
 import tminfer as tm
+from tminfer.optimize import refit_rows
 from tminfer.pseudolikelihood import other_sites
+from tminfer.selection import DecimationPath, DecimationRecord, select_best
 
 
 def ols_conditional(dataset, site, regressor_sites):
@@ -50,6 +53,56 @@ def lbfgs_row(dataset, site, start):
                    bounds=[(1e-8, None)] + [(None, None)] * start.k.shape[0],
                    options={"maxiter": 20000, "ftol": 1e-15, "gtol": 1e-11})
     return tm.RowParams(site=site, a=res.x[0], k=res.x[1:])
+
+
+def lstsq_row(site, moments, mask, a_cap):
+    """Reference row solve: ``lstsq`` (minimum norm) on ``C[A,A] beta = C[A,y]``
+    for every block, then ``minimize_row``'s closed form and projected
+    gradient.  Returns a ``RowFit``."""
+    n = moments.dims.n
+    c = moments.c
+    idx = np.delete(np.arange(n), site)[mask.active]
+    c_aa, c_ay, c_yy = c[np.ix_(idx, idx)], c[idx, site], c[site, site]
+    beta = np.linalg.lstsq(c_aa, c_ay, rcond=None)[0]
+    c_aa_beta = c_aa @ beta
+    fitted = float(beta @ c_aa_beta)
+    rss = max(c_yy - 2.0 * float(beta @ c_ay) + fitted, 0.0)
+    a = a_cap if rss <= 0.5 / a_cap else 0.5 / rss
+    d_a = c_yy - fitted - 0.5 / a
+    pg_a = 0.0 if (a >= a_cap and d_a < 0.0) else abs(d_a)
+    grad_norm = max(pg_a, float(np.max(np.abs(c_aa_beta - c_ay), initial=0.0)))
+    k = np.zeros(n - 1)
+    k[mask.active] = 2.0 * a * beta
+    log_z = math.log(2.0) + 0.5 * (math.log(math.pi) - math.log(4.0 * a))
+    return tm.RowFit(params=tm.RowParams(site=site, a=a, k=k),
+                     converged=grad_norm <= 1e-6, iterations=1,
+                     objective=a * rss + log_z, grad_norm=grad_norm)
+
+
+def array_equal_decimation(moments, scope, batch_fraction):
+    """Reference decimation loop: every step compares each row's mask before
+    and after ``decimate_step`` (``np.array_equal``) and refits the rows that
+    differ.  Returns the ``DecimationPath``."""
+    est = tm.fit_all_rows(moments, scope=scope)
+    m = moments.m_samples
+
+    def record(e):
+        k_free = e.n_active_couplings + len(e.rows)
+        return DecimationRecord(n_couplings=e.n_active_couplings, k_free=k_free,
+                                total_pl=e.total_pl,
+                                bic=tm.bic_score(k_free, m, e.total_pl),
+                                estimate=e, all_converged=all(e.converged))
+
+    records = [record(est)]
+    while est.n_active_couplings > 0:
+        remaining = est.n_active_couplings
+        batch = min(remaining, max(1, int(batch_fraction * remaining)))
+        new_masks = tm.decimate_step(est, batch)
+        changed = [r for r in range(len(new_masks))
+                   if not np.array_equal(new_masks[r].active, est.masks[r].active)]
+        est = refit_rows(est, moments, new_masks, changed)
+        records.append(record(est))
+    return DecimationPath(records=tuple(records), selected=select_best(records))
 
 
 def central_difference(fn, x, h_rel=1e-5):

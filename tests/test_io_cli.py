@@ -493,6 +493,17 @@ class TestCli:
         (out / "dataset.csv").write_text(raw.replace("0.", "1.", 1))
         assert self.run("fit", "--config", str(cfg), "--out", str(out)) == 1
 
+    def test_deleted_dataset_blocks_fit(self, tmp_path, capsys):
+        # A registered file that is gone is a broken chain (exit 1), not a
+        # runtime failure (exit 2).
+        cfg = write_config(tmp_path)
+        out = tmp_path / "run"
+        assert self.run("generate", "--config", str(cfg), "--out", str(out)) == 0
+        (out / "dataset.csv").unlink()
+        capsys.readouterr()
+        assert self.run("fit", "--config", str(cfg), "--out", str(out)) == 1
+        assert "dataset.csv is registered but missing" in capsys.readouterr().err
+
     def test_tampered_estimate_blocks_select(self, tmp_path):
         cfg = write_config(tmp_path)
         out = tmp_path / "run"

@@ -1,8 +1,15 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import tminfer as tm
-from oracles import ols_conditional
+from oracles import lstsq_row, ols_conditional
+from tminfer.pseudolikelihood import other_sites
 
 A_CAP = tm.OptimOptions().a_cap
 
@@ -66,6 +73,132 @@ class TestMinimizeRow:
         with pytest.raises(ValueError):
             tm.minimize_row(16, data4_noisy,
                             tm.RowMask(site=17, active=np.ones(31, dtype=bool)))
+
+
+def moments_with(ds, edit):
+    """Moments of ``ds``'s site matrix after ``edit`` changed it in place."""
+    s = ds.site_matrix().copy()
+    edit(s)
+    return tm.Moments(ds.dims, ds.direction, ds.m_samples, s.T @ s / ds.m_samples)
+
+
+def duplicate_input(s):
+    s[:, 1] = s[:, 0]
+
+
+def dead_input(s):
+    s[:, 2] = 0.0
+
+
+def cholesky_raises(moments, mask):
+    idx = other_sites(mask.site, moments.dims.n)[mask.active]
+    try:
+        np.linalg.cholesky(moments.c[np.ix_(idx, idx)])
+    except np.linalg.LinAlgError:
+        return True
+    return False
+
+
+def same_bits(fit, ref):
+    return (fit.params.k.tobytes() == ref.params.k.tobytes()
+            and fit.params.a == ref.params.a and fit.objective == ref.objective
+            and fit.grad_norm == ref.grad_norm and fit.converged == ref.converged)
+
+
+class TestRowSolveBranches:
+    """Cholesky where C[A,A] is positive definite, lstsq where it is not."""
+
+    @pytest.mark.parametrize("scope", ["output", "all"])
+    def test_cholesky_matches_lstsq_reference(self, data4_noisy, scope):
+        moments = tm.Moments.of(data4_noisy)
+        for mask in tm.initial_masks(moments.dims, scope):
+            assert not cholesky_raises(moments, mask)
+            fit = tm.minimize_row(mask.site, moments, mask)
+            ref = lstsq_row(mask.site, moments, mask, A_CAP)
+            k_ref = ref.params.k
+            assert np.abs(fit.params.k - k_ref).max() <= 1e-12 * np.abs(k_ref).max()
+            assert fit.params.a == pytest.approx(ref.params.a, rel=1e-12, abs=0)
+            assert fit.objective == pytest.approx(ref.objective, rel=1e-12, abs=0)
+            assert fit.converged
+
+    @pytest.mark.parametrize("case", ["duplicate", "dead", "sigma0-all", "m8-output",
+                                      "m8-all"])
+    def test_degenerate_blocks_take_the_lstsq_fallback(self, case, channel4,
+                                                       data4_noisy, data4_clean):
+        # Each block is singular: Cholesky fails, and the row is bit for bit
+        # the minimum-norm lstsq solve.
+        if case == "duplicate":
+            moments, scope = moments_with(data4_noisy, duplicate_input), "output"
+        elif case == "dead":
+            moments, scope = moments_with(data4_noisy, dead_input), "output"
+        elif case == "sigma0-all":
+            moments, scope = tm.Moments.of(data4_clean), "all"
+        else:
+            few = tm.generate_dataset(channel4, 8, tm.NoiseSpec(sigma=0.1), seed=3)
+            moments, scope = tm.Moments.of(few), case.split("-")[1]
+        for mask in tm.initial_masks(moments.dims, scope):
+            assert cholesky_raises(moments, mask)
+            fit = tm.minimize_row(mask.site, moments, mask)
+            assert same_bits(fit, lstsq_row(mask.site, moments, mask, A_CAP))
+            assert np.all(np.isfinite(fit.params.k))
+
+    def test_singular_block_that_factorises_takes_the_fallback(self):
+        # Noise-free samples through a singular channel, fitted reversed: each
+        # row regresses an input on outputs of rank < 16.  Cholesky succeeds
+        # on that singular block with a pivot at rounding level, below
+        # PIVOT_TOL, so the row is still the minimum-norm lstsq solve.
+        dims = tm.Dimensions(w=4)
+        channel = tm.build_random_tm(dims, 0.2, seed=0)
+        assert np.linalg.matrix_rank(channel.entries) < dims.n_half
+        ds = tm.generate_dataset(channel, 500, tm.NoiseSpec(sigma=0.0), seed=2)
+        moments = tm.Moments.of(tm.reverse_dataset(ds))
+        masks = tm.initial_masks(dims, "output")
+        assert not any(cholesky_raises(moments, mask) for mask in masks)
+        for mask in masks:
+            fit = tm.minimize_row(mask.site, moments, mask)
+            assert same_bits(fit, lstsq_row(mask.site, moments, mask, A_CAP))
+
+
+# Runs minimize_row on blocks of a recorded C and prints every RowFit field.
+_ROW_FIELDS = """
+import json, sys
+import numpy as np
+import tminfer as tm
+c = np.load(sys.argv[1])
+dims = tm.Dimensions(w=int(sys.argv[2]))
+moments = tm.Moments(dims, "forward", int(sys.argv[3]), c)
+site = dims.n_half
+out = {}
+for size in json.loads(sys.argv[4]):
+    active = np.zeros(dims.n - 1, dtype=bool)
+    active[:size] = True
+    fit = tm.minimize_row(site, moments, tm.RowMask(site=site, active=active))
+    out[size] = [fit.params.k.tobytes().hex(), fit.params.a.hex(),
+                 fit.objective.hex(), float(fit.grad_norm).hex(), bool(fit.converged)]
+print(json.dumps(out))
+"""
+
+
+def test_row_solves_identical_across_blas_threads(tmp_path):
+    # OpenBLAS factorises blocks of 100 and more on several threads; up to
+    # CHOLESKY_MAX the Cholesky branch and above it lstsq must give the same
+    # bits at any thread count.
+    dims, m = tm.Dimensions(w=12), 1000
+    ds = tm.generate_dataset(tm.build_random_tm(dims, 0.2, seed=1), m,
+                             tm.NoiseSpec(sigma=0.05), seed=2)
+    np.save(tmp_path / "c.npy", tm.Moments.of(ds).c)
+    sizes = [36, 95, 96, 97, 144]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outs = {}
+    for threads in ("1", "2", "4"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        res = subprocess.run([sys.executable, "-c", _ROW_FIELDS, str(tmp_path / "c.npy"),
+                              str(dims.w), str(m), json.dumps(sizes)],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert res.returncode == 0, res.stderr
+        outs[threads] = json.loads(res.stdout)
+    assert outs["1"] == outs["2"] == outs["4"]
 
 
 class TestFitAllRows:

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import tminfer as tm
+from oracles import array_equal_decimation
+from tminfer import optimize, selection
 from tminfer.selection import DecimationRecord, select_best
 
 
@@ -183,3 +185,55 @@ class TestRunDecimation:
         est = tm.fit_all_rows(data4_noisy, scope="output")
         with pytest.raises(ValueError):
             tm.run_decimation(data4_noisy, scope="all", initial=est)
+
+
+class TestRefitOnlyPrunedRows:
+    def test_each_refit_solves_exactly_the_rows_that_lost_a_coupling(
+            self, data4_noisy, monkeypatch):
+        solved = []
+        real_row = optimize.minimize_row
+
+        def row_spy(site, *args, **kwargs):
+            solved.append(site)
+            return real_row(site, *args, **kwargs)
+
+        calls = []
+        real_refit = selection.refit_rows
+
+        def refit_spy(estimate, dataset, new_masks, rows, **kwargs):
+            solved.clear()
+            result = real_refit(estimate, dataset, new_masks, rows, **kwargs)
+            calls.append((estimate, new_masks, list(solved)))
+            return result
+
+        monkeypatch.setattr(optimize, "minimize_row", row_spy)
+        monkeypatch.setattr(selection, "refit_rows", refit_spy)
+        path, _ = tm.run_decimation(data4_noisy, scope="all")
+        assert len(calls) == len(path.records) - 1
+        for (before, new_masks, sites), rec, nxt in zip(calls, path.records,
+                                                        path.records[1:]):
+            dropped = before.active_matrix() & ~np.vstack([mk.active for mk in new_masks])
+            assert int(dropped.sum()) == rec.n_couplings - nxt.n_couplings
+            holding = np.flatnonzero(dropped.any(axis=1))
+            assert sites == [before.fitted_sites[r] for r in holding]
+            kept = np.setdiff1d(np.arange(len(new_masks)), holding)
+            assert all(new_masks[r] is before.masks[r] for r in kept)
+
+    @pytest.mark.parametrize("w, seed, scope, fraction", [
+        (4, 11, "output", 0.1), (4, 12, "all", 0.1), (4, 13, "output", 0.0),
+        (6, 1, "output", 0.1), (6, 2, "all", 0.1),
+    ])
+    def test_path_equals_the_mask_comparison_loop(self, w, seed, scope, fraction):
+        dims = tm.Dimensions(w=w)
+        ds = tm.generate_dataset(tm.build_random_tm(dims, 0.2, seed=seed), 1000,
+                                 tm.NoiseSpec(sigma=0.05), seed=seed + 100)
+        moments = tm.Moments.of(ds)
+        path, best = tm.run_decimation(
+            moments, scope=scope, decim_opts=tm.DecimationOptions(batch_fraction=fraction))
+        ref = array_equal_decimation(moments, scope, fraction)
+        assert [r.k_free for r in path.records] == [r.k_free for r in ref.records]
+        assert [r.total_pl for r in path.records] == [r.total_pl for r in ref.records]
+        assert path.selected == ref.selected
+        ref_best = ref.selected_record.estimate
+        assert np.array_equal(best.active_matrix(), ref_best.active_matrix())
+        assert np.array_equal(best.coupling_matrix(), ref_best.coupling_matrix())
