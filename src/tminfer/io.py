@@ -8,6 +8,13 @@ complete and registers the sha256 it streamed in the directory's manifest,
 under a lock; each read verifies its file against the manifest first, so
 chained stages refuse tampered or mismatched inputs.  Large tables are
 formatted, hashed and written in blocks, never held whole as text.
+
+A dataset's data file is its (M, 2 w**2) sample buffer (``Dataset.site_matrix``),
+one sample per row: ``write_dataset`` formats CSV blocks from slices of it or
+streams the ``.npy`` header and its bytes, and ``read_dataset`` hands the
+parsed table to ``Dataset`` as its buffer, so neither copies the samples.  A
+data file that does not parse, holds a non-finite value or disagrees with its
+metadata in shape raises ``ChainError`` naming the file.
 """
 
 from __future__ import annotations
@@ -51,8 +58,9 @@ __all__ = [
 ]
 
 MANIFEST = "MANIFEST.json"
-# Rows formatted per block of a CSV table, and bytes per read when hashing.
-_BLOCK_ROWS = 2048
+# Values formatted per block of a CSV table, and bytes per read when hashing
+# and per block of a streamed .npy file.
+_BLOCK_VALUES = 1 << 14
 _HASH_CHUNK = 1 << 20
 _VERSIONS = {"tminfer": __version__, "numpy": np.__version__}
 
@@ -65,14 +73,15 @@ class ChainError(ValueError):
     """Artifact fails checksum or fingerprint validation."""
 
 
-def _csv_blocks(*columns: np.ndarray):
-    """Encoded CSV lines of the side-by-side ``columns``, ``_BLOCK_ROWS`` rows
-    per block.  One ``%``-format per block; ``"%.17g" % x`` is the same text
-    as ``format(x, ".17g")``."""
-    row = ",".join(["%.17g"] * sum(c.shape[1] for c in columns)) + "\n"
-    for start in range(0, columns[0].shape[0], _BLOCK_ROWS):
-        block = np.hstack([c[start:start + _BLOCK_ROWS] for c in columns])
-        yield ((row * block.shape[0]) % tuple(block.ravel().tolist())).encode()
+def _csv_blocks(table: np.ndarray):
+    """Encoded CSV lines of the rows of ``table``, in blocks of whole rows
+    holding about ``_BLOCK_VALUES`` values.  One ``%``-format per block;
+    ``"%.17g" % x`` is the same text as ``format(x, ".17g")``."""
+    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    step = max(1, _BLOCK_VALUES // table.shape[1])
+    for start in range(0, table.shape[0], step):
+        block = table[start:start + step]
+        yield ((line * block.shape[0]) % tuple(block.ravel().tolist())).encode()
 
 
 def _sha256_bytes(data: bytes) -> str:
@@ -113,10 +122,34 @@ def _atomic_write_blocks(path: Path, blocks) -> str:
     return h.hexdigest()
 
 
-def _npy_blocks(a: np.ndarray) -> tuple[bytes]:
-    buf = _io.BytesIO()
-    np.save(buf, a)
-    return (buf.getvalue(),)
+def _npy_blocks(a: np.ndarray):
+    """The bytes ``np.save`` writes for the C-contiguous ``a``: its header,
+    then slices of a view of its memory, so the data is never copied."""
+    header = _io.BytesIO()
+    np.lib.format.write_array_header_1_0(header, np.lib.format.header_data_from_array_1_0(a))
+    yield header.getvalue()
+    data = memoryview(a).cast("B")
+    for start in range(0, len(data), _HASH_CHUNK):
+        yield data[start:start + _HASH_CHUNK]
+
+
+def _load_npy(path: Path) -> np.ndarray:
+    """The array of an ``.npy`` file as ``_npy_blocks`` writes it (format 1.0,
+    float64, C order), read into memory the array owns, so a dataset can take
+    it as its sample buffer; ``np.load`` returns a reshaped view of a flat
+    array instead.  ``ValueError`` for other content."""
+    with open(path, "rb") as fh:
+        version = np.lib.format.read_magic(fh)
+        if version != (1, 0):
+            raise ValueError(f"npy format version {version} is not 1.0")
+        shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
+        if fortran_order or dtype != np.float64:
+            raise ValueError(f"holds a {dtype} array in {'F' if fortran_order else 'C'} "
+                             "order, not float64 in C order")
+        table = np.empty(shape)
+        if fh.readinto(memoryview(table).cast("B")) != table.nbytes or fh.read(1):
+            raise ValueError(f"its data does not fill the {shape} array of its header")
+    return table
 
 
 def _write_artifact(path: Path, blocks) -> str:
@@ -309,12 +342,13 @@ def write_dataset(ds: Dataset, out_dir: str | Path, fingerprint: str,
     """Write dataset data + sidecar metadata into ``out_dir``."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    samples = ds.site_matrix()
     if binary:
         data_name = "dataset.npy"
-        blocks = _npy_blocks(np.hstack([ds.inputs, ds.outputs]))
+        blocks = _npy_blocks(samples)
     else:
         data_name = "dataset.csv"
-        blocks = _csv_blocks(ds.inputs, ds.outputs)
+        blocks = _csv_blocks(samples)
     data_sha256 = _write_artifact(out / data_name, blocks)
     meta = {
         "format": "tminfer-dataset",
@@ -345,24 +379,33 @@ def verify_dataset(out_dir: str | Path, fingerprint: str | None = None) -> dict:
 def read_dataset(out_dir: str | Path, fingerprint: str | None = None) -> tuple[Dataset, dict]:
     """Read a dataset back, verifying checksums (and fingerprint if given).
 
+    The parsed table becomes the dataset's sample buffer without a copy.
     Returns ``(dataset, meta)``, ``meta`` being the verified
-    ``dataset.meta.json`` content.
+    ``dataset.meta.json`` content.  Raises ``ChainError`` naming the data file
+    when it does not parse (ragged rows, say), holds a table of another shape
+    than ``meta`` gives, or holds a non-finite value.
     """
     out = Path(out_dir)
     meta = verify_dataset(out, fingerprint)
     data_name = meta["data_file"]
-    if data_name.endswith(".npy"):
-        table = np.load(out / data_name)
-    else:
-        table = np.loadtxt(out / data_name, delimiter=",", ndmin=2)
-    nh = meta["w"] ** 2
-    ds = Dataset(
-        dims=Dimensions(w=meta["w"]),
-        inputs=table[:, :nh],
-        outputs=table[:, nh:],
-        direction=meta["direction"],
-        meta=meta["meta"],
-    )
+    try:
+        if data_name.endswith(".npy"):
+            table = _load_npy(out / data_name)
+        else:
+            table = np.loadtxt(out / data_name, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise ChainError(f"{data_name} does not parse: {exc}") from None
+    dims = Dimensions(w=meta["w"])
+    shape = (meta["m_samples"], dims.n)
+    if table.shape != shape:
+        raise ChainError(f"{data_name} holds a {table.shape} table; its metadata "
+                         f"gives {shape}")
+    table.flags.writeable = False
+    try:
+        ds = Dataset(dims=dims, inputs=table[:, :dims.n_half], outputs=table[:, dims.n_half:],
+                     direction=meta["direction"], meta=meta["meta"])
+    except ValueError as exc:
+        raise ChainError(f"{data_name}: {exc}") from None
     return ds, meta
 
 
@@ -387,7 +430,7 @@ def read_matrix(path: str | Path) -> TransmissionMatrix:
     path = Path(path)
     verify_artifact(path.parent, path.name)
     if path.suffix == ".npy":
-        entries = np.load(path)
+        entries = _load_npy(path)
         role = "direct"
     else:
         with open(path) as fh:

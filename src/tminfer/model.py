@@ -10,6 +10,13 @@ normal channel noise.  Everything downstream (pseudolikelihood fitting,
 decimation, extraction) operates on the concatenated site vector
 ``I = [in, out]`` of length ``n = 2 * w**2``; input channels occupy sites
 ``0 .. n_half-1`` and output channels sites ``n_half .. n-1``.
+
+A ``Dataset`` holds its samples once, as one read-only C-contiguous float64
+``(M, n)`` buffer of site vectors; ``inputs`` and ``outputs`` are read-only
+views of its left and right halves, and ``site_matrix()`` is the buffer
+itself.  ``generate_dataset`` draws straight into such a buffer and
+``io.read_dataset`` hands over the table it parsed, so neither copies the
+samples; arrays from anywhere else are copied once into a fresh buffer.
 """
 
 from __future__ import annotations
@@ -30,6 +37,10 @@ __all__ = [
     "generate_dataset",
     "reverse_dataset",
 ]
+
+
+# Values per block of random draws in ``generate_dataset``.
+_DRAW_VALUES = 1 << 16
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -123,11 +134,35 @@ class NoiseSpec:
         return s.copy()
 
 
+def _shared_buffer(inputs: np.ndarray, outputs: np.ndarray) -> np.ndarray | None:
+    """The buffer whose left and right halves ``inputs`` and ``outputs`` are,
+    if it is a read-only C-contiguous float64 array that owns its memory;
+    else None.  Such a buffer is how ``generate_dataset``, ``io.read_dataset``
+    and ``dataclasses.replace`` hand a ``Dataset`` samples without a copy."""
+    s = inputs.base
+    nh = inputs.shape[1]
+    if not (isinstance(s, np.ndarray) and s is outputs.base and s.base is None
+            and not s.flags.writeable and s.flags.c_contiguous and s.dtype == np.float64
+            and s.shape == (inputs.shape[0], 2 * nh)
+            and inputs.strides == outputs.strides == s.strides):
+        return None
+    start = s.__array_interface__["data"][0]
+    if (inputs.__array_interface__["data"][0] != start
+            or outputs.__array_interface__["data"][0] != start + nh * s.itemsize):
+        return None
+    return s
+
+
 @dataclass(frozen=True)
 class Dataset:
     """M paired intensity observations plus generation metadata.
 
-    Samples are stored as two (M, n_half) arrays, row m holding sample m.
+    The samples live in one read-only C-contiguous float64 (M, n) buffer, row
+    m holding the site vector of sample m; ``inputs`` and ``outputs`` are
+    read-only (M, n_half) views of its two halves.  Arrays passed in are
+    copied once into a fresh buffer, unless they are already the two halves
+    of such a buffer (see ``_shared_buffer``), so a dataset shares no memory
+    with an array its caller can write.
     ``direction`` is ``forward`` for as-measured pairs and ``reversed`` when
     input/output have been swapped (the representation used to infer the
     inverse map).  ``meta`` carries seed, sigma, and a source description.
@@ -150,18 +185,32 @@ class Dataset:
             raise ValueError(f"inputs/outputs must both have shape (M, {nh})")
         if i.shape[0] < 1:
             raise ValueError("a dataset needs at least one sample")
-        if not (np.all(np.isfinite(i)) and np.all(np.isfinite(o))):
+        samples = _shared_buffer(i, o)
+        if samples is None:
+            samples = np.empty((i.shape[0], 2 * nh))
+            samples[:, :nh] = i
+            samples[:, nh:] = o
+            samples.flags.writeable = False
+        # The min and max are finite exactly when every sample is; neither
+        # reduction allocates a mask the size of the table.
+        if not (np.isfinite(samples.min()) and np.isfinite(samples.max())):
             raise ValueError("dataset intensities must all be finite")
-        object.__setattr__(self, "inputs", _readonly(i))
-        object.__setattr__(self, "outputs", _readonly(o))
+        object.__setattr__(self, "_samples", samples)
+        object.__setattr__(self, "inputs", samples[:, :nh])
+        object.__setattr__(self, "outputs", samples[:, nh:])
+
+    def __reduce__(self):
+        # Pickling and deep copies rebuild through the constructor, which
+        # gives the copy its own buffer with the halves as views of it.
+        return type(self), (self.dims, self.inputs, self.outputs, self.direction, self.meta)
 
     @property
     def m_samples(self) -> int:
         return self.inputs.shape[0]
 
     def site_matrix(self) -> np.ndarray:
-        """(M, n) matrix of concatenated site vectors, one sample per row."""
-        return np.hstack([self.inputs, self.outputs])
+        """The read-only (M, n) sample buffer, one site vector per row; no copy."""
+        return self._samples
 
 
 @dataclass(frozen=True)
@@ -285,7 +334,9 @@ def generate_dataset(
 
     Inputs are i.i.d. uniform on [0, 1] per channel.  The draw order is fixed:
     all inputs first (sample-major, channel-minor), then all noise deviates,
-    so a fixed seed reproduces the dataset bit for bit.
+    so a fixed seed reproduces the dataset bit for bit.  Both are drawn in
+    blocks of rows straight into the dataset's sample buffer; the stream and
+    the bits are those of drawing each whole array at once.
     """
     if m_samples < 1:
         raise ValueError("m_samples must be >= 1")
@@ -293,10 +344,22 @@ def generate_dataset(
         seed = noise.seed
     nh = tm.dims.n_half
     rng = np.random.default_rng(seed)
-    inputs = rng.random((m_samples, nh))
-    eps = rng.standard_normal((m_samples, nh))
+    samples = np.empty((m_samples, 2 * nh))
+    inputs, outputs = samples[:, :nh], samples[:, nh:]
+    step = max(1, _DRAW_VALUES // nh)
+    blocks = [slice(start, start + step) for start in range(0, m_samples, step)]
+    for b in blocks:
+        inputs[b] = rng.random(inputs[b].shape)
+    # One product over all rows, as a whole-array draw computes it: OpenBLAS
+    # picks its kernel by the row count, so a product per block would change
+    # the bits of short blocks.
+    np.matmul(inputs, tm.entries.T, out=outputs)
     sigma = noise.sigma_vector(nh)
-    outputs = inputs @ tm.entries.T + sigma[None, :] * eps
+    for b in blocks:
+        eps = rng.standard_normal(outputs[b].shape)
+        eps *= sigma
+        outputs[b] += eps
+    samples.flags.writeable = False
     meta = {
         "seed": seed,
         "sigma": noise.sigma.tolist() if np.ndim(noise.sigma) else float(noise.sigma),
@@ -309,7 +372,8 @@ def reverse_dataset(ds: Dataset) -> Dataset:
     """Swap input/output per sample, preserving order.
 
     The reversed dataset feeds the same fitting pipeline to infer the inverse
-    map.  Reversing twice is rejected to prevent a silent double swap.
+    map.  Its sample buffer is the swapped copy, built once.  Reversing twice
+    is rejected to prevent a silent double swap.
     """
     if ds.direction != "forward":
         raise ValueError("dataset is already reversed")

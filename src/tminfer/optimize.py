@@ -132,7 +132,7 @@ def minimize_row(
         raise ValueError("mask does not match site / dims")
     c = Moments.of(dataset).c
     idx = other_sites(site, n)[mask.active]
-    c_aa, c_ay, c_yy = c[idx[:, None], idx], c[idx, site], c[site, site]
+    c_aa, c_ay, c_yy = c[idx[:, None], idx], c[idx, site], float(c[site, site])
     beta = _solve_normal(c_aa, c_ay)
     c_aa_beta = c_aa @ beta
     fitted = float(beta @ c_aa_beta)

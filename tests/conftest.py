@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -42,3 +44,16 @@ def data4_clean(channel4):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def traced_peak():
+    """``traced_peak(fn)``: ``fn()`` and the peak of the memory it allocated,
+    in bytes (tracemalloc)."""
+    def measure(fn):
+        tracemalloc.start()
+        try:
+            return fn(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return measure

@@ -4,9 +4,10 @@ Everything here deliberately avoids the package's own code paths: OLS goes
 through raw normal equations, gradients through central differences, the
 Gaussian normalizer through adaptive quadrature, the iterative row optimum
 through scipy's L-BFGS-B on the objective's public definition, the moment row
-solve through ``lstsq`` alone, and the decimation loop through per-row mask
-comparisons.  The ``parameterize_*`` builders write a known channel's exact
-natural parameters as an estimate, the reference that extraction must invert.
+solve through ``lstsq`` alone, the decimation loop through per-row mask
+comparisons and the sample generator through whole-array draws.  The
+``parameterize_*`` builders write a known channel's exact natural parameters
+as an estimate, the reference that extraction must invert.
 """
 
 import math
@@ -103,6 +104,18 @@ def array_equal_decimation(moments, scope, batch_fraction):
         est = refit_rows(est, moments, new_masks, changed)
         records.append(record(est))
     return DecimationPath(records=tuple(records), selected=select_best(records))
+
+
+def whole_array_samples(channel, m_samples, noise, seed):
+    """tminfer 0.6.0's ``generate_dataset`` arithmetic: every input drawn in
+    one array, then every noise deviate, then
+    ``outputs = inputs @ T.T + sigma * eps``.  Returns (inputs, outputs)."""
+    nh = channel.dims.n_half
+    rng = np.random.default_rng(seed)
+    inputs = rng.random((m_samples, nh))
+    eps = rng.standard_normal((m_samples, nh))
+    sigma = noise.sigma_vector(nh)
+    return inputs, inputs @ channel.entries.T + sigma[None, :] * eps
 
 
 def central_difference(fn, x, h_rel=1e-5):

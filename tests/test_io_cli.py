@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import io as io_module
 import json
 import os
 import subprocess
@@ -266,7 +267,7 @@ class TestStreamingCodec:
         matrix = tm.TransmissionMatrix(
             dims=ds.dims, entries=data.draw(arrays(np.float64, (nh, nh), elements=FINITE)))
         with tempfile.TemporaryDirectory() as tmp, \
-                mock.patch.object(tio, "_BLOCK_ROWS", block):
+                mock.patch.object(tio, "_BLOCK_VALUES", block * 2 * nh):
             out = Path(tmp)
             tio.write_dataset(ds, out, fingerprint="fp")
             raw = (out / "dataset.csv").read_bytes()
@@ -340,6 +341,91 @@ class TestStreamingCodec:
         (tmp_path / "dataset.csv").write_text(data.replace("0.", "1.", 1))
         with pytest.raises(tio.ChainError, match="checksum"):
             tio.verify_dataset(tmp_path, fingerprint="fp")
+
+
+class TestSampleBufferIO:
+    """Datasets are written from and read into one sample buffer, no copies.
+    At w=4, M=40000 the buffer is 10.24 MB."""
+
+    @pytest.fixture(scope="class")
+    def big(self, channel4):
+        return tm.generate_dataset(channel4, 40000, tm.NoiseSpec(sigma=0.1), seed=1)
+
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_write_adds_no_copy_of_the_buffer(self, tmp_path, big, binary, traced_peak):
+        _, peak = traced_peak(lambda: tio.write_dataset(big, tmp_path, "fp", binary=binary))
+        assert peak < 2e6
+
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_read_peaks_at_about_the_table(self, tmp_path, big, binary, traced_peak):
+        tio.write_dataset(big, tmp_path, "fp", binary=binary)
+        (back, _), peak = traced_peak(lambda: tio.read_dataset(tmp_path, "fp"))
+        assert peak < 1.3 * big.site_matrix().nbytes
+        assert back.site_matrix().tobytes() == big.site_matrix().tobytes()
+        assert np.shares_memory(back.inputs, back.site_matrix())
+        assert not back.site_matrix().flags.writeable
+
+    def test_npy_is_what_np_save_writes(self, tmp_path, data4_noisy, channel4):
+        tio.write_dataset(data4_noisy, tmp_path, "fp", binary=True)
+        tio.write_matrix(channel4, tmp_path / "m.npy", binary=True)
+        for name, a in (("dataset.npy", data4_noisy.site_matrix()), ("m.npy", channel4.entries)):
+            ref = tmp_path / f"ref-{name}"
+            np.save(ref, a)
+            assert (tmp_path / name).read_bytes() == ref.read_bytes()
+
+
+def with_defect(raw: bytes, binary: bool, case: str) -> bytes:
+    """The data file ``raw`` with one defect of ``case``, in its own format."""
+    if binary and case == "ragged":  # the npy counterpart: data short of its header
+        return raw[:-8]
+    if binary:
+        table = np.load(io_module.BytesIO(raw))
+    else:
+        table = np.array([line.split(",") for line in raw.decode().splitlines()],
+                         dtype=object)
+    if case in ("nan", "-inf"):
+        table[2, 3] = float(case) if binary else case
+    elif case == "column":
+        table = table[:, :-1]
+    elif case == "row":
+        table = table[:-1]
+    if binary:
+        buf = io_module.BytesIO()
+        np.save(buf, table)
+        return buf.getvalue()
+    lines = [",".join(row) for row in table]
+    if case == "ragged":
+        lines[5] = lines[5].rsplit(",", 1)[0]
+    return ("\n".join(lines) + "\n").encode()
+
+
+class TestBadDatasetFiles:
+    """A registered data file that does not hold the dataset its metadata
+    describes is a broken chain: ChainError naming the file, CLI exit 1."""
+
+    @pytest.mark.parametrize("binary", [False, True])
+    @pytest.mark.parametrize("case, message", [
+        ("nan", "finite"), ("-inf", "finite"), ("ragged", "does not parse"),
+        ("column", r"\(120, 31\) table.*\(120, 32\)"),
+        ("row", r"\(119, 32\) table.*\(120, 32\)"),
+    ])
+    def test_bad_file_is_a_chain_error(self, tmp_path, capsys, binary, case, message):
+        cfg = write_config(tmp_path, {"binary_io": binary})
+        out = tmp_path / "run"
+        assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
+        name = "dataset.npy" if binary else "dataset.csv"
+        data = with_defect((out / name).read_bytes(), binary, case)
+        (out / name).write_bytes(data)
+        register(out, name)
+        meta = json.loads((out / "dataset.meta.json").read_text())
+        meta["data_sha256"] = hashlib.sha256(data).hexdigest()
+        (out / "dataset.meta.json").write_text(json.dumps(meta, indent=1) + "\n")
+        register(out, "dataset.meta.json")
+        with pytest.raises(tio.ChainError, match=f"{name}.*{message}"):
+            tio.read_dataset(out)
+        capsys.readouterr()
+        assert main(["fit", "--config", str(cfg), "--out", str(out)]) == 1
+        assert name in capsys.readouterr().err
 
 
 class TestAtomicWrites:

@@ -1,11 +1,13 @@
+import copy
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
 
 import tminfer as tm
 from tminfer.pseudolikelihood import other_sites
-from oracles import assemble_coupling_blocks, parameterize_channel
+from oracles import assemble_coupling_blocks, parameterize_channel, whole_array_samples
 
 
 class TestDimensions:
@@ -154,6 +156,91 @@ class TestGenerateDataset:
         a = tm.generate_dataset(channel4, 16, tm.NoiseSpec(sigma=0.1, seed=9))
         b = tm.generate_dataset(channel4, 16, tm.NoiseSpec(sigma=0.1), seed=9)
         assert a.inputs.tobytes() == b.inputs.tobytes()
+
+
+class TestBlockedGeneration:
+    """The generator draws in blocks of ``_DRAW_VALUES // n_half`` rows straight
+    into the sample buffer; every bit equals the whole-array draws."""
+
+    @pytest.mark.parametrize("w", [2, 4])
+    @pytest.mark.parametrize("sigma", ["scalar", "vector", "zero"])
+    def test_equals_whole_array_draws(self, w, sigma):
+        dims = tm.Dimensions(w=w)
+        nh = dims.n_half
+        channel = tm.build_random_tm(dims, 0.5, seed=w)
+        noise = tm.NoiseSpec(sigma={"scalar": 0.1, "vector": np.linspace(0.0, 0.3, nh),
+                                    "zero": 0.0}[sigma])
+        block = tm.model._DRAW_VALUES // nh
+        for m in (1, block - 1, block, block + 1, 3 * block + 5):
+            ds = tm.generate_dataset(channel, m, noise, seed=m)
+            inputs, outputs = whole_array_samples(channel, m, noise, seed=m)
+            assert ds.inputs.tobytes() == inputs.tobytes(), m
+            assert ds.outputs.tobytes() == outputs.tobytes(), m
+
+    def test_memory_is_the_buffer_and_one_block(self, channel4, traced_peak):
+        # w=4, M=40000: the table is 10.24 MB.  Whole arrays of inputs, noise,
+        # product and sum, then a copy into the dataset, peak at 2.5 times that.
+        ds, peak = traced_peak(lambda: tm.generate_dataset(
+            channel4, 40000, tm.NoiseSpec(sigma=0.1), seed=1))
+        assert peak < 1.3 * ds.site_matrix().nbytes
+
+
+class TestSampleBuffer:
+    def test_site_matrix_is_the_buffer(self, data4_noisy, traced_peak):
+        s, peak = traced_peak(data4_noisy.site_matrix)
+        assert peak < 1024
+        assert s.shape == (500, 32) and s.flags.c_contiguous and s.dtype == np.float64
+        assert s is data4_noisy.site_matrix()
+        assert np.shares_memory(s, data4_noisy.inputs)
+        assert np.shares_memory(s, data4_noisy.outputs)
+        assert np.array_equal(s, np.hstack([data4_noisy.inputs, data4_noisy.outputs]))
+
+    def test_views_are_read_only(self, data4_noisy):
+        for a in (data4_noisy.site_matrix(), data4_noisy.inputs, data4_noisy.outputs):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0, 0] = 1.0
+
+    def test_callers_arrays_are_copied(self, rng):
+        inputs, outputs = rng.random((20, 16)), rng.random((20, 16))
+        ds = tm.Dataset(dims=tm.Dimensions(w=4), inputs=inputs, outputs=outputs)
+        for a in (ds.site_matrix(), ds.inputs, ds.outputs):
+            assert not np.shares_memory(a, inputs) and not np.shares_memory(a, outputs)
+            assert not a.flags.writeable
+        inputs[0, 0] = outputs[0, 0] = -1.0
+        assert ds.inputs[0, 0] >= 0.0 and ds.outputs[0, 0] >= 0.0
+
+    def test_halves_of_a_callers_writable_buffer_are_copied(self, rng):
+        s = rng.random((20, 32))
+        ds = tm.Dataset(dims=tm.Dimensions(w=4), inputs=s[:, :16], outputs=s[:, 16:])
+        assert not np.shares_memory(ds.site_matrix(), s)
+        assert np.array_equal(ds.site_matrix(), s)
+
+    def test_replace_shares_the_buffer_and_reverse_copies_it(self, data4_noisy):
+        same = dataclasses.replace(data4_noisy, meta={"source": "relabelled"})
+        assert same.site_matrix() is data4_noisy.site_matrix()
+        rev = tm.reverse_dataset(data4_noisy)
+        assert not np.shares_memory(rev.site_matrix(), data4_noisy.site_matrix())
+        assert np.shares_memory(rev.inputs, rev.site_matrix())
+        assert not rev.inputs.flags.writeable
+
+    @pytest.mark.parametrize("clone", [copy.deepcopy,
+                                       lambda ds: pickle.loads(pickle.dumps(ds))])
+    def test_copies_get_their_own_buffer(self, data4_noisy, clone):
+        ds = clone(data4_noisy)
+        s = ds.site_matrix()
+        assert s.tobytes() == data4_noisy.site_matrix().tobytes()
+        assert not np.shares_memory(s, data4_noisy.site_matrix())
+        assert np.shares_memory(ds.inputs, s) and np.shares_memory(ds.outputs, s)
+        assert not (s.flags.writeable or ds.inputs.flags.writeable
+                    or ds.outputs.flags.writeable)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, rng, bad):
+        inputs = rng.random((5, 16))
+        inputs[3, 7] = bad
+        with pytest.raises(ValueError, match="finite"):
+            tm.Dataset(dims=tm.Dimensions(w=4), inputs=inputs, outputs=rng.random((5, 16)))
 
 
 class TestReverseDataset:

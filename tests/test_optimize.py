@@ -159,6 +159,30 @@ class TestRowSolveBranches:
             assert same_bits(fit, lstsq_row(mask.site, moments, mask, A_CAP))
 
 
+class TestRowFitTypes:
+    """Every RowFit field has its declared Python type, so it serialises."""
+
+    @pytest.mark.parametrize("case", ["noisy", "sigma0-cap", "lstsq"])
+    def test_fields_are_python_scalars(self, case, channel4, data4_noisy, data4_clean):
+        dims = channel4.dims
+        mask = output_mask(dims, 3)
+        if case == "noisy":
+            moments = tm.Moments.of(data4_noisy)
+        elif case == "sigma0-cap":
+            moments = tm.Moments.of(data4_clean)
+        else:
+            moments = tm.Moments.of(
+                tm.generate_dataset(channel4, 8, tm.NoiseSpec(sigma=0.1), seed=3))
+            mask = tm.initial_masks(dims, "all")[mask.site]
+            assert cholesky_raises(moments, mask)
+        fit = tm.minimize_row(mask.site, moments, mask)
+        assert (fit.params.a == A_CAP) == (case != "noisy")
+        assert type(fit.converged) is bool
+        for value in (fit.grad_norm, fit.objective, fit.params.a):
+            assert type(value) is float
+        json.dumps([fit.converged, fit.grad_norm, fit.objective, fit.params.a])
+
+
 # Runs minimize_row on blocks of a recorded C and prints every RowFit field.
 _ROW_FIELDS = """
 import json, sys
