@@ -7,19 +7,24 @@ goes to a fresh temp file beside its target, is renamed onto it only when
 complete and registers the sha256 it streamed in the directory's manifest,
 under a lock; each read verifies its file against the manifest first, so
 chained stages refuse tampered or mismatched inputs.  Large tables are
-formatted, hashed and written in blocks, never held whole as text.
+formatted, hashed and written in blocks, never held whole as text.  A CSV
+block's text is that of ``"%.17g" % x`` for each value: a numpy kernel
+formats every value that prints without an exponent (1e-4 <= |x| < 1e15, and
+zeros), and a row holding any other value is one ``%``-format.
 
 A dataset's data file is its (M, 2 w**2) sample buffer (``Dataset.site_matrix``),
 one sample per row: ``write_dataset`` formats CSV blocks from slices of it or
 streams the ``.npy`` header and its bytes, and ``read_dataset`` hands the
 parsed table to ``Dataset`` as its buffer, so neither copies the samples.  A
 data file that does not parse, holds a non-finite value or disagrees with its
-metadata in shape raises ``ChainError`` naming the file.
+metadata in shape raises ``ChainError`` naming the file, and so does a
+matrix file that does not parse.
 """
 
 from __future__ import annotations
 
 import fcntl
+import functools
 import hashlib
 import io as _io
 import itertools
@@ -58,9 +63,10 @@ __all__ = [
 ]
 
 MANIFEST = "MANIFEST.json"
-# Values formatted per block of a CSV table, and bytes per read when hashing
-# and per block of a streamed .npy file.
-_BLOCK_VALUES = 1 << 14
+# Values formatted per block of a CSV table (a block's temporary arrays, ~280
+# bytes a value, stay in cache), and bytes per read when hashing and per
+# block of a streamed .npy file.
+_BLOCK_VALUES = 1 << 12
 _HASH_CHUNK = 1 << 20
 _VERSIONS = {"tminfer": __version__, "numpy": np.__version__}
 
@@ -73,15 +79,149 @@ class ChainError(ValueError):
     """Artifact fails checksum or fingerprint validation."""
 
 
+# ---------------------------------------------------------------------------
+# CSV text: "%.17g" of a block of values at once
+#
+# A value v with 1e-4 <= |v| < 1e15 prints in positional notation: its
+# decimal exponent X lies in -4..14 and its 17 significant digits are
+# D = round_half_even(|v| * 10**(16 - X)), written with a point after digit X
+# (after "0." and -X-1 zeros when X < 0) and without trailing fractional
+# zeros.  Each value's text is built in a slot of four little-endian words
+# -- sign and "0.000" lead, then three words of digits and point -- padded
+# with NUL bytes, which are deleted when the block is joined.  Every other
+# value (smaller, larger, non-finite) prints with an exponent or as a word,
+# and its row keeps one "%"-format.
+
+_POW10 = 10.0 ** np.arange(21)  # exact: 10**q, q <= 22, is a float64
+_VELTKAMP = 2.0 ** 27 + 1
+
+
+def _split(a: np.ndarray):
+    """Veltkamp's split of ``a`` into two halves of at most 26 bits each."""
+    c = a * _VELTKAMP
+    high = c - (c - a)
+    return high, a - high
+
+
+def _words(chars) -> np.ndarray:
+    """The bytes ``chars`` (last axis a multiple of 8) as little-endian words."""
+    return np.ascontiguousarray(chars, np.uint8).view("<u8").astype(np.uint64)
+
+
+@functools.cache
+def _text_tables():
+    """The lookup tables of ``_g17_slots``, built at its first call: a run
+    that writes no CSV does not pay for them."""
+    v = np.arange(10000)
+    digits = np.indices((10,) * 4).reshape(4, -1).T  # the 4 decimal digits of v
+    # The 4-digit decimal of v, first digit in the lowest byte.
+    ascii4 = ((digits + ord("0")) << np.arange(0, 32, 8)).sum(axis=1).astype(np.uint64)
+    # end[i, v]: how many digits of a 17-digit number are left when its
+    # digits 4i..4i+3 are v and trailing zeros are dropped (0 if v is 0).
+    last = np.where(digits[:, 3] > 0, 4, np.where(digits[:, 2] > 0, 3,
+                                                 np.where(digits[:, 1] > 0, 2, 1)))
+    end = np.where(v > 0, last + 4 * np.arange(4)[:, None], 0).astype(np.int8)
+    # low[i, t]: the bytes of word i that hold characters 0..t-1, and dot[i, t]
+    # a point at character t, for t < 16, in word i.
+    char = np.arange(24).reshape(3, 1, 8)
+    t = np.arange(25)[:, None]
+    low = _words(np.where(char < t, 0xFF, 0))[..., 0]
+    dot = _words(np.where(char == t, ord("."), 0))[:2, :, 0]
+    # lead[19 s + X + 4]: the sign s and, for X < 0, the "0." and zeros before
+    # the digits.
+    lead = _words([list((b"-"[:s] + b"\0"[s:] + b"0.000"[:1 - x] * (x < 0)).ljust(8, b"\0"))
+                   for s in (0, 1) for x in range(-4, 15)])[:, 0]
+    tables = ascii4, end, low, dot, lead
+    for table in tables:
+        table.flags.writeable = False  # one copy serves every call
+    return tables
+
+
+_POW10_HIGH, _POW10_LOW = _split(_POW10)
+
+
+def _digits17(a: np.ndarray, exp10: np.ndarray) -> np.ndarray:
+    """``round_half_even(a * 10**(16 - exp10))`` exactly, for ``a * 10**(16 -
+    exp10) < 2**62``.  Dekker's product gives ``a * 10**q`` as ``p + err``
+    exactly; above 2**53, ``p`` is an even integer, so ``p + rint(err)`` is
+    the product rounded half to even."""
+    q = 16 - exp10
+    p = a * _POW10[q]
+    a_high, a_low = _split(a)
+    b_high, b_low = _POW10_HIGH[q], _POW10_LOW[q]
+    err = ((a_high * b_high - p) + a_high * b_low + a_low * b_high) + a_low * b_low
+    return p.astype(np.int64) + np.rint(err).astype(np.int64)
+
+
+def _g17_slots(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the text ``format(v, ".17g")`` of each value ``v`` of ``x`` with
+    1e-4 <= |v| < 1e15 or v == 0 into its row of ``out`` (``len(x)`` slots of
+    four words), NUL-padded and with byte 31 left NUL; return the mask of
+    those values.  The slots of other values hold no meaningful text."""
+    ascii4, end, low, dot, lead = _text_tables()
+    a = np.abs(x)
+    zero = a == 0
+    fits = zero | ((a >= 1e-4) & (a < 1e15))
+    a[~fits | zero] = 1.0  # a stand-in that keeps the arithmetic in range
+    exp10 = np.clip(np.floor(np.log10(a)), -4, 14).astype(np.int64)
+    d = _digits17(a, exp10)
+    # log10 can round across a power of ten; the digit count shows which way.
+    off = (d >= 10 ** 17).astype(np.int64) - (d < 10 ** 16)
+    redo = np.flatnonzero(off)
+    exp10[redo] += off[redo]
+    d[redo] = _digits17(a[redo], exp10[redo])
+    d[zero] = 0
+    # D = d0·10**13 + d1·10**9 + d2·10**5 + d3·10 + d4: digits 0-3, 4-7, 8-11,
+    # 12-15 and 16.
+    d0, d = np.divmod(d, 10 ** 13)
+    d1, d = np.divmod(d, 10 ** 9)
+    d2, d = np.divmod(d, 10 ** 5)
+    d3, d4 = np.divmod(d, 10)
+    # Keep the digits through the last nonzero one, and the integer part.
+    keep = np.maximum(np.maximum(end[0].take(d0), end[1].take(d1)),
+                      np.maximum(end[2].take(d2), end[3].take(d3)))
+    keep = np.maximum(np.where(d4 > 0, 17, keep), exp10 + 1)
+    k0, k1, k2 = low.take(keep, axis=1)
+    w0 = (ascii4.take(d0) | (ascii4.take(d1) << 32)) & k0
+    w1 = (ascii4.take(d2) | (ascii4.take(d3) << 32)) & k1
+    w2 = (d4.astype(np.uint64) + ord("0")) & k2
+    # Insert the point before character p = X + 1 if a fraction is left
+    # (p = 24: no point): the characters from p on move up one byte.
+    p = np.where((exp10 >= 0) & (keep > exp10 + 1), exp10 + 1, 24)
+    m0, m1, m2 = low.take(p, axis=1)
+    h0, h1 = w0 & ~m0, w1 & ~m1
+    out[:, 0] = lead.take(19 * np.signbit(x) + exp10 + 4)
+    out[:, 1] = (w0 & m0) | dot[0].take(p) | (h0 << 8)
+    out[:, 2] = (w1 & m1) | dot[1].take(p) | (h1 << 8) | (h0 >> 56)
+    out[:, 3] = (w2 & m2) | ((w2 & ~m2) << 8) | (h1 >> 56)
+    return fits
+
+
 def _csv_blocks(table: np.ndarray):
     """Encoded CSV lines of the rows of ``table``, in blocks of whole rows
-    holding about ``_BLOCK_VALUES`` values.  One ``%``-format per block;
-    ``"%.17g" % x`` is the same text as ``format(x, ".17g")``."""
-    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    step = max(1, _BLOCK_VALUES // table.shape[1])
-    for start in range(0, table.shape[0], step):
+    holding about ``_BLOCK_VALUES`` values: for each value the text of
+    ``"%.17g" % x``, which is that of ``format(x, ".17g")``.  ``_g17_slots``
+    writes a block's values in one pass; a row holding a value it does not
+    write is one ``%``-format of the row."""
+    rows, cols = table.shape
+    line = ",".join(["%.17g"] * cols) + "\n"
+    step = max(1, _BLOCK_VALUES // cols)
+    separators = np.full(cols, ord(",") << 56, np.uint64)
+    separators[-1] = ord("\n") << 56
+    slots = np.empty((min(step, rows), cols, 4), "<u8")  # words in text byte order
+    for start in range(0, rows, step):
         block = table[start:start + step]
-        yield ((line * block.shape[0]) % tuple(block.ravel().tolist())).encode()
+        text = slots[:len(block)]
+        fits = _g17_slots(block.ravel(), text.reshape(-1, 4))
+        text[:, :, 3] |= separators
+        chars = text.view(np.uint8).reshape(len(block), -1)
+        parts, done = [], 0
+        for r in np.flatnonzero(~fits.reshape(block.shape).all(axis=1)):
+            parts += (chars[done:r].tobytes().translate(None, b"\0"),
+                      (line % tuple(block[r].tolist())).encode())
+            done = r + 1
+        parts.append(chars[done:].tobytes().translate(None, b"\0"))
+        yield b"".join(parts)
 
 
 def _sha256_bytes(data: bytes) -> str:
@@ -150,6 +290,17 @@ def _load_npy(path: Path) -> np.ndarray:
         if fh.readinto(memoryview(table).cast("B")) != table.nbytes or fh.read(1):
             raise ValueError(f"its data does not fill the {shape} array of its header")
     return table
+
+
+def _load_table(path: Path) -> np.ndarray:
+    """The float64 table of an ``.npy`` file (``_load_npy``) or of a CSV file,
+    '#' lines skipped; ``ChainError`` naming the file when it does not parse."""
+    try:
+        if path.suffix == ".npy":
+            return _load_npy(path)
+        return np.loadtxt(path, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise ChainError(f"{path.name} does not parse: {exc}") from None
 
 
 def _write_artifact(path: Path, blocks) -> str:
@@ -388,13 +539,7 @@ def read_dataset(out_dir: str | Path, fingerprint: str | None = None) -> tuple[D
     out = Path(out_dir)
     meta = verify_dataset(out, fingerprint)
     data_name = meta["data_file"]
-    try:
-        if data_name.endswith(".npy"):
-            table = _load_npy(out / data_name)
-        else:
-            table = np.loadtxt(out / data_name, delimiter=",", ndmin=2)
-    except ValueError as exc:
-        raise ChainError(f"{data_name} does not parse: {exc}") from None
+    table = _load_table(out / data_name)
     dims = Dimensions(w=meta["w"])
     shape = (meta["m_samples"], dims.n)
     if table.shape != shape:
@@ -426,21 +571,20 @@ def write_matrix(tm: TransmissionMatrix, path: str | Path,
 
 
 def read_matrix(path: str | Path) -> TransmissionMatrix:
-    """Read a registered square matrix of side w**2; a CSV must match its header."""
+    """Read a registered square matrix of side w**2; a CSV must match its
+    header.  ``ChainError`` naming the file when it does not parse."""
     path = Path(path)
     verify_artifact(path.parent, path.name)
-    if path.suffix == ".npy":
-        entries = _load_npy(path)
-        role = "direct"
-    else:
+    entries = _load_table(path)
+    role = "direct"
+    if path.suffix != ".npy":
         with open(path) as fh:
             header = fh.readline()
         parts = header[1:].split()
         if not (header.startswith("#") and len(parts) >= 2
                 and parts[0].isdigit() and parts[1].isdigit()):
             raise ChainError(f"{path} lacks the '# rows cols role' header")
-        role = parts[2] if len(parts) > 2 else "direct"
-        entries = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+        role = parts[2] if len(parts) > 2 else role
         if entries.shape != (int(parts[0]), int(parts[1])):
             raise ChainError(f"{path} holds a {entries.shape} matrix, its header "
                              f"says ({parts[0]}, {parts[1]})")

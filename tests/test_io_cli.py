@@ -2,6 +2,7 @@ import ast
 import hashlib
 import io as io_module
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import tempfile
 import threading
 import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -166,6 +168,28 @@ class TestFormats:
             register(tmp_path, "m.npy")
             with pytest.raises(tio.ChainError, match=SHAPE_ERROR):
                 tio.read_matrix(tmp_path / "m.npy")
+
+    @pytest.mark.parametrize("name", ["m.csv", "m.npy"])
+    def test_matrix_that_does_not_parse_names_the_file(self, tmp_path, capsys, name):
+        # A 3-value row in a 4 x 4 CSV matrix; an .npy whose data stops short.
+        ragged = "# 4 4 direct\n" + "0.5,0.5,0.5,0.5\n0.5,0.5,0.5\n" * 2
+        buf = io_module.BytesIO()
+        np.save(buf, np.zeros((4, 4)))
+        raw = ragged.encode() if name.endswith(".csv") else buf.getvalue()[:-8]
+        (tmp_path / name).write_bytes(raw)
+        register(tmp_path, name)
+        with pytest.raises(tio.ChainError, match=rf"{name} does not parse"):
+            tio.read_matrix(tmp_path / name)
+        # eval reads the ground truth first: w=2 makes it a 4 x 4 matrix.
+        cfg = write_config(tmp_path, {"w": 2, "binary_io": name.endswith(".npy")})
+        out = tmp_path / "run"
+        assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
+        t_name = name.replace("m.", "t_true.")
+        (out / t_name).write_bytes(raw)
+        register(out, t_name)
+        capsys.readouterr()
+        assert main(["eval", "--config", str(cfg), "--out", str(out)]) == 1
+        assert f"{t_name} does not parse" in capsys.readouterr().err
 
     def test_estimate_round_trip(self, tmp_path, data4_noisy):
         est = tm.fit_all_rows(data4_noisy, scope="output")
@@ -343,6 +367,49 @@ class TestStreamingCodec:
             tio.verify_dataset(tmp_path, fingerprint="fp")
 
 
+class TestCsvText:
+    """The block writer's text is ``format(x, ".17g")`` byte for byte: the
+    vectorised kernel for 1e-4 <= |x| < 1e15 and zeros, a ``%``-format of the
+    row for any other value."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), rows=st.integers(1, 12), cols=st.integers(1, 6))
+    def test_mixed_magnitudes(self, data, rows, cols):
+        # Magnitudes 1e-6..1e17 put kernel rows and %-format rows in one block.
+        exponents = data.draw(arrays(np.float64, (rows, cols), elements=st.floats(-6, 17)))
+        negative = data.draw(arrays(np.bool_, (rows, cols)))
+        table = np.where(negative, -1.0, 1.0) * 10.0 ** exponents
+        assert b"".join(tio._csv_blocks(table)) == reference_csv(table)
+
+    @pytest.mark.parametrize("exp10", range(-4, 15))
+    def test_half_even_ties(self, exp10):
+        # x = B * 2**-(17 - X), B odd: x * 10**(16 - X) = B * 5**(16 - X) / 2
+        # lies halfway between two 17-digit integers.
+        # B runs over the odd integers in [low, high), x over [10**X, 10**(X+1)).
+        scale = 2 ** (17 - exp10)
+        low, high = math.ceil(10.0 ** exp10 * scale), math.ceil(10.0 ** (exp10 + 1) * scale)
+        odd = np.random.default_rng(exp10 + 4).integers(low // 2, (high - 1) // 2, 400) * 2 + 1
+        table = np.ldexp(np.concatenate([odd, [low | 1, (high - 2) | 1]]).astype(np.float64),
+                         -(17 - exp10)).reshape(-1, 6)
+        assert all(Fraction(10) ** exp10 <= Fraction(x) < Fraction(10) ** (exp10 + 1)
+                   for x in table.flat)
+        assert b"".join(tio._csv_blocks(table)) == reference_csv(table)
+        assert b"".join(tio._csv_blocks(-table)) == reference_csv(-table)
+
+    def test_powers_of_ten_and_zeros(self):
+        powers = 10.0 ** np.arange(-6, 18)
+        values = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf),
+                                 [0.0, -0.0, 100.0, 2.0 ** 53, 123456789012345.0, 5e-5]])
+        table = np.concatenate([values, -values]).reshape(-1, 6)
+        # A block holds fewer values than one row: each row is a block.
+        with mock.patch.object(tio, "_BLOCK_VALUES", 3):
+            assert b"".join(tio._csv_blocks(table)) == reference_csv(table)
+        edges = np.array([1e-4, np.nextafter(1e15, 0), 0.0, -0.0,
+                          np.nextafter(1e-4, 0), 1e15, np.nan, -np.inf])
+        fits = tio._g17_slots(edges, np.empty((len(edges), 4), np.uint64))
+        assert fits.tolist() == [True] * 4 + [False] * 4
+
+
 class TestSampleBufferIO:
     """Datasets are written from and read into one sample buffer, no copies.
     At w=4, M=40000 the buffer is 10.24 MB."""
@@ -364,6 +431,10 @@ class TestSampleBufferIO:
         assert back.site_matrix().tobytes() == big.site_matrix().tobytes()
         assert np.shares_memory(back.inputs, back.site_matrix())
         assert not back.site_matrix().flags.writeable
+
+    def test_tall_dataset_is_the_reference_text(self, tmp_path, big):
+        tio.write_dataset(big, tmp_path, "fp")
+        assert (tmp_path / "dataset.csv").read_bytes() == reference_csv(big.site_matrix())
 
     def test_npy_is_what_np_save_writes(self, tmp_path, data4_noisy, channel4):
         tio.write_dataset(data4_noisy, tmp_path, "fp", binary=True)
