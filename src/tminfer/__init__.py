@@ -44,7 +44,6 @@ from .selection import (
     DecimationPath,
     DecimationRecord,
     bic_score,
-    decimate_step,
     run_decimation,
 )
 from .extraction import (
@@ -75,7 +74,7 @@ __all__ = [
     "CouplingEstimate", "OptimOptions", "RowFit", "fit_all_rows",
     "initial_masks", "minimize_row", "true_support_masks",
     "DecimationOptions", "DecimationPath", "DecimationRecord", "bic_score",
-    "decimate_step", "run_decimation",
+    "run_decimation",
     "ChannelNoiseEstimate", "QualityReport", "extract_gramian", "extract_tm",
     "quality_q",
     "ExperimentReport", "SweepConfig", "SweepRecord", "focusing_experiment",

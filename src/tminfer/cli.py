@@ -116,7 +116,7 @@ def cmd_fit(args) -> int:
     # The second moments ride along, so no later stage re-reads the samples.
     tio.write_estimate(est, out / name, fingerprint=fp,
                        dataset_sha256=meta["data_sha256"], moments=moments)
-    print(f"fit {len(est.rows)} rows, total_pl={est.total_pl:.6g}")
+    print(f"fit {len(est.a)} rows, total_pl={est.total_pl:.6g}")
     return 0
 
 

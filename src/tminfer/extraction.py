@@ -17,7 +17,6 @@ import numpy as np
 
 from .model import TransmissionMatrix
 from .optimize import CouplingEstimate
-from .pseudolikelihood import RowParams, other_sites
 
 __all__ = [
     "ChannelNoiseEstimate",
@@ -77,45 +76,25 @@ def quality_q(reference: np.ndarray, candidate: np.ndarray, operands: str = "") 
     return QualityReport(q=q, operands=operands)
 
 
-def _output_rows(estimate: CouplingEstimate) -> list[RowParams]:
-    nh = estimate.dims.n_half
-    return [estimate.row_for(nh + g) for g in range(nh)]
-
-
 def extract_tm(estimate: CouplingEstimate) -> tuple[TransmissionMatrix, ChannelNoiseEstimate]:
     """Recover the channel matrix and per-channel noise from fitted rows.
 
     For each output row g: beta_g = a_g, T[g, a] = k[g, a] / (2 * a_g) over
-    the input-site couplings, sigma_g = (2 * a_g) ** -0.5.  Rows flagged
-    non-converged keep their entries; the flags ride along in the noise
-    estimate.  Fitted output-to-output couplings (all-sites scope) are not
-    folded in.
+    the input-site couplings, sigma_g = (2 * a_g) ** -0.5.  Output sites come
+    last in either scope, so they are the last n_half rows of the estimate,
+    and inputs precede outputs, so their couplings are positions 0..n_half-1.
+    Rows flagged non-converged keep their entries; the flags ride along in
+    the noise estimate.  Fitted output-to-output couplings (all-sites scope)
+    are not folded in.
     """
-    dims = estimate.dims
-    nh = dims.n_half
-    t = np.empty((nh, nh))
-    a_vec = np.empty(nh)
-    conv = np.empty(nh, dtype=bool)
-    for g in range(nh):
-        site = nh + g
-        row = estimate.row_for(site)
-        # Input sites all precede output sites, so they sit at positions 0..nh-1.
-        t[g] = row.k[:nh] / (2.0 * row.a)
-        a_vec[g] = row.a
-        conv[g] = estimate.converged[estimate.index_of(site)]
+    nh = estimate.dims.n_half
+    a_vec = estimate.a[-nh:]
+    t = estimate.k[-nh:, :nh] / (2.0 * a_vec[:, None])
     sigma_hat = 1.0 / np.sqrt(2.0 * a_vec)
     role = "direct" if estimate.direction == "forward" else "inverse"
-    tm = TransmissionMatrix(dims=dims, entries=t, role=role)
-    return tm, ChannelNoiseEstimate(sigma_hat=sigma_hat, beta_hat=a_vec, converged=conv)
-
-
-def _input_beta(estimate: CouplingEstimate) -> float:
-    """Shared inverse temperature assigned to input rows.
-
-    Input-row curvatures entangle beta with the Gramian diagonal; the
-    convention here fixes the scale with the mean output-row beta.
-    """
-    return float(np.mean([r.a for r in _output_rows(estimate)]))
+    tm = TransmissionMatrix(dims=estimate.dims, entries=t, role=role)
+    return tm, ChannelNoiseEstimate(sigma_hat=sigma_hat, beta_hat=a_vec,
+                                    converged=estimate.converged[-nh:])
 
 
 def extract_gramian(estimate: CouplingEstimate) -> tuple[np.ndarray, float]:
@@ -125,22 +104,20 @@ def extract_gramian(estimate: CouplingEstimate) -> tuple[np.ndarray, float]:
     linear field 2 * beta * (T^T out - sum_{a' != a} U[a, a'] in[a']), so the
     fitted couplings encode off-diagonal Gramian entries at twice the beta
     scale (the factor 2 collects both symmetric halves of the quadratic
-    form).  ``balance`` is the relative Frobenius gap between the directly
-    fitted Gramian and ``T_inf^T @ T_inf``; small values indicate a
-    self-consistent fit and can serve as a halt criterion.
+    form).  Input rows entangle beta with the Gramian diagonal, so beta is
+    fixed at the mean output-row curvature.  Input row a holds its couplings
+    to the other inputs at positions 0..n_half-2, in ascending site order.
+    ``balance`` is the relative Frobenius gap between the directly fitted
+    Gramian and ``T_inf^T @ T_inf``; small values indicate a self-consistent
+    fit and can serve as a halt criterion.
     """
     if estimate.scope != "all":
         raise ValueError("Gramian extraction needs an all-sites estimate")
-    dims = estimate.dims
-    nh = dims.n_half
-    beta_in = _input_beta(estimate)
+    nh = estimate.dims.n_half
+    beta_in = float(np.mean(estimate.a[-nh:]))
     u = np.empty((nh, nh))
-    for al in range(nh):
-        row = estimate.row_for(al)
-        others = other_sites(al, dims.n)
-        sel = others < nh
-        u[al, others[sel]] = -row.k[sel] / (2.0 * beta_in)
-        u[al, al] = row.a / beta_in
+    u[~np.eye(nh, dtype=bool)] = -estimate.k[:nh, :nh - 1].ravel() / (2.0 * beta_in)
+    u[np.diag_indices(nh)] = estimate.a[:nh] / beta_in
     tm, _ = extract_tm(estimate)
     gram = tm.entries.T @ tm.entries
     balance = float(np.linalg.norm(u - gram) / np.linalg.norm(gram))

@@ -41,7 +41,6 @@ import numpy as np
 from . import __version__
 from .model import Dataset, Dimensions, Moments, TransmissionMatrix
 from .optimize import CouplingEstimate
-from .pseudolikelihood import RowMask, RowParams
 from .selection import DecimationOptions, DecimationPath
 
 __all__ = [
@@ -609,12 +608,12 @@ def write_estimate(est: CouplingEstimate, path: str | Path, fingerprint: str,
         raise ValueError("moments and estimate dataset fingerprints differ")
     rows = []
     for r, site in enumerate(est.fitted_sites):
-        active = np.flatnonzero(est.masks[r].active)
+        positions = np.flatnonzero(est.active[r])
         rows.append({
-            "site": int(site),
-            "a": est.rows[r].a,
-            "positions": [int(p) for p in active],
-            "values": [est.rows[r].k[p] for p in active],
+            "site": site,
+            "a": float(est.a[r]),
+            "positions": positions.tolist(),
+            "values": est.k[r, positions].tolist(),
             "converged": bool(est.converged[r]),
             "objective": est.row_objectives[r],
         })
@@ -651,33 +650,39 @@ def read_estimate(path: str | Path, fingerprint: str | None = None,
         raise ChainError(f"{path} is not an estimate artifact")
     if dataset_sha256 is not None and doc.get("dataset_sha256") != dataset_sha256:
         raise ChainError(f"{name} was fitted on different data")
-    dims = Dimensions(w=doc["w"])
-    n = dims.n
-    rows, masks, conv, objs, sites = [], [], [], [], []
-    for rec in doc["rows"]:
-        k = np.zeros(n - 1)
-        act = np.zeros(n - 1, dtype=bool)
-        pos = np.asarray(rec["positions"], dtype=int)
-        if pos.size:
-            k[pos] = rec["values"]
-            act[pos] = True
-        sites.append(rec["site"])
-        rows.append(RowParams(site=rec["site"], a=rec["a"], k=k))
-        masks.append(RowMask(site=rec["site"], active=act))
-        conv.append(rec["converged"])
-        objs.append(rec["objective"])
-    est = CouplingEstimate(
-        dims=dims,
-        scope=doc["scope"],
-        direction=doc["direction"],
-        fitted_sites=tuple(sites),
-        rows=tuple(rows),
-        masks=tuple(masks),
-        converged=tuple(conv),
-        row_objectives=tuple(objs),
-        total_pl=doc["total_pl"],
-        dataset_fingerprint=doc["dataset_fingerprint"],
-    )
+    try:
+        dims = Dimensions(w=doc["w"])
+        recs = doc["rows"]
+        k = np.zeros((len(recs), dims.n - 1))
+        active = np.zeros(k.shape, dtype=bool)
+        for r, rec in enumerate(recs):
+            pos = rec["positions"]
+            if (len(rec["values"]) != len(pos) or any(type(p) is not int for p in pos)
+                    or pos != sorted(set(pos)) or not all(0 <= p < dims.n - 1 for p in pos)):
+                raise ValueError(f"row {r} needs distinct ascending positions in "
+                                 f"0..{dims.n - 2}, one value each")
+            if type(rec["converged"]) is not bool or type(rec["objective"]) is not float:
+                raise ValueError(f"row {r} needs a boolean converged and a real objective")
+            k[r, pos] = rec["values"]
+            active[r, pos] = True
+        est = CouplingEstimate(
+            dims=dims,
+            scope=doc["scope"],
+            direction=doc["direction"],
+            a=[rec["a"] for rec in recs],
+            k=k,
+            active=active,
+            converged=tuple(rec["converged"] for rec in recs),
+            row_objectives=tuple(rec["objective"] for rec in recs),
+            total_pl=doc["total_pl"],
+            dataset_fingerprint=doc["dataset_fingerprint"],
+        )
+        if [rec["site"] for rec in recs] != list(est.fitted_sites):
+            raise ValueError(f"row sites differ from the {est.scope} scope's sites")
+        if est.total_pl is not None and type(est.total_pl) is not float:
+            raise ValueError("total_pl must be a real number or null")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ChainError(f"{name} holds a malformed estimate: {exc}") from exc
     if not with_moments:
         return est
     if "second_moments" not in doc or "m_samples" not in doc:

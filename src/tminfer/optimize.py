@@ -12,6 +12,10 @@ record ``Moments.of(dataset)``: a row solve is one small solve on a block of
 ``C``.  The block is factorised by Cholesky first; ``lstsq`` takes over where
 the block is singular or has more than ``CHOLESKY_MAX`` rows.  A solve costs
 well under a millisecond, so rows run one after another on the calling thread.
+
+An estimate stacks the rows of its scope as arrays, ``a`` ``(rows,)`` and
+``k`` and ``active`` ``(rows, n-1)``, and every support but ``minimize_row``'s
+one ``RowMask`` is such a ``(rows, n-1)`` boolean array.
 """
 
 from __future__ import annotations
@@ -153,55 +157,67 @@ def minimize_row(
 
 @dataclass(frozen=True)
 class CouplingEstimate:
-    """All fitted rows of the coupling model plus their support masks.
+    """All fitted rows of the coupling model, stacked.
 
-    ``rows[r]`` and ``masks[r]`` describe site ``fitted_sites[r]``.
-    ``row_objectives`` holds each row's per-sample-mean negative
-    log-pseudolikelihood at its optimum; ``total_pl`` is the sample-sum total
-    log-pseudolikelihood (None when parameters were constructed rather than
-    fitted to a dataset).
+    Row ``r`` describes site ``fitted_sites[r]``: curvature ``a[r]``, coupling
+    field ``k[r]`` over the other sites in ``other_sites`` order and support
+    ``active[r]``, with ``k`` exactly 0 where ``active`` is False.  Each array
+    is a read-only copy of what the caller passed.  ``row_objectives`` holds
+    each row's per-sample-mean negative log-pseudolikelihood at its optimum;
+    ``total_pl`` is the sample-sum total log-pseudolikelihood (None when
+    parameters were constructed rather than fitted to a dataset).
     """
 
     dims: Dimensions
     scope: str
     direction: str
-    fitted_sites: tuple[int, ...]
-    rows: tuple[RowParams, ...]
-    masks: tuple[RowMask, ...]
+    a: np.ndarray
+    k: np.ndarray
+    active: np.ndarray
     converged: tuple[bool, ...]
     row_objectives: tuple[float, ...]
     total_pl: float | None
     dataset_fingerprint: str = ""
 
     def __post_init__(self) -> None:
-        if self.scope not in SCOPES:
-            raise ValueError(f"scope must be one of {SCOPES}, got {self.scope!r}")
-        if not (len(self.fitted_sites) == len(self.rows) == len(self.masks)
-                == len(self.converged) == len(self.row_objectives)):
+        shape = (len(self.fitted_sites), self.dims.n - 1)
+        for name, dtype in (("a", np.float64), ("k", np.float64), ("active", bool)):
+            arr = np.array(getattr(self, name), dtype=dtype)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        if self.a.shape != shape[:1] or self.k.shape != shape or self.active.shape != shape:
+            raise ValueError(f"a must have shape {shape[:1]}, k and active {shape}")
+        if not len(self.converged) == len(self.row_objectives) == shape[0]:
             raise ValueError("per-row field lengths differ")
-        for site, row, mask in zip(self.fitted_sites, self.rows, self.masks):
-            if row.site != site or mask.site != site:
-                raise ValueError("rows/masks misaligned with fitted_sites")
+        if not (np.all(np.isfinite(self.a)) and np.all(self.a > 0)):
+            raise ValueError("curvatures must be finite and > 0")
+        if not np.all(np.isfinite(self.k)):
+            raise ValueError("coupling fields must be finite")
 
-    def index_of(self, site: int) -> int:
-        try:
-            return self.fitted_sites.index(site)
-        except ValueError:
-            raise KeyError(f"site {site} was not fitted") from None
+    @property
+    def fitted_sites(self) -> tuple[int, ...]:
+        return _scope_sites(self.dims, self.scope)
+
+    @property
+    def rows(self) -> tuple[RowParams, ...]:
+        return tuple(RowParams(site=s, a=a, k=k)
+                     for s, a, k in zip(self.fitted_sites, self.a.tolist(), self.k))
+
+    @property
+    def masks(self) -> tuple[RowMask, ...]:
+        return tuple(RowMask(site=s, active=act)
+                     for s, act in zip(self.fitted_sites, self.active))
 
     def row_for(self, site: int) -> RowParams:
-        return self.rows[self.index_of(site)]
-
-    def coupling_matrix(self) -> np.ndarray:
-        """(n_rows, n-1) stack of the fitted coupling-field vectors."""
-        return np.vstack([r.k for r in self.rows])
-
-    def active_matrix(self) -> np.ndarray:
-        return np.vstack([m.active for m in self.masks])
+        sites = self.fitted_sites
+        if site not in sites:
+            raise KeyError(f"site {site} was not fitted")
+        r = site - sites[0]
+        return RowParams(site=site, a=float(self.a[r]), k=self.k[r])
 
     @property
     def n_active_couplings(self) -> int:
-        return int(self.active_matrix().sum())
+        return int(self.active.sum())
 
 
 def _scope_sites(dims: Dimensions, scope: str) -> tuple[int, ...]:
@@ -212,27 +228,22 @@ def _scope_sites(dims: Dimensions, scope: str) -> tuple[int, ...]:
     raise ValueError(f"scope must be one of {SCOPES}, got {scope!r}")
 
 
-def initial_masks(dims: Dimensions, scope: str) -> tuple[RowMask, ...]:
-    """Fully active masks for the given scope.
+def initial_masks(dims: Dimensions, scope: str) -> np.ndarray:
+    """Fully active ``(rows, n-1)`` support for the given scope.
 
     Output scope regresses each output channel on the input channels only
-    (other outputs carry no coupling in the generative block structure), so
-    output-site positions start inactive there.  All-sites scope activates
-    every cross coupling.
+    (other outputs carry no coupling in the generative block structure).
+    Inputs precede outputs, so in an output row they are positions
+    ``0..n_half-1``.  All-sites scope activates every cross coupling.
     """
-    n = dims.n
-    masks = []
-    for site in _scope_sites(dims, scope):
-        if scope == "output":
-            act = other_sites(site, n) < dims.n_half
-        else:
-            act = np.ones(n - 1, dtype=bool)
-        masks.append(RowMask(site=site, active=act))
-    return tuple(masks)
+    active = np.ones((len(_scope_sites(dims, scope)), dims.n - 1), dtype=bool)
+    if scope == "output":
+        active[:, dims.n_half:] = False
+    return active
 
 
-def true_support_masks(dims: Dimensions, support: np.ndarray) -> tuple[RowMask, ...]:
-    """Output-scope masks pinned to a known channel support.
+def true_support_masks(dims: Dimensions, support: np.ndarray) -> np.ndarray:
+    """Output-scope ``(n_half, n-1)`` support pinned to a known channel support.
 
     ``support[g, a]`` flags whether output channel g couples to input channel
     a.  Used for the known-support reference fits.
@@ -241,51 +252,47 @@ def true_support_masks(dims: Dimensions, support: np.ndarray) -> tuple[RowMask, 
     sup = np.asarray(support, dtype=bool)
     if sup.shape != (nh, nh):
         raise ValueError(f"support must have shape ({nh}, {nh})")
-    masks = []
-    for g in range(nh):
-        act = np.zeros(dims.n - 1, dtype=bool)
-        act[:nh] = sup[g]
-        masks.append(RowMask(site=nh + g, active=act))
-    return tuple(masks)
+    active = np.zeros((nh, dims.n - 1), dtype=bool)
+    active[:, :nh] = sup
+    return active
 
 
-def _solve_rows(moments: Moments, sites, masks, opts: OptimOptions) -> list[RowFit]:
-    """``minimize_row`` per (site, mask), in order."""
-    return [minimize_row(site, moments, mask, opts) for site, mask in zip(sites, masks)]
+def _solve_rows(moments: Moments, sites, active: np.ndarray,
+                opts: OptimOptions) -> list[RowFit]:
+    """``minimize_row`` per (site, support row), in order."""
+    return [minimize_row(site, moments, RowMask(site=site, active=act), opts)
+            for site, act in zip(sites, active)]
 
 
 def fit_all_rows(
     dataset: Dataset | Moments,
-    masks: tuple[RowMask, ...] | None = None,
+    masks: np.ndarray | None = None,
     scope: str = "output",
     opts: OptimOptions = OptimOptions(),
     threads: int = 1,
 ) -> CouplingEstimate:
     """Fit every row in scope independently and assemble the estimate.
 
+    ``masks`` is the ``(rows, n-1)`` support, ``initial_masks`` by default.
     ``threads`` is accepted and ignored: rows are solved on the calling thread.
     """
     moments = Moments.of(dataset)
     sites = _scope_sites(moments.dims, scope)
-    if not sites:
-        raise ValueError("empty fit scope")
-    if masks is None:
-        masks = initial_masks(moments.dims, scope)
-    if len(masks) != len(sites) or any(mk.site != s for mk, s in zip(masks, sites)):
+    active = initial_masks(moments.dims, scope) if masks is None else masks
+    if np.shape(active) != (len(sites), moments.dims.n - 1):
         raise ValueError("masks inconsistent with scope sites")
-    fits = _solve_rows(moments, sites, masks, opts)
-    m = moments.m_samples
+    fits = _solve_rows(moments, sites, active, opts)
     objectives = tuple(f.objective for f in fits)
     return CouplingEstimate(
         dims=moments.dims,
         scope=scope,
         direction=moments.direction,
-        fitted_sites=sites,
-        rows=tuple(f.params for f in fits),
-        masks=masks,
+        a=[f.params.a for f in fits],
+        k=[f.params.k for f in fits],
+        active=active,
         converged=tuple(f.converged for f in fits),
         row_objectives=objectives,
-        total_pl=float(-m * sum(objectives)),
+        total_pl=float(-moments.m_samples * sum(objectives)),
         dataset_fingerprint=moments.fingerprint,
     )
 
@@ -298,29 +305,30 @@ def dataset_fingerprint(ds: Dataset | Moments) -> str:
 def refit_rows(
     estimate: CouplingEstimate,
     dataset: Dataset | Moments,
-    new_masks: tuple[RowMask, ...],
+    new_masks: np.ndarray,
     rows_to_refit,
     opts: OptimOptions = OptimOptions(),
     threads: int = 1,
 ) -> CouplingEstimate:
-    """Refit the given row indices of ``estimate`` under new masks; untouched
-    rows carry over unchanged.  ``threads`` is accepted and ignored."""
-    rows = list(estimate.rows)
+    """Refit the given row indices of ``estimate`` under the ``(rows, n-1)``
+    support ``new_masks``; untouched rows carry over unchanged.  ``threads``
+    is accepted and ignored."""
+    idx = sorted(rows_to_refit)
+    sites = estimate.fitted_sites
+    fits = _solve_rows(Moments.of(dataset), [sites[r] for r in idx], new_masks[idx], opts)
+    a, k = estimate.a.copy(), estimate.k.copy()
     converged = list(estimate.converged)
     objectives = list(estimate.row_objectives)
-    idx = sorted(rows_to_refit)
-    fits = _solve_rows(Moments.of(dataset), [estimate.fitted_sites[r] for r in idx],
-                       [new_masks[r] for r in idx], opts)
     for r, fit in zip(idx, fits):
-        rows[r] = fit.params
+        a[r], k[r] = fit.params.a, fit.params.k
         converged[r] = fit.converged
         objectives[r] = fit.objective
-    m = dataset.m_samples
     return replace(
         estimate,
-        rows=tuple(rows),
-        masks=new_masks,
+        a=a,
+        k=k,
+        active=new_masks,
         converged=tuple(converged),
         row_objectives=tuple(objectives),
-        total_pl=float(-m * sum(objectives)),
+        total_pl=float(-dataset.m_samples * sum(objectives)),
     )

@@ -3,13 +3,16 @@
 The loop alternates refits and prunes: fit the model, record its total
 log-pseudolikelihood and BIC, zero out the globally smallest surviving
 couplings, refit the affected rows, and repeat until nothing is left.  The
-record with the minimum BIC names the selected support.
+record with the minimum BIC names the selected support.  A prune ranks |k|
+over the estimate's ``active`` array and returns a new one; only the rows it
+changed are refit.  The path keeps every record's scalars but only the
+selected record's estimate.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,14 +23,12 @@ from .optimize import (
     fit_all_rows,
     refit_rows,
 )
-from .pseudolikelihood import RowMask
 
 __all__ = [
     "DecimationOptions",
     "DecimationRecord",
     "DecimationPath",
     "bic_score",
-    "decimate_step",
     "run_decimation",
     "select_best",
 ]
@@ -54,14 +55,15 @@ class DecimationRecord:
     """One point on the decimation path.
 
     ``n_couplings`` counts active couplings; ``k_free`` is the BIC parameter
-    count, couplings plus one curvature per row.
+    count, couplings plus one curvature per row.  ``run_decimation`` keeps
+    the ``estimate`` of the selected record only; the others hold None.
     """
 
     n_couplings: int
     k_free: int
     total_pl: float
     bic: float
-    estimate: CouplingEstimate
+    estimate: CouplingEstimate | None
     all_converged: bool
 
 
@@ -84,14 +86,18 @@ class DecimationPath:
         return self.records[self.selected]
 
 
+def _beats(rec: DecimationRecord, best: DecimationRecord) -> bool:
+    """``rec`` has the lower BIC, or the same BIC with fewer parameters."""
+    return rec.bic < best.bic or (rec.bic == best.bic and rec.k_free < best.k_free)
+
+
 def select_best(records) -> int:
     """Index of the minimum-BIC record, ties resolved toward fewer parameters."""
     if not records:
         raise ValueError("no records to select from")
     best = 0
     for i, rec in enumerate(records):
-        if rec.bic < records[best].bic or (
-                rec.bic == records[best].bic and rec.k_free < records[best].k_free):
+        if _beats(rec, records[best]):
             best = i
     return best
 
@@ -105,44 +111,36 @@ def bic_score(k_free: int, m_samples: int, total_pl: float) -> float:
     return k_free * math.log(m_samples) - 2.0 * total_pl
 
 
-def decimate_step(estimate: CouplingEstimate, batch: int) -> tuple[RowMask, ...]:
+def _prune(estimate: CouplingEstimate, batch: int) -> tuple[np.ndarray, list[int]]:
     """Deactivate the ``batch`` globally smallest-magnitude active couplings.
 
     Ranking is by |k| ascending across all fitted rows (ties broken by row
     then position, so the result is order-independent).  Curvature parameters
-    are never decimated.  Rows that lose no coupling keep their mask object.
+    are never decimated.  Returns the new ``(rows, n-1)`` support and the
+    sorted indices of the rows that lost a coupling.
     """
-    return _prune(estimate, batch)[0]
-
-
-def _prune(estimate: CouplingEstimate, batch: int) -> tuple[tuple[RowMask, ...], list[int]]:
-    """``decimate_step``'s masks plus the sorted indices of the rows they change."""
-    active = estimate.active_matrix()
+    active = estimate.active.copy()
     n_active = int(active.sum())
     if n_active == 0:
         raise ValueError("no active couplings left to decimate")
     if not 1 <= batch <= n_active:
         raise ValueError(f"batch must lie in [1, {n_active}], got {batch}")
-    flat_idx = np.flatnonzero(active.ravel())
-    magnitudes = np.abs(estimate.coupling_matrix().ravel()[flat_idx])
+    flat_idx = np.flatnonzero(active)
+    magnitudes = np.abs(estimate.k.ravel()[flat_idx])
     order = np.argsort(magnitudes, kind="stable")
     drop = flat_idx[order[:batch]]
     active.ravel()[drop] = False
-    rows = sorted(set((drop // active.shape[1]).tolist()))
-    masks = list(estimate.masks)
-    for r in rows:
-        masks[r] = RowMask(site=masks[r].site, active=active[r])
-    return tuple(masks), rows
+    return active, sorted(set((drop // active.shape[1]).tolist()))
 
 
 def _record(estimate: CouplingEstimate, n_couplings: int, m_samples: int) -> DecimationRecord:
-    k_free = n_couplings + len(estimate.rows)
+    k_free = n_couplings + len(estimate.a)
     return DecimationRecord(
         n_couplings=n_couplings,
         k_free=k_free,
         total_pl=estimate.total_pl,
         bic=bic_score(k_free, m_samples, estimate.total_pl),
-        estimate=estimate,
+        estimate=None,
         all_converged=all(estimate.converged),
     )
 
@@ -157,9 +155,11 @@ def run_decimation(
 ) -> tuple[DecimationPath, CouplingEstimate]:
     """Full decimation run: fit, prune, refit until no couplings remain.
 
-    Returns the path and the estimate at the BIC-optimal record.  ``initial``
-    may supply an existing full-mask fit to avoid repeating it.  ``threads``
-    is accepted and ignored.
+    Returns the path and the estimate at the BIC-optimal record, the only
+    record that keeps its estimate: the loop holds the running minimum
+    (``select_best``'s rule) and drops every other estimate as it goes.
+    ``initial`` may supply an existing full-mask fit to avoid repeating it.
+    ``threads`` is accepted and ignored.
     """
     moments = Moments.of(dataset)
     if initial is None:
@@ -172,12 +172,15 @@ def run_decimation(
     m = moments.m_samples
     remaining = estimate.n_active_couplings
     records = [_record(estimate, remaining, m)]
+    best, best_estimate = 0, estimate
     while remaining > 0:
         batch = min(remaining, max(1, int(decim_opts.batch_fraction * remaining)))
         new_masks, changed = _prune(estimate, batch)
         estimate = refit_rows(estimate, moments, new_masks, changed, opts=fit_opts)
         remaining -= batch
         records.append(_record(estimate, remaining, m))
+        if _beats(records[-1], records[best]):
+            best, best_estimate = len(records) - 1, estimate
 
-    path = DecimationPath(records=tuple(records), selected=select_best(records))
-    return path, path.selected_record.estimate
+    records[best] = replace(records[best], estimate=best_estimate)
+    return DecimationPath(records=tuple(records), selected=best), best_estimate

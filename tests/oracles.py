@@ -4,10 +4,11 @@ Everything here deliberately avoids the package's own code paths: OLS goes
 through raw normal equations, gradients through central differences, the
 Gaussian normalizer through adaptive quadrature, the iterative row optimum
 through scipy's L-BFGS-B on the objective's public definition, the moment row
-solve through ``lstsq`` alone, the decimation loop through per-row mask
-comparisons and the sample generator through whole-array draws.  The
-``parameterize_*`` builders write a known channel's exact natural parameters
-as an estimate, the reference that extraction must invert.
+solve through ``lstsq`` alone, the decimation loop through its own ranking
+and per-row mask comparisons, extraction through per-row loops and the sample
+generator through whole-array draws.  The ``parameterize_*`` builders write a
+known channel's exact natural parameters as an estimate, the reference that
+extraction must invert.
 """
 
 import math
@@ -80,10 +81,24 @@ def lstsq_row(site, moments, mask, a_cap):
                      objective=a * rss + log_z, grad_norm=grad_norm)
 
 
+def ranked_masks(est, batch):
+    """tminfer 0.5.0's ``decimate_step``: clear the ``batch`` smallest |k| over
+    the active couplings of the per-row ``masks``/``rows``, ties broken by row
+    then position.  Returns the new ``(rows, n-1)`` support."""
+    active = np.vstack([mk.active for mk in est.masks])
+    flat_idx = np.flatnonzero(active.ravel())
+    magnitudes = np.abs(np.vstack([r.k for r in est.rows]).ravel()[flat_idx])
+    order = np.argsort(magnitudes, kind="stable")
+    new_active = active.copy()
+    new_active.ravel()[flat_idx[order[:batch]]] = False
+    return new_active
+
+
 def array_equal_decimation(moments, scope, batch_fraction):
-    """Reference decimation loop: every step compares each row's mask before
-    and after ``decimate_step`` (``np.array_equal``) and refits the rows that
-    differ.  Returns the ``DecimationPath``."""
+    """Reference decimation loop: every step ranks with ``ranked_masks``,
+    compares each row's mask before and after (``np.array_equal``) and refits
+    the rows that differ.  Every record keeps its estimate.  Returns the
+    ``DecimationPath``."""
     est = tm.fit_all_rows(moments, scope=scope)
     m = moments.m_samples
 
@@ -98,10 +113,10 @@ def array_equal_decimation(moments, scope, batch_fraction):
     while est.n_active_couplings > 0:
         remaining = est.n_active_couplings
         batch = min(remaining, max(1, int(batch_fraction * remaining)))
-        new_masks = tm.decimate_step(est, batch)
-        changed = [r for r in range(len(new_masks))
-                   if not np.array_equal(new_masks[r].active, est.masks[r].active)]
-        est = refit_rows(est, moments, new_masks, changed)
+        new_active = ranked_masks(est, batch)
+        changed = [r for r, mk in enumerate(est.masks)
+                   if not np.array_equal(new_active[r], mk.active)]
+        est = refit_rows(est, moments, new_active, changed)
         records.append(record(est))
     return DecimationPath(records=tuple(records), selected=select_best(records))
 
@@ -195,26 +210,20 @@ def parameterize_tm(channel, sigma):
     sig = np.broadcast_to(np.asarray(sigma, dtype=np.float64), (nh,))
     if np.any(sig <= 0):
         raise ValueError("noise must be strictly positive to parameterize")
-    rows = []
-    masks = []
-    for g in range(nh):
-        a = 1.0 / (2.0 * sig[g] ** 2)
-        k = np.zeros(dims.n - 1)
-        k[:nh] = 2.0 * a * channel.entries[g]
-        rows.append(tm.RowParams(site=nh + g, a=a, k=k))
-        act = np.zeros(dims.n - 1, dtype=bool)
-        act[:nh] = True
-        masks.append(tm.RowMask(site=nh + g, active=act))
-    nh_sites = tuple(range(nh, dims.n))
+    a = 1.0 / (2.0 * sig**2)
+    k = np.zeros((nh, dims.n - 1))
+    k[:, :nh] = 2.0 * a[:, None] * channel.entries
+    active = np.zeros(k.shape, dtype=bool)
+    active[:, :nh] = True
     return tm.CouplingEstimate(
         dims=dims,
         scope="output",
         direction="forward" if channel.role == "direct" else "reversed",
-        fitted_sites=nh_sites,
-        rows=tuple(rows),
-        masks=tuple(masks),
-        converged=tuple(True for _ in nh_sites),
-        row_objectives=tuple(math.nan for _ in nh_sites),
+        a=a,
+        k=k,
+        active=active,
+        converged=(True,) * nh,
+        row_objectives=(math.nan,) * nh,
         total_pl=None,
         dataset_fingerprint="parameterized",
     )
@@ -243,32 +252,58 @@ def parameterize_channel(channel, sigma):
     uw = t.T @ (b_out[:, None] * t)
     if np.any(np.diag(uw) <= 0):
         raise ValueError("channel has a dead input (zero column); curvature undefined")
-    rows = []
-    masks = []
+    a = np.empty(dims.n)
+    k = np.zeros((dims.n, dims.n - 1))
     for al in range(nh):
-        k = np.zeros(dims.n - 1)
         others = other_sites(al, dims.n)
         in_sel = others < nh
-        k[in_sel] = -2.0 * uw[al, others[in_sel]]
-        k[~in_sel] = 2.0 * b_out * t[:, al]
-        rows.append(tm.RowParams(site=al, a=uw[al, al], k=k))
-        masks.append(tm.RowMask(site=al, active=k != 0.0))
-    for g in range(nh):
-        a = 1.0 / (2.0 * sig[g] ** 2)
-        k = np.zeros(dims.n - 1)
-        k[:nh] = 2.0 * a * t[g]
-        rows.append(tm.RowParams(site=nh + g, a=a, k=k))
-        masks.append(tm.RowMask(site=nh + g, active=k != 0.0))
-    sites = tuple(range(dims.n))
+        k[al, in_sel] = -2.0 * uw[al, others[in_sel]]
+        k[al, ~in_sel] = 2.0 * b_out * t[:, al]
+        a[al] = uw[al, al]
+    a[nh:] = b_out
+    k[nh:, :nh] = 2.0 * b_out[:, None] * t
     return tm.CouplingEstimate(
         dims=dims,
         scope="all",
         direction="forward" if channel.role == "direct" else "reversed",
-        fitted_sites=sites,
-        rows=tuple(rows),
-        masks=tuple(masks),
-        converged=tuple(True for _ in sites),
-        row_objectives=tuple(math.nan for _ in sites),
+        a=a,
+        k=k,
+        active=k != 0.0,
+        converged=(True,) * dims.n,
+        row_objectives=(math.nan,) * dims.n,
         total_pl=None,
         dataset_fingerprint="parameterized",
     )
+
+
+def per_row_extract_tm(estimate):
+    """``extract_tm`` in loop form: T[g] = k[:n_half] / (2 a) and
+    sigma = (2 a) ** -0.5, one output row at a time through ``row_for``.
+    Returns (T entries, sigma_hat, beta_hat, converged)."""
+    nh = estimate.dims.n_half
+    t = np.empty((nh, nh))
+    a_vec = np.empty(nh)
+    conv = np.empty(nh, dtype=bool)
+    for g in range(nh):
+        row = estimate.row_for(nh + g)
+        t[g] = row.k[:nh] / (2.0 * row.a)
+        a_vec[g] = row.a
+        conv[g] = estimate.converged[estimate.fitted_sites.index(nh + g)]
+    return t, 1.0 / np.sqrt(2.0 * a_vec), a_vec, conv
+
+
+def per_row_extract_gramian(estimate):
+    """``extract_gramian`` in loop form, one input row at a time through
+    ``row_for`` and ``other_sites``.  Returns (U, balance)."""
+    nh, n = estimate.dims.n_half, estimate.dims.n
+    beta_in = float(np.mean([estimate.row_for(nh + g).a for g in range(nh)]))
+    u = np.empty((nh, nh))
+    for al in range(nh):
+        row = estimate.row_for(al)
+        others = other_sites(al, n)
+        sel = others < nh
+        u[al, others[sel]] = -row.k[sel] / (2.0 * beta_in)
+        u[al, al] = row.a / beta_in
+    t = per_row_extract_tm(estimate)[0]
+    gram = t.T @ t
+    return u, float(np.linalg.norm(u - gram) / np.linalg.norm(gram))

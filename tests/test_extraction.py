@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import tminfer as tm
-from oracles import parameterize_channel, parameterize_tm
+from oracles import (parameterize_channel, parameterize_tm, per_row_extract_gramian,
+                     per_row_extract_tm)
 
 
 class TestQualityQ:
@@ -121,6 +122,33 @@ class TestExtractGramian:
         est = tm.fit_all_rows(data4_noisy, scope="output")
         with pytest.raises(ValueError):
             tm.extract_gramian(est)
+
+
+class TestExtractionMatchesPerRowLoops:
+    """The array expressions give the bits of the per-row loops in oracles.py."""
+
+    @pytest.mark.parametrize("case", ["output", "all", "all-selected", "all-reversed",
+                                      "parameterized"])
+    def test_bit_for_bit(self, case, channel4, data4_noisy):
+        if case == "parameterized":
+            est = parameterize_channel(channel4, np.linspace(0.05, 0.2, 16))
+        elif case == "all-selected":
+            est = tm.run_decimation(data4_noisy, scope="all")[1]
+        elif case == "all-reversed":
+            est = tm.fit_all_rows(tm.reverse_dataset(data4_noisy), scope="all")
+        else:
+            est = tm.fit_all_rows(data4_noisy, scope=case)
+        t_out, noise = tm.extract_tm(est)
+        t_ref, sigma_ref, beta_ref, conv_ref = per_row_extract_tm(est)
+        assert t_out.entries.tobytes() == t_ref.tobytes()
+        assert noise.sigma_hat.tobytes() == sigma_ref.tobytes()
+        assert noise.beta_hat.tobytes() == beta_ref.tobytes()
+        assert np.array_equal(noise.converged, conv_ref)
+        if est.scope == "all":
+            u, balance = tm.extract_gramian(est)
+            u_ref, balance_ref = per_row_extract_gramian(est)
+            assert u.tobytes() == u_ref.tobytes()
+            assert balance == balance_ref
 
 
 class TestChannelNoiseEstimate:

@@ -22,6 +22,7 @@ from hypothesis.extra.numpy import arrays
 import tminfer as tm
 import tminfer.io as tio
 from tminfer.cli import main
+from oracles import array_equal_decimation
 
 
 CONFIG = {
@@ -203,6 +204,23 @@ class TestFormats:
             assert r1.a == r2.a
             assert r1.k.tobytes() == r2.k.tobytes()
             assert np.array_equal(m1.active, m2.active)
+
+    def test_fully_decimated_estimate_round_trip(self, tmp_path, data4_noisy):
+        # The last record of a path has no coupling left: every row is written
+        # with "positions": [] and reads back bit for bit.
+        path = array_equal_decimation(tm.Moments.of(data4_noisy), "output", 0.1)
+        est = path.records[-1].estimate
+        assert est.n_active_couplings == 0
+        tio.write_estimate(est, tmp_path / "e.json", fingerprint="fp",
+                           dataset_sha256="x")
+        rows = json.loads((tmp_path / "e.json").read_text())["rows"]
+        assert all(row["positions"] == row["values"] == [] for row in rows)
+        back = tio.read_estimate(tmp_path / "e.json", fingerprint="fp")
+        for name in ("a", "k", "active"):
+            assert getattr(back, name).tobytes() == getattr(est, name).tobytes()
+        assert back.converged == est.converged
+        assert back.row_objectives == est.row_objectives
+        assert back.total_pl == est.total_pl
 
     def test_fingerprint_mismatch_rejected(self, tmp_path, data4_noisy):
         est = tm.fit_all_rows(data4_noisy, scope="output")
@@ -670,6 +688,55 @@ class TestCli:
         doc["rows"][0]["a"] *= 2
         (out / "estimate_full.json").write_text(json.dumps(doc))
         assert self.run("select", "--config", str(cfg), "--out", str(out)) == 1
+
+    @pytest.mark.parametrize("case", [
+        "position 999", "position -1", "repeated position", "descending positions",
+        "position not an integer", "values short", "a zero", "a negative", "a nan",
+        "value nan", "site", "row missing", "converged not a bool",
+        "objective not a number", "total_pl not a number"])
+    def test_malformed_estimate_rows_are_a_chain_error(self, tmp_path, capsys, case):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "run"
+        for verb in ("generate", "fit", "select"):
+            assert self.run(verb, "--config", str(cfg), "--out", str(out)) == 0
+        name = "estimate_selected.json"
+        doc = json.loads((out / name).read_text())
+        row = max(doc["rows"], key=lambda rec: len(rec["positions"]))
+        pos = row["positions"]
+        assert len(pos) >= 2
+        if case == "position 999":
+            pos[-1] = 999
+        elif case == "position -1":
+            pos[0] = -1
+        elif case == "repeated position":
+            pos[1] = pos[0]
+        elif case == "descending positions":
+            pos.reverse()
+            row["values"].reverse()
+        elif case == "position not an integer":
+            pos[0] = float(pos[0])
+        elif case == "values short":
+            row["values"].pop()
+        elif case in ("a zero", "a negative", "a nan"):
+            row["a"] = {"a zero": 0.0, "a negative": -1.0, "a nan": math.nan}[case]
+        elif case == "value nan":
+            row["values"][0] = math.nan
+        elif case == "site":
+            row["site"] = 0
+        elif case == "row missing":
+            doc["rows"].remove(row)
+        elif case == "converged not a bool":
+            row["converged"] = 1
+        elif case == "objective not a number":
+            row["objective"] = "0.5"
+        else:
+            doc["total_pl"] = "-1e3"
+        (out / name).write_text(json.dumps(doc))
+        register(out, name)
+        capsys.readouterr()
+        assert self.run("extract", "--config", str(cfg), "--out", str(out)) == 1
+        assert f"{name} holds a malformed estimate" in capsys.readouterr().err
+        assert not (out / "t_inf.csv").exists()
 
     def test_config_change_between_stages_rejected(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -14,8 +14,16 @@ from tminfer.pseudolikelihood import other_sites
 A_CAP = tm.OptimOptions().a_cap
 
 
+def scope_masks(dims, scope):
+    """``initial_masks`` as one ``RowMask`` per fitted site; the fitted sites
+    are the last rows of ``dims.n`` in either scope."""
+    active = tm.initial_masks(dims, scope)
+    first = dims.n - active.shape[0]
+    return [tm.RowMask(site=first + r, active=act) for r, act in enumerate(active)]
+
+
 def output_mask(dims, g):
-    return tm.initial_masks(dims, "output")[g]
+    return scope_masks(dims, "output")[g]
 
 
 class TestMinimizeRow:
@@ -111,7 +119,7 @@ class TestRowSolveBranches:
     @pytest.mark.parametrize("scope", ["output", "all"])
     def test_cholesky_matches_lstsq_reference(self, data4_noisy, scope):
         moments = tm.Moments.of(data4_noisy)
-        for mask in tm.initial_masks(moments.dims, scope):
+        for mask in scope_masks(moments.dims, scope):
             assert not cholesky_raises(moments, mask)
             fit = tm.minimize_row(mask.site, moments, mask)
             ref = lstsq_row(mask.site, moments, mask, A_CAP)
@@ -136,7 +144,7 @@ class TestRowSolveBranches:
         else:
             few = tm.generate_dataset(channel4, 8, tm.NoiseSpec(sigma=0.1), seed=3)
             moments, scope = tm.Moments.of(few), case.split("-")[1]
-        for mask in tm.initial_masks(moments.dims, scope):
+        for mask in scope_masks(moments.dims, scope):
             assert cholesky_raises(moments, mask)
             fit = tm.minimize_row(mask.site, moments, mask)
             assert same_bits(fit, lstsq_row(mask.site, moments, mask, A_CAP))
@@ -152,7 +160,7 @@ class TestRowSolveBranches:
         assert np.linalg.matrix_rank(channel.entries) < dims.n_half
         ds = tm.generate_dataset(channel, 500, tm.NoiseSpec(sigma=0.0), seed=2)
         moments = tm.Moments.of(tm.reverse_dataset(ds))
-        masks = tm.initial_masks(dims, "output")
+        masks = scope_masks(dims, "output")
         assert not any(cholesky_raises(moments, mask) for mask in masks)
         for mask in masks:
             fit = tm.minimize_row(mask.site, moments, mask)
@@ -173,7 +181,7 @@ class TestRowFitTypes:
         else:
             moments = tm.Moments.of(
                 tm.generate_dataset(channel4, 8, tm.NoiseSpec(sigma=0.1), seed=3))
-            mask = tm.initial_masks(dims, "all")[mask.site]
+            mask = scope_masks(dims, "all")[mask.site]
             assert cholesky_raises(moments, mask)
         fit = tm.minimize_row(mask.site, moments, mask)
         assert (fit.params.a == A_CAP) == (case != "noisy")
@@ -244,9 +252,11 @@ class TestFitAllRows:
             tm.fit_all_rows(data4_noisy, scope="inputs-only")
 
     def test_inconsistent_masks_rejected(self, data4_noisy):
-        masks = tm.initial_masks(data4_noisy.dims, "output")[::-1]
+        masks = tm.initial_masks(data4_noisy.dims, "all")
         with pytest.raises(ValueError):
             tm.fit_all_rows(data4_noisy, masks=masks, scope="output")
+        with pytest.raises(ValueError):
+            tm.fit_all_rows(data4_noisy, masks=masks[:, 1:], scope="all")
 
     def test_thread_count_is_bit_irrelevant(self, data4_noisy):
         est1 = tm.fit_all_rows(data4_noisy, scope="output", threads=1)
@@ -337,14 +347,86 @@ class TestFitAllRows:
         assert est1.dataset_fingerprint != est2.dataset_fingerprint
 
 
+class TestEstimateArrays:
+    """A ``CouplingEstimate`` holds ``a``, ``k`` and ``active`` as read-only
+    arrays of its own."""
+
+    @staticmethod
+    def fields(data):
+        """Constructor arguments of an output-scope fit, as writable arrays."""
+        est = tm.fit_all_rows(data, scope="output")
+        return {"dims": data.dims, "scope": "output", "direction": "forward",
+                "a": np.array(est.a), "k": np.array(est.k), "active": np.array(est.active),
+                "converged": est.converged, "row_objectives": est.row_objectives,
+                "total_pl": est.total_pl}
+
+    def test_arrays_are_read_only(self, data4_noisy):
+        est = tm.fit_all_rows(data4_noisy, scope="all")
+        for arr in (est.a, est.k, est.active):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
+    def test_shares_no_memory_with_its_caller(self, data4_noisy):
+        f = self.fields(data4_noisy)
+        est = tm.CouplingEstimate(**f)
+        before = est.k.tobytes(), est.a.tobytes(), est.active.tobytes()
+        for name in ("a", "k", "active"):
+            assert not np.shares_memory(getattr(est, name), f[name])
+        f["k"][0, 0] += 1.0
+        f["a"][0] *= 2.0
+        f["active"][0] = ~f["active"][0]
+        assert (est.k.tobytes(), est.a.tobytes(), est.active.tobytes()) == before
+
+    def test_fit_copies_the_masks_it_is_given(self, data4_noisy):
+        masks = tm.initial_masks(data4_noisy.dims, "output")
+        est = tm.fit_all_rows(data4_noisy, masks=masks, scope="output")
+        assert not np.shares_memory(est.active, masks)
+        masks[:] = False
+        assert est.n_active_couplings == 16 * 16
+
+    @pytest.mark.parametrize("scope", ["output", "all"])
+    def test_rows_and_masks_are_the_arrays(self, data4_noisy, scope):
+        est = tm.fit_all_rows(data4_noisy, scope=scope)
+        assert len(est.rows) == len(est.masks) == len(est.fitted_sites) == est.a.shape[0]
+        for r, (site, row, mask) in enumerate(zip(est.fitted_sites, est.rows, est.masks)):
+            assert row.site == mask.site == site
+            assert row.a == est.a[r]
+            assert row.k.tobytes() == est.k[r].tobytes()
+            assert np.array_equal(mask.active, est.active[r])
+            assert est.row_for(site).k.tobytes() == row.k.tobytes()
+            assert est.row_for(site).a == row.a
+        assert est.n_active_couplings == int(est.active.sum())
+
+    @pytest.mark.parametrize("name, value", [
+        ("a", lambda f: f["a"][:-1]),
+        ("k", lambda f: f["k"][:, :-1]),
+        ("k", lambda f: f["k"][:-1]),
+        ("active", lambda f: f["active"][:, :-1]),
+        ("a", lambda f: np.where(np.arange(16) == 3, 0.0, f["a"])),
+        ("a", lambda f: np.where(np.arange(16) == 3, -1.0, f["a"])),
+        ("a", lambda f: np.where(np.arange(16) == 3, np.nan, f["a"])),
+        ("a", lambda f: np.where(np.arange(16) == 3, np.inf, f["a"])),
+        ("k", lambda f: np.where(f["active"], np.nan, f["k"])),
+        ("k", lambda f: np.where(f["active"], -np.inf, f["k"])),
+        ("converged", lambda f: f["converged"][:-1]),
+        ("row_objectives", lambda f: f["row_objectives"] + (0.0,)),
+        ("scope", lambda f: "inputs"),
+    ])
+    def test_bad_shape_or_value_rejected(self, data4_noisy, name, value):
+        f = self.fields(data4_noisy)
+        f[name] = value(f)
+        with pytest.raises(ValueError):
+            tm.CouplingEstimate(**f)
+
+
 class TestTrueSupportMasks:
     def test_masks_follow_support(self, channel4):
         support = channel4.entries != 0
         masks = tm.true_support_masks(channel4.dims, support)
-        for g, mk in enumerate(masks):
-            assert mk.site == 16 + g
-            assert np.array_equal(mk.active[:16], support[g])
-            assert not mk.active[16:].any()
+        assert masks.shape == (16, 31)
+        assert np.array_equal(masks[:, :16], support)
+        assert not masks[:, 16:].any()
 
     def test_shape_check(self, channel4):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,23 +13,18 @@ from tminfer.selection import DecimationRecord, select_best
 def toy_estimate(dims, k_rows, a=1.0):
     """Hand-built output-scope estimate with prescribed coupling vectors."""
     nh = dims.n_half
-    rows, masks = [], []
-    for g, k in enumerate(k_rows):
-        k = np.asarray(k, dtype=float)
-        rows.append(tm.RowParams(site=nh + g, a=a, k=k))
-        act = np.zeros(dims.n - 1, dtype=bool)
-        act[:nh] = k[:nh] != 0.0
-        masks.append(tm.RowMask(site=nh + g, active=act))
-    sites = tuple(range(nh, dims.n))
+    k = np.asarray(k_rows, dtype=float)
+    active = np.zeros(k.shape, dtype=bool)
+    active[:, :nh] = k[:, :nh] != 0.0
     return tm.CouplingEstimate(
-        dims=dims, scope="output", direction="forward", fitted_sites=sites,
-        rows=tuple(rows), masks=tuple(masks),
-        converged=tuple(True for _ in sites),
-        row_objectives=tuple(0.0 for _ in sites), total_pl=0.0,
-        dataset_fingerprint="toy")
+        dims=dims, scope="output", direction="forward", a=np.full(nh, a), k=k,
+        active=active, converged=(True,) * nh, row_objectives=(0.0,) * nh,
+        total_pl=0.0, dataset_fingerprint="toy")
 
 
 class TestDecimateStep:
+    """One decimation step, ``selection._prune``."""
+
     def test_smallest_magnitude_goes_first(self):
         dims = tm.Dimensions(w=2)
         k_rows = np.zeros((4, dims.n - 1))
@@ -36,32 +32,39 @@ class TestDecimateStep:
         k_rows[1, 1] = 0.001
         k_rows[2, 2] = 0.9
         est = toy_estimate(dims, k_rows)
-        masks = tm.decimate_step(est, batch=1)
-        assert not masks[1].active[1]
-        assert masks[0].active[0] and masks[2].active[2]
+        active, changed = selection._prune(est, batch=1)
+        assert not active[1, 1]
+        assert active[0, 0] and active[2, 2]
+        assert changed == [1]
+
+    def test_leaves_the_estimate_untouched(self, data4_noisy):
+        est = tm.fit_all_rows(data4_noisy, scope="output")
+        active, changed = selection._prune(est, batch=40)
+        assert est.n_active_couplings == int(active.sum()) + 40
+        assert changed == np.flatnonzero((est.active != active).any(axis=1)).tolist()
 
     def test_full_decimation(self, data4_noisy):
         est = tm.fit_all_rows(data4_noisy, scope="output")
-        n_active = est.n_active_couplings
-        masks = tm.decimate_step(est, batch=n_active)
-        assert sum(mk.n_active for mk in masks) == 0
+        active, changed = selection._prune(est, batch=est.n_active_couplings)
+        assert not active.any()
+        assert changed == list(range(16))
 
     def test_batch_bounds(self, data4_noisy):
         est = tm.fit_all_rows(data4_noisy, scope="output")
         with pytest.raises(ValueError):
-            tm.decimate_step(est, batch=0)
+            selection._prune(est, batch=0)
         with pytest.raises(ValueError):
-            tm.decimate_step(est, batch=est.n_active_couplings + 1)
+            selection._prune(est, batch=est.n_active_couplings + 1)
 
     def test_exhausted_supply_rejected(self):
         dims = tm.Dimensions(w=2)
         est = toy_estimate(dims, np.zeros((4, dims.n - 1)))
         with pytest.raises(ValueError):
-            tm.decimate_step(est, batch=1)
+            selection._prune(est, batch=1)
 
     def test_zero_noise_ranking_separates_support(self, channel4, data4_clean):
         est = tm.fit_all_rows(data4_clean, scope="output")
-        k_in = est.coupling_matrix()[:, :16]
+        k_in = est.k[:, :16]
         sup = channel4.entries != 0
         assert np.abs(k_in[sup]).min() > np.abs(k_in[~sup]).max()
 
@@ -141,7 +144,7 @@ class TestRunDecimation:
 
     def test_pl_nested_model_monotonicity(self, data4_noisy):
         full = tm.fit_all_rows(data4_noisy, scope="output")
-        sub_masks = tm.decimate_step(full, batch=60)
+        sub_masks, _ = selection._prune(full, batch=60)
         sub = tm.fit_all_rows(data4_noisy, masks=sub_masks, scope="output")
         assert full.total_pl >= sub.total_pl - 1e-8 * abs(full.total_pl)
 
@@ -169,17 +172,49 @@ class TestRunDecimation:
             assert r1.bic == r4.bic
 
     def test_records_count_curvatures_and_sum_pl(self, data4_noisy):
-        path, _ = tm.run_decimation(data4_noisy, scope="output")
+        path, best = tm.run_decimation(data4_noisy, scope="output")
         m = data4_noisy.m_samples
         for rec in path.records:
             assert rec.k_free == rec.n_couplings + 16
             assert rec.bic == tm.bic_score(rec.k_free, m, rec.total_pl)
-            assert rec.total_pl == rec.estimate.total_pl
+        assert path.selected_record.total_pl == best.total_pl
 
-    def test_initial_estimate_is_reused(self, data4_noisy):
+    def test_only_the_selected_record_keeps_its_estimate(self, data4_noisy):
+        path, best = tm.run_decimation(data4_noisy, scope="output")
+        assert [i for i, r in enumerate(path.records) if r.estimate is not None] == \
+            [path.selected]
+        assert path.selected_record.estimate is best
+
+    def test_path_holds_at_most_three_estimates(self, data4_noisy):
+        # Records keep scalars; only the running BIC minimum and the estimate
+        # being refit are alive, so the path stays near one estimate's arrays
+        # however many records it has (one estimate per record held ~27 here).
+        dims = tm.Dimensions(w=8)
+        ds = tm.generate_dataset(tm.build_random_tm(dims, 0.2, seed=1), 3000,
+                                 tm.NoiseSpec(sigma=0.05), seed=2)
+        moments = tm.Moments.of(ds)
+        tm.run_decimation(data4_noisy)  # any first-call imports and caches
+        tracemalloc.start()
+        try:
+            path, best = tm.run_decimation(moments)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(path.records) > 50
+        assert held <= 3 * (best.a.nbytes + best.k.nbytes + best.active.nbytes)
+
+    def test_initial_estimate_is_reused(self, data4_noisy, monkeypatch):
         est = tm.fit_all_rows(data4_noisy, scope="output")
-        path, _ = tm.run_decimation(data4_noisy, scope="output", initial=est)
-        assert path.records[0].estimate is est
+        ref, ref_best = tm.run_decimation(data4_noisy, scope="output")
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("the initial estimate was fitted again")
+
+        monkeypatch.setattr(selection, "fit_all_rows", no_fit)
+        path, best = tm.run_decimation(data4_noisy, scope="output", initial=est)
+        assert [r.total_pl for r in path.records] == [r.total_pl for r in ref.records]
+        assert path.selected == ref.selected
+        assert best.k.tobytes() == ref_best.k.tobytes()
 
     def test_scope_mismatch_rejected(self, data4_noisy):
         est = tm.fit_all_rows(data4_noisy, scope="output")
@@ -212,12 +247,11 @@ class TestRefitOnlyPrunedRows:
         assert len(calls) == len(path.records) - 1
         for (before, new_masks, sites), rec, nxt in zip(calls, path.records,
                                                         path.records[1:]):
-            dropped = before.active_matrix() & ~np.vstack([mk.active for mk in new_masks])
+            dropped = before.active & ~new_masks
             assert int(dropped.sum()) == rec.n_couplings - nxt.n_couplings
             holding = np.flatnonzero(dropped.any(axis=1))
             assert sites == [before.fitted_sites[r] for r in holding]
-            kept = np.setdiff1d(np.arange(len(new_masks)), holding)
-            assert all(new_masks[r] is before.masks[r] for r in kept)
+            assert np.array_equal(new_masks, before.active & ~dropped)
 
     @pytest.mark.parametrize("w, seed, scope, fraction", [
         (4, 11, "output", 0.1), (4, 12, "all", 0.1), (4, 13, "output", 0.0),
@@ -235,5 +269,6 @@ class TestRefitOnlyPrunedRows:
         assert [r.total_pl for r in path.records] == [r.total_pl for r in ref.records]
         assert path.selected == ref.selected
         ref_best = ref.selected_record.estimate
-        assert np.array_equal(best.active_matrix(), ref_best.active_matrix())
-        assert np.array_equal(best.coupling_matrix(), ref_best.coupling_matrix())
+        assert np.array_equal(best.active, ref_best.active)
+        assert best.a.tobytes() == ref_best.a.tobytes()
+        assert best.k.tobytes() == ref_best.k.tobytes()
