@@ -5,21 +5,22 @@ be re-run in isolation; only ``fit`` parses the samples, and ``select`` and
 ``fit --reversed`` continue from the moments it records.  The ``--reversed``
 variants of fit/select/extract work on the input/output-swapped data and
 produce the inverse-map artifacts (suffix ``_reversed``, matrix
-``t_inv_inf``).  Exit codes: 0 success, 1 validation error (bad config,
-checksum/fingerprint mismatch, scope misuse), 2 runtime failure.
+``t_inv_inf``).  Every setting comes from the config file, whose fingerprint
+every artifact records; ``binary_io`` names each array file (``_array_name``).
+Exit codes: 0 success, 1 validation error (bad config, checksum/fingerprint
+mismatch), 2 runtime failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import io as tio
-from .experiments import SweepConfig, evaluate_channel, gaussian_spot, run_sweep
+from .experiments import evaluate_channel, gaussian_spot, run_sweep
 from .extraction import extract_gramian, extract_tm
 from .model import Moments, NoiseSpec, TransmissionMatrix, build_random_tm, generate_dataset
 from .optimize import fit_all_rows
@@ -29,12 +30,8 @@ from .selection import run_decimation
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", required=True, help="JSON run configuration")
     p.add_argument("--out", required=True, help="artifact directory")
-    p.add_argument("--seed", type=int, default=None, help="override config seed")
     p.add_argument("--threads", type=int, default=None,
                    help="accepted and ignored: rows are solved on one thread")
-    p.add_argument("--scope", choices=("output", "all"), default=None,
-                   help="override config fit scope")
-    p.add_argument("--binary-io", action="store_true", help="write arrays as .npy")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -50,17 +47,11 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--reversed", action="store_true", dest="reversed_data",
                            help="work on the input/output-swapped dataset "
                                 "(inverse-map inference)")
-        if name == "extract":
-            p.add_argument("--gramian", action="store_true",
-                           help="also extract the input Gramian and balance "
-                                "(needs an all-sites estimate)")
     return parser
 
 
 def _load(args) -> tuple[tio.RunConfig, Path, str]:
     cfg = tio.RunConfig.from_file(args.config)
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
     return cfg, Path(args.out), tio.config_fingerprint(cfg)
 
 
@@ -68,19 +59,24 @@ def _suffix(args) -> str:
     return "_reversed" if getattr(args, "reversed_data", False) else ""
 
 
+def _array_name(cfg: tio.RunConfig, stem: str) -> str:
+    """The file name of the array artifact ``stem``: ``.npy`` under
+    ``binary_io``, CSV otherwise; ``io`` reads the format from the suffix."""
+    return f"{stem}.npy" if cfg.binary_io else f"{stem}.csv"
+
+
 def cmd_generate(args) -> int:
     """Draw a ground-truth channel and a synthetic dataset."""
     cfg, out, fp = _load(args)
-    binary = args.binary_io or cfg.binary_io
     tm = build_random_tm(cfg.dims, cfg.density, seed=cfg.seed)
     ds = generate_dataset(tm, cfg.m_samples, NoiseSpec(sigma=cfg.sigma),
                           seed=cfg.seed + 1,
                           source=f"tminfer generate w={cfg.w} density={cfg.density}")
     out.mkdir(parents=True, exist_ok=True)
-    tio.write_dataset(ds, out, fingerprint=fp, binary=binary)
-    t_name = "t_true.npy" if binary else "t_true.csv"
-    tio.write_matrix(tm, out / t_name, binary=binary)
-    print(f"wrote {out}/dataset.{'npy' if binary else 'csv'}, dataset.meta.json, {t_name}")
+    tio.write_dataset(ds, out, fingerprint=fp, binary=cfg.binary_io)
+    t_name = _array_name(cfg, "t_true")
+    tio.write_matrix(tm, out / t_name)
+    print(f"wrote {out}/{_array_name(cfg, 'dataset')}, dataset.meta.json, {t_name}")
     return 0
 
 
@@ -102,7 +98,6 @@ def _recorded_fit(out: Path, fp: str, sfx: str):
 def cmd_fit(args) -> int:
     """Fit all rows under the full support mask."""
     cfg, out, fp = _load(args)
-    scope = args.scope or cfg.scope
     sfx = _suffix(args)
     if sfx:
         # The swapped samples' C is a block permutation of the forward C.
@@ -111,7 +106,7 @@ def cmd_fit(args) -> int:
     else:
         ds, meta = tio.read_dataset(out, fingerprint=fp)
         moments = Moments.of(ds)
-    est = fit_all_rows(moments, scope=scope)
+    est = fit_all_rows(moments, scope=cfg.scope)
     name = f"estimate_full{sfx}.json"
     # The second moments ride along, so no later stage re-reads the samples.
     tio.write_estimate(est, out / name, fingerprint=fp,
@@ -123,10 +118,9 @@ def cmd_fit(args) -> int:
 def cmd_select(args) -> int:
     """Decimate from the full fit and pick the BIC-optimal support."""
     cfg, out, fp = _load(args)
-    scope = args.scope or cfg.scope
     sfx = _suffix(args)
     meta, initial, moments = _recorded_fit(out, fp, sfx)
-    path, best = run_decimation(moments, scope=scope,
+    path, best = run_decimation(moments, scope=cfg.scope,
                                 decim_opts=cfg.decimation_options(), initial=initial)
     tio.write_path(path, out / f"path{sfx}.json", fingerprint=fp, sigma=cfg.sigma,
                    dataset_sha256=meta["data_sha256"])
@@ -139,21 +133,17 @@ def cmd_select(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    """Extract the channel matrix and per-channel noise from an estimate."""
+    """Extract the channel matrix and per-channel noise from an estimate, and
+    the input Gramian and its balance from an all-sites one."""
     cfg, out, fp = _load(args)
-    binary = args.binary_io or cfg.binary_io
     sfx = _suffix(args)
     name = f"estimate_selected{sfx}.json"
     if not (out / name).exists():
         name = f"estimate_full{sfx}.json"
     est = tio.read_estimate(out / name, fingerprint=fp)
-    if args.gramian and est.scope != "all":
-        raise tio.ChainError("Gramian extraction requires an all-sites estimate; "
-                             "re-run fit/select with --scope all")
     tm, noise = extract_tm(est)
-    stem = "t_inv_inf" if est.direction == "reversed" else "t_inf"
-    t_name = f"{stem}.npy" if binary else f"{stem}.csv"
-    tio.write_matrix(tm, out / t_name, binary=binary)
+    t_name = _array_name(cfg, "t_inv_inf" if est.direction == "reversed" else "t_inf")
+    tio.write_matrix(tm, out / t_name)
     doc = {
         "format": "tminfer-extract",
         "source_estimate": name,
@@ -162,32 +152,23 @@ def cmd_extract(args) -> int:
         "beta_hat": [float(b) for b in noise.beta_hat],
         "rows_converged": [bool(c) for c in noise.converged],
     }
-    if args.gramian:
-        u, balance = extract_gramian(est)
-        doc["balance"] = balance
-        u_tm = TransmissionMatrix(dims=est.dims, entries=u, role="direct")
-        g_name = "gramian_inf.npy" if binary else "gramian_inf.csv"
-        tio.write_matrix(u_tm, out / g_name, binary=binary)
+    if est.scope == "all":
+        u, doc["balance"] = extract_gramian(est)
+        tio.write_matrix(TransmissionMatrix(dims=est.dims, entries=u, role="direct"),
+                         out / _array_name(cfg, f"gramian_inf{sfx}"))
     tio.write_json_artifact(doc, out / f"extract{sfx}.json", fingerprint=fp)
     print(f"extracted {t_name} ({tm.role}), mean sigma_hat="
           f"{float(np.mean(noise.sigma_hat)):.4g}")
     return 0
 
 
-def _read_registered_matrix(out: Path, names) -> TransmissionMatrix:
-    for n in names:
-        if (out / n).exists():
-            return tio.read_matrix(out / n)
-    raise tio.ChainError(f"none of {names} found in {out}; run the producing stage")
-
-
 def cmd_eval(args) -> int:
     """Run focusing and image-reconstruction experiments on extracted matrices."""
     cfg, out, fp = _load(args)
-    t_true = _read_registered_matrix(out, ("t_true.csv", "t_true.npy"))
-    t_inf = _read_registered_matrix(out, ("t_inf.csv", "t_inf.npy"))
-    t_inv_names = [n for n in ("t_inv_inf.csv", "t_inv_inf.npy") if (out / n).exists()]
-    t_inv = _read_registered_matrix(out, t_inv_names) if t_inv_names else None
+    t_true = tio.read_matrix(out / _array_name(cfg, "t_true"))
+    t_inf = tio.read_matrix(out / _array_name(cfg, "t_inf"))
+    inv = out / _array_name(cfg, "t_inv_inf")
+    t_inv = tio.read_matrix(inv) if inv.exists() else None
     target = gaussian_spot(cfg.dims, width=cfg.spot_width,
                            amplitude=cfg.spot_amplitude,
                            background=cfg.spot_background)
@@ -206,12 +187,7 @@ def cmd_sweep(args) -> int:
     """Full pipeline over the sigma grid, one record per (sigma, replicate)."""
     cfg, out, fp = _load(args)
     grid = cfg.sigma_grid if cfg.sigma_grid is not None else (cfg.sigma,)
-    sweep_cfg = SweepConfig(
-        dims=cfg.dims, density=cfg.density, m_samples=cfg.m_samples,
-        sigma_grid=grid, master_seed=cfg.seed, replicates=cfg.replicates,
-        scope=cfg.scope, decim_opts=cfg.decimation_options(),
-        include_balance=cfg.include_balance)
-    report = run_sweep(sweep_cfg)
+    report = run_sweep(cfg.sweep_config())
     # Wall-clock timings are the one nondeterministic field; they stay out of
     # the artifact so identical configs produce identical bytes.
     records = [{k: v for k, v in r.__dict__.items() if k != "runtime_seconds"}

@@ -39,6 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .experiments import SweepConfig
 from .model import Dataset, Dimensions, Moments, TransmissionMatrix
 from .optimize import CouplingEstimate
 from .selection import DecimationOptions, DecimationPath
@@ -434,8 +435,6 @@ class RunConfig:
             raise ConfigError("sigma must be nonnegative")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
-        if self.replicates < 1:
-            raise ConfigError("replicates must be >= 1")
         bad = set(self.decimation) - _DEC_KEYS
         if bad:
             raise ConfigError(f"unknown decimation keys: {sorted(bad)}")
@@ -447,6 +446,16 @@ class RunConfig:
         if self.sigma_grid is not None:
             object.__setattr__(self, "sigma_grid",
                                tuple(float(s) for s in self.sigma_grid))
+        # The sweep's own rules (a non-empty, non-negative, ascending grid;
+        # replicates >= 1) hold for every stage, so a bad value stops the first.
+        try:
+            object.__setattr__(self, "_sweep_config", SweepConfig(
+                dims=self.dims, density=self.density, m_samples=self.m_samples,
+                sigma_grid=self.sigma_grid if self.sigma_grid is not None else (self.sigma,),
+                master_seed=self.seed, replicates=self.replicates, scope=self.scope,
+                decim_opts=self._decimation_options, include_balance=self.include_balance))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
@@ -481,6 +490,10 @@ class RunConfig:
 
     def decimation_options(self) -> DecimationOptions:
         return self._decimation_options
+
+    def sweep_config(self) -> SweepConfig:
+        """The noise sweep over ``sigma_grid`` (``sigma`` alone without one)."""
+        return self._sweep_config
 
 
 # ---------------------------------------------------------------------------
@@ -557,16 +570,17 @@ def read_dataset(out_dir: str | Path, fingerprint: str | None = None) -> tuple[D
 # Matrices
 
 
-def write_matrix(tm: TransmissionMatrix, path: str | Path,
-                 binary: bool = False) -> None:
-    """One row per line, comma separated, '#'-prefixed shape/role header."""
-    m = tm.entries
-    if binary:
+def write_matrix(tm: TransmissionMatrix, path: str | Path) -> None:
+    """Write ``tm`` in the format its path's suffix names, as ``read_matrix``
+    reads it: ``.npy``, or else CSV, one row per line under a '#'-prefixed
+    shape/role header."""
+    path, m = Path(path), tm.entries
+    if path.suffix == ".npy":
         blocks = _npy_blocks(m)
     else:
         header = f"# {m.shape[0]} {m.shape[1]} {tm.role}\n".encode()
         blocks = itertools.chain((header,), _csv_blocks(m))
-    _write_artifact(Path(path), blocks)
+    _write_artifact(path, blocks)
 
 
 def read_matrix(path: str | Path) -> TransmissionMatrix:

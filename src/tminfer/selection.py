@@ -30,7 +30,6 @@ __all__ = [
     "DecimationPath",
     "bic_score",
     "run_decimation",
-    "select_best",
 ]
 
 
@@ -91,17 +90,6 @@ def _beats(rec: DecimationRecord, best: DecimationRecord) -> bool:
     return rec.bic < best.bic or (rec.bic == best.bic and rec.k_free < best.k_free)
 
 
-def select_best(records) -> int:
-    """Index of the minimum-BIC record, ties resolved toward fewer parameters."""
-    if not records:
-        raise ValueError("no records to select from")
-    best = 0
-    for i, rec in enumerate(records):
-        if _beats(rec, records[best]):
-            best = i
-    return best
-
-
 def bic_score(k_free: int, m_samples: int, total_pl: float) -> float:
     """Bayesian information criterion: k_free * ln(m_samples) - 2 * total_pl."""
     if k_free < 0:
@@ -156,8 +144,9 @@ def run_decimation(
     """Full decimation run: fit, prune, refit until no couplings remain.
 
     Returns the path and the estimate at the BIC-optimal record, the only
-    record that keeps its estimate: the loop holds the running minimum
-    (``select_best``'s rule) and drops every other estimate as it goes.
+    record that keeps its estimate: the loop holds the running minimum (the
+    lowest BIC, ties toward fewer parameters) and drops every other estimate
+    as it goes.
     ``initial`` may supply an existing full-mask fit to avoid repeating it.
     ``threads`` is accepted and ignored.
     """

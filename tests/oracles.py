@@ -4,11 +4,11 @@ Everything here deliberately avoids the package's own code paths: OLS goes
 through raw normal equations, gradients through central differences, the
 Gaussian normalizer through adaptive quadrature, the iterative row optimum
 through scipy's L-BFGS-B on the objective's public definition, the moment row
-solve through ``lstsq`` alone, the decimation loop through its own ranking
-and per-row mask comparisons, extraction through per-row loops and the sample
-generator through whole-array draws.  The ``parameterize_*`` builders write a
-known channel's exact natural parameters as an estimate, the reference that
-extraction must invert.
+solve through ``lstsq`` alone, the decimation loop through its own ranking,
+per-row mask comparisons and BIC minimum, extraction through per-row loops
+and the sample generator through whole-array draws.  The ``parameterize_*``
+functions write a known channel's exact natural parameters as an estimate,
+the reference that extraction must invert.
 """
 
 import math
@@ -20,7 +20,7 @@ from scipy.optimize import minimize
 import tminfer as tm
 from tminfer.optimize import refit_rows
 from tminfer.pseudolikelihood import other_sites
-from tminfer.selection import DecimationPath, DecimationRecord, select_best
+from tminfer.selection import DecimationPath, DecimationRecord
 
 
 def ols_conditional(dataset, site, regressor_sites):
@@ -119,6 +119,14 @@ def array_equal_decimation(moments, scope, batch_fraction):
         est = refit_rows(est, moments, new_active, changed)
         records.append(record(est))
     return DecimationPath(records=tuple(records), selected=select_best(records))
+
+
+def select_best(records):
+    """Index of the minimum-BIC record, ties resolved toward fewer parameters:
+    the least ``(bic, k_free)`` pair in lexicographic order."""
+    if not records:
+        raise ValueError("no records to select from")
+    return min(range(len(records)), key=lambda i: (records[i].bic, records[i].k_free))
 
 
 def whole_array_samples(channel, m_samples, noise, seed):

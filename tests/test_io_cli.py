@@ -87,7 +87,8 @@ class TestRunConfig:
         {"seed": -1}, {"replicates": 1.5}, {"density": "0.2"}, {"sigma": None},
         {"spot_width": [1.2]}, {"sigma_grid": [0.0, "0.1"]}, {"binary_io": "yes"},
         {"decimation": {"batch_fraction": "0.1"}}, {"decimation": {"batch_fraction": 1.0}},
-        {"decimation": [0.1]},
+        {"decimation": [0.1]}, {"sigma_grid": [0.2, 0.1]}, {"sigma_grid": [-0.1]},
+        {"sigma_grid": []}, {"replicates": 0},
     ])
     def test_field_validation(self, tmp_path, capsys, bad):
         # Every bad value stops the first stage as a validation error (exit 1).
@@ -134,8 +135,11 @@ class TestFormats:
 
     @pytest.mark.parametrize("binary", [False, True])
     def test_matrix_round_trip(self, tmp_path, channel4, binary):
+        # The path's suffix picks the format: .npy, or CSV under its header.
         name = "m.npy" if binary else "m.csv"
-        tio.write_matrix(channel4, tmp_path / name, binary=binary)
+        tio.write_matrix(channel4, tmp_path / name)
+        head = b"\x93NUMPY" if binary else b"# 16 16 direct\n"
+        assert (tmp_path / name).read_bytes().startswith(head)
         back = tio.read_matrix(tmp_path / name)
         assert back.entries.tobytes() == channel4.entries.tobytes()
         if not binary:
@@ -346,7 +350,7 @@ class TestStreamingCodec:
         monkeypatch.setattr(tio, "_sha256_file", mock.Mock(side_effect=AssertionError))
         tio.write_dataset(ds, tmp_path, fingerprint="fp")
         tio.write_matrix(channel4, tmp_path / "m.csv")
-        tio.write_matrix(channel4, tmp_path / "m.npy", binary=True)
+        tio.write_matrix(channel4, tmp_path / "m.npy")
         tio.write_estimate(est, tmp_path / "e.json", fingerprint="fp", dataset_sha256="x")
         tio.write_path(path, tmp_path / "p.json", fingerprint="fp", sigma=0.1,
                        dataset_sha256="x")
@@ -456,7 +460,7 @@ class TestSampleBufferIO:
 
     def test_npy_is_what_np_save_writes(self, tmp_path, data4_noisy, channel4):
         tio.write_dataset(data4_noisy, tmp_path, "fp", binary=True)
-        tio.write_matrix(channel4, tmp_path / "m.npy", binary=True)
+        tio.write_matrix(channel4, tmp_path / "m.npy")
         for name, a in (("dataset.npy", data4_noisy.site_matrix()), ("m.npy", channel4.entries)):
             ref = tmp_path / f"ref-{name}"
             np.save(ref, a)
@@ -620,11 +624,9 @@ class TestCli:
     def run(self, *argv):
         return main(list(argv))
 
-    def chain(self, tmp_path, out, *, threads=1, extra_cfg=None, seed=None):
+    def chain(self, tmp_path, out, *, threads=1, extra_cfg=None):
         cfg = write_config(tmp_path, extra_cfg)
         common = ["--config", str(cfg), "--out", str(out), "--threads", str(threads)]
-        if seed is not None:
-            common += ["--seed", str(seed)]
         for verb in ("generate", "fit", "select", "extract", "eval", "report"):
             assert self.run(verb, *common) == 0, verb
         return cfg
@@ -752,23 +754,36 @@ class TestCli:
         assert self.run("select", "--config", str(cfg), "--out", str(out)) == 1
 
     def test_gramian_needs_all_scope(self, tmp_path):
+        # An output-scope estimate holds no input rows: extract writes no
+        # Gramian and no balance, forward or reversed.
         cfg = write_config(tmp_path)
         out = tmp_path / "run"
-        for verb in ("generate", "fit", "select"):
-            assert self.run(verb, "--config", str(cfg), "--out", str(out)) == 0
-        assert self.run("extract", "--config", str(cfg), "--out", str(out),
-                        "--gramian") == 1
+        common = ("--config", str(cfg), "--out", str(out))
+        for stage in ("generate", "fit", "select", "extract", "fit --reversed",
+                      "select --reversed", "extract --reversed"):
+            assert self.run(*stage.split(), *common) == 0, stage
+        assert not list(out.glob("gramian_inf*"))
+        for sfx in ("", "_reversed"):
+            assert "balance" not in json.loads((out / f"extract{sfx}.json").read_text())
 
     def test_gramian_with_all_scope(self, tmp_path):
-        cfg = write_config(tmp_path, {"scope": "all", "m_samples": 150})
-        out = tmp_path / "run"
-        for verb in ("generate", "fit"):
-            assert self.run(verb, "--config", str(cfg), "--out", str(out)) == 0
-        assert self.run("extract", "--config", str(cfg), "--out", str(out),
-                        "--gramian") == 0
-        assert (out / "gramian_inf.csv").exists()
-        doc = json.loads((out / "extract.json").read_text())
-        assert "balance" in doc
+        # An all-sites estimate gives each direction its own Gramian file, and
+        # each balance is the one the matrices on disk give.
+        for binary in (False, True):
+            cfg = write_config(tmp_path, {"scope": "all", "m_samples": 150,
+                                          "binary_io": binary}, f"c{binary}.json")
+            out = tmp_path / f"run{binary}"
+            common = ("--config", str(cfg), "--out", str(out))
+            for stage in ("generate", "fit", "select", "extract", "fit --reversed",
+                          "select --reversed", "extract --reversed"):
+                assert self.run(*stage.split(), *common) == 0, stage
+            ext = ".npy" if binary else ".csv"
+            for sfx, t_name in (("", "t_inf"), ("_reversed", "t_inv_inf")):
+                u = tio.read_matrix(out / f"gramian_inf{sfx}{ext}").entries
+                t = tio.read_matrix(out / f"{t_name}{ext}").entries
+                gram = t.T @ t
+                doc = json.loads((out / f"extract{sfx}.json").read_text())
+                assert doc["balance"] == np.linalg.norm(u - gram) / np.linalg.norm(gram)
 
     def test_reversed_flow_produces_inverse(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -803,15 +818,35 @@ class TestCli:
         lines = (out / "sweep_table.csv").read_text().splitlines()
         assert len(lines) == 3
 
-    def test_seed_override_changes_fingerprint(self, tmp_path):
-        cfg = write_config(tmp_path)
+    @pytest.mark.parametrize("flag", [["--seed", "7"], ["--scope", "all"], ["--binary-io"],
+                                      ["--gramian"]], ids=lambda f: f[0])
+    @pytest.mark.parametrize("verb", ["generate", "fit", "select", "extract", "eval",
+                                      "sweep", "report"])
+    def test_settings_come_from_the_config_only(self, tmp_path, verb, flag):
+        # A flag would set a value that the config fingerprint never sees.
         out = tmp_path / "run"
-        assert self.run("generate", "--config", str(cfg), "--out", str(out),
-                        "--seed", "7") == 0
-        # plain config now mismatches the overridden fingerprint
-        assert self.run("fit", "--config", str(cfg), "--out", str(out)) == 1
-        assert self.run("fit", "--config", str(cfg), "--out", str(out),
-                        "--seed", "7") == 0
+        with pytest.raises(SystemExit) as exc:
+            self.run(verb, "--config", str(write_config(tmp_path)), "--out", str(out),
+                     *flag)
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    def test_eval_reads_the_matrices_the_config_names(self, tmp_path):
+        # A CSV chain leaves registered t_*.csv files behind; a binary_io chain
+        # with another sigma in the same directory must evaluate its own .npy
+        # matrices, as in a fresh directory.
+        stages = ("generate", "fit", "select", "extract", "fit --reversed",
+                  "select --reversed", "extract --reversed")
+        csv_cfg = write_config(tmp_path)
+        npy_cfg = write_config(tmp_path, {"binary_io": True, "sigma": 0.3}, "npy.json")
+        stale, fresh = tmp_path / "stale", tmp_path / "fresh"
+        for cfg, out, run_stages in ((csv_cfg, stale, stages),
+                                     (npy_cfg, stale, (*stages, "eval")),
+                                     (npy_cfg, fresh, (*stages, "eval"))):
+            for stage in run_stages:
+                assert self.run(*stage.split(), "--config", str(cfg), "--out", str(out)) == 0
+        assert (stale / "t_inf.csv").exists()
+        assert (stale / "eval.json").read_bytes() == (fresh / "eval.json").read_bytes()
 
     def test_dataset_fingerprint_guard_on_reversed_select(self, tmp_path):
         cfg = write_config(tmp_path)

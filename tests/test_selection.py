@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 import tminfer as tm
-from oracles import array_equal_decimation
+from oracles import array_equal_decimation, select_best
 from tminfer import optimize, selection
-from tminfer.selection import DecimationRecord, select_best
+from tminfer.selection import DecimationRecord
 
 
 def toy_estimate(dims, k_rows, a=1.0):
@@ -85,6 +85,9 @@ class TestBicScore:
 
 
 class TestSelectBest:
+    """The reference rule in ``oracles.select_best``, and ``run_decimation``
+    against it."""
+
     def _rec(self, k_free, bic):
         return DecimationRecord(n_couplings=k_free, k_free=k_free, total_pl=0.0,
                                 bic=bic, estimate=None, all_converged=True)
@@ -100,6 +103,20 @@ class TestSelectBest:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             select_best([])
+
+    def test_decimation_selects_as_the_oracle_on_a_tie(self, data4_noisy, monkeypatch):
+        # Floor every BIC at the path's third lowest: at least three records
+        # share the minimum, and the one with the fewest parameters wins.
+        ref, _ = tm.run_decimation(data4_noisy, scope="output")
+        floor = sorted(r.bic for r in ref.records)[2]
+        exact = selection.bic_score
+        monkeypatch.setattr(selection, "bic_score",
+                            lambda *args: max(exact(*args), floor))
+        path, best = tm.run_decimation(data4_noisy, scope="output")
+        tied = [i for i, r in enumerate(path.records) if r.bic == floor]
+        assert len(tied) >= 3
+        assert path.selected == select_best(path.records) == max(tied)
+        assert path.selected_record.estimate is best
 
 
 @pytest.fixture(scope="module")
