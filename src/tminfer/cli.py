@@ -6,7 +6,9 @@ be re-run in isolation; only ``fit`` parses the samples, and ``select`` and
 variants of fit/select/extract work on the input/output-swapped data and
 produce the inverse-map artifacts (suffix ``_reversed``, matrix
 ``t_inv_inf``).  Every setting comes from the config file, whose fingerprint
-every artifact records; ``binary_io`` names each array file (``_array_name``).
+every artifact records; ``binary_io`` names each array file (``_array_name``),
+and ``eval`` reads an extracted matrix only under the hash that its
+``extract*.json`` recorded.
 Exit codes: 0 success, 1 validation error (bad config, checksum/fingerprint
 mismatch), 2 runtime failure.
 """
@@ -143,7 +145,7 @@ def cmd_extract(args) -> int:
     est = tio.read_estimate(out / name, fingerprint=fp)
     tm, noise = extract_tm(est)
     t_name = _array_name(cfg, "t_inv_inf" if est.direction == "reversed" else "t_inf")
-    tio.write_matrix(tm, out / t_name)
+    matrices = {t_name: tio.write_matrix(tm, out / t_name)}
     doc = {
         "format": "tminfer-extract",
         "source_estimate": name,
@@ -154,21 +156,36 @@ def cmd_extract(args) -> int:
     }
     if est.scope == "all":
         u, doc["balance"] = extract_gramian(est)
-        tio.write_matrix(TransmissionMatrix(dims=est.dims, entries=u, role="direct"),
-                         out / _array_name(cfg, f"gramian_inf{sfx}"))
+        g_name = _array_name(cfg, f"gramian_inf{sfx}")
+        matrices[g_name] = tio.write_matrix(
+            TransmissionMatrix(dims=est.dims, entries=u, role="direct"), out / g_name)
+    # eval reads a matrix only while its hash is the one recorded here.
+    doc["matrix_sha256"] = matrices
     tio.write_json_artifact(doc, out / f"extract{sfx}.json", fingerprint=fp)
     print(f"extracted {t_name} ({tm.role}), mean sigma_hat="
           f"{float(np.mean(noise.sigma_hat)):.4g}")
     return 0
 
 
+def _read_extracted(out: Path, fp: str, sfx: str, name: str) -> TransmissionMatrix:
+    """The matrix ``name`` that ``extract{sfx}`` wrote under this config: its
+    ``extract{sfx}.json`` must carry the config's fingerprint and record the
+    hash the matrix is registered under now."""
+    doc_name = f"extract{sfx}.json"
+    recorded = tio.read_json_artifact(out / doc_name, fingerprint=fp).get("matrix_sha256", {})
+    if name not in recorded:
+        raise tio.ChainError(f"{doc_name} records no {name} (tminfer < 0.8.0 recorded "
+                             "none); re-run extract")
+    return tio.read_matrix(out / name, sha256=recorded[name])
+
+
 def cmd_eval(args) -> int:
     """Run focusing and image-reconstruction experiments on extracted matrices."""
     cfg, out, fp = _load(args)
     t_true = tio.read_matrix(out / _array_name(cfg, "t_true"))
-    t_inf = tio.read_matrix(out / _array_name(cfg, "t_inf"))
-    inv = out / _array_name(cfg, "t_inv_inf")
-    t_inv = tio.read_matrix(inv) if inv.exists() else None
+    t_inf = _read_extracted(out, fp, "", _array_name(cfg, "t_inf"))
+    inv = _array_name(cfg, "t_inv_inf")
+    t_inv = _read_extracted(out, fp, "_reversed", inv) if (out / inv).exists() else None
     target = gaussian_spot(cfg.dims, width=cfg.spot_width,
                            amplitude=cfg.spot_amplitude,
                            background=cfg.spot_background)

@@ -10,7 +10,14 @@ chained stages refuse tampered or mismatched inputs.  Large tables are
 formatted, hashed and written in blocks, never held whole as text.  A CSV
 block's text is that of ``"%.17g" % x`` for each value: a numpy kernel
 formats every value that prints without an exponent (1e-4 <= |x| < 1e15, and
-zeros), and a row holding any other value is one ``%``-format.
+zeros), and a row holding any other value is one ``%``-format.  A CSV table
+is read back in blocks of whole lines by the inverse kernel, exactly: each
+field of at most 24 bytes and 18 significant digits without an exponent
+(every value the writer's kernel prints) is rounded to the nearest double
+in numpy, and a row holding any other field, or a field too close to a
+midpoint between doubles, is one ``np.loadtxt``; a file of another structure
+goes whole through ``np.loadtxt``.  Either way the table has the bits
+``np.loadtxt`` gives.
 
 A dataset's data file is its (M, 2 w**2) sample buffer (``Dataset.site_matrix``),
 one sample per row: ``write_dataset`` formats CSV blocks from slices of it or
@@ -224,6 +231,294 @@ def _csv_blocks(table: np.ndarray):
         yield b"".join(parts)
 
 
+# ---------------------------------------------------------------------------
+# CSV numbers: the exact value of a block of fields at once
+#
+# A field of the grammar -?[0-9]*\.?[0-9]* with at least one digit, at most 24
+# bytes, at most 18 significant digits and k <= 22 digits after the point is
+# the decimal D * 10**-k.  Its bytes are loaded as the three little-endian
+# words of the 24-byte window that ends where the field ends, so its last
+# digit is the window's last byte.  The bytes before the field, and its sign,
+# become "0"; the point is removed by moving the bytes before it up one; the
+# SWAR multiply-shift turns each word's eight digits into a number.  Then
+# D * 10**-k = (D / 5**k) * 2**-k: the quotient q = D / 5**k is rounded to
+# the nearest double in double-double arithmetic (Dekker's product gives the
+# remainder D - q * 5**k exactly), and the scaling by 2**-k is exact.  A
+# field whose rounded sum lies within the error bound of a midpoint between
+# doubles, and every field outside the grammar, leaves its row to
+# ``np.loadtxt``.
+
+# Bytes read per block of whole lines; a line longer than this leaves the
+# whole file to np.loadtxt.  Fields per kernel call: its scratch arena of
+# _SCRATCH_ROWS rows of this length (1.2 MB) lives as long as the read, so no
+# block allocates and faults in temporaries of its own.
+_CSV_CHUNK = 1 << 17
+_FIELDS = 1 << 13
+_SCRATCH_ROWS = 18
+_WINDOW = 24
+_ZEROS = np.uint64(0x3030303030303030)  # "00000000"
+_POINTS = np.uint64(0x2E2E2E2E2E2E2E2E)  # "........"
+_ONES = np.uint64(0x0101010101010101)
+_HIGH_BITS = np.uint64(0x8080808080808080)
+_HIGH_NIBBLES = np.uint64(0xF0F0F0F0F0F0F0F0)
+_SIXES = np.uint64(0x0606060606060606)
+_SWAR = ((np.uint64(10), np.uint64(8), np.uint64(0x00FF00FF00FF00FF)),
+         (np.uint64(100), np.uint64(16), np.uint64(0x0000FFFF0000FFFF)),
+         (np.uint64(10000), np.uint64(32), np.uint64(0x00000000FFFFFFFF)))
+_EXPONENT = np.uint64(0x7FF0000000000000)
+_MANTISSA = np.uint64(0x000FFFFFFFFFFFFF)
+_MIN_NORMAL = np.uint64(0x0010000000000000)
+_AROUND = np.arange(-3, 1)[:, None]  # the aligned words that hold a window
+_TABLE_ROWS = np.arange(0, 75, 25)[:, None]  # word i's row of a flat (3, 25) table
+
+
+@functools.cache
+def _number_tables():
+    """The lookup tables of ``_parse_fields``, built at its first call."""
+    char = np.arange(_WINDOW)
+    # tail[i, c]: the bytes of word i that hold the window's last c characters.
+    tail = _words(np.where(char >= _WINDOW - np.arange(25)[:, None], 0xFF, 0)).T
+    five = 5.0 ** np.arange(23)  # exact: 5**22 < 2**53
+    tables = (tail.ravel(), (~tail).ravel(), five, *_split(five), 2.0 ** -np.arange(23))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _parse_fields(words: np.ndarray, starts: np.ndarray, ends: np.ndarray,
+                  out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Write the value of each field ``chars[starts[i]:ends[i]]`` of the bytes
+    ``chars`` of ``words`` (the uint64 view of a block, 24 bytes or more before
+    its first field) into ``out``; return the mask of the fields read exactly,
+    those of the grammar whose rounding is certain.  Other entries of ``out``
+    are meaningless.  ``scratch``: uint64, ``_SCRATCH_ROWS * len(ends)`` long
+    or more; every intermediate array of more than a byte per field is a row
+    of it."""
+    tail, head, five, five_high, five_low, half_powers = _number_tables()
+    n = len(ends)
+    rows = scratch[:_SCRATCH_ROWS * n].reshape(_SCRATCH_ROWS, n)
+    around, x, y, mark = rows[0:4], rows[4:7], rows[7:10], rows[10:13]
+    size, digits, after, k, tmp = rows[13:18].view(np.int64)
+    np.subtract(ends, starts, out=size)
+    negative = words.view(np.uint8).take(starts) == ord("-")
+    np.subtract(size, negative, out=digits)
+    np.minimum(digits, _WINDOW, out=digits)  # the characters after the sign
+    # The window: bytes ends-24 .. ends-1, from the four aligned words around it.
+    np.right_shift(ends, 3, out=tmp)
+    np.add(tmp, _AROUND, out=rows[4:8].view(np.int64))
+    words.take(rows[4:8].view(np.int64), out=around, mode="clip")
+    shift = tmp.view(np.uint64)
+    np.bitwise_and(ends, 7, out=tmp)
+    shift <<= np.uint64(3)
+    np.right_shift(around[:3], shift, out=x)
+    around[1:] <<= np.uint64(1)  # two steps: a shift by 64 would be undefined
+    np.subtract(np.uint64(63), shift, out=shift)
+    around[1:] <<= shift
+    x |= around[1:]
+    np.add(digits, _TABLE_ROWS, out=mark.view(np.int64))
+    tail.take(mark.view(np.int64), out=y, mode="clip")
+    x ^= _ZEROS
+    x &= y
+    x ^= _ZEROS
+    # The point's byte gets its high bit in `mark`, exact in a field with one
+    # point; its position P in the window comes from the exponent of the sum.
+    np.bitwise_xor(x, _POINTS, out=y)
+    np.subtract(y, _ONES, out=mark)
+    np.invert(y, out=y)
+    mark &= y
+    mark &= _HIGH_BITS
+    where, part = around[:2].view(np.float64)
+    np.multiply(mark[0], 2.0 ** -128, out=where)
+    np.multiply(mark[1], 2.0 ** -64, out=part)
+    where += part
+    np.add(where, mark[2], out=where)
+    point = where != 0
+    # 23 - P characters follow the point; 24 stands for no point.
+    np.right_shift(where.view(np.int64), 52, out=after)
+    after -= 902
+    after >>= 3
+    np.subtract(23, after, out=after)
+    np.minimum(after, 24, out=after)
+    np.multiply(after, point, out=k)
+    np.left_shift(x, np.uint64(8), out=y)
+    y[0] |= np.uint64(ord("0"))
+    np.right_shift(x[:-1], np.uint64(56), out=mark[:2])
+    y[1:] |= mark[:2]
+    y ^= x
+    np.add(after, _TABLE_ROWS, out=mark.view(np.int64))
+    head.take(mark.view(np.int64), out=around[:3], mode="clip")  # up to the point
+    y &= around[:3]
+    x ^= y
+    ok = size <= _WINDOW
+    np.subtract(digits, point, out=tmp)
+    ok &= tmp >= 1
+    ok &= k <= 22
+    np.bitwise_and(x, _HIGH_NIBBLES, out=y)
+    ok &= (y[0] == _ZEROS) & (y[1] == _ZEROS) & (y[2] == _ZEROS)
+    np.add(x, _SIXES, out=y)
+    y &= _HIGH_NIBBLES
+    ok &= (y[0] == _ZEROS) & (y[1] == _ZEROS) & (y[2] == _ZEROS)
+    x -= _ZEROS
+    for scale, width, mask in _SWAR:
+        np.multiply(x, scale, out=y)
+        x >>= width
+        x += y
+        x &= mask
+    ok &= x[0] < np.uint64(100)  # at most 18 digits
+    d = size
+    np.multiply(x[0], np.uint64(10 ** 16), out=d.view(np.uint64))
+    np.multiply(x[1], np.uint64(10 ** 8), out=y[0])
+    d += y[0].view(np.int64)
+    d += x[2].view(np.int64)
+    bad = ~ok
+    d[bad] = 0
+    k[bad] = 0
+    high, low, f, q, q_high, q_low, f_high, f_low, p, err, rest, t, unit = \
+        rows[:13].view(np.float64)
+    np.copyto(high, d)
+    np.copyto(tmp, high, casting="unsafe")
+    np.subtract(d, tmp, out=tmp)
+    np.copyto(low, tmp)  # D = high + low exactly
+    five.take(k, out=f, mode="clip")
+    np.divide(high, f, out=q)
+    np.multiply(q, _VELTKAMP, out=q_high)  # Veltkamp's split of q
+    np.subtract(q_high, q, out=q_low)
+    np.subtract(q_high, q_low, out=q_high)
+    np.subtract(q, q_high, out=q_low)
+    five_high.take(k, out=f_high, mode="clip")
+    five_low.take(k, out=f_low, mode="clip")
+    np.multiply(q, f, out=p)
+    # q * f == p + err exactly (Dekker's product).
+    np.multiply(q_high, f_high, out=err)
+    err -= p
+    for a, b in ((q_high, f_low), (q_low, f_high), (q_low, f_low)):
+        np.multiply(a, b, out=t)
+        err += t
+    np.subtract(high, p, out=rest)  # exact (Sterbenz), as is each step to D - q * f
+    rest -= err
+    rest += low
+    rest /= f
+    value = out
+    np.add(q, rest, out=value)
+    # value + t == q + rest exactly (Fast2Sum: |rest| is within 2 ulps of q).
+    np.subtract(value, q, out=t)
+    np.subtract(rest, t, out=t)
+    # |t| in half-ulps of value on t's side (the ulp halves below a power of
+    # two): 1 is the midpoint.  The error of `rest` is below 2**-50 of that.
+    bits, unit_bits = value.view(np.uint64), unit.view(np.uint64)
+    np.bitwise_and(bits, _MANTISSA, out=unit_bits)
+    below = unit_bits == 0
+    below &= t < 0
+    np.bitwise_and(bits, _EXPONENT, out=unit_bits)
+    np.maximum(unit_bits, _MIN_NORMAL, out=unit_bits)
+    np.abs(t, out=t)
+    t /= unit
+    t *= 2.0 ** 53
+    np.multiply(t, 2.0, out=t, where=below)
+    t -= 1.0
+    np.abs(t, out=t)
+    ok &= t > 2.0 ** -40
+    half_powers.take(k, out=f, mode="clip")
+    value *= f
+    np.negative(value, out=value, where=negative)
+    return ok
+
+
+def _loadtxt_rows(lines) -> np.ndarray | None:
+    """``np.loadtxt`` of the text lines ``lines`` (bytes, without their
+    newlines); None when it raises, or when a line is empty or holds a byte
+    that ``np.loadtxt`` of the whole file may read otherwise."""
+    if any(not line or b"#" in line or b"\r" in line for line in lines):
+        return None
+    try:
+        return np.loadtxt([line.decode("ascii") for line in lines], delimiter=",", ndmin=2)
+    except ValueError:  # a UnicodeDecodeError too
+        return None
+
+
+def _parse_block(words: np.ndarray, start: int, stop: int, out: np.ndarray,
+                 flags: np.ndarray, scratch: np.ndarray) -> int | None:
+    """Parse the whole lines of bytes ``start:stop`` of ``words`` (uint64 view)
+    into the first rows of the 2-d ``out``; return the number of rows, or None
+    when a line does not hold ``out``'s number of fields or a row left to
+    ``np.loadtxt`` does not parse as a row of its own.  ``flags``: two bool
+    rows as long as the block or longer; ``scratch``: ``_parse_fields``'."""
+    chars = words.view(np.uint8)
+    cols = out.shape[1]
+    body = chars[start:stop]
+    separator, newline = flags[:, :len(body)]
+    np.equal(body, ord("\n"), out=newline)
+    rows = np.count_nonzero(newline)
+    np.equal(body, ord(","), out=separator)
+    separator |= newline
+    ends = np.flatnonzero(separator)
+    ends += start
+    if len(ends) != rows * cols or rows > len(out) \
+            or not (chars[ends[cols - 1::cols]] == ord("\n")).all():
+        return None
+    starts = np.empty_like(ends)
+    starts[0] = start
+    starts[1:] = ends[:-1] + 1
+    values = out[:rows].reshape(-1)
+    ok = np.concatenate([
+        _parse_fields(words, starts[i:i + _FIELDS], ends[i:i + _FIELDS],
+                      values[i:i + _FIELDS], scratch)
+        for i in range(0, len(ends), _FIELDS)])
+    if not ok.all():
+        slow = np.flatnonzero(~ok.reshape(rows, cols).all(axis=1))
+        first, last = starts[slow * cols], ends[slow * cols + cols - 1]
+        table = _loadtxt_rows([chars[a:b].tobytes() for a, b in zip(first, last)])
+        if table is None or table.shape != (len(slow), cols):
+            return None
+        out[slow] = table
+    return rows
+
+
+def _read_csv(path: Path) -> np.ndarray | None:
+    """The float64 table of a CSV file whose values are comma-separated and
+    whose every line, after leading '#' lines, ends with a newline and holds
+    as many fields as the first.  Read in blocks of whole lines into one
+    table sized by a first count of the lines; each block's fields go through
+    ``_parse_fields`` and each row holding a field it does not read exactly
+    through ``np.loadtxt``.  None for a file of another structure, or whose
+    rows ``np.loadtxt`` might read otherwise than as part of the whole file."""
+    buf = bytearray(_WINDOW + -(-_CSV_CHUNK // 8) * 8)
+    view = memoryview(buf)
+    with open(path, "rb") as fh:
+        lines = last = 0
+        while size := fh.readinto(view[_WINDOW:]):
+            lines += buf.count(b"\n", _WINDOW, _WINDOW + size)
+            last = buf[_WINDOW + size - 1]
+        if last != ord("\n"):
+            return None
+        fh.seek(0)
+        words = np.frombuffer(buf, np.uint64)
+        flags = np.empty((2, len(buf)), bool)
+        scratch = np.empty(_SCRATCH_ROWS * _FIELDS, np.uint64)
+        table, done, held = None, 0, _WINDOW
+        while True:
+            held += fh.readinto(view[held:])
+            stop = buf.rfind(b"\n", _WINDOW, held) + 1
+            if not stop:  # the end of the file, or a line longer than a block
+                return table if held == _WINDOW and table is not None \
+                    and done == len(table) else None
+            start = _WINDOW
+            if table is None:
+                while start < stop and buf[start] == ord("#"):  # the leading '#' lines
+                    start = buf.find(b"\n", start, stop) + 1
+                    lines -= 1
+                if start < stop:
+                    cols = buf.count(b",", start, buf.find(b"\n", start, stop)) + 1
+                    table = np.empty((lines, cols))
+            if start < stop:
+                rows = _parse_block(words, start, stop, table[done:], flags, scratch)
+                if rows is None:
+                    return None
+                done += rows
+            held -= stop - _WINDOW
+            buf[_WINDOW:held] = buf[stop:stop + held - _WINDOW]
+
+
 def _sha256_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -294,11 +589,18 @@ def _load_npy(path: Path) -> np.ndarray:
 
 def _load_table(path: Path) -> np.ndarray:
     """The float64 table of an ``.npy`` file (``_load_npy``) or of a CSV file,
-    '#' lines skipped; ``ChainError`` naming the file when it does not parse."""
+    '#' lines skipped; ``ChainError`` naming the file when it does not parse.
+
+    A CSV file gives the bits and errors of ``np.loadtxt(path, delimiter=",",
+    ndmin=2)``.  ``_read_csv`` reads it in blocks into memory the table owns,
+    as a dataset's buffer needs; a file of another structure (ragged rows,
+    blank lines, '#' after the leading lines, '\\r', no final newline) goes
+    whole through ``np.loadtxt``."""
     try:
         if path.suffix == ".npy":
             return _load_npy(path)
-        return np.loadtxt(path, delimiter=",", ndmin=2)
+        table = _read_csv(path)
+        return np.loadtxt(path, delimiter=",", ndmin=2) if table is None else table
     except ValueError as exc:
         raise ChainError(f"{path.name} does not parse: {exc}") from None
 
@@ -570,24 +872,29 @@ def read_dataset(out_dir: str | Path, fingerprint: str | None = None) -> tuple[D
 # Matrices
 
 
-def write_matrix(tm: TransmissionMatrix, path: str | Path) -> None:
+def write_matrix(tm: TransmissionMatrix, path: str | Path) -> str:
     """Write ``tm`` in the format its path's suffix names, as ``read_matrix``
     reads it: ``.npy``, or else CSV, one row per line under a '#'-prefixed
-    shape/role header."""
+    shape/role header.  Return the sha256 registered for the file."""
     path, m = Path(path), tm.entries
     if path.suffix == ".npy":
         blocks = _npy_blocks(m)
     else:
         header = f"# {m.shape[0]} {m.shape[1]} {tm.role}\n".encode()
         blocks = itertools.chain((header,), _csv_blocks(m))
-    _write_artifact(path, blocks)
+    return _write_artifact(path, blocks)
 
 
-def read_matrix(path: str | Path) -> TransmissionMatrix:
+def read_matrix(path: str | Path, sha256: str | None = None) -> TransmissionMatrix:
     """Read a registered square matrix of side w**2; a CSV must match its
-    header.  ``ChainError`` naming the file when it does not parse."""
+    header.  With ``sha256``, the hash that the stage which wrote the file
+    recorded, the file registered now must be that one.  ``ChainError``
+    naming the file when it does not parse."""
     path = Path(path)
-    verify_artifact(path.parent, path.name)
+    registered = verify_artifact(path.parent, path.name)
+    if sha256 is not None and registered != sha256:
+        raise ChainError(f"{path.name} is not the matrix its producing stage recorded "
+                         "(another run rewrote it); re-run extract")
     entries = _load_table(path)
     role = "direct"
     if path.suffix != ".npy":

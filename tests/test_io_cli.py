@@ -10,6 +10,8 @@ import tempfile
 import threading
 import time
 import tracemalloc
+import warnings
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -379,6 +381,9 @@ class TestStreamingCodec:
     def test_verify_dataset_does_not_parse(self, tmp_path, channel4, monkeypatch):
         ds = tm.generate_dataset(channel4, 10, tm.NoiseSpec(sigma=0.0), seed=1)
         tio.write_dataset(ds, tmp_path, fingerprint="fp")
+        # _load_table is the one parse entry; np.loadtxt reads only what it
+        # leaves to it.
+        monkeypatch.setattr(tio, "_load_table", mock.Mock(side_effect=AssertionError))
         monkeypatch.setattr(np, "loadtxt", mock.Mock(side_effect=AssertionError))
         assert tio.verify_dataset(tmp_path, fingerprint="fp")["m_samples"] == 10
         with pytest.raises(tio.ChainError, match="fingerprint"):
@@ -430,6 +435,186 @@ class TestCsvText:
                           np.nextafter(1e-4, 0), 1e15, np.nan, -np.inf])
         fits = tio._g17_slots(edges, np.empty((len(edges), 4), np.uint64))
         assert fits.tolist() == [True] * 4 + [False] * 4
+
+
+def parse_fields(fields):
+    """``(values, exact)`` of the reader's kernel on one line of ``fields``."""
+    text = b",".join(fields) + b"\n"
+    buf = bytearray(24 + len(text) + -len(text) % 8)
+    buf[24:24 + len(text)] = text
+    ends = 24 + np.cumsum([len(f) + 1 for f in fields]) - 1
+    starts = np.concatenate([[24], ends[:-1] + 1])
+    values = np.empty(len(fields))
+    scratch = np.empty(tio._SCRATCH_ROWS * len(fields), np.uint64)
+    exact = tio._parse_fields(np.frombuffer(buf, np.uint64), starts, ends, values, scratch)
+    return values, exact
+
+
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# Decimal midpoints between adjacent doubles that have at most 18 significant
+# digits: m = (2j + 1) * 2**(e - 1) with ulp 2**e, e >= -1.
+def midpoint_fields(count, seed):
+    rng = np.random.default_rng(seed)
+    fields = []
+    for e in range(-1, 7):
+        for j in rng.integers(2 ** 52, 2 ** 53, count):
+            m = Decimal(int(j)) * Decimal(2) ** e + Decimal(2) ** (e - 1)
+            text = format(m, "f")
+            fields.append(text.encode())
+            # The decimal one unit of its last digit away on each side.
+            unit = Decimal(1).scaleb(m.as_tuple().exponent)
+            fields += [format(m - unit, "f").encode(), format(m + unit, "f").encode()]
+    return fields
+
+
+class TestCsvReader:
+    """A CSV table reads back as ``np.loadtxt`` reads it, bit for bit: the
+    block kernel for fields of its grammar it rounds with certainty, and
+    ``np.loadtxt`` for every other row and every file of another structure."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data(), rows=st.integers(1, 12), cols=st.integers(1, 6),
+           chunk=st.sampled_from([None, 200, 333]))
+    def test_writer_text_reads_back(self, data, rows, cols, chunk):
+        # Magnitudes 1e-30..1e30 of both signs and signed zeros put kernel
+        # rows and %-format rows (exponents) in one block.
+        exponents = data.draw(arrays(np.float64, (rows, cols), elements=st.floats(-30, 30)))
+        negative = data.draw(arrays(np.bool_, (rows, cols)))
+        zero = data.draw(arrays(np.bool_, (rows, cols)))
+        table = np.where(negative, -1.0, 1.0) * np.where(zero, 0.0, 10.0 ** exponents)
+        raw = b"".join(tio._csv_blocks(table))
+        patch = mock.patch.object(tio, "_CSV_CHUNK", chunk or tio._CSV_CHUNK)
+        with tempfile.TemporaryDirectory() as tmp, patch:
+            path = Path(tmp) / "t.csv"
+            path.write_bytes(raw)
+            back = tio._read_csv(path)
+            assert back is not None and back.flags.owndata
+            assert same_bits(back, table)
+            assert same_bits(back, np.loadtxt(path, delimiter=",", ndmin=2))
+
+    def test_kernel_rounds_like_float(self):
+        rng = np.random.default_rng(5)
+        values = np.concatenate([10.0 ** rng.uniform(-4, 15, 3000), rng.random(1000),
+                                 rng.integers(0, 2 ** 62, 500).astype(np.float64)])
+        fields = [format(v, ".17g").encode() for v in values]
+        fields = [f for f in fields if b"e" not in f]
+        fields += [b"-" + f for f in fields[::7]]
+        fields += [b"0", b"-0", b"0.0", b"-0.000", b"5.", b".5", b"-.5", b"007", b"1.10",
+                   b"999999999999999999", b"0.000000000000000000001",
+                   b"0.000123456789012345678", b"12345678901234567.8",
+                   b"-0.00012345678901234567", b"0.0000000000000000000001"]
+        values, exact = parse_fields(fields)
+        assert exact.all()
+        expect = np.array([float(f) for f in fields])
+        assert same_bits(values, expect)
+        assert np.signbit(values).tolist() == [f.startswith(b"-") for f in fields]
+
+    def test_midpoints_leave_the_kernel(self, tmp_path):
+        # The first two round to even; the next two lie halfway to the double
+        # below a power of two, where the spacing halves.
+        fields = [b"9007199254740993", b"-9007199254740993", b"4503599627370495.75",
+                  b"9007199254740991.5"] + midpoint_fields(40, 1)
+        values, exact = parse_fields(fields)
+        midpoint = [True] * 4 + [i % 3 == 0 for i in range(len(fields) - 4)]
+        # Every midpoint goes to np.loadtxt; the decimals beside them do not.
+        assert not exact[np.array(midpoint)].any()
+        assert exact[~np.array(midpoint)].all()
+        expect = np.array([float(f) for f in fields])
+        assert same_bits(values[exact], expect[exact])
+        # In a file, their rows go to np.loadtxt and read as float reads them.
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"".join(b",".join(fields[i:i + 4]) + b"\n"
+                                  for i in range(0, len(fields), 4)))
+        assert same_bits(tio._read_csv(path), expect.reshape(-1, 4))
+
+    @pytest.mark.parametrize("field", [
+        b"1234567890123456789",            # 19 significant digits
+        b"0.1234567890123456789",
+        b"12345678901234567890123",
+        b"0.00000000000000000000001",      # 23 digits after the point
+        b".00000000000000000000001",
+        b"-0.0000000000000000000001",      # 25 bytes
+        b"0.000000000000000000000000",     # 26 bytes, a zero
+        b"1e5", b"+1", b" 1", b"1 ", b"nan", b"-inf", b"1.2.3", b"1-2", b".", b"-", b"",
+        b"1:2", b"12?", b"/5", b"1/.5", b"--1",
+    ])
+    def test_fields_outside_the_grammar(self, field, tmp_path):
+        _, exact = parse_fields([b"1", field, b"2"])
+        assert exact.tolist() == [True, False, True]
+        raw = b"1," + field + b",2\n3,4,5\n"
+        (tmp_path / "t.csv").write_bytes(raw)
+        try:
+            expect = np.loadtxt(tmp_path / "t.csv", delimiter=",", ndmin=2)
+        except ValueError as exc:
+            with pytest.raises(tio.ChainError, match="t.csv does not parse") as got:
+                tio._load_table(tmp_path / "t.csv")
+            assert str(exc) in str(got.value)
+        else:
+            assert same_bits(tio._load_table(tmp_path / "t.csv"), expect)
+
+    @settings(max_examples=40, deadline=None)
+    @given(w=st.sampled_from([2, 3]), m=st.integers(1, 40), data=st.data())
+    def test_block_boundaries_inside_rows(self, w, m, data):
+        rng = np.random.default_rng(m)
+        table = rng.standard_normal((m, 2 * w * w)) * 10.0 ** rng.integers(-6, 17, (m, 1))
+        raw = b"".join(tio._csv_blocks(table))
+        longest = max(map(len, raw.splitlines())) + 1
+        chunk = data.draw(st.integers(longest, 3 * longest))
+        # A block's fields go to the kernel in calls of at most _FIELDS.
+        fields = data.draw(st.sampled_from([1, 7, tio._FIELDS]))
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(tio, "_CSV_CHUNK", chunk), \
+                mock.patch.object(tio, "_FIELDS", fields):
+            path = Path(tmp) / "t.csv"
+            path.write_bytes(b"# a header\n" + raw)
+            back = tio._read_csv(path)
+            assert back is not None and same_bits(back, table)
+            # A block that cannot hold a line leaves the file to np.loadtxt.
+            with mock.patch.object(tio, "_CSV_CHUNK", longest - 9):
+                assert tio._read_csv(path) is None
+                assert same_bits(tio._load_table(path), table)
+
+    @pytest.mark.parametrize("raw", [
+        b"1,2\n\n3,4\n",                 # blank line
+        b"1,2,\n3,4,\n",                 # trailing comma
+        b"1,2\r\n3,4\r\n",               # CRLF
+        b"1,2\r3,4\r",                   # CR
+        b"1,2\n3,4",                     # no final newline
+        b"1, 2\n3 ,4\n",                 # spaces
+        b"\t1,2\n3,4\n",
+        b"+1,2\n3,4\n",
+        b".5,5.\n-.5,-5.\n",
+        b"nan,1\n2,3\n",
+        b"inf,-inf\n2,3\n",
+        b"1,2\n# mid-file\n3,4\n",       # '#' after the leading lines
+        b"1,2 # comment\n3,4\n",
+        b"# 4 4 direct\n",               # a header-only matrix
+        b"",
+        b"1,2\n3\n",                     # ragged
+        b"1,,2\n3,4,5\n",                # empty field
+        b"1\n\n3\n",
+        b"1,2\n   \n3,4\n",
+        b"\xef\xbb\xbf1,2\n3,4\n",       # BOM
+        b"1,2\xe9\n3,4\n",
+        b"1_0,2\n3,4\n",
+        b"# a\n# b\n-0,0\n0.0,-0.000\n",
+    ])
+    def test_hand_written_files_read_as_loadtxt_reads_them(self, tmp_path, raw):
+        path = tmp_path / "h.csv"
+        path.write_bytes(raw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # loadtxt: input contained no data
+            try:
+                expect = np.loadtxt(path, delimiter=",", ndmin=2)
+            except ValueError as exc:
+                with pytest.raises(tio.ChainError, match="h.csv does not parse") as got:
+                    tio._load_table(path)
+                assert str(exc) in str(got.value)
+            else:
+                assert same_bits(tio._load_table(path), expect)
 
 
 class TestSampleBufferIO:
@@ -784,6 +969,9 @@ class TestCli:
                 gram = t.T @ t
                 doc = json.loads((out / f"extract{sfx}.json").read_text())
                 assert doc["balance"] == np.linalg.norm(u - gram) / np.linalg.norm(gram)
+                names = (f"{t_name}{ext}", f"gramian_inf{sfx}{ext}")
+                assert doc["matrix_sha256"] == {
+                    n: hashlib.sha256((out / n).read_bytes()).hexdigest() for n in names}
 
     def test_reversed_flow_produces_inverse(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -848,6 +1036,51 @@ class TestCli:
         assert (stale / "t_inf.csv").exists()
         assert (stale / "eval.json").read_bytes() == (fresh / "eval.json").read_bytes()
 
+    def test_eval_refuses_a_matrix_another_config_left(self, tmp_path, capsys):
+        # A sigma=0.1 chain through extract, then generate, fit and select in
+        # the same directory under sigma=0.3: t_inf.csv is still sigma=0.1's.
+        first = write_config(tmp_path)
+        second = write_config(tmp_path, {"sigma": 0.3}, "second.json")
+        out = tmp_path / "run"
+        for cfg, stages in ((first, ("generate", "fit", "select", "extract")),
+                            (second, ("generate", "fit", "select"))):
+            for stage in stages:
+                assert self.run(stage, "--config", str(cfg), "--out", str(out)) == 0
+        capsys.readouterr()
+        assert self.run("eval", "--config", str(second), "--out", str(out)) == 1
+        assert "extract.json was produced under config fingerprint" in capsys.readouterr().err
+        assert not (out / "eval.json").exists()
+
+    @pytest.mark.parametrize("sfx, t_name", [("", "t_inf"), ("_reversed", "t_inv_inf")])
+    def test_eval_refuses_a_rewritten_matrix(self, tmp_path, capsys, sfx, t_name):
+        # A matrix registered after its extract: the manifest hash is not the
+        # one extract recorded.
+        out = tmp_path / "run"
+        cfg = self.chain(tmp_path, out)
+        common = ("--config", str(cfg), "--out", str(out))
+        for stage in ("fit", "select", "extract"):
+            assert self.run(stage, *common, "--reversed") == 0
+        doc = json.loads((out / f"extract{sfx}.json").read_text())
+        digest = hashlib.sha256((out / f"{t_name}.csv").read_bytes()).hexdigest()
+        assert doc["matrix_sha256"] == {f"{t_name}.csv": digest}
+        assert self.run("eval", *common) == 0
+        tio.write_matrix(tio.read_matrix(out / "t_true.csv"), out / f"{t_name}.csv")
+        capsys.readouterr()
+        assert self.run("eval", *common) == 1
+        assert f"{t_name}.csv is not the matrix its producing stage recorded" in \
+            capsys.readouterr().err
+
+    def test_eval_needs_recorded_matrix_hashes(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        cfg = self.chain(tmp_path, out)
+        doc = json.loads((out / "extract.json").read_text())
+        del doc["matrix_sha256"]
+        (out / "extract.json").write_text(json.dumps(doc))
+        register(out, "extract.json")
+        capsys.readouterr()
+        assert self.run("eval", "--config", str(cfg), "--out", str(out)) == 1
+        assert "extract.json records no t_inf.csv" in capsys.readouterr().err
+
     def test_dataset_fingerprint_guard_on_reversed_select(self, tmp_path):
         cfg = write_config(tmp_path)
         out = tmp_path / "run"
@@ -906,6 +1139,7 @@ class TestCli:
             assert self.run(*verb.split(), *common) == 0
         before = (out / "dataset.csv").read_bytes()
         monkeypatch.setattr(tio, "read_dataset", mock.Mock(side_effect=AssertionError))
+        monkeypatch.setattr(tio, "_load_table", mock.Mock(side_effect=AssertionError))
         monkeypatch.setattr(np, "loadtxt", mock.Mock(side_effect=AssertionError))
         assert self.run(*stage.split(), *common) == 0
         assert (out / "dataset.csv").read_bytes() == before
