@@ -7,8 +7,9 @@ variants of fit/select/extract work on the input/output-swapped data and
 produce the inverse-map artifacts (suffix ``_reversed``, matrix
 ``t_inv_inf``).  Every setting comes from the config file, whose fingerprint
 every artifact records; ``binary_io`` names each array file (``_array_name``),
-and ``eval`` reads an extracted matrix only under the hash that its
-``extract*.json`` recorded.
+and ``eval`` reads each matrix only under the hash that the stage which wrote
+it recorded: ``t_true`` under ``dataset.meta.json``'s, an extracted matrix
+under its ``extract*.json``'s.
 Exit codes: 0 success, 1 validation error (bad config, checksum/fingerprint
 mismatch), 2 runtime failure.
 """
@@ -75,9 +76,11 @@ def cmd_generate(args) -> int:
                           seed=cfg.seed + 1,
                           source=f"tminfer generate w={cfg.w} density={cfg.density}")
     out.mkdir(parents=True, exist_ok=True)
-    tio.write_dataset(ds, out, fingerprint=fp, binary=cfg.binary_io)
     t_name = _array_name(cfg, "t_true")
-    tio.write_matrix(tm, out / t_name)
+    # eval reads t_true only while its hash is the one the metadata records.
+    t_sha256 = tio.write_matrix(tm, out / t_name)
+    tio.write_dataset(ds, out, fingerprint=fp, binary=cfg.binary_io,
+                      matrix_sha256={t_name: t_sha256})
     print(f"wrote {out}/{_array_name(cfg, 'dataset')}, dataset.meta.json, {t_name}")
     return 0
 
@@ -167,25 +170,29 @@ def cmd_extract(args) -> int:
     return 0
 
 
-def _read_extracted(out: Path, fp: str, sfx: str, name: str) -> TransmissionMatrix:
-    """The matrix ``name`` that ``extract{sfx}`` wrote under this config: its
-    ``extract{sfx}.json`` must carry the config's fingerprint and record the
-    hash the matrix is registered under now."""
-    doc_name = f"extract{sfx}.json"
+def _read_recorded(out: Path, fp: str, doc_name: str, name: str,
+                   stage: str, since: str) -> TransmissionMatrix:
+    """The matrix ``name`` that ``stage`` wrote under this config: the
+    ``doc_name`` it wrote beside it (since tminfer ``since``) must carry the
+    config's fingerprint and record the hash the matrix is registered under
+    now."""
     recorded = tio.read_json_artifact(out / doc_name, fingerprint=fp).get("matrix_sha256", {})
     if name not in recorded:
-        raise tio.ChainError(f"{doc_name} records no {name} (tminfer < 0.8.0 recorded "
-                             "none); re-run extract")
+        raise tio.ChainError(f"{doc_name} records no {name} (tminfer < {since} recorded "
+                             f"none); re-run {stage}")
     return tio.read_matrix(out / name, sha256=recorded[name])
 
 
 def cmd_eval(args) -> int:
     """Run focusing and image-reconstruction experiments on extracted matrices."""
     cfg, out, fp = _load(args)
-    t_true = tio.read_matrix(out / _array_name(cfg, "t_true"))
-    t_inf = _read_extracted(out, fp, "", _array_name(cfg, "t_inf"))
+    t_true = _read_recorded(out, fp, "dataset.meta.json", _array_name(cfg, "t_true"),
+                            "generate", "0.9.0")
+    t_inf = _read_recorded(out, fp, "extract.json", _array_name(cfg, "t_inf"),
+                           "extract", "0.8.0")
     inv = _array_name(cfg, "t_inv_inf")
-    t_inv = _read_extracted(out, fp, "_reversed", inv) if (out / inv).exists() else None
+    t_inv = _read_recorded(out, fp, "extract_reversed.json", inv, "extract --reversed",
+                           "0.8.0") if (out / inv).exists() else None
     target = gaussian_spot(cfg.dims, width=cfg.spot_width,
                            amplitude=cfg.spot_amplitude,
                            background=cfg.spot_background)

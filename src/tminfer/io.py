@@ -5,12 +5,15 @@ Text formats are comma-separated with reals printed at 17 significant digits
 JSON artifacts embed the versions and the run-config fingerprint.  Each write
 goes to a fresh temp file beside its target, is renamed onto it only when
 complete and registers the sha256 it streamed in the directory's manifest,
-under a lock; each read verifies its file against the manifest first, so
-chained stages refuse tampered or mismatched inputs.  Large tables are
-formatted, hashed and written in blocks, never held whole as text.  A CSV
-block's text is that of ``"%.17g" % x`` for each value: a numpy kernel
-formats every value that prints without an exponent (1e-4 <= |x| < 1e15, and
-zeros), and a row holding any other value is one ``%``-format.  A CSV table
+under a lock.  Each read opens its file once and hashes the bytes it parses
+(``_read_registered``); a file that is not the registered one raises its
+checksum error before any parse error, so chained stages refuse tampered or
+mismatched inputs, and a file replaced during a read cannot pass for the
+one that was hashed.  Large tables are formatted, hashed and written in
+blocks, never held whole as text.  A CSV block's text is that of
+``"%.17g" % x`` for each value: a numpy kernel formats every value that
+prints without an exponent (1e-4 <= |x| < 1e15, and zeros), and a row
+holding any other value is one ``%``-format.  A CSV table
 is read back in blocks of whole lines by the inverse kernel, exactly: each
 field of at most 24 bytes and 18 significant digits without an exponent
 (every value the writer's kernel prints) is rounded to the nearest double
@@ -21,11 +24,13 @@ goes whole through ``np.loadtxt``.  Either way the table has the bits
 
 A dataset's data file is its (M, 2 w**2) sample buffer (``Dataset.site_matrix``),
 one sample per row: ``write_dataset`` formats CSV blocks from slices of it or
-streams the ``.npy`` header and its bytes, and ``read_dataset`` hands the
-parsed table to ``Dataset`` as its buffer, so neither copies the samples.  A
-data file that does not parse, holds a non-finite value or disagrees with its
-metadata in shape raises ``ChainError`` naming the file, and so does a
-matrix file that does not parse.
+streams the ``.npy`` header and its bytes, and ``read_dataset`` reads the
+file in one pass into a table allocated at the shape its metadata gives
+(a matrix's CSV header sizes its table likewise) and hands the table to
+``Dataset`` as its buffer, so neither copies the samples.  A data file that
+does not parse, holds a non-finite value or disagrees with its metadata in
+shape raises ``ChainError`` naming the file, and so does a matrix file that
+does not parse.
 """
 
 from __future__ import annotations
@@ -75,6 +80,8 @@ MANIFEST = "MANIFEST.json"
 # block of a streamed .npy file.
 _BLOCK_VALUES = 1 << 12
 _HASH_CHUNK = 1 << 20
+# Bytes read for a CSV matrix's '# rows cols role' header line.
+_HEADER_BYTES = 256
 _VERSIONS = {"tminfer": __version__, "numpy": np.__version__}
 
 
@@ -474,61 +481,90 @@ def _parse_block(words: np.ndarray, start: int, stop: int, out: np.ndarray,
     return rows
 
 
-def _read_csv(path: Path) -> np.ndarray | None:
-    """The float64 table of a CSV file whose values are comma-separated and
-    whose every line, after leading '#' lines, ends with a newline and holds
-    as many fields as the first.  Read in blocks of whole lines into one
-    table sized by a first count of the lines; each block's fields go through
-    ``_parse_fields`` and each row holding a field it does not read exactly
-    through ``np.loadtxt``.  None for a file of another structure, or whose
-    rows ``np.loadtxt`` might read otherwise than as part of the whole file."""
+def _read_csv(src: _HashingReader, shape: tuple[int, int]) -> np.ndarray | None:
+    """The float64 table of the given ``(rows, cols)`` shape of a CSV file
+    read from ``src``, whose values are comma-separated and whose every line,
+    after leading '#' lines, ends with a newline and holds ``cols`` fields.
+    Read in one pass, in blocks of whole lines, into a table allocated at
+    ``shape`` once the first line holds ``cols`` fields; each block's fields
+    go through ``_parse_fields`` and each row holding a field it does not read
+    exactly through ``np.loadtxt``.  None for a file of another structure or
+    shape, or whose rows ``np.loadtxt`` might read otherwise than as part of
+    the whole file."""
+    rows, cols = shape
+    if 2 * rows * cols > src.size:  # each field takes a digit and a separator
+        return None
     buf = bytearray(_WINDOW + -(-_CSV_CHUNK // 8) * 8)
     view = memoryview(buf)
-    with open(path, "rb") as fh:
-        lines = last = 0
-        while size := fh.readinto(view[_WINDOW:]):
-            lines += buf.count(b"\n", _WINDOW, _WINDOW + size)
-            last = buf[_WINDOW + size - 1]
-        if last != ord("\n"):
-            return None
-        fh.seek(0)
-        words = np.frombuffer(buf, np.uint64)
-        flags = np.empty((2, len(buf)), bool)
-        scratch = np.empty(_SCRATCH_ROWS * _FIELDS, np.uint64)
-        table, done, held = None, 0, _WINDOW
-        while True:
-            held += fh.readinto(view[held:])
-            stop = buf.rfind(b"\n", _WINDOW, held) + 1
-            if not stop:  # the end of the file, or a line longer than a block
-                return table if held == _WINDOW and table is not None \
-                    and done == len(table) else None
-            start = _WINDOW
-            if table is None:
-                while start < stop and buf[start] == ord("#"):  # the leading '#' lines
-                    start = buf.find(b"\n", start, stop) + 1
-                    lines -= 1
-                if start < stop:
-                    cols = buf.count(b",", start, buf.find(b"\n", start, stop)) + 1
-                    table = np.empty((lines, cols))
+    words = np.frombuffer(buf, np.uint64)
+    flags = np.empty((2, len(buf)), bool)
+    scratch = np.empty(_SCRATCH_ROWS * _FIELDS, np.uint64)
+    table, done, held = None, 0, _WINDOW
+    while True:
+        held += src.readinto(view[held:])
+        stop = buf.rfind(b"\n", _WINDOW, held) + 1
+        if not stop:  # the end of the file, or a line longer than a block
+            return table if held == _WINDOW and done == rows else None
+        start = _WINDOW
+        if table is None:
+            while start < stop and buf[start] == ord("#"):  # the leading '#' lines
+                start = buf.find(b"\n", start, stop) + 1
             if start < stop:
-                rows = _parse_block(words, start, stop, table[done:], flags, scratch)
-                if rows is None:
+                if buf.count(b",", start, buf.find(b"\n", start, stop)) + 1 != cols:
                     return None
-                done += rows
-            held -= stop - _WINDOW
-            buf[_WINDOW:held] = buf[stop:stop + held - _WINDOW]
+                table = np.empty(shape)
+        if start < stop:
+            got = _parse_block(words, start, stop, table[done:], flags, scratch)
+            if got is None:
+                return None
+            done += got
+        held -= stop - _WINDOW
+        buf[_WINDOW:held] = buf[stop:stop + held - _WINDOW]
 
 
 def _sha256_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _sha256_file(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        while chunk := fh.read(_HASH_CHUNK):
-            h.update(chunk)
-    return h.hexdigest()
+class _HashingReader(_io.RawIOBase):
+    """The file ``fh`` (unbuffered, binary, closed with the reader): the bytes
+    read through it go into its sha256, and ``sha256()`` reads the rest of
+    the file into it, so the hash is that of the bytes a reader parsed.
+    ``rewind()`` starts over from the first byte with a fresh hash."""
+
+    def __init__(self, fh):
+        self._fh = fh
+        self.size = os.fstat(self._fh.fileno()).st_size
+        self._hash = hashlib.sha256()
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, b) -> int:
+        """Fill ``b``, short only at the end of the file."""
+        view = memoryview(b).cast("B")
+        done = 0
+        while done < len(view) and (got := self._fh.readinto(view[done:])):
+            done += got
+        self._hash.update(view[:done])
+        return done
+
+    def tell(self) -> int:
+        return self._fh.tell()
+
+    def rewind(self) -> None:
+        self._fh.seek(0)
+        self._hash = hashlib.sha256()
+
+    def sha256(self) -> str:
+        block = bytearray(_HASH_CHUNK)
+        while self.readinto(block):
+            pass
+        return self._hash.hexdigest()
+
+    def close(self) -> None:
+        self._fh.close()
+        super().close()
 
 
 @contextmanager
@@ -568,39 +604,63 @@ def _npy_blocks(a: np.ndarray):
         yield data[start:start + _HASH_CHUNK]
 
 
-def _load_npy(path: Path) -> np.ndarray:
-    """The array of an ``.npy`` file as ``_npy_blocks`` writes it (format 1.0,
-    float64, C order), read into memory the array owns, so a dataset can take
-    it as its sample buffer; ``np.load`` returns a reshaped view of a flat
-    array instead.  ``ValueError`` for other content."""
-    with open(path, "rb") as fh:
-        version = np.lib.format.read_magic(fh)
-        if version != (1, 0):
-            raise ValueError(f"npy format version {version} is not 1.0")
-        shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
-        if fortran_order or dtype != np.float64:
-            raise ValueError(f"holds a {dtype} array in {'F' if fortran_order else 'C'} "
-                             "order, not float64 in C order")
-        table = np.empty(shape)
-        if fh.readinto(memoryview(table).cast("B")) != table.nbytes or fh.read(1):
-            raise ValueError(f"its data does not fill the {shape} array of its header")
-    return table
+def _load_npy(src: _HashingReader, expect: tuple | None):
+    """``(shape, array)`` of an ``.npy`` file as ``_npy_blocks`` writes it
+    (format 1.0, float64, C order) read from ``src``: the array in memory it
+    owns, so a dataset can take it as its sample buffer (``np.load`` returns
+    a reshaped view of a flat array instead), or None, unallocated and
+    unread, when the header gives another shape than ``expect``.
+    ``ValueError`` for other content."""
+    version = np.lib.format.read_magic(src)
+    if version != (1, 0):
+        raise ValueError(f"npy format version {version} is not 1.0")
+    shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(src)
+    if fortran_order or dtype != np.float64:
+        raise ValueError(f"holds a {dtype} array in {'F' if fortran_order else 'C'} "
+                         "order, not float64 in C order")
+    if expect is not None and shape != expect:
+        return shape, None
+    # The file's size bounds the allocation; a file that changes while it is
+    # read fails its checksum.
+    if 8 * math.prod(shape) != src.size - src.tell():
+        raise ValueError(f"its data does not fill the {shape} array of its header")
+    table = np.empty(shape)
+    src.readinto(memoryview(table).cast("B"))
+    return shape, table
 
 
-def _load_table(path: Path) -> np.ndarray:
-    """The float64 table of an ``.npy`` file (``_load_npy``) or of a CSV file,
-    '#' lines skipped; ``ChainError`` naming the file when it does not parse.
+def _loadtxt(src: _HashingReader) -> np.ndarray:
+    """``np.loadtxt(path, delimiter=",", ndmin=2)`` of the file of ``src``,
+    read through ``src`` from its first byte: the same text stream that
+    ``np.loadtxt`` opens on a path, so the same bits and errors."""
+    src.rewind()
+    text = _io.TextIOWrapper(_io.BufferedReader(src, _HASH_CHUNK))
+    try:
+        return np.loadtxt(text, delimiter=",", ndmin=2)
+    finally:
+        text.detach().detach()  # src stays open for its hash
 
-    A CSV file gives the bits and errors of ``np.loadtxt(path, delimiter=",",
-    ndmin=2)``.  ``_read_csv`` reads it in blocks into memory the table owns,
-    as a dataset's buffer needs; a file of another structure (ragged rows,
-    blank lines, '#' after the leading lines, '\\r', no final newline) goes
-    whole through ``np.loadtxt``."""
+
+def _load_table(src: _HashingReader, path: Path, shape: tuple | None = None):
+    """``(shape, table)`` of the float64 table of the ``.npy`` or CSV file
+    ``path`` read from ``src``, '#' lines skipped; ``ChainError`` naming the
+    file when it does not parse.
+
+    ``shape`` is the shape its metadata or header gives, if any: the only one
+    allocated before the data is read.  An npy file whose header gives another
+    comes back as ``(that shape, None)`` (``_load_npy``).  A CSV file gives
+    the bits and errors of ``np.loadtxt(path, delimiter=",", ndmin=2)``:
+    ``_read_csv`` reads it in blocks into memory the table owns, as a
+    dataset's buffer needs, and a file of another shape or structure (ragged
+    rows, blank lines, '#' after the leading lines, '\\r', no final newline)
+    goes whole through ``np.loadtxt`` (``_loadtxt``)."""
     try:
         if path.suffix == ".npy":
-            return _load_npy(path)
-        table = _read_csv(path)
-        return np.loadtxt(path, delimiter=",", ndmin=2) if table is None else table
+            return _load_npy(src, shape)
+        table = None if shape is None else _read_csv(src, shape)
+        if table is None:
+            table = _loadtxt(src)
+        return table.shape, table
     except ValueError as exc:
         raise ChainError(f"{path.name} does not parse: {exc}") from None
 
@@ -641,22 +701,44 @@ def register_artifacts(out_dir: str | Path, hashes: dict[str, str]) -> None:
         os.close(fd)
 
 
-def verify_artifact(out_dir: str | Path, name: str) -> str:
-    """Check ``name`` against its manifest hash and return that hash; raise
-    ChainError if it is unregistered, missing or modified."""
-    man = _load_manifest(out_dir)
-    if name not in man:
+def _read_registered(path: Path, parse=None, recorded: str | None = None,
+                     rewritten: str = ""):
+    """``(parse(src), sha256)`` of the registered file ``path``, opened once:
+    ``src`` (``_HashingReader``) hashes the bytes ``parse`` reads, then the
+    rest of the file.  ChainError if ``path`` is unregistered, missing or
+    not the bytes registered, or, with ``recorded``, the hash that the stage
+    which wrote it recorded, not those bytes (the error says ``rewritten``);
+    each of these errors wins over any that ``parse`` raised."""
+    name = path.name
+    registered = _load_manifest(path.parent).get(name)
+    if registered is None:
         raise ChainError(f"{name} is not registered in {MANIFEST}; "
                          "run the producing stage first")
     try:
-        actual = _sha256_file(Path(out_dir) / name)
+        src = _HashingReader(open(path, "rb", buffering=0))
     except FileNotFoundError:
         raise ChainError(f"{name} is registered but missing; "
                          "re-run the producing stage") from None
-    if actual != man[name]:
+    with src:
+        try:
+            result, error = None if parse is None else parse(src), None
+        except Exception as exc:
+            result, error = None, exc
+        digest = src.sha256()
+    if digest != registered:
         raise ChainError(f"{name} fails checksum validation (file was modified "
                          "after it was produced)")
-    return actual
+    if recorded is not None and digest != recorded:
+        raise ChainError(f"{name} {rewritten}")
+    if error is not None:
+        raise error
+    return result, digest
+
+
+def verify_artifact(out_dir: str | Path, name: str) -> str:
+    """Check ``name`` against its manifest hash and return that hash; raise
+    ChainError if it is unregistered, missing or modified."""
+    return _read_registered(Path(out_dir) / name)[1]
 
 
 def _check_fingerprint(artifact: dict, expected: str, name: str) -> None:
@@ -803,8 +885,10 @@ class RunConfig:
 
 
 def write_dataset(ds: Dataset, out_dir: str | Path, fingerprint: str,
-                  binary: bool = False) -> None:
-    """Write dataset data + sidecar metadata into ``out_dir``."""
+                  binary: bool = False, matrix_sha256: dict | None = None) -> None:
+    """Write dataset data + sidecar metadata into ``out_dir``; the metadata
+    records ``matrix_sha256``, the hashes of matrices written beside the
+    data (the channel that ``generate`` drew), when given."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     samples = ds.site_matrix()
@@ -826,6 +910,8 @@ def write_dataset(ds: Dataset, out_dir: str | Path, fingerprint: str,
         "data_sha256": data_sha256,
         "config_fingerprint": fingerprint,
     }
+    if matrix_sha256 is not None:
+        meta["matrix_sha256"] = matrix_sha256
     write_json_artifact(meta, out / "dataset.meta.json", fingerprint)
 
 
@@ -844,21 +930,29 @@ def verify_dataset(out_dir: str | Path, fingerprint: str | None = None) -> dict:
 def read_dataset(out_dir: str | Path, fingerprint: str | None = None) -> tuple[Dataset, dict]:
     """Read a dataset back, verifying checksums (and fingerprint if given).
 
-    The parsed table becomes the dataset's sample buffer without a copy.
-    Returns ``(dataset, meta)``, ``meta`` being the verified
+    The data file is opened once and read in one pass: the bytes parsed are
+    the bytes hashed, and its table is allocated at the shape ``meta`` gives
+    only.  The parsed table becomes the dataset's sample buffer without a
+    copy.  Returns ``(dataset, meta)``, ``meta`` being the verified
     ``dataset.meta.json`` content.  Raises ``ChainError`` naming the data file
     when it does not parse (ragged rows, say), holds a table of another shape
     than ``meta`` gives, or holds a non-finite value.
     """
     out = Path(out_dir)
-    meta = verify_dataset(out, fingerprint)
+    meta = read_json_artifact(out / "dataset.meta.json", fingerprint)
     data_name = meta["data_file"]
-    table = _load_table(out / data_name)
     dims = Dimensions(w=meta["w"])
     shape = (meta["m_samples"], dims.n)
-    if table.shape != shape:
-        raise ChainError(f"{data_name} holds a {table.shape} table; its metadata "
-                         f"gives {shape}")
+
+    def parse(src):
+        found, table = _load_table(src, out / data_name, shape)
+        if found != shape:
+            raise ChainError(f"{data_name} holds a {found} table; its metadata "
+                             f"gives {shape}")
+        return table
+
+    table, _ = _read_registered(out / data_name, parse, meta["data_sha256"],
+                                "does not match the checksum in its metadata")
     table.flags.writeable = False
     try:
         ds = Dataset(dims=dims, inputs=table[:, :dims.n_half], outputs=table[:, dims.n_half:],
@@ -886,33 +980,38 @@ def write_matrix(tm: TransmissionMatrix, path: str | Path) -> str:
 
 
 def read_matrix(path: str | Path, sha256: str | None = None) -> TransmissionMatrix:
-    """Read a registered square matrix of side w**2; a CSV must match its
-    header.  With ``sha256``, the hash that the stage which wrote the file
-    recorded, the file registered now must be that one.  ``ChainError``
-    naming the file when it does not parse."""
+    """Read a registered square matrix of side w**2 in one pass; a CSV must
+    match its header, which sizes its table.  With ``sha256``, the hash that
+    the stage which wrote the file recorded, the file registered now must be
+    that one.  ``ChainError`` naming the file when it does not parse."""
     path = Path(path)
-    registered = verify_artifact(path.parent, path.name)
-    if sha256 is not None and registered != sha256:
-        raise ChainError(f"{path.name} is not the matrix its producing stage recorded "
-                         "(another run rewrote it); re-run extract")
-    entries = _load_table(path)
-    role = "direct"
-    if path.suffix != ".npy":
-        with open(path) as fh:
-            header = fh.readline()
-        parts = header[1:].split()
-        if not (header.startswith("#") and len(parts) >= 2
-                and parts[0].isdigit() and parts[1].isdigit()):
-            raise ChainError(f"{path} lacks the '# rows cols role' header")
-        role = parts[2] if len(parts) > 2 else role
-        if entries.shape != (int(parts[0]), int(parts[1])):
-            raise ChainError(f"{path} holds a {entries.shape} matrix, its header "
-                             f"says ({parts[0]}, {parts[1]})")
-    w = math.isqrt(entries.shape[0]) if entries.ndim == 2 else 0
-    if entries.shape != (w * w, w * w):
-        raise ChainError(f"{path} holds a {entries.shape} matrix; a transmission "
-                         "matrix is square with a side of w**2")
-    return TransmissionMatrix(dims=Dimensions(w=w), entries=entries, role=role)
+
+    def parse(src):
+        if path.suffix == ".npy":
+            found, entries = _load_table(src, path)
+            role = "direct"
+        else:
+            header = src.read(_HEADER_BYTES).split(b"\n", 1)[0].decode(errors="replace")
+            src.rewind()
+            parts = header[1:].split()
+            shape = (int(parts[0]), int(parts[1])) if (
+                header.startswith("#") and len(parts) >= 2
+                and parts[0].isdigit() and parts[1].isdigit()) else None
+            found, entries = _load_table(src, path, shape)  # its parse errors first
+            if shape is None:
+                raise ChainError(f"{path} lacks the '# rows cols role' header")
+            if found != shape:
+                raise ChainError(f"{path} holds a {found} matrix, its header "
+                                 f"says ({parts[0]}, {parts[1]})")
+            role = parts[2] if len(parts) > 2 else "direct"
+        w = math.isqrt(found[0]) if len(found) == 2 else 0
+        if found != (w * w, w * w):
+            raise ChainError(f"{path} holds a {found} matrix; a transmission "
+                             "matrix is square with a side of w**2")
+        return TransmissionMatrix(dims=Dimensions(w=w), entries=entries, role=role)
+
+    return _read_registered(path, parse, sha256, "is not the matrix its producing stage "
+                            "recorded (another run rewrote it); re-run that stage")[0]
 
 
 # ---------------------------------------------------------------------------
@@ -928,15 +1027,16 @@ def write_estimate(est: CouplingEstimate, path: str | Path, fingerprint: str,
     if moments is not None and moments.fingerprint != est.dataset_fingerprint:
         raise ValueError("moments and estimate dataset fingerprints differ")
     rows = []
-    for r, site in enumerate(est.fitted_sites):
+    for r, (site, converged, objective) in enumerate(zip(
+            est.fitted_sites, est.converged.tolist(), est.row_objectives.tolist())):
         positions = np.flatnonzero(est.active[r])
         rows.append({
             "site": site,
             "a": float(est.a[r]),
             "positions": positions.tolist(),
             "values": est.k[r, positions].tolist(),
-            "converged": bool(est.converged[r]),
-            "objective": est.row_objectives[r],
+            "converged": converged,
+            "objective": objective,
         })
     doc = {
         "format": "tminfer-estimate",
@@ -993,8 +1093,8 @@ def read_estimate(path: str | Path, fingerprint: str | None = None,
             a=[rec["a"] for rec in recs],
             k=k,
             active=active,
-            converged=tuple(rec["converged"] for rec in recs),
-            row_objectives=tuple(rec["objective"] for rec in recs),
+            converged=[rec["converged"] for rec in recs],
+            row_objectives=[rec["objective"] for rec in recs],
             total_pl=doc["total_pl"],
             dataset_fingerprint=doc["dataset_fingerprint"],
         )
@@ -1057,10 +1157,10 @@ def write_json_artifact(doc: dict, path: str | Path, fingerprint: str) -> None:
 
 
 def read_json_artifact(path: str | Path, fingerprint: str | None = None) -> dict:
-    """Read a registered JSON artifact, checking ``fingerprint`` if given."""
+    """Read a registered JSON artifact, checking ``fingerprint`` if given;
+    the bytes parsed are the bytes hashed."""
     path = Path(path)
-    verify_artifact(path.parent, path.name)
-    doc = json.loads(path.read_text())
+    doc, _ = _read_registered(path, lambda src: json.loads(src.read()))
     if fingerprint is not None:
         _check_fingerprint(doc, fingerprint, path.name)
     return doc

@@ -13,9 +13,9 @@ record ``Moments.of(dataset)``: a row solve is one small solve on a block of
 the block is singular or has more than ``CHOLESKY_MAX`` rows.  A solve costs
 well under a millisecond, so rows run one after another on the calling thread.
 
-An estimate stacks the rows of its scope as arrays, ``a`` ``(rows,)`` and
-``k`` and ``active`` ``(rows, n-1)``, and every support but ``minimize_row``'s
-one ``RowMask`` is such a ``(rows, n-1)`` boolean array.
+An estimate stacks the rows of its scope as arrays, ``(rows,)`` or
+``(rows, n-1)``, which ``_solve_rows`` assembles; every support but
+``minimize_row``'s one ``RowMask`` is such a ``(rows, n-1)`` boolean array.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import Dataset, Dimensions, Moments
-from .pseudolikelihood import RowMask, RowParams, log_partition, other_sites
+from .pseudolikelihood import RowMask, RowParams, log_partition
 
 __all__ = [
     "OptimOptions",
@@ -135,8 +135,10 @@ def minimize_row(
     elif mask.site != site or mask.active.shape[0] != n - 1:
         raise ValueError("mask does not match site / dims")
     c = Moments.of(dataset).c
-    idx = other_sites(site, n)[mask.active]
-    c_aa, c_ay, c_yy = c[idx[:, None], idx], c[idx, site], float(c[site, site])
+    # The sites at the row's active positions, one further from `site` on.
+    idx = mask.active.nonzero()[0]
+    idx[np.count_nonzero(mask.active[:site]):] += 1
+    c_aa, c_ay, c_yy = c.take(idx, 0).take(idx, 1), c[idx, site], float(c[site, site])
     beta = _solve_normal(c_aa, c_ay)
     c_aa_beta = c_aa @ beta
     fitted = float(beta @ c_aa_beta)
@@ -161,11 +163,12 @@ class CouplingEstimate:
 
     Row ``r`` describes site ``fitted_sites[r]``: curvature ``a[r]``, coupling
     field ``k[r]`` over the other sites in ``other_sites`` order and support
-    ``active[r]``, with ``k`` exactly 0 where ``active`` is False.  Each array
-    is a read-only copy of what the caller passed.  ``row_objectives`` holds
-    each row's per-sample-mean negative log-pseudolikelihood at its optimum;
-    ``total_pl`` is the sample-sum total log-pseudolikelihood (None when
-    parameters were constructed rather than fitted to a dataset).
+    ``active[r]``, with ``k`` exactly 0 where ``active`` is False;
+    ``converged[r]`` flags its solve and ``row_objectives[r]`` is its
+    per-sample-mean negative log-pseudolikelihood at its optimum.  Each array
+    is a read-only copy of what the caller passed.  ``total_pl`` is the
+    sample-sum total log-pseudolikelihood (None when parameters were
+    constructed rather than fitted to a dataset).
     """
 
     dims: Dimensions
@@ -174,21 +177,22 @@ class CouplingEstimate:
     a: np.ndarray
     k: np.ndarray
     active: np.ndarray
-    converged: tuple[bool, ...]
-    row_objectives: tuple[float, ...]
+    converged: np.ndarray
+    row_objectives: np.ndarray
     total_pl: float | None
     dataset_fingerprint: str = ""
 
     def __post_init__(self) -> None:
-        shape = (len(self.fitted_sites), self.dims.n - 1)
-        for name, dtype in (("a", np.float64), ("k", np.float64), ("active", bool)):
+        rows = (len(self.fitted_sites),)
+        grid = (*rows, self.dims.n - 1)
+        for name, dtype, shape in (("a", np.float64, rows), ("k", np.float64, grid),
+                                   ("active", bool, grid), ("converged", bool, rows),
+                                   ("row_objectives", np.float64, rows)):
             arr = np.array(getattr(self, name), dtype=dtype)
+            if arr.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        if self.a.shape != shape[:1] or self.k.shape != shape or self.active.shape != shape:
-            raise ValueError(f"a must have shape {shape[:1]}, k and active {shape}")
-        if not len(self.converged) == len(self.row_objectives) == shape[0]:
-            raise ValueError("per-row field lengths differ")
         if not (np.all(np.isfinite(self.a)) and np.all(self.a > 0)):
             raise ValueError("curvatures must be finite and > 0")
         if not np.all(np.isfinite(self.k)):
@@ -257,11 +261,16 @@ def true_support_masks(dims: Dimensions, support: np.ndarray) -> np.ndarray:
     return active
 
 
-def _solve_rows(moments: Moments, sites, active: np.ndarray,
-                opts: OptimOptions) -> list[RowFit]:
-    """``minimize_row`` per (site, support row), in order."""
-    return [minimize_row(site, moments, RowMask(site=site, active=act), opts)
-            for site, act in zip(sites, active)]
+def _solve_rows(moments: Moments, sites, active: np.ndarray, opts: OptimOptions):
+    """``minimize_row`` per (site, support row), in order, stacked as the
+    arrays ``(a, k, converged, objectives)`` of an estimate's rows."""
+    a, k = np.empty(len(sites)), np.empty((len(sites), moments.dims.n - 1))
+    converged, objectives = np.empty(len(sites), bool), np.empty(len(sites))
+    for r, (site, act) in enumerate(zip(sites, active)):
+        fit = minimize_row(site, moments, RowMask(site=site, active=act), opts)
+        a[r], k[r], converged[r], objectives[r] = \
+            fit.params.a, fit.params.k, fit.converged, fit.objective
+    return a, k, converged, objectives
 
 
 def fit_all_rows(
@@ -281,20 +290,13 @@ def fit_all_rows(
     active = initial_masks(moments.dims, scope) if masks is None else masks
     if np.shape(active) != (len(sites), moments.dims.n - 1):
         raise ValueError("masks inconsistent with scope sites")
-    fits = _solve_rows(moments, sites, active, opts)
-    objectives = tuple(f.objective for f in fits)
+    a, k, converged, objectives = _solve_rows(moments, sites, active, opts)
     return CouplingEstimate(
-        dims=moments.dims,
-        scope=scope,
-        direction=moments.direction,
-        a=[f.params.a for f in fits],
-        k=[f.params.k for f in fits],
-        active=active,
-        converged=tuple(f.converged for f in fits),
-        row_objectives=objectives,
-        total_pl=float(-moments.m_samples * sum(objectives)),
-        dataset_fingerprint=moments.fingerprint,
-    )
+        dims=moments.dims, scope=scope, direction=moments.direction, a=a, k=k,
+        active=active, converged=converged, row_objectives=objectives,
+        # Python's left-to-right sum: the bits every artifact records.
+        total_pl=float(-moments.m_samples * sum(objectives.tolist())),
+        dataset_fingerprint=moments.fingerprint)
 
 
 def dataset_fingerprint(ds: Dataset | Moments) -> str:
@@ -313,22 +315,12 @@ def refit_rows(
     """Refit the given row indices of ``estimate`` under the ``(rows, n-1)``
     support ``new_masks``; untouched rows carry over unchanged.  ``threads``
     is accepted and ignored."""
-    idx = sorted(rows_to_refit)
+    idx = np.array(sorted(rows_to_refit), dtype=np.intp)
     sites = estimate.fitted_sites
-    fits = _solve_rows(Moments.of(dataset), [sites[r] for r in idx], new_masks[idx], opts)
     a, k = estimate.a.copy(), estimate.k.copy()
-    converged = list(estimate.converged)
-    objectives = list(estimate.row_objectives)
-    for r, fit in zip(idx, fits):
-        a[r], k[r] = fit.params.a, fit.params.k
-        converged[r] = fit.converged
-        objectives[r] = fit.objective
-    return replace(
-        estimate,
-        a=a,
-        k=k,
-        active=new_masks,
-        converged=tuple(converged),
-        row_objectives=tuple(objectives),
-        total_pl=float(-dataset.m_samples * sum(objectives)),
-    )
+    converged, objectives = estimate.converged.copy(), estimate.row_objectives.copy()
+    a[idx], k[idx], converged[idx], objectives[idx] = _solve_rows(
+        Moments.of(dataset), [sites[r] for r in idx], new_masks[idx], opts)
+    return replace(estimate, a=a, k=k, active=new_masks, converged=converged,
+                   row_objectives=objectives,
+                   total_pl=float(-dataset.m_samples * sum(objectives.tolist())))

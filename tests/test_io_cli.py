@@ -160,6 +160,7 @@ class TestFormats:
         ("# 16 15 direct", 16, 15),    # not square
         ("# 15 15 direct", 15, 15),    # side is not w**2
         ("# direct", 16, 16),          # no shape in the header
+        ("# 4000000000 16 direct", 16, 16),  # a header no file this short holds
         ("", 16, 16),                  # no header
     ])
     def test_matrix_shape_checked(self, tmp_path, header, rows, cols):
@@ -176,6 +177,17 @@ class TestFormats:
             with pytest.raises(tio.ChainError, match=SHAPE_ERROR):
                 tio.read_matrix(tmp_path / "m.npy")
 
+    def test_npy_header_is_not_allocated_before_its_data_is_there(self, tmp_path):
+        # A header that gives a (10**6, 10**6) array over 16 values: refused
+        # as a file that does not parse, not an 8 TB allocation.
+        buf = io_module.BytesIO()
+        np.lib.format.write_array_header_1_0(
+            buf, {"descr": "<f8", "fortran_order": False, "shape": (10 ** 6, 10 ** 6)})
+        (tmp_path / "m.npy").write_bytes(buf.getvalue() + np.zeros(16).tobytes())
+        register(tmp_path, "m.npy")
+        with pytest.raises(tio.ChainError, match="m.npy does not parse: its data does not fill"):
+            tio.read_matrix(tmp_path / "m.npy")
+
     @pytest.mark.parametrize("name", ["m.csv", "m.npy"])
     def test_matrix_that_does_not_parse_names_the_file(self, tmp_path, capsys, name):
         # A 3-value row in a 4 x 4 CSV matrix; an .npy whose data stops short.
@@ -187,7 +199,8 @@ class TestFormats:
         register(tmp_path, name)
         with pytest.raises(tio.ChainError, match=rf"{name} does not parse"):
             tio.read_matrix(tmp_path / name)
-        # eval reads the ground truth first: w=2 makes it a 4 x 4 matrix.
+        # eval reads the ground truth first, only under the hash generate
+        # recorded: a hand-written one, registered again, is refused unparsed.
         cfg = write_config(tmp_path, {"w": 2, "binary_io": name.endswith(".npy")})
         out = tmp_path / "run"
         assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
@@ -196,7 +209,8 @@ class TestFormats:
         register(out, t_name)
         capsys.readouterr()
         assert main(["eval", "--config", str(cfg), "--out", str(out)]) == 1
-        assert f"{t_name} does not parse" in capsys.readouterr().err
+        assert f"{t_name} is not the matrix its producing stage recorded" in \
+            capsys.readouterr().err
 
     def test_estimate_round_trip(self, tmp_path, data4_noisy):
         est = tm.fit_all_rows(data4_noisy, scope="output")
@@ -224,8 +238,8 @@ class TestFormats:
         back = tio.read_estimate(tmp_path / "e.json", fingerprint="fp")
         for name in ("a", "k", "active"):
             assert getattr(back, name).tobytes() == getattr(est, name).tobytes()
-        assert back.converged == est.converged
-        assert back.row_objectives == est.row_objectives
+        assert np.array_equal(back.converged, est.converged)
+        assert np.array_equal(back.row_objectives, est.row_objectives)
         assert back.total_pl == est.total_pl
 
     def test_fingerprint_mismatch_rejected(self, tmp_path, data4_noisy):
@@ -349,7 +363,7 @@ class TestStreamingCodec:
         ds = tm.generate_dataset(channel4, 30, tm.NoiseSpec(sigma=0.2), seed=3)
         est = tm.fit_all_rows(data4_noisy, scope="output")
         path, _ = tm.run_decimation(data4_noisy)
-        monkeypatch.setattr(tio, "_sha256_file", mock.Mock(side_effect=AssertionError))
+        monkeypatch.setattr(tio, "_HashingReader", mock.Mock(side_effect=AssertionError))
         tio.write_dataset(ds, tmp_path, fingerprint="fp")
         tio.write_matrix(channel4, tmp_path / "m.csv")
         tio.write_matrix(channel4, tmp_path / "m.npy")
@@ -367,16 +381,52 @@ class TestStreamingCodec:
         assert (tmp_path / "t.csv").read_text() == "a,b\n1,0.5\n,2\n"
 
     def test_read_hashes_the_data_once(self, tmp_path, channel4, monkeypatch):
+        # One open and one pass: the bytes hashed are the bytes parsed, and no
+        # pass counts the lines first.
         ds = tm.generate_dataset(channel4, 30, tm.NoiseSpec(sigma=0.2), seed=3)
-        tio.write_dataset(ds, tmp_path, fingerprint="fp")
-        hashed = []
-        real = tio._sha256_file
-        monkeypatch.setattr(tio, "_sha256_file",
-                            lambda p: hashed.append(Path(p).name) or real(p))
-        back, meta = tio.read_dataset(tmp_path, fingerprint="fp")
-        assert hashed.count("dataset.csv") == 1
-        assert meta == json.loads((tmp_path / "dataset.meta.json").read_text())
-        assert back.inputs.tobytes() == ds.inputs.tobytes()
+        opened, real = [], open
+
+        def recording_open(file, *args, **kwargs):
+            opened.append(file)
+            return real(file, *args, **kwargs)
+
+        for name in ("dataset.csv", "dataset.npy"):
+            out = tmp_path / name
+            tio.write_dataset(ds, out, fingerprint="fp", binary=name.endswith(".npy"))
+            opened.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr("builtins.open", recording_open)
+                patch.setattr(tio._HashingReader, "rewind",
+                              mock.Mock(side_effect=AssertionError))
+                back, meta = tio.read_dataset(out, fingerprint="fp")
+            assert opened.count(out / name) == 1
+            assert meta == json.loads((out / "dataset.meta.json").read_text())
+            assert back.inputs.tobytes() == ds.inputs.tobytes()
+
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_data_file_replaced_during_a_read(self, tmp_path, channel4, monkeypatch, binary):
+        # Another dataset's file is renamed onto the data file right after a
+        # read first opens it: the read returns the samples its metadata
+        # records, never the replacement's.
+        ds = tm.generate_dataset(channel4, 30, tm.NoiseSpec(sigma=0.2), seed=3)
+        other = tm.generate_dataset(channel4, 30, tm.NoiseSpec(sigma=0.2), seed=4)
+        tio.write_dataset(ds, tmp_path, fingerprint="fp", binary=binary)
+        tio.write_dataset(other, tmp_path / "other", fingerprint="fp", binary=binary)
+        name = "dataset.npy" if binary else "dataset.csv"
+        real, replaced = open, []
+
+        def open_then_replace(file, *args, **kwargs):
+            fh = real(file, *args, **kwargs)
+            if not replaced and isinstance(file, (str, Path)) and Path(file) == tmp_path / name:
+                os.replace(tmp_path / "other" / name, tmp_path / name)
+                replaced.append(file)
+            return fh
+
+        with monkeypatch.context() as patch:
+            patch.setattr("builtins.open", open_then_replace)
+            back, _ = tio.read_dataset(tmp_path, fingerprint="fp")
+        assert replaced
+        assert back.site_matrix().tobytes() == ds.site_matrix().tobytes()
 
     def test_verify_dataset_does_not_parse(self, tmp_path, channel4, monkeypatch):
         ds = tm.generate_dataset(channel4, 10, tm.NoiseSpec(sigma=0.0), seed=1)
@@ -454,6 +504,18 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def read_csv(path, shape):
+    """``_read_csv``'s table of the CSV file ``path`` sized at ``shape``."""
+    with tio._HashingReader(open(path, "rb", buffering=0)) as src:
+        return tio._read_csv(src, shape)
+
+
+def load_table(path, shape=None):
+    """``_load_table``'s table of ``path``, sized at ``shape`` if given."""
+    with tio._HashingReader(open(path, "rb", buffering=0)) as src:
+        return tio._load_table(src, path, shape)[1]
+
+
 # Decimal midpoints between adjacent doubles that have at most 18 significant
 # digits: m = (2j + 1) * 2**(e - 1) with ulp 2**e, e >= -1.
 def midpoint_fields(count, seed):
@@ -490,7 +552,7 @@ class TestCsvReader:
         with tempfile.TemporaryDirectory() as tmp, patch:
             path = Path(tmp) / "t.csv"
             path.write_bytes(raw)
-            back = tio._read_csv(path)
+            back = read_csv(path, table.shape)
             assert back is not None and back.flags.owndata
             assert same_bits(back, table)
             assert same_bits(back, np.loadtxt(path, delimiter=",", ndmin=2))
@@ -528,7 +590,7 @@ class TestCsvReader:
         path = tmp_path / "t.csv"
         path.write_bytes(b"".join(b",".join(fields[i:i + 4]) + b"\n"
                                   for i in range(0, len(fields), 4)))
-        assert same_bits(tio._read_csv(path), expect.reshape(-1, 4))
+        assert same_bits(read_csv(path, (len(fields) // 4, 4)), expect.reshape(-1, 4))
 
     @pytest.mark.parametrize("field", [
         b"1234567890123456789",            # 19 significant digits
@@ -550,10 +612,10 @@ class TestCsvReader:
             expect = np.loadtxt(tmp_path / "t.csv", delimiter=",", ndmin=2)
         except ValueError as exc:
             with pytest.raises(tio.ChainError, match="t.csv does not parse") as got:
-                tio._load_table(tmp_path / "t.csv")
+                load_table(tmp_path / "t.csv", (2, 3))
             assert str(exc) in str(got.value)
         else:
-            assert same_bits(tio._load_table(tmp_path / "t.csv"), expect)
+            assert same_bits(load_table(tmp_path / "t.csv", (2, 3)), expect)
 
     @settings(max_examples=40, deadline=None)
     @given(w=st.sampled_from([2, 3]), m=st.integers(1, 40), data=st.data())
@@ -570,12 +632,12 @@ class TestCsvReader:
                 mock.patch.object(tio, "_FIELDS", fields):
             path = Path(tmp) / "t.csv"
             path.write_bytes(b"# a header\n" + raw)
-            back = tio._read_csv(path)
+            back = read_csv(path, table.shape)
             assert back is not None and same_bits(back, table)
             # A block that cannot hold a line leaves the file to np.loadtxt.
             with mock.patch.object(tio, "_CSV_CHUNK", longest - 9):
-                assert tio._read_csv(path) is None
-                assert same_bits(tio._load_table(path), table)
+                assert read_csv(path, table.shape) is None
+                assert same_bits(load_table(path, table.shape), table)
 
     @pytest.mark.parametrize("raw", [
         b"1,2\n\n3,4\n",                 # blank line
@@ -605,16 +667,21 @@ class TestCsvReader:
     def test_hand_written_files_read_as_loadtxt_reads_them(self, tmp_path, raw):
         path = tmp_path / "h.csv"
         path.write_bytes(raw)
+        # The reader sized by a shape that a caller could give: its lines by
+        # the first line's fields, and np.loadtxt's own shape.
+        shapes = [None, (raw.count(b"\n"), raw.split(b"\n")[0].count(b",") + 1)]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # loadtxt: input contained no data
             try:
                 expect = np.loadtxt(path, delimiter=",", ndmin=2)
             except ValueError as exc:
-                with pytest.raises(tio.ChainError, match="h.csv does not parse") as got:
-                    tio._load_table(path)
-                assert str(exc) in str(got.value)
+                for shape in shapes:
+                    with pytest.raises(tio.ChainError, match="h.csv does not parse") as got:
+                        load_table(path, shape)
+                    assert str(exc) in str(got.value)
             else:
-                assert same_bits(tio._load_table(path), expect)
+                for shape in (*shapes, expect.shape):
+                    assert same_bits(load_table(path, shape), expect)
 
 
 class TestSampleBufferIO:
@@ -774,8 +841,8 @@ class TestRecordedMoments:
         assert [r.bic for r in path.records] == [r.bic for r in ref_path.records]
         assert path.selected == ref_path.selected
         assert best.dataset_fingerprint == ref_best.dataset_fingerprint
-        assert best.row_objectives == ref_best.row_objectives
-        assert best.converged == ref_best.converged
+        assert np.array_equal(best.row_objectives, ref_best.row_objectives)
+        assert np.array_equal(best.converged, ref_best.converged)
         for r1, r2, m1, m2 in zip(best.rows, ref_best.rows, best.masks, ref_best.masks):
             assert r1.a == r2.a
             assert r1.k.tobytes() == r2.k.tobytes()
@@ -1069,6 +1136,37 @@ class TestCli:
         assert self.run("eval", *common) == 1
         assert f"{t_name}.csv is not the matrix its producing stage recorded" in \
             capsys.readouterr().err
+
+    def test_eval_refuses_the_ground_truth_of_another_config(self, tmp_path, capsys):
+        # A seed-42 chain through extract, then generate under seed 43 in the
+        # same directory: t_true.csv is seed 43's channel.
+        first = write_config(tmp_path)
+        second = write_config(tmp_path, {"seed": 43}, "second.json")
+        out = tmp_path / "run"
+        for stage in ("generate", "fit", "select", "extract"):
+            assert self.run(stage, "--config", str(first), "--out", str(out)) == 0
+        assert self.run("generate", "--config", str(second), "--out", str(out)) == 0
+        capsys.readouterr()
+        assert self.run("eval", "--config", str(first), "--out", str(out)) == 1
+        assert "dataset.meta.json was produced under config fingerprint" in \
+            capsys.readouterr().err
+        assert not (out / "eval.json").exists()
+
+    def test_eval_needs_the_recorded_ground_truth_hash(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        cfg = self.chain(tmp_path, out)
+        meta = json.loads((out / "dataset.meta.json").read_text())
+        digest = hashlib.sha256((out / "t_true.csv").read_bytes()).hexdigest()
+        assert meta["matrix_sha256"] == {"t_true.csv": digest}
+        del meta["matrix_sha256"]
+        (out / "dataset.meta.json").write_text(json.dumps(meta))
+        register(out, "dataset.meta.json")
+        (out / "eval.json").unlink()
+        capsys.readouterr()
+        assert self.run("eval", "--config", str(cfg), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "dataset.meta.json records no t_true.csv" in err and "re-run generate" in err
+        assert not (out / "eval.json").exists()
 
     def test_eval_needs_recorded_matrix_hashes(self, tmp_path, capsys):
         out = tmp_path / "run"

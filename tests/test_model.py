@@ -356,7 +356,7 @@ class TestMoments:
         est = tm.fit_all_rows(tm.Moments.of(data4_noisy), scope=scope)
         assert est.dataset_fingerprint == ref.dataset_fingerprint
         assert est.total_pl == ref.total_pl
-        assert est.row_objectives == ref.row_objectives
+        assert np.array_equal(est.row_objectives, ref.row_objectives)
         for r1, r2 in zip(est.rows, ref.rows):
             assert r1.a == r2.a and r1.k.tobytes() == r2.k.tobytes()
 

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 import tminfer as tm
+import tminfer.io as tio
 from oracles import lstsq_row, ols_conditional
+from tminfer.optimize import refit_rows
 from tminfer.pseudolikelihood import other_sites
 
 A_CAP = tm.OptimOptions().a_cap
@@ -348,8 +350,8 @@ class TestFitAllRows:
 
 
 class TestEstimateArrays:
-    """A ``CouplingEstimate`` holds ``a``, ``k`` and ``active`` as read-only
-    arrays of its own."""
+    """A ``CouplingEstimate`` holds every per-row field as a read-only array
+    of its own."""
 
     @staticmethod
     def fields(data):
@@ -366,6 +368,23 @@ class TestEstimateArrays:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 1
+
+    def test_per_row_flags_and_objectives_are_arrays(self, data4_noisy, tmp_path):
+        full = tm.fit_all_rows(data4_noisy, scope="output")
+        masks = full.active.copy()
+        masks[3, :2] = False
+        refit = refit_rows(full, data4_noisy, masks, [3])
+        tio.write_estimate(refit, tmp_path / "e.json", fingerprint="fp", dataset_sha256="x")
+        back = tio.read_estimate(tmp_path / "e.json", fingerprint="fp")
+        for est in (full, refit, back):
+            for name, dtype in (("converged", np.bool_), ("row_objectives", np.float64)):
+                arr = getattr(est, name)
+                assert isinstance(arr, np.ndarray) and arr.dtype == dtype
+                assert arr.shape == (16,) and not arr.flags.writeable
+        assert np.array_equal(back.row_objectives, refit.row_objectives)
+        assert refit.row_objectives[3] != full.row_objectives[3]
+        assert np.array_equal(np.delete(refit.row_objectives, 3),
+                              np.delete(full.row_objectives, 3))
 
     def test_shares_no_memory_with_its_caller(self, data4_noisy):
         f = self.fields(data4_noisy)
@@ -410,7 +429,7 @@ class TestEstimateArrays:
         ("k", lambda f: np.where(f["active"], np.nan, f["k"])),
         ("k", lambda f: np.where(f["active"], -np.inf, f["k"])),
         ("converged", lambda f: f["converged"][:-1]),
-        ("row_objectives", lambda f: f["row_objectives"] + (0.0,)),
+        ("row_objectives", lambda f: np.append(f["row_objectives"], 0.0)),
         ("scope", lambda f: "inputs"),
     ])
     def test_bad_shape_or_value_rejected(self, data4_noisy, name, value):
