@@ -79,7 +79,7 @@ def cmd_generate(args) -> int:
     t_name = _array_name(cfg, "t_true")
     # eval reads t_true only while its hash is the one the metadata records.
     t_sha256 = tio.write_matrix(tm, out / t_name)
-    tio.write_dataset(ds, out, fingerprint=fp, binary=cfg.binary_io,
+    tio.write_dataset(ds, out / _array_name(cfg, "dataset"), fingerprint=fp,
                       matrix_sha256={t_name: t_sha256})
     print(f"wrote {out}/{_array_name(cfg, 'dataset')}, dataset.meta.json, {t_name}")
     return 0

@@ -1,7 +1,8 @@
 """Bit-stable file formats for datasets, matrices, estimates, paths, reports.
 
 Text formats are comma-separated with reals printed at 17 significant digits
-(exact float64 round trip); the optional binary variant stores arrays as .npy.
+(exact float64 round trip).  An array file's suffix is its format, for a
+dataset's data file as for a matrix: ``.npy``, or else CSV (``_write_array``).
 JSON artifacts embed the versions and the run-config fingerprint.  Each write
 goes to a fresh temp file beside its target, is renamed onto it only when
 complete and registers the sha256 it streamed in the directory's manifest,
@@ -13,21 +14,21 @@ one that was hashed.  Large tables are formatted, hashed and written in
 blocks, never held whole as text.  A CSV block's text is that of
 ``"%.17g" % x`` for each value: a numpy kernel formats every value that
 prints without an exponent (1e-4 <= |x| < 1e15, and zeros), and a row
-holding any other value is one ``%``-format.  A CSV table
-is read back in blocks of whole lines by the inverse kernel, exactly: each
-field of at most 24 bytes and 18 significant digits without an exponent
-(every value the writer's kernel prints) is rounded to the nearest double
-in numpy, and a row holding any other field, or a field too close to a
-midpoint between doubles, is one ``np.loadtxt``; a file of another structure
-goes whole through ``np.loadtxt``.  Either way the table has the bits
-``np.loadtxt`` gives.
+holding any other value is one ``%``-format.  A CSV table is read back in
+blocks of whole lines by the inverse kernel, exactly: each field of at most
+24 bytes and 18 significant digits without an exponent (every value the
+writer's kernel prints) is rounded to the nearest double in numpy, and a row
+holding any other field, or a field too close to a midpoint between doubles,
+is one ``np.loadtxt``; a file of another structure goes whole through
+``np.loadtxt``.  Either way the table has the bits ``np.loadtxt`` gives.
 
 A dataset's data file is its (M, 2 w**2) sample buffer (``Dataset.site_matrix``),
-one sample per row: ``write_dataset`` formats CSV blocks from slices of it or
-streams the ``.npy`` header and its bytes, and ``read_dataset`` reads the
-file in one pass into a table allocated at the shape its metadata gives
-(a matrix's CSV header sizes its table likewise) and hands the table to
-``Dataset`` as its buffer, so neither copies the samples.  A data file that
+one sample per row: ``write_dataset(ds, path, fingerprint)`` formats CSV
+blocks from slices of it or streams the ``.npy`` header and its bytes, and
+``read_dataset`` reads the file in one pass into one table and hands it to
+``Dataset`` as its buffer, so neither copies the samples.  A CSV table is
+allocated at the shape its metadata (or a matrix's header) gives, an ``.npy``
+one at its header's shape once the file's size matches it.  A data file that
 does not parse, holds a non-finite value or disagrees with its metadata in
 shape raises ``ChainError`` naming the file, and so does a matrix file that
 does not parse.
@@ -604,13 +605,11 @@ def _npy_blocks(a: np.ndarray):
         yield data[start:start + _HASH_CHUNK]
 
 
-def _load_npy(src: _HashingReader, expect: tuple | None):
-    """``(shape, array)`` of an ``.npy`` file as ``_npy_blocks`` writes it
-    (format 1.0, float64, C order) read from ``src``: the array in memory it
-    owns, so a dataset can take it as its sample buffer (``np.load`` returns
-    a reshaped view of a flat array instead), or None, unallocated and
-    unread, when the header gives another shape than ``expect``.
-    ``ValueError`` for other content."""
+def _load_npy(src: _HashingReader) -> np.ndarray:
+    """The array of an ``.npy`` file as ``_npy_blocks`` writes it (format
+    1.0, float64, C order) read from ``src``, in memory it owns, so a dataset
+    can take it as its sample buffer (``np.load`` returns a reshaped view of
+    a flat array instead).  ``ValueError`` for other content."""
     version = np.lib.format.read_magic(src)
     if version != (1, 0):
         raise ValueError(f"npy format version {version} is not 1.0")
@@ -618,15 +617,13 @@ def _load_npy(src: _HashingReader, expect: tuple | None):
     if fortran_order or dtype != np.float64:
         raise ValueError(f"holds a {dtype} array in {'F' if fortran_order else 'C'} "
                          "order, not float64 in C order")
-    if expect is not None and shape != expect:
-        return shape, None
     # The file's size bounds the allocation; a file that changes while it is
     # read fails its checksum.
     if 8 * math.prod(shape) != src.size - src.tell():
         raise ValueError(f"its data does not fill the {shape} array of its header")
     table = np.empty(shape)
     src.readinto(memoryview(table).cast("B"))
-    return shape, table
+    return table
 
 
 def _loadtxt(src: _HashingReader) -> np.ndarray:
@@ -641,28 +638,34 @@ def _loadtxt(src: _HashingReader) -> np.ndarray:
         text.detach().detach()  # src stays open for its hash
 
 
-def _load_table(src: _HashingReader, path: Path, shape: tuple | None = None):
-    """``(shape, table)`` of the float64 table of the ``.npy`` or CSV file
-    ``path`` read from ``src``, '#' lines skipped; ``ChainError`` naming the
-    file when it does not parse.
+def _load_table(src: _HashingReader, path: Path, shape: tuple | None = None) -> np.ndarray:
+    """The float64 table of the ``.npy`` or CSV file ``path`` read from
+    ``src``, '#' lines skipped; ``ChainError`` naming the file when it does
+    not parse.  The caller checks its shape.
 
-    ``shape`` is the shape its metadata or header gives, if any: the only one
-    allocated before the data is read.  An npy file whose header gives another
-    comes back as ``(that shape, None)`` (``_load_npy``).  A CSV file gives
-    the bits and errors of ``np.loadtxt(path, delimiter=",", ndmin=2)``:
-    ``_read_csv`` reads it in blocks into memory the table owns, as a
-    dataset's buffer needs, and a file of another shape or structure (ragged
-    rows, blank lines, '#' after the leading lines, '\\r', no final newline)
-    goes whole through ``np.loadtxt`` (``_loadtxt``)."""
+    ``shape`` is the shape a CSV file's metadata or header gives, if any: the
+    only one allocated before its data is read (an npy file's size bounds
+    its allocation, ``_load_npy``).  A CSV file gives the bits and errors of
+    ``np.loadtxt(path, delimiter=",", ndmin=2)``: ``_read_csv`` reads it in
+    blocks into memory the table owns, as a dataset's buffer needs, and a
+    file of another shape or structure (ragged rows, blank lines, '#' after
+    the leading lines, '\\r', no final newline) goes whole through
+    ``np.loadtxt`` (``_loadtxt``)."""
     try:
         if path.suffix == ".npy":
-            return _load_npy(src, shape)
+            return _load_npy(src)
         table = None if shape is None else _read_csv(src, shape)
-        if table is None:
-            table = _loadtxt(src)
-        return table.shape, table
+        return _loadtxt(src) if table is None else table
     except ValueError as exc:
         raise ChainError(f"{path.name} does not parse: {exc}") from None
+
+
+def _write_array(path: Path, table: np.ndarray, header: bytes = b"") -> str:
+    """Write ``table`` in the format the suffix of ``path`` names: ``.npy``,
+    or else ``header`` and then CSV, one row per line.  Register the file's
+    sha256 in the manifest beside it and return that hash."""
+    return _write_artifact(path, _npy_blocks(table) if path.suffix == ".npy"
+                           else itertools.chain((header,), _csv_blocks(table)))
 
 
 def _write_artifact(path: Path, blocks) -> str:
@@ -813,8 +816,11 @@ class RunConfig:
             raise ConfigError("w must be >= 2")
         if not 0.0 < self.density <= 1.0:
             raise ConfigError("density must lie in (0, 1]")
-        if self.m_samples < 1:
-            raise ConfigError("m_samples must be >= 1")
+        # Fewer samples than a full-support row's regressors interpolate them.
+        regressors = self.w ** 2 if self.scope == "output" else 2 * self.w ** 2 - 1
+        if self.m_samples <= regressors:
+            raise ConfigError(f"m_samples must exceed the {regressors} regressors of a "
+                              f"full-support {self.scope} row, got {self.m_samples}")
         if self.sigma < 0:
             raise ConfigError("sigma must be nonnegative")
         if self.seed < 0:
@@ -884,21 +890,13 @@ class RunConfig:
 # Datasets
 
 
-def write_dataset(ds: Dataset, out_dir: str | Path, fingerprint: str,
-                  binary: bool = False, matrix_sha256: dict | None = None) -> None:
-    """Write dataset data + sidecar metadata into ``out_dir``; the metadata
-    records ``matrix_sha256``, the hashes of matrices written beside the
-    data (the channel that ``generate`` drew), when given."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    samples = ds.site_matrix()
-    if binary:
-        data_name = "dataset.npy"
-        blocks = _npy_blocks(samples)
-    else:
-        data_name = "dataset.csv"
-        blocks = _csv_blocks(samples)
-    data_sha256 = _write_artifact(out / data_name, blocks)
+def write_dataset(ds: Dataset, path: str | Path, fingerprint: str,
+                  matrix_sha256: dict | None = None) -> None:
+    """Write the samples to the data file ``path`` (``_write_array``) in an
+    existing directory, and their metadata to ``dataset.meta.json`` beside
+    it, which records ``matrix_sha256``, the hashes of matrices written beside
+    the data (the channel that ``generate`` drew), when given."""
+    path = Path(path)
     meta = {
         "format": "tminfer-dataset",
         "versions": _VERSIONS,
@@ -906,13 +904,13 @@ def write_dataset(ds: Dataset, out_dir: str | Path, fingerprint: str,
         "m_samples": ds.m_samples,
         "direction": ds.direction,
         "meta": ds.meta,
-        "data_file": data_name,
-        "data_sha256": data_sha256,
+        "data_file": path.name,
+        "data_sha256": _write_array(path, ds.site_matrix()),
         "config_fingerprint": fingerprint,
     }
     if matrix_sha256 is not None:
         meta["matrix_sha256"] = matrix_sha256
-    write_json_artifact(meta, out / "dataset.meta.json", fingerprint)
+    write_json_artifact(meta, path.with_name("dataset.meta.json"), fingerprint)
 
 
 def verify_dataset(out_dir: str | Path, fingerprint: str | None = None) -> dict:
@@ -931,12 +929,12 @@ def read_dataset(out_dir: str | Path, fingerprint: str | None = None) -> tuple[D
     """Read a dataset back, verifying checksums (and fingerprint if given).
 
     The data file is opened once and read in one pass: the bytes parsed are
-    the bytes hashed, and its table is allocated at the shape ``meta`` gives
-    only.  The parsed table becomes the dataset's sample buffer without a
+    the bytes hashed, and a CSV table is allocated at the shape ``meta``
+    gives only.  The table becomes the dataset's sample buffer without a
     copy.  Returns ``(dataset, meta)``, ``meta`` being the verified
-    ``dataset.meta.json`` content.  Raises ``ChainError`` naming the data file
-    when it does not parse (ragged rows, say), holds a table of another shape
-    than ``meta`` gives, or holds a non-finite value.
+    ``dataset.meta.json`` content.  Raises ``ChainError`` naming the data
+    file when it does not parse (ragged rows, say), holds a table of another
+    shape than ``meta`` gives, or holds a non-finite value.
     """
     out = Path(out_dir)
     meta = read_json_artifact(out / "dataset.meta.json", fingerprint)
@@ -945,9 +943,9 @@ def read_dataset(out_dir: str | Path, fingerprint: str | None = None) -> tuple[D
     shape = (meta["m_samples"], dims.n)
 
     def parse(src):
-        found, table = _load_table(src, out / data_name, shape)
-        if found != shape:
-            raise ChainError(f"{data_name} holds a {found} table; its metadata "
+        table = _load_table(src, out / data_name, shape)
+        if table.shape != shape:
+            raise ChainError(f"{data_name} holds a {table.shape} table; its metadata "
                              f"gives {shape}")
         return table
 
@@ -970,13 +968,8 @@ def write_matrix(tm: TransmissionMatrix, path: str | Path) -> str:
     """Write ``tm`` in the format its path's suffix names, as ``read_matrix``
     reads it: ``.npy``, or else CSV, one row per line under a '#'-prefixed
     shape/role header.  Return the sha256 registered for the file."""
-    path, m = Path(path), tm.entries
-    if path.suffix == ".npy":
-        blocks = _npy_blocks(m)
-    else:
-        header = f"# {m.shape[0]} {m.shape[1]} {tm.role}\n".encode()
-        blocks = itertools.chain((header,), _csv_blocks(m))
-    return _write_artifact(path, blocks)
+    rows, cols = tm.entries.shape
+    return _write_array(Path(path), tm.entries, f"# {rows} {cols} {tm.role}\n".encode())
 
 
 def read_matrix(path: str | Path, sha256: str | None = None) -> TransmissionMatrix:
@@ -988,7 +981,7 @@ def read_matrix(path: str | Path, sha256: str | None = None) -> TransmissionMatr
 
     def parse(src):
         if path.suffix == ".npy":
-            found, entries = _load_table(src, path)
+            entries = _load_table(src, path)
             role = "direct"
         else:
             header = src.read(_HEADER_BYTES).split(b"\n", 1)[0].decode(errors="replace")
@@ -997,16 +990,16 @@ def read_matrix(path: str | Path, sha256: str | None = None) -> TransmissionMatr
             shape = (int(parts[0]), int(parts[1])) if (
                 header.startswith("#") and len(parts) >= 2
                 and parts[0].isdigit() and parts[1].isdigit()) else None
-            found, entries = _load_table(src, path, shape)  # its parse errors first
+            entries = _load_table(src, path, shape)  # its parse errors first
             if shape is None:
                 raise ChainError(f"{path} lacks the '# rows cols role' header")
-            if found != shape:
-                raise ChainError(f"{path} holds a {found} matrix, its header "
+            if entries.shape != shape:
+                raise ChainError(f"{path} holds a {entries.shape} matrix, its header "
                                  f"says ({parts[0]}, {parts[1]})")
             role = parts[2] if len(parts) > 2 else "direct"
-        w = math.isqrt(found[0]) if len(found) == 2 else 0
-        if found != (w * w, w * w):
-            raise ChainError(f"{path} holds a {found} matrix; a transmission "
+        w = math.isqrt(entries.shape[0]) if entries.ndim == 2 else 0
+        if entries.shape != (w * w, w * w):
+            raise ChainError(f"{path} holds a {entries.shape} matrix; a transmission "
                              "matrix is square with a side of w**2")
         return TransmissionMatrix(dims=Dimensions(w=w), entries=entries, role=role)
 

@@ -1,9 +1,11 @@
 import ast
 import hashlib
 import io as io_module
+import itertools
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -34,6 +36,11 @@ CONFIG = {
 }
 
 
+# The CLI stages of a whole chain, in order.
+STAGES = ("generate", "fit", "select", "extract", "fit --reversed", "select --reversed",
+          "extract --reversed", "eval", "report")
+
+
 def register(out, name):
     """Register a hand-written or hand-edited file as its stage would."""
     data = (Path(out) / name).read_bytes()
@@ -42,6 +49,11 @@ def register(out, name):
 
 # Every message of read_matrix's shape checks, and none of its manifest checks.
 SHAPE_ERROR = r"header|square with a side of w\*\*2"
+
+
+def data_file(out, binary):
+    """The data file in ``out`` that ``generate`` names under ``binary_io=binary``."""
+    return out / ("dataset.npy" if binary else "dataset.csv")
 
 
 def write_config(tmp_path, overrides=None, name="config.json"):
@@ -102,6 +114,20 @@ class TestRunConfig:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("overrides, regressors", [
+        ({"w": 4}, 16), ({"w": 4, "scope": "all"}, 31)], ids=["output", "all"])
+    def test_rows_must_be_identifiable(self, tmp_path, capsys, overrides, regressors):
+        # No more samples than a full-support row's regressors: every row
+        # interpolates them, so the config stops the first stage (exit 1).
+        path = write_config(tmp_path, {**overrides, "m_samples": regressors})
+        out = tmp_path / "out"
+        assert main(["generate", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"{regressors} regressors" in err and f"got {regressors}" in err
+        assert not out.exists()
+        ok = write_config(tmp_path, {**overrides, "m_samples": regressors + 1}, "ok.json")
+        assert tio.RunConfig.from_file(ok).m_samples == regressors + 1
+
     def test_fingerprint_tracks_content(self, tmp_path):
         a = tio.RunConfig.from_file(write_config(tmp_path))
         b = tio.RunConfig.from_file(write_config(tmp_path, {"seed": 43}, "c2.json"))
@@ -128,7 +154,7 @@ class TestFormats:
     @pytest.mark.parametrize("binary", [False, True])
     def test_dataset_round_trip(self, tmp_path, channel4, binary):
         ds = tm.generate_dataset(channel4, 30, tm.NoiseSpec(sigma=0.2), seed=3)
-        tio.write_dataset(ds, tmp_path, fingerprint="fp", binary=binary)
+        tio.write_dataset(ds, data_file(tmp_path, binary), fingerprint="fp")
         back, meta = tio.read_dataset(tmp_path, fingerprint="fp")
         assert back.inputs.tobytes() == ds.inputs.tobytes()
         assert back.outputs.tobytes() == ds.outputs.tobytes()
@@ -251,7 +277,7 @@ class TestFormats:
 
     def test_dataset_tamper_detected(self, tmp_path, channel4):
         ds = tm.generate_dataset(channel4, 10, tm.NoiseSpec(sigma=0.0), seed=1)
-        tio.write_dataset(ds, tmp_path, fingerprint="fp")
+        tio.write_dataset(ds, tmp_path / "dataset.csv", fingerprint="fp")
         data = (tmp_path / "dataset.csv").read_text()
         (tmp_path / "dataset.csv").write_text(data.replace("0.", "1.", 1))
         with pytest.raises(tio.ChainError, match="checksum"):
@@ -331,7 +357,7 @@ class TestStreamingCodec:
         with tempfile.TemporaryDirectory() as tmp, \
                 mock.patch.object(tio, "_BLOCK_VALUES", block * 2 * nh):
             out = Path(tmp)
-            tio.write_dataset(ds, out, fingerprint="fp")
+            tio.write_dataset(ds, out / "dataset.csv", fingerprint="fp")
             raw = (out / "dataset.csv").read_bytes()
             assert raw == reference_csv(np.hstack([inputs, outputs]))
             back, _ = tio.read_dataset(out, fingerprint="fp")
@@ -349,7 +375,7 @@ class TestStreamingCodec:
                         outputs=rng.standard_normal((40000, 16)))
         tracemalloc.start()
         try:
-            tio.write_dataset(ds, tmp_path, fingerprint="fp")
+            tio.write_dataset(ds, tmp_path / "dataset.csv", fingerprint="fp")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -364,7 +390,7 @@ class TestStreamingCodec:
         est = tm.fit_all_rows(data4_noisy, scope="output")
         path, _ = tm.run_decimation(data4_noisy)
         monkeypatch.setattr(tio, "_HashingReader", mock.Mock(side_effect=AssertionError))
-        tio.write_dataset(ds, tmp_path, fingerprint="fp")
+        tio.write_dataset(ds, tmp_path / "dataset.csv", fingerprint="fp")
         tio.write_matrix(channel4, tmp_path / "m.csv")
         tio.write_matrix(channel4, tmp_path / "m.npy")
         tio.write_estimate(est, tmp_path / "e.json", fingerprint="fp", dataset_sha256="x")
@@ -391,8 +417,9 @@ class TestStreamingCodec:
             return real(file, *args, **kwargs)
 
         for name in ("dataset.csv", "dataset.npy"):
-            out = tmp_path / name
-            tio.write_dataset(ds, out, fingerprint="fp", binary=name.endswith(".npy"))
+            out = tmp_path / name[-3:]
+            out.mkdir()
+            tio.write_dataset(ds, out / name, fingerprint="fp")
             opened.clear()
             with monkeypatch.context() as patch:
                 patch.setattr("builtins.open", recording_open)
@@ -410,9 +437,10 @@ class TestStreamingCodec:
         # records, never the replacement's.
         ds = tm.generate_dataset(channel4, 30, tm.NoiseSpec(sigma=0.2), seed=3)
         other = tm.generate_dataset(channel4, 30, tm.NoiseSpec(sigma=0.2), seed=4)
-        tio.write_dataset(ds, tmp_path, fingerprint="fp", binary=binary)
-        tio.write_dataset(other, tmp_path / "other", fingerprint="fp", binary=binary)
-        name = "dataset.npy" if binary else "dataset.csv"
+        name = data_file(tmp_path, binary).name
+        (tmp_path / "other").mkdir()
+        tio.write_dataset(ds, tmp_path / name, fingerprint="fp")
+        tio.write_dataset(other, tmp_path / "other" / name, fingerprint="fp")
         real, replaced = open, []
 
         def open_then_replace(file, *args, **kwargs):
@@ -430,7 +458,7 @@ class TestStreamingCodec:
 
     def test_verify_dataset_does_not_parse(self, tmp_path, channel4, monkeypatch):
         ds = tm.generate_dataset(channel4, 10, tm.NoiseSpec(sigma=0.0), seed=1)
-        tio.write_dataset(ds, tmp_path, fingerprint="fp")
+        tio.write_dataset(ds, tmp_path / "dataset.csv", fingerprint="fp")
         # _load_table is the one parse entry; np.loadtxt reads only what it
         # leaves to it.
         monkeypatch.setattr(tio, "_load_table", mock.Mock(side_effect=AssertionError))
@@ -513,7 +541,7 @@ def read_csv(path, shape):
 def load_table(path, shape=None):
     """``_load_table``'s table of ``path``, sized at ``shape`` if given."""
     with tio._HashingReader(open(path, "rb", buffering=0)) as src:
-        return tio._load_table(src, path, shape)[1]
+        return tio._load_table(src, path, shape)
 
 
 # Decimal midpoints between adjacent doubles that have at most 18 significant
@@ -694,12 +722,12 @@ class TestSampleBufferIO:
 
     @pytest.mark.parametrize("binary", [False, True])
     def test_write_adds_no_copy_of_the_buffer(self, tmp_path, big, binary, traced_peak):
-        _, peak = traced_peak(lambda: tio.write_dataset(big, tmp_path, "fp", binary=binary))
+        _, peak = traced_peak(lambda: tio.write_dataset(big, data_file(tmp_path, binary), "fp"))
         assert peak < 2e6
 
     @pytest.mark.parametrize("binary", [False, True])
     def test_read_peaks_at_about_the_table(self, tmp_path, big, binary, traced_peak):
-        tio.write_dataset(big, tmp_path, "fp", binary=binary)
+        tio.write_dataset(big, data_file(tmp_path, binary), "fp")
         (back, _), peak = traced_peak(lambda: tio.read_dataset(tmp_path, "fp"))
         assert peak < 1.3 * big.site_matrix().nbytes
         assert back.site_matrix().tobytes() == big.site_matrix().tobytes()
@@ -707,11 +735,11 @@ class TestSampleBufferIO:
         assert not back.site_matrix().flags.writeable
 
     def test_tall_dataset_is_the_reference_text(self, tmp_path, big):
-        tio.write_dataset(big, tmp_path, "fp")
+        tio.write_dataset(big, tmp_path / "dataset.csv", "fp")
         assert (tmp_path / "dataset.csv").read_bytes() == reference_csv(big.site_matrix())
 
     def test_npy_is_what_np_save_writes(self, tmp_path, data4_noisy, channel4):
-        tio.write_dataset(data4_noisy, tmp_path, "fp", binary=True)
+        tio.write_dataset(data4_noisy, tmp_path / "dataset.npy", "fp")
         tio.write_matrix(channel4, tmp_path / "m.npy")
         for name, a in (("dataset.npy", data4_noisy.site_matrix()), ("m.npy", channel4.entries)):
             ref = tmp_path / f"ref-{name}"
@@ -776,7 +804,7 @@ class TestBadDatasetFiles:
 class TestAtomicWrites:
     def test_failed_dataset_write_keeps_previous(self, tmp_path, channel4, monkeypatch):
         old = tm.generate_dataset(channel4, 5000, tm.NoiseSpec(sigma=0.1), seed=1)
-        tio.write_dataset(old, tmp_path, fingerprint="fp")
+        tio.write_dataset(old, tmp_path / "dataset.csv", fingerprint="fp")
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         real = tio._csv_blocks
 
@@ -787,7 +815,7 @@ class TestAtomicWrites:
         monkeypatch.setattr(tio, "_csv_blocks", one_block_then_fail)
         new = tm.generate_dataset(channel4, 5000, tm.NoiseSpec(sigma=0.1), seed=2)
         with pytest.raises(OSError, match="disk full"):
-            tio.write_dataset(new, tmp_path, fingerprint="fp")
+            tio.write_dataset(new, tmp_path / "dataset.csv", fingerprint="fp")
         assert not list(tmp_path.glob("*.tmp"))
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
         monkeypatch.undo()
@@ -820,7 +848,7 @@ class TestRecordedMoments:
     def test_decimation_from_recorded_moments_matches_dataset(
             self, tmp_path, channel4, reverse):
         ds = tm.generate_dataset(channel4, 300, tm.NoiseSpec(sigma=0.1), seed=4)
-        tio.write_dataset(ds, tmp_path, fingerprint="fp")
+        tio.write_dataset(ds, tmp_path / "dataset.csv", fingerprint="fp")
         ds, _ = tio.read_dataset(tmp_path, fingerprint="fp")
         if reverse:
             ds = tm.reverse_dataset(ds)
@@ -1054,12 +1082,24 @@ class TestCli:
         assert "q_image_inverse" in doc
 
     def test_binary_io_chain(self, tmp_path):
-        cfg = write_config(tmp_path, {"binary_io": True})
-        out = tmp_path / "run"
-        for verb in ("generate", "fit", "select", "extract"):
-            assert self.run(verb, "--config", str(cfg), "--out", str(out)) == 0
-        assert (out / "dataset.npy").exists()
-        assert (out / "t_inf.npy").exists()
+        # One config's whole chain in either format: the arrays read back bit
+        # for bit alike, and eval reports the same numbers.
+        runs = []
+        for binary in (False, True):
+            cfg = write_config(tmp_path, {"binary_io": binary}, f"config-{binary}.json")
+            out = tmp_path / f"run-{binary}"
+            for stage in STAGES:
+                assert self.run(*stage.split(), "--config", str(cfg), "--out", str(out)) == 0
+            suffix = ".npy" if binary else ".csv"
+            arrays = [tio.read_dataset(out)[0].site_matrix()] + [
+                tio.read_matrix(out / f"{name}{suffix}").entries
+                for name in ("t_true", "t_inf", "t_inv_inf")]
+            runs.append((arrays, json.loads((out / "eval.json").read_text())))
+        (csv_arrays, csv_eval), (npy_arrays, npy_eval) = runs
+        assert all(same_bits(a, b) for a, b in zip(csv_arrays, npy_arrays, strict=True))
+        assert csv_eval.pop("config_fingerprint") != npy_eval.pop("config_fingerprint")
+        assert sum(isinstance(v, float) for v in csv_eval.values()) >= 5
+        assert csv_eval == npy_eval
 
     def test_sweep_and_report(self, tmp_path):
         cfg = write_config(tmp_path, {
@@ -1209,7 +1249,7 @@ class TestCli:
         other = tm.generate_dataset(tm.build_random_tm(tm.Dimensions(w=4), 0.25, seed=1),
                                     120, tm.NoiseSpec(sigma=0.1), seed=2)
         fp = tio.config_fingerprint(tio.RunConfig.from_file(cfg))
-        tio.write_dataset(other, out, fingerprint=fp)
+        tio.write_dataset(other, out / "dataset.csv", fingerprint=fp)
         assert self.run("select", "--config", str(cfg), "--out", str(out)) == 1
         assert "fitted on different data" in capsys.readouterr().err
 
@@ -1312,8 +1352,7 @@ class TestCli:
         common = ("--config", str(cfg), "--out", str(tmp_path / "run"))
         parse = mock.Mock(wraps=tio.read_dataset)
         monkeypatch.setattr(tio, "read_dataset", parse)
-        for stage in ("generate", "fit", "select", "extract", "fit --reversed",
-                      "select --reversed", "extract --reversed", "eval", "report"):
+        for stage in STAGES:
             assert self.run(*stage.split(), *common) == 0, stage
         assert parse.call_count == 1
 
@@ -1350,15 +1389,13 @@ def test_artifacts_identical_across_blas_threads(tmp_path):
     cfg = write_config(tmp_path, {"w": 12, "density": 0.2, "m_samples": 5000,
                                   "sigma": 0.05, "seed": 1})
     src = str(Path(__file__).resolve().parents[1] / "src")
-    stages = ["generate", "fit", "select", "extract", "fit --reversed",
-              "select --reversed", "extract --reversed", "eval", "report"]
     outs = {}
     for blas_threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads,
                    PYTHONPATH=os.pathsep.join(
                        filter(None, [src, os.environ.get("PYTHONPATH")])))
         out = tmp_path / f"blas{blas_threads}"
-        for stage in stages:
+        for stage in STAGES:
             res = subprocess.run([sys.executable, "-m", "tminfer.cli", *stage.split(),
                                   "--config", str(cfg), "--out", str(out)],
                                  env=env, capture_output=True, text=True)
@@ -1386,3 +1423,74 @@ def test_only_io_knows_the_artifact_contract():
         if private or name in ("register_artifacts", "verify_artifact"):
             found.append(ast.unparse(node))
     assert not found
+
+
+# Two configs that share one --out: CSV arrays with noise, .npy ones without.
+WALK_CONFIGS = ({"w": 2, "density": 0.5, "m_samples": 60, "sigma": 0.1},
+                {"w": 2, "density": 0.5, "m_samples": 60, "sigma": 0.0, "binary_io": True})
+
+
+@pytest.fixture(scope="module")
+def walk_chains(tmp_path_factory):
+    """The walk's config files, and the clean chain of each config in a fresh
+    directory for each pair of estimates that extract and extract --reversed
+    may read (None: no inverse), keyed ``(config, forward, reversed)``."""
+    tmp = tmp_path_factory.mktemp("walk")
+    cfgs = [write_config(tmp, c, f"walk{i}.json") for i, c in enumerate(WALK_CONFIGS)]
+    chains = {}
+    for i, cfg in enumerate(cfgs):
+        for fwd, rev in itertools.product(
+                ("estimate_selected.json", "estimate_full.json"),
+                ("estimate_selected_reversed.json", "estimate_full_reversed.json", None)):
+            out = chains[i, fwd, rev] = tmp / f"clean{len(chains)}"
+            skip = {"report", "select"} if fwd == "estimate_full.json" else {"report"}
+            if rev is None:
+                skip |= {"fit --reversed", "select --reversed", "extract --reversed"}
+            elif rev == "estimate_full_reversed.json":
+                skip.add("select --reversed")
+            for stage in STAGES:
+                if stage not in skip:
+                    assert main([*stage.split(), "--config", str(cfg), "--out", str(out)]) == 0
+    return cfgs, chains
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_random_walk_over_the_artifact_contract(tmp_path, walk_chains, seed):
+    # Stages of one config and then the other, between deletions and copies
+    # of files from either config's clean chains, registered as their stage
+    # would register them.  A stage may refuse what it finds (exit 1), never
+    # fail at run time (exit 2), and leaves no temp file.  An eval that
+    # succeeds writes the eval.json of the clean chain of its config that
+    # extracts from the estimates its extract*.json files name.
+    cfgs, chains = walk_chains
+    rng = random.Random(seed)
+    out, i = tmp_path / "run", 0
+    for _ in range(300):
+        roll = rng.random()
+        files = sorted(out.iterdir()) if out.exists() else []
+        if roll < 0.1:
+            i = 1 - i
+        elif roll < 0.15 and files:
+            rng.choice(files).unlink()
+        elif roll < 0.6 and files:
+            chain = rng.choice(list(chains.values()))
+            names = [p.name for p in sorted(chain.iterdir()) if p.name != tio.MANIFEST]
+            for name in rng.sample(names, rng.randint(1, 3)):
+                (out / name).write_bytes((chain / name).read_bytes())
+                register(out, name)
+        else:  # one stage, or the chain from it on, up to the first refusal
+            start = rng.randrange(len(STAGES))
+            for stage in STAGES[start:len(STAGES) if rng.random() < 0.5 else start + 1]:
+                code = main([*stage.split(), "--config", str(cfgs[i]), "--out", str(out)])
+                assert code in (0, 1), stage
+                if code:
+                    break
+                if stage == "eval":
+                    inv = out / ("t_inv_inf.npy" if WALK_CONFIGS[i].get("binary_io") else
+                                 "t_inv_inf.csv")
+                    fwd = json.loads((out / "extract.json").read_text())["source_estimate"]
+                    rev = json.loads((out / "extract_reversed.json").read_text())[
+                        "source_estimate"] if inv.exists() else None
+                    assert (out / "eval.json").read_bytes() == \
+                        (chains[i, fwd, rev] / "eval.json").read_bytes()
+        assert not list(out.glob("*.tmp"))
