@@ -51,7 +51,6 @@ def gaussian_spot(
     width: float = 1.2,
     amplitude: float = 0.004,
     background: float = 0.5,
-    center: tuple[float, float] | None = None,
 ) -> np.ndarray:
     """Flattened w x w Gaussian spot on a flat pedestal, values in [0, 1].
 
@@ -63,10 +62,9 @@ def gaussian_spot(
     the clamp.
     """
     w = dims.w
-    if center is None:
-        center = ((w - 1) / 2.0, (w - 1) / 2.0)
+    center = (w - 1) / 2.0
     yy, xx = np.mgrid[0:w, 0:w]
-    bump = np.exp(-((yy - center[0]) ** 2 + (xx - center[1]) ** 2) / (2.0 * width**2))
+    bump = np.exp(-((yy - center) ** 2 + (xx - center) ** 2) / (2.0 * width**2))
     img = background + amplitude * bump
     return np.clip(img, 0.0, 1.0).ravel()
 
@@ -125,7 +123,7 @@ def focusing_experiment(
         )
     x = np.clip(x, 0.0, 1.0)
     achieved = transmit(t_true, x, noise, rng)
-    return achieved, quality_q(tgt, achieved, operands="focus target vs achieved")
+    return achieved, quality_q(tgt, achieved)
 
 
 def image_reconstruction(
@@ -142,7 +140,7 @@ def image_reconstruction(
         raise ValueError(f"object must be a flattened frame of length {nh}")
     i_out = transmit(t_true, o, noise, rng)
     o_rec = t_inv_inf.entries @ i_out
-    return o_rec, quality_q(o, o_rec, operands="object vs reconstruction")
+    return o_rec, quality_q(o, o_rec)
 
 
 def evaluate_channel(t_true: TransmissionMatrix, t_inf: TransmissionMatrix, noise: NoiseSpec,
@@ -171,7 +169,6 @@ def evaluate_channel(t_true: TransmissionMatrix, t_inf: TransmissionMatrix, nois
 def infer_channel(
     dataset: Dataset,
     scope: str = "output",
-    fit_opts: OptimOptions = OptimOptions(),
     decim_opts: DecimationOptions = DecimationOptions(),
     threads: int = 1,
 ):
@@ -179,15 +176,15 @@ def infer_channel(
 
     Returns (path, selected_estimate, tm, noise_estimate).
     """
-    path, est = run_decimation(dataset, scope=scope, fit_opts=fit_opts,
-                               decim_opts=decim_opts)
+    path, est = run_decimation(dataset, scope=scope, decim_opts=decim_opts)
     tm, noise_est = extract_tm(est)
     return path, est, tm, noise_est
 
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Grid definition for a noise sweep; ``threads`` is accepted and ignored."""
+    """Grid definition for a noise sweep; ``threads`` is accepted and ignored
+    and ``fit_opts`` is the row solve's fixed ``OptimOptions``."""
 
     dims: Dimensions
     density: float = 0.20
@@ -196,7 +193,7 @@ class SweepConfig:
     master_seed: int = 0
     replicates: int = 3
     scope: str = "output"
-    fit_opts: OptimOptions = OptimOptions()
+    fit_opts: OptimOptions = field(default=OptimOptions(), init=False)
     decim_opts: DecimationOptions = DecimationOptions()
     include_balance: bool = True
     threads: int = 1
@@ -257,21 +254,19 @@ def _sweep_point(
     ds = generate_dataset(tm_true, config.m_samples, noise, seed=seed_data)
 
     path, est, t_inf, noise_est = infer_channel(
-        ds, scope=config.scope, fit_opts=config.fit_opts,
-        decim_opts=config.decim_opts)
+        ds, scope=config.scope, decim_opts=config.decim_opts)
     q_bic = quality_q(tm_true.entries, t_inf.entries).q
 
     support = tm_true.entries != 0
     moments = Moments.of(ds)
     sup_est = fit_all_rows(moments, masks=true_support_masks(config.dims, support),
-                           scope="output", opts=config.fit_opts)
+                           scope="output")
     t_sup, _ = extract_tm(sup_est)
     q_true_support = quality_q(tm_true.entries, t_sup.entries).q
 
     rev = reverse_dataset(ds)
     _, _, t_inv_inf, _ = infer_channel(
-        rev, scope=config.scope, fit_opts=config.fit_opts,
-        decim_opts=config.decim_opts)
+        rev, scope=config.scope, decim_opts=config.decim_opts)
     inv_selected = int((t_inv_inf.entries != 0).sum())
 
     scores = evaluate_channel(tm_true, t_inf, noise, gaussian_spot(config.dims),
@@ -279,7 +274,7 @@ def _sweep_point(
 
     balance = None
     if config.include_balance:
-        full = fit_all_rows(moments, scope="all", opts=config.fit_opts)
+        full = fit_all_rows(moments, scope="all")
         _, balance = extract_gramian(full)
 
     return SweepRecord(

@@ -55,15 +55,13 @@ class QualityReport:
     """
 
     q: float
-    norm_kind: str = "frobenius"
-    operands: str = ""
 
     def __post_init__(self) -> None:
         if self.q < 0:
             raise ValueError("quality value cannot be negative")
 
 
-def quality_q(reference: np.ndarray, candidate: np.ndarray, operands: str = "") -> QualityReport:
+def quality_q(reference: np.ndarray, candidate: np.ndarray) -> QualityReport:
     """Reconstruction quality of ``candidate`` against ``reference``."""
     ref = np.asarray(reference, dtype=np.float64)
     cand = np.asarray(candidate, dtype=np.float64)
@@ -73,7 +71,7 @@ def quality_q(reference: np.ndarray, candidate: np.ndarray, operands: str = "") 
     if ref_norm == 0.0:
         raise ValueError("reference norm is zero; quality undefined")
     q = math.sqrt(float(np.linalg.norm(ref - cand)) / ref_norm)
-    return QualityReport(q=q, operands=operands)
+    return QualityReport(q=q)
 
 
 def extract_tm(estimate: CouplingEstimate) -> tuple[TransmissionMatrix, ChannelNoiseEstimate]:

@@ -855,9 +855,6 @@ class RunConfig:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
-        if "optimizer" in raw:
-            raise ConfigError("rows are now solved in closed form; the 'optimizer' "
-                              "config section was removed")
         unknown = set(raw) - _TOP_KEYS
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")

@@ -107,14 +107,12 @@ class TransmissionMatrix:
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Per-output-channel Gaussian noise: standard deviations and an RNG seed.
+    """Per-output-channel Gaussian noise standard deviations.
 
     ``sigma`` may be a scalar (homogeneous noise) or a length-n_half vector.
-    ``seed`` is an optional default seed for generators that take one of these.
     """
 
     sigma: float | np.ndarray
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         s = np.asarray(self.sigma, dtype=np.float64)
@@ -340,8 +338,6 @@ def generate_dataset(
     """
     if m_samples < 1:
         raise ValueError("m_samples must be >= 1")
-    if seed is None:
-        seed = noise.seed
     nh = tm.dims.n_half
     rng = np.random.default_rng(seed)
     samples = np.empty((m_samples, 2 * nh))

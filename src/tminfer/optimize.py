@@ -2,9 +2,10 @@
 
 Each row's pseudolikelihood optimum is the conditional-Gaussian MLE: the
 no-intercept least-squares fit ``beta`` of the site on its active regressors,
-curvature ``a = 1 / (2 * rss)`` with ``rss`` the mean squared residual, and
-couplings ``k = 2 * a * beta``.  This is neighbourhood regression for a
-Gaussian graphical model (Meinshausen & Buhlmann, Ann. Stat. 2006).
+curvature ``a = min(1 / (2 * rss), A_CAP)`` with ``rss`` the mean squared
+residual and ``A_CAP`` a constant, and couplings ``k = 2 * a * beta``.  This is
+neighbourhood regression for a Gaussian graphical model (Meinshausen &
+Buhlmann, Ann. Stat. 2006).
 
 The optimum and its gradient depend on the data only through the sample
 second moments ``C = S^T S / M``, which every entry point reads from the
@@ -20,7 +21,7 @@ An estimate stacks the rows of its scope as arrays, ``(rows,)`` or
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -60,22 +61,18 @@ CHOLESKY_MAX = 96
 # noise leave 1e-4 and more (w=4, sigma >= 0.01).
 PIVOT_TOL = 1e-10
 
+# Upper bound on the curvature: on noise-free data the objective decreases
+# forever along a -> inf, so every exact-fit row parks at the cap instead.  The
+# cap corresponds to a noise floor of ``(2 * A_CAP) ** -0.5`` per channel
+# (7.1e-5).
+A_CAP = 1e8
+
 
 @dataclass(frozen=True)
 class OptimOptions:
-    """Settings of the row solve.
+    """The row solve's settings, read-only: ``a_cap`` is ``A_CAP``."""
 
-    ``a_cap`` bounds the curvature above: on noise-free data the objective
-    decreases forever along a -> inf, so every exact-fit row parks at the cap
-    instead.  The cap corresponds to a noise floor of ``(2 * a_cap) ** -0.5``
-    per channel (7.1e-5 at the default).
-    """
-
-    a_cap: float = 1e8
-
-    def __post_init__(self) -> None:
-        if not self.a_cap > 0:
-            raise ValueError("a_cap must be positive")
+    a_cap: float = field(default=A_CAP, init=False)
 
 
 @dataclass(frozen=True)
@@ -115,7 +112,6 @@ def minimize_row(
     site: int,
     dataset: Dataset | Moments,
     mask: RowMask | None = None,
-    opts: OptimOptions = OptimOptions(),
 ) -> RowFit:
     """Fit one site's conditional Gaussian under a support mask.
 
@@ -143,11 +139,11 @@ def minimize_row(
     c_aa_beta = c_aa @ beta
     fitted = float(beta @ c_aa_beta)
     rss = max(c_yy - 2.0 * float(beta @ c_ay) + fitted, 0.0)
-    a = opts.a_cap if rss <= 0.5 / opts.a_cap else 0.5 / rss
+    a = A_CAP if rss <= 0.5 / A_CAP else 0.5 / rss
     d_k = c_aa_beta - c_ay
     d_a = c_yy - fitted - 0.5 / a
     # At the cap a negative d/da only pushes against the bound: it is projected out.
-    pg_a = 0.0 if (a >= opts.a_cap and d_a < 0.0) else abs(d_a)
+    pg_a = 0.0 if (a >= A_CAP and d_a < 0.0) else abs(d_a)
     grad_norm = max(pg_a, float(np.max(np.abs(d_k), initial=0.0)))
 
     k = np.zeros(n - 1)
@@ -261,13 +257,13 @@ def true_support_masks(dims: Dimensions, support: np.ndarray) -> np.ndarray:
     return active
 
 
-def _solve_rows(moments: Moments, sites, active: np.ndarray, opts: OptimOptions):
+def _solve_rows(moments: Moments, sites, active: np.ndarray):
     """``minimize_row`` per (site, support row), in order, stacked as the
     arrays ``(a, k, converged, objectives)`` of an estimate's rows."""
     a, k = np.empty(len(sites)), np.empty((len(sites), moments.dims.n - 1))
     converged, objectives = np.empty(len(sites), bool), np.empty(len(sites))
     for r, (site, act) in enumerate(zip(sites, active)):
-        fit = minimize_row(site, moments, RowMask(site=site, active=act), opts)
+        fit = minimize_row(site, moments, RowMask(site=site, active=act))
         a[r], k[r], converged[r], objectives[r] = \
             fit.params.a, fit.params.k, fit.converged, fit.objective
     return a, k, converged, objectives
@@ -277,7 +273,6 @@ def fit_all_rows(
     dataset: Dataset | Moments,
     masks: np.ndarray | None = None,
     scope: str = "output",
-    opts: OptimOptions = OptimOptions(),
     threads: int = 1,
 ) -> CouplingEstimate:
     """Fit every row in scope independently and assemble the estimate.
@@ -290,7 +285,7 @@ def fit_all_rows(
     active = initial_masks(moments.dims, scope) if masks is None else masks
     if np.shape(active) != (len(sites), moments.dims.n - 1):
         raise ValueError("masks inconsistent with scope sites")
-    a, k, converged, objectives = _solve_rows(moments, sites, active, opts)
+    a, k, converged, objectives = _solve_rows(moments, sites, active)
     return CouplingEstimate(
         dims=moments.dims, scope=scope, direction=moments.direction, a=a, k=k,
         active=active, converged=converged, row_objectives=objectives,
@@ -309,7 +304,6 @@ def refit_rows(
     dataset: Dataset | Moments,
     new_masks: np.ndarray,
     rows_to_refit,
-    opts: OptimOptions = OptimOptions(),
     threads: int = 1,
 ) -> CouplingEstimate:
     """Refit the given row indices of ``estimate`` under the ``(rows, n-1)``
@@ -320,7 +314,7 @@ def refit_rows(
     a, k = estimate.a.copy(), estimate.k.copy()
     converged, objectives = estimate.converged.copy(), estimate.row_objectives.copy()
     a[idx], k[idx], converged[idx], objectives[idx] = _solve_rows(
-        Moments.of(dataset), [sites[r] for r in idx], new_masks[idx], opts)
+        Moments.of(dataset), [sites[r] for r in idx], new_masks[idx])
     return replace(estimate, a=a, k=k, active=new_masks, converged=converged,
                    row_objectives=objectives,
                    total_pl=float(-dataset.m_samples * sum(objectives.tolist())))

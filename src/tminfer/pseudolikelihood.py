@@ -97,10 +97,6 @@ class RowMask:
         mc.flags.writeable = False
         object.__setattr__(self, "active", mc)
 
-    @property
-    def n_active(self) -> int:
-        return int(self.active.sum())
-
 
 def _masked_k(params: RowParams, mask: RowMask | None) -> np.ndarray:
     if mask is None:

@@ -17,12 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import Dataset, Moments
-from .optimize import (
-    CouplingEstimate,
-    OptimOptions,
-    fit_all_rows,
-    refit_rows,
-)
+from .optimize import CouplingEstimate, fit_all_rows, refit_rows
 
 __all__ = [
     "DecimationOptions",
@@ -136,7 +131,6 @@ def _record(estimate: CouplingEstimate, n_couplings: int, m_samples: int) -> Dec
 def run_decimation(
     dataset: Dataset | Moments,
     scope: str = "output",
-    fit_opts: OptimOptions = OptimOptions(),
     decim_opts: DecimationOptions = DecimationOptions(),
     initial: CouplingEstimate | None = None,
     threads: int = 1,
@@ -152,7 +146,7 @@ def run_decimation(
     """
     moments = Moments.of(dataset)
     if initial is None:
-        estimate = fit_all_rows(moments, scope=scope, opts=fit_opts)
+        estimate = fit_all_rows(moments, scope=scope)
     else:
         if initial.scope != scope:
             raise ValueError("initial estimate scope differs from requested scope")
@@ -165,7 +159,7 @@ def run_decimation(
     while remaining > 0:
         batch = min(remaining, max(1, int(decim_opts.batch_fraction * remaining)))
         new_masks, changed = _prune(estimate, batch)
-        estimate = refit_rows(estimate, moments, new_masks, changed, opts=fit_opts)
+        estimate = refit_rows(estimate, moments, new_masks, changed)
         remaining -= batch
         records.append(_record(estimate, remaining, m))
         if _beats(records[-1], records[best]):

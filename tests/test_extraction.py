@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -37,9 +38,8 @@ class TestQualityQ:
 
     def test_report_fields(self, rng):
         x = rng.random(8)
-        rep = tm.quality_q(x, x * 1.1, operands="demo")
-        assert rep.norm_kind == "frobenius"
-        assert rep.operands == "demo"
+        rep = tm.quality_q(x, x * 1.1)
+        assert [f.name for f in dataclasses.fields(rep)] == ["q"]
         assert rep.q >= 0.0
 
 

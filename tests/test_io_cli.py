@@ -81,12 +81,15 @@ class TestRunConfig:
                 write_config(tmp_path, {"decimation": {"lr": 0.1}}))
 
     def test_removed_optimizer_section(self, tmp_path, capsys):
+        # The section removed in 0.2.0 meets the rule for any unknown key.
         path = write_config(tmp_path, {"optimizer": {"grad_tol": 1e-6}})
-        with pytest.raises(tio.ConfigError, match="closed form.*'optimizer'.*removed"):
+        message = "unknown config keys: ['optimizer']"
+        with pytest.raises(tio.ConfigError) as err:
             tio.RunConfig.from_file(path)
+        assert str(err.value) == message
         code = main(["generate", "--config", str(path), "--out", str(tmp_path / "out")])
         assert code == 1
-        assert "closed form" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_missing_w(self, tmp_path):
@@ -933,11 +936,17 @@ class TestCli:
         assert (out1 / "dataset.csv").read_bytes() == (out2 / "dataset.csv").read_bytes()
 
     def test_full_chain_and_artifacts(self, tmp_path):
+        cfg = write_config(tmp_path)
         out = tmp_path / "run"
-        self.chain(tmp_path, out)
-        for name in ("estimate_full.json", "estimate_selected.json", "path.json",
-                     "t_inf.csv", "extract.json", "eval.json", "path_table.csv"):
-            assert (out / name).exists(), name
+        for stage in STAGES:
+            assert self.run(*stage.split(), "--config", str(cfg), "--out", str(out)) == 0, stage
+        # The CSV chain's files are those the benchmark's tall-cli run records.
+        recorded = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                               / "fingerprints.json").read_text())
+        names = recorded["tall-cli"]["1"]["cli.manifest_files"]
+        assert len(names) == 16
+        assert sorted(json.loads((out / "MANIFEST.json").read_text())) == names
+        assert sorted(p.name for p in out.iterdir()) == sorted([*names, "MANIFEST.json"])
         table = (out / "path_table.csv").read_text().splitlines()
         assert table[0] == "k_active,sigma,total_pl,bic,selected_flag"
         assert sum(row.endswith(",1") for row in table[1:]) == 1

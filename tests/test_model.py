@@ -152,11 +152,6 @@ class TestGenerateDataset:
         assert data4_noisy.inputs.min() >= 0.0
         assert data4_noisy.inputs.max() <= 1.0
 
-    def test_noise_spec_seed_fallback(self, channel4):
-        a = tm.generate_dataset(channel4, 16, tm.NoiseSpec(sigma=0.1, seed=9))
-        b = tm.generate_dataset(channel4, 16, tm.NoiseSpec(sigma=0.1), seed=9)
-        assert a.inputs.tobytes() == b.inputs.tobytes()
-
 
 class TestBlockedGeneration:
     """The generator draws in blocks of ``_DRAW_VALUES // n_half`` rows straight

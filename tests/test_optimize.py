@@ -10,10 +10,8 @@ import pytest
 import tminfer as tm
 import tminfer.io as tio
 from oracles import lstsq_row, ols_conditional
-from tminfer.optimize import refit_rows
+from tminfer.optimize import A_CAP, refit_rows
 from tminfer.pseudolikelihood import other_sites
-
-A_CAP = tm.OptimOptions().a_cap
 
 
 def scope_masks(dims, scope):
@@ -193,6 +191,24 @@ class TestRowFitTypes:
         json.dumps([fit.converged, fit.grad_norm, fit.objective, fit.params.a])
 
 
+def test_solver_settings_are_fixed(dims4, data4_noisy):
+    # The curvature cap is a constant that no entry point or config can set,
+    # and the noise, target and quality helpers take nothing beyond their data.
+    assert tm.OptimOptions().a_cap == tm.SweepConfig(dims4).fit_opts.a_cap == A_CAP == 1e8
+    calls = [
+        lambda: tm.OptimOptions(a_cap=1.0),
+        lambda: tm.SweepConfig(dims4, fit_opts=tm.OptimOptions()),
+        lambda: tm.fit_all_rows(data4_noisy, opts=tm.OptimOptions()),
+        lambda: tm.run_decimation(data4_noisy, fit_opts=tm.OptimOptions()),
+        lambda: tm.NoiseSpec(0.1, seed=9),
+        lambda: tm.gaussian_spot(dims4, center=(1.0, 1.0)),
+        lambda: tm.quality_q(np.ones(3), np.ones(3), operands="demo"),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError):
+            call()
+
+
 # Runs minimize_row on blocks of a recorded C and prints every RowFit field.
 _ROW_FIELDS = """
 import json, sys
@@ -336,7 +352,7 @@ class TestFitAllRows:
         # the samples, so every row is an exact fit parked at the cap.
         ds = tm.generate_dataset(channel4, m, tm.NoiseSpec(sigma=0.1), seed=3)
         est = tm.fit_all_rows(ds, scope=scope)
-        assert max(mk.n_active for mk in est.masks) > m
+        assert max(int(mk.active.sum()) for mk in est.masks) > m
         assert all(est.converged)
         for row in est.rows:
             assert np.all(np.isfinite(row.k))
