@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -175,12 +176,16 @@ def _read_recorded(out: Path, fp: str, doc_name: str, name: str,
     """The matrix ``name`` that ``stage`` wrote under this config: the
     ``doc_name`` it wrote beside it (since tminfer ``since``) must carry the
     config's fingerprint and record the hash the matrix is registered under
-    now."""
-    recorded = tio.read_json_artifact(out / doc_name, fingerprint=fp).get("matrix_sha256", {})
+    now.  The matrix has the role that record names (an ``extract*.json``
+    records one; ``t_true`` under ``dataset.meta.json`` is ``direct``), as an
+    ``.npy`` file carries none."""
+    doc = tio.read_json_artifact(out / doc_name, fingerprint=fp)
+    recorded = doc.get("matrix_sha256", {})
     if name not in recorded:
         raise tio.ChainError(f"{doc_name} records no {name} (tminfer < {since} recorded "
                              f"none); re-run {stage}")
-    return tio.read_matrix(out / name, sha256=recorded[name])
+    tm = tio.read_matrix(out / name, sha256=recorded[name])
+    return replace(tm, role=doc.get("role", "direct"))
 
 
 def cmd_eval(args) -> int:
@@ -212,10 +217,7 @@ def cmd_sweep(args) -> int:
     cfg, out, fp = _load(args)
     grid = cfg.sigma_grid if cfg.sigma_grid is not None else (cfg.sigma,)
     report = run_sweep(cfg.sweep_config())
-    # Wall-clock timings are the one nondeterministic field; they stay out of
-    # the artifact so identical configs produce identical bytes.
-    records = [{k: v for k, v in r.__dict__.items() if k != "runtime_seconds"}
-               for r in report.records]
+    records = [asdict(r) for r in report.records]
     doc = {"format": "tminfer-sweep", "sigma_grid": list(grid),
            "replicates": cfg.replicates, "records": records}
     out.mkdir(parents=True, exist_ok=True)

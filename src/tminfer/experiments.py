@@ -10,7 +10,6 @@ including the reversed-data fit that yields the inverse map directly.
 
 from __future__ import annotations
 
-import time
 import warnings
 from dataclasses import dataclass, field
 
@@ -225,7 +224,6 @@ class SweepRecord:
     focus_peak_ratio: float | None = None
     sigma_hat_mean: float | None = None
     balance: float | None = None
-    runtime_seconds: float | None = None
     failure: str | None = None
 
 
@@ -249,7 +247,6 @@ def _sweep_point(
     seeds: tuple[int, int, int],
 ) -> SweepRecord:
     seed_data, seed_img, seed_focus = seeds
-    t0 = time.perf_counter()
     noise = NoiseSpec(sigma=sigma)
     ds = generate_dataset(tm_true, config.m_samples, noise, seed=seed_data)
 
@@ -288,7 +285,6 @@ def _sweep_point(
         inverse_selected_couplings=inv_selected,
         sigma_hat_mean=float(np.mean(noise_est.sigma_hat)),
         balance=balance,
-        runtime_seconds=time.perf_counter() - t0,
         **scores,
     )
 

@@ -22,11 +22,11 @@ holding any other field, or a field too close to a midpoint between doubles,
 is one ``np.loadtxt``; a file of another structure goes whole through
 ``np.loadtxt``.  Either way the table has the bits ``np.loadtxt`` gives.
 
-A dataset's data file is its (M, 2 w**2) sample buffer (``Dataset.site_matrix``),
+A dataset's data file is its (M, 2 w**2) sample table (``Dataset.samples``),
 one sample per row: ``write_dataset(ds, path, fingerprint)`` formats CSV
 blocks from slices of it or streams the ``.npy`` header and its bytes, and
 ``read_dataset`` reads the file in one pass into one table and hands it to
-``Dataset`` as its buffer, so neither copies the samples.  A CSV table is
+``Dataset`` as its ``samples``, so neither copies them.  A CSV table is
 allocated at the shape its metadata (or a matrix's header) gives, an ``.npy``
 one at its header's shape once the file's size matches it.  A data file that
 does not parse, holds a non-finite value or disagrees with its metadata in
@@ -608,7 +608,7 @@ def _npy_blocks(a: np.ndarray):
 def _load_npy(src: _HashingReader) -> np.ndarray:
     """The array of an ``.npy`` file as ``_npy_blocks`` writes it (format
     1.0, float64, C order) read from ``src``, in memory it owns, so a dataset
-    can take it as its sample buffer (``np.load`` returns a reshaped view of
+    can take it as its sample table (``np.load`` returns a reshaped view of
     a flat array instead).  ``ValueError`` for other content."""
     version = np.lib.format.read_magic(src)
     if version != (1, 0):
@@ -647,7 +647,7 @@ def _load_table(src: _HashingReader, path: Path, shape: tuple | None = None) -> 
     only one allocated before its data is read (an npy file's size bounds
     its allocation, ``_load_npy``).  A CSV file gives the bits and errors of
     ``np.loadtxt(path, delimiter=",", ndmin=2)``: ``_read_csv`` reads it in
-    blocks into memory the table owns, as a dataset's buffer needs, and a
+    blocks into memory the table owns, as a dataset's samples need, and a
     file of another shape or structure (ragged rows, blank lines, '#' after
     the leading lines, '\\r', no final newline) goes whole through
     ``np.loadtxt`` (``_loadtxt``)."""
@@ -927,7 +927,7 @@ def read_dataset(out_dir: str | Path, fingerprint: str | None = None) -> tuple[D
 
     The data file is opened once and read in one pass: the bytes parsed are
     the bytes hashed, and a CSV table is allocated at the shape ``meta``
-    gives only.  The table becomes the dataset's sample buffer without a
+    gives only.  The table becomes the dataset's ``samples`` without a
     copy.  Returns ``(dataset, meta)``, ``meta`` being the verified
     ``dataset.meta.json`` content.  Raises ``ChainError`` naming the data
     file when it does not parse (ragged rows, say), holds a table of another
@@ -950,8 +950,7 @@ def read_dataset(out_dir: str | Path, fingerprint: str | None = None) -> tuple[D
                                 "does not match the checksum in its metadata")
     table.flags.writeable = False
     try:
-        ds = Dataset(dims=dims, inputs=table[:, :dims.n_half], outputs=table[:, dims.n_half:],
-                     direction=meta["direction"], meta=meta["meta"])
+        ds = Dataset(dims=dims, samples=table, direction=meta["direction"], meta=meta["meta"])
     except ValueError as exc:
         raise ChainError(f"{data_name}: {exc}") from None
     return ds, meta
@@ -971,7 +970,8 @@ def write_matrix(tm: TransmissionMatrix, path: str | Path) -> str:
 
 def read_matrix(path: str | Path, sha256: str | None = None) -> TransmissionMatrix:
     """Read a registered square matrix of side w**2 in one pass; a CSV must
-    match its header, which sizes its table.  With ``sha256``, the hash that
+    match its header, which sizes its table and gives its role.  An ``.npy``
+    file carries no role and reads as ``direct``.  With ``sha256``, the hash that
     the stage which wrote the file recorded, the file registered now must be
     that one.  ``ChainError`` naming the file when it does not parse."""
     path = Path(path)

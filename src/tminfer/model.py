@@ -11,12 +11,12 @@ decimation, extraction) operates on the concatenated site vector
 ``I = [in, out]`` of length ``n = 2 * w**2``; input channels occupy sites
 ``0 .. n_half-1`` and output channels sites ``n_half .. n-1``.
 
-A ``Dataset`` holds its samples once, as one read-only C-contiguous float64
-``(M, n)`` buffer of site vectors; ``inputs`` and ``outputs`` are read-only
-views of its left and right halves, and ``site_matrix()`` is the buffer
-itself.  ``generate_dataset`` draws straight into such a buffer and
+A ``Dataset`` is built from its samples, one read-only C-contiguous float64
+``(M, n)`` table of site vectors; ``inputs`` and ``outputs`` are read-only
+views of its left and right halves, and ``site_matrix()`` is the table
+itself.  ``generate_dataset`` draws straight into such a table and
 ``io.read_dataset`` hands over the table it parsed, so neither copies the
-samples; arrays from anywhere else are copied once into a fresh buffer.
+samples; arrays from anywhere else are copied once.
 """
 
 from __future__ import annotations
@@ -132,35 +132,16 @@ class NoiseSpec:
         return s.copy()
 
 
-def _shared_buffer(inputs: np.ndarray, outputs: np.ndarray) -> np.ndarray | None:
-    """The buffer whose left and right halves ``inputs`` and ``outputs`` are,
-    if it is a read-only C-contiguous float64 array that owns its memory;
-    else None.  Such a buffer is how ``generate_dataset``, ``io.read_dataset``
-    and ``dataclasses.replace`` hand a ``Dataset`` samples without a copy."""
-    s = inputs.base
-    nh = inputs.shape[1]
-    if not (isinstance(s, np.ndarray) and s is outputs.base and s.base is None
-            and not s.flags.writeable and s.flags.c_contiguous and s.dtype == np.float64
-            and s.shape == (inputs.shape[0], 2 * nh)
-            and inputs.strides == outputs.strides == s.strides):
-        return None
-    start = s.__array_interface__["data"][0]
-    if (inputs.__array_interface__["data"][0] != start
-            or outputs.__array_interface__["data"][0] != start + nh * s.itemsize):
-        return None
-    return s
-
-
 @dataclass(frozen=True)
 class Dataset:
     """M paired intensity observations plus generation metadata.
 
-    The samples live in one read-only C-contiguous float64 (M, n) buffer, row
-    m holding the site vector of sample m; ``inputs`` and ``outputs`` are
-    read-only (M, n_half) views of its two halves.  Arrays passed in are
-    copied once into a fresh buffer, unless they are already the two halves
-    of such a buffer (see ``_shared_buffer``), so a dataset shares no memory
-    with an array its caller can write.
+    ``samples`` is the read-only C-contiguous float64 (M, n) table, row m
+    holding the site vector ``[in, out]`` of sample m; ``inputs`` and
+    ``outputs`` are read-only (M, n_half) views of its two halves.  A table
+    that is already such an array and owns its memory is kept as it is;
+    anything else is copied once, so a dataset shares no memory with an
+    array its caller can write.
     ``direction`` is ``forward`` for as-measured pairs and ``reversed`` when
     input/output have been swapped (the representation used to infer the
     inverse map).  ``meta`` carries seed, sigma, and a source description.
@@ -168,47 +149,50 @@ class Dataset:
     """
 
     dims: Dimensions
-    inputs: np.ndarray
-    outputs: np.ndarray
+    samples: np.ndarray
     direction: str = "forward"
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.direction not in ("forward", "reversed"):
             raise ValueError(f"direction must be 'forward' or 'reversed', got {self.direction!r}")
-        i = np.asarray(self.inputs, dtype=np.float64)
-        o = np.asarray(self.outputs, dtype=np.float64)
-        nh = self.dims.n_half
-        if i.ndim != 2 or i.shape[1] != nh or o.shape != i.shape:
-            raise ValueError(f"inputs/outputs must both have shape (M, {nh})")
-        if i.shape[0] < 1:
+        s = self.samples
+        if not (isinstance(s, np.ndarray) and s.dtype == np.float64 and s.flags.owndata
+                and s.flags.c_contiguous and not s.flags.writeable):
+            s = _readonly(s)
+        n = self.dims.n
+        if s.ndim != 2 or s.shape[1] != n:
+            raise ValueError(f"samples must have shape (M, {n})")
+        if s.shape[0] < 1:
             raise ValueError("a dataset needs at least one sample")
-        samples = _shared_buffer(i, o)
-        if samples is None:
-            samples = np.empty((i.shape[0], 2 * nh))
-            samples[:, :nh] = i
-            samples[:, nh:] = o
-            samples.flags.writeable = False
         # The min and max are finite exactly when every sample is; neither
         # reduction allocates a mask the size of the table.
-        if not (np.isfinite(samples.min()) and np.isfinite(samples.max())):
+        if not (np.isfinite(s.min()) and np.isfinite(s.max())):
             raise ValueError("dataset intensities must all be finite")
-        object.__setattr__(self, "_samples", samples)
-        object.__setattr__(self, "inputs", samples[:, :nh])
-        object.__setattr__(self, "outputs", samples[:, nh:])
+        object.__setattr__(self, "samples", s)
 
     def __reduce__(self):
         # Pickling and deep copies rebuild through the constructor, which
-        # gives the copy its own buffer with the halves as views of it.
-        return type(self), (self.dims, self.inputs, self.outputs, self.direction, self.meta)
+        # gives the copy its own read-only table.
+        return type(self), (self.dims, self.samples, self.direction, self.meta)
+
+    @property
+    def inputs(self) -> np.ndarray:
+        """Read-only (M, n_half) view of the input channels."""
+        return self.samples[:, :self.dims.n_half]
+
+    @property
+    def outputs(self) -> np.ndarray:
+        """Read-only (M, n_half) view of the output channels."""
+        return self.samples[:, self.dims.n_half:]
 
     @property
     def m_samples(self) -> int:
-        return self.inputs.shape[0]
+        return self.samples.shape[0]
 
     def site_matrix(self) -> np.ndarray:
-        """The read-only (M, n) sample buffer, one site vector per row; no copy."""
-        return self._samples
+        """The read-only (M, n) sample table, one site vector per row; no copy."""
+        return self.samples
 
 
 @dataclass(frozen=True)
@@ -361,18 +345,20 @@ def generate_dataset(
         "sigma": noise.sigma.tolist() if np.ndim(noise.sigma) else float(noise.sigma),
         "source": source,
     }
-    return Dataset(dims=tm.dims, inputs=inputs, outputs=outputs, direction="forward", meta=meta)
+    return Dataset(dims=tm.dims, samples=samples, direction="forward", meta=meta)
 
 
 def reverse_dataset(ds: Dataset) -> Dataset:
     """Swap input/output per sample, preserving order.
 
     The reversed dataset feeds the same fitting pipeline to infer the inverse
-    map.  Its sample buffer is the swapped copy, built once.  Reversing twice
+    map.  Its sample table is the swapped copy, built once.  Reversing twice
     is rejected to prevent a silent double swap.
     """
     if ds.direction != "forward":
         raise ValueError("dataset is already reversed")
     meta = dict(ds.meta)
     meta["source"] = f"{meta.get('source', 'unknown')} (reversed)"
-    return replace(ds, inputs=ds.outputs, outputs=ds.inputs, direction="reversed", meta=meta)
+    samples = np.concatenate([ds.outputs, ds.inputs], axis=1)
+    samples.flags.writeable = False
+    return replace(ds, samples=samples, direction="reversed", meta=meta)

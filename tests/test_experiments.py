@@ -132,8 +132,7 @@ class TestSweep:
             for field in ("q_bic", "q_true_support", "selected_couplings",
                           "true_couplings", "inverse_selected_couplings",
                           "q_image_inverse", "q_image_pinv", "q_focus",
-                          "focus_peak_ratio", "sigma_hat_mean",
-                          "runtime_seconds"):
+                          "focus_peak_ratio", "sigma_hat_mean"):
                 assert getattr(rec, field) is not None, field
         assert [r.sigma for r in report.records] == [0.0, 0.1]
 
@@ -144,10 +143,7 @@ class TestSweep:
             include_balance=False)
         a = run_sweep(cfg)
         b = run_sweep(cfg)
-        for ra, rb in zip(a.records, b.records):
-            assert ra.q_bic == rb.q_bic
-            assert ra.q_image_inverse == rb.q_image_inverse
-            assert ra.data_seed == rb.data_seed
+        assert a.records == b.records
 
     def test_failures_recorded_and_sweep_continues(self, dims4, monkeypatch):
         calls = {"n": 0}

@@ -25,7 +25,7 @@ from hypothesis.extra.numpy import arrays
 
 import tminfer as tm
 import tminfer.io as tio
-from tminfer.cli import main
+from tminfer.cli import _read_recorded, main
 from oracles import array_equal_decimation
 
 
@@ -354,7 +354,7 @@ class TestStreamingCodec:
         nh = w * w
         inputs = data.draw(arrays(np.float64, (m, nh), elements=FINITE))
         outputs = data.draw(arrays(np.float64, (m, nh), elements=FINITE))
-        ds = tm.Dataset(dims=tm.Dimensions(w=w), inputs=inputs, outputs=outputs)
+        ds = tm.Dataset(dims=tm.Dimensions(w=w), samples=np.hstack([inputs, outputs]))
         matrix = tm.TransmissionMatrix(
             dims=ds.dims, entries=data.draw(arrays(np.float64, (nh, nh), elements=FINITE)))
         with tempfile.TemporaryDirectory() as tmp, \
@@ -374,8 +374,9 @@ class TestStreamingCodec:
 
     def test_write_dataset_streams(self, tmp_path):
         rng = np.random.default_rng(3)
-        ds = tm.Dataset(dims=tm.Dimensions(w=4), inputs=rng.random((40000, 16)),
-                        outputs=rng.standard_normal((40000, 16)))
+        ds = tm.Dataset(dims=tm.Dimensions(w=4),
+                        samples=np.hstack([rng.random((40000, 16)),
+                                           rng.standard_normal((40000, 16))]))
         tracemalloc.start()
         try:
             tio.write_dataset(ds, tmp_path / "dataset.csv", fingerprint="fp")
@@ -1104,6 +1105,13 @@ class TestCli:
                 tio.read_matrix(out / f"{name}{suffix}").entries
                 for name in ("t_true", "t_inf", "t_inv_inf")]
             runs.append((arrays, json.loads((out / "eval.json").read_text())))
+            # An .npy file carries no role; eval gets the one its record names.
+            fp = tio.config_fingerprint(tio.RunConfig.from_file(cfg))
+            roles = [_read_recorded(out, fp, doc, f"{name}{suffix}", "", "").role
+                     for doc, name in (("dataset.meta.json", "t_true"),
+                                       ("extract.json", "t_inf"),
+                                       ("extract_reversed.json", "t_inv_inf"))]
+            assert roles == ["direct", "direct", "inverse"], binary
         (csv_arrays, csv_eval), (npy_arrays, npy_eval) = runs
         assert all(same_bits(a, b) for a, b in zip(csv_arrays, npy_arrays, strict=True))
         assert csv_eval.pop("config_fingerprint") != npy_eval.pop("config_fingerprint")

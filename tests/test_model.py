@@ -196,25 +196,47 @@ class TestSampleBuffer:
             with pytest.raises(ValueError):
                 a[0, 0] = 1.0
 
-    def test_callers_arrays_are_copied(self, rng):
-        inputs, outputs = rng.random((20, 16)), rng.random((20, 16))
-        ds = tm.Dataset(dims=tm.Dimensions(w=4), inputs=inputs, outputs=outputs)
-        for a in (ds.site_matrix(), ds.inputs, ds.outputs):
-            assert not np.shares_memory(a, inputs) and not np.shares_memory(a, outputs)
-            assert not a.flags.writeable
-        inputs[0, 0] = outputs[0, 0] = -1.0
-        assert ds.inputs[0, 0] >= 0.0 and ds.outputs[0, 0] >= 0.0
+    @staticmethod
+    def callers_tables(rng):
+        """Tables a dataset must copy: each is not, or may not stay, a
+        read-only C-contiguous float64 array that owns its memory."""
+        larger = rng.random((2200, 32))
+        view = larger[100:2100]
+        view.flags.writeable = False
+        return {"writable C": rng.random((2000, 32)),
+                "Fortran": np.asfortranarray(rng.random((2000, 32))),
+                "float32": rng.random((2000, 32)).astype(np.float32),
+                "read-only view": view}
+
+    def test_callers_arrays_are_copied(self, rng, traced_peak):
+        for kind, t in self.callers_tables(rng).items():
+            ds, peak = traced_peak(lambda: tm.Dataset(dims=tm.Dimensions(w=4), samples=t))
+            s = ds.samples
+            assert s.flags.owndata and s.flags.c_contiguous and s.dtype == np.float64, kind
+            assert not s.flags.writeable, kind
+            assert not np.shares_memory(s, t), kind
+            assert np.array_equal(s, t), kind
+            assert peak < 1.1 * s.nbytes, kind  # one copy, no intermediate
 
     def test_halves_of_a_callers_writable_buffer_are_copied(self, rng):
-        s = rng.random((20, 32))
-        ds = tm.Dataset(dims=tm.Dimensions(w=4), inputs=s[:, :16], outputs=s[:, 16:])
-        assert not np.shares_memory(ds.site_matrix(), s)
-        assert np.array_equal(ds.site_matrix(), s)
+        dims = tm.Dimensions(w=4)
+        for kind, t in self.callers_tables(rng).items():
+            ds = tm.Dataset(dims=dims, samples=t)
+            for a in (ds.site_matrix(), ds.inputs, ds.outputs):
+                assert not np.shares_memory(a, t) and not a.flags.writeable, kind
+            assert np.array_equal(ds.inputs, t[:, :16]), kind
+            assert np.array_equal(ds.outputs, t[:, 16:]), kind
+        t = rng.random((20, 32))
+        t.flags.writeable = False
+        ds = tm.Dataset(dims=dims, samples=t)
+        assert ds.samples is t
+        assert np.shares_memory(ds.inputs, t) and np.shares_memory(ds.outputs, t)
 
-    def test_replace_shares_the_buffer_and_reverse_copies_it(self, data4_noisy):
+    def test_replace_shares_the_buffer_and_reverse_copies_it(self, data4_noisy, traced_peak):
         same = dataclasses.replace(data4_noisy, meta={"source": "relabelled"})
         assert same.site_matrix() is data4_noisy.site_matrix()
-        rev = tm.reverse_dataset(data4_noisy)
+        rev, peak = traced_peak(lambda: tm.reverse_dataset(data4_noisy))
+        assert peak < 1.1 * rev.site_matrix().nbytes + 1024  # the one swapped table
         assert not np.shares_memory(rev.site_matrix(), data4_noisy.site_matrix())
         assert np.shares_memory(rev.inputs, rev.site_matrix())
         assert not rev.inputs.flags.writeable
@@ -232,10 +254,10 @@ class TestSampleBuffer:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, rng, bad):
-        inputs = rng.random((5, 16))
-        inputs[3, 7] = bad
+        samples = rng.random((5, 32))
+        samples[3, 7] = bad
         with pytest.raises(ValueError, match="finite"):
-            tm.Dataset(dims=tm.Dimensions(w=4), inputs=inputs, outputs=rng.random((5, 16)))
+            tm.Dataset(dims=tm.Dimensions(w=4), samples=samples)
 
 
 class TestReverseDataset:
@@ -293,7 +315,8 @@ class TestSecondMoments:
 
     def test_replaced_copy_gets_its_own(self, data4_noisy):
         fwd = tm.Moments.of(data4_noisy).c
-        scaled = dataclasses.replace(data4_noisy, outputs=2.0 * data4_noisy.outputs)
+        scaled = dataclasses.replace(
+            data4_noisy, samples=np.hstack([data4_noisy.inputs, 2.0 * data4_noisy.outputs]))
         c = tm.Moments.of(scaled).c
         np.testing.assert_allclose(c, self.reference(scaled), rtol=1e-13, atol=0)
         nh = data4_noisy.dims.n_half
@@ -387,10 +410,16 @@ class TestValidation:
 
     def test_dataset_shape_checks(self, dims4):
         with pytest.raises(ValueError):
-            tm.Dataset(dims=dims4, inputs=np.zeros((3, 9)), outputs=np.zeros((3, 9)))
+            tm.Dataset(dims=dims4, samples=np.zeros((3, 18)))
         with pytest.raises(ValueError):
-            tm.Dataset(dims=dims4, inputs=np.zeros((3, 16)),
-                       outputs=np.zeros((3, 16)), direction="sideways")
+            tm.Dataset(dims=dims4, samples=np.zeros((0, 32)))
+        with pytest.raises(ValueError):
+            tm.Dataset(dims=dims4, samples=np.zeros((3, 32)), direction="sideways")
+        # The samples are one (M, n) table; there is no two-view constructor.
+        assert [f.name for f in dataclasses.fields(tm.Dataset)] == [
+            "dims", "samples", "direction", "meta"]
+        with pytest.raises(TypeError):
+            tm.Dataset(dims=dims4, inputs=np.zeros((3, 16)), outputs=np.zeros((3, 16)))
 
     def test_matrix_rejects_nonfinite(self, dims4):
         bad = np.zeros((16, 16))

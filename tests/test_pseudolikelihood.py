@@ -76,8 +76,8 @@ class TestRowNegLogpl:
         assert math.isclose(got, expected, rel_tol=1e-12)
 
     def test_single_sample_hand_value(self, dims4):
-        ds = tm.Dataset(dims=dims4, inputs=np.full((1, 16), 0.5),
-                        outputs=np.linspace(0, 1, 16)[None, :])
+        ds = tm.Dataset(dims=dims4, samples=np.hstack([np.full((1, 16), 0.5),
+                                                       np.linspace(0, 1, 16)[None, :]]))
         site, a = 16, 2.0
         k = np.zeros(dims4.n - 1)
         k[3] = 1.5  # couples to input site 3
@@ -192,18 +192,16 @@ class TestRowGrad:
 
 class TestTotalPl:
     def test_single_row_single_sample(self, dims4, rng):
-        ds = tm.Dataset(dims=dims4, inputs=rng.random((1, 16)),
-                        outputs=rng.random((1, 16)))
+        ds = tm.Dataset(dims=dims4, samples=np.hstack([rng.random((1, 16)),
+                                                       rng.random((1, 16))]))
         p = random_row(dims4, rng, site=16)
         assert math.isclose(tm.total_pl([p], ds),
                             -tm.row_neg_logpl(p, ds), rel_tol=1e-14)
 
     def test_duplicating_samples_doubles(self, data4_noisy, rng):
         rows = [random_row(data4_noisy.dims, rng, site=s) for s in (16, 20, 25)]
-        doubled = tm.Dataset(
-            dims=data4_noisy.dims,
-            inputs=np.vstack([data4_noisy.inputs, data4_noisy.inputs]),
-            outputs=np.vstack([data4_noisy.outputs, data4_noisy.outputs]))
+        s = data4_noisy.samples
+        doubled = tm.Dataset(dims=data4_noisy.dims, samples=np.vstack([s, s]))
         assert math.isclose(tm.total_pl(rows, doubled),
                             2.0 * tm.total_pl(rows, data4_noisy), rel_tol=1e-12)
 
