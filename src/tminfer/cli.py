@@ -127,7 +127,7 @@ def cmd_select(args) -> int:
     sfx = _suffix(args)
     meta, initial, moments = _recorded_fit(out, fp, sfx)
     path, best = run_decimation(moments, scope=cfg.scope,
-                                decim_opts=cfg.decimation_options(), initial=initial)
+                                decim_opts=cfg.sweep_config().decim_opts, initial=initial)
     tio.write_path(path, out / f"path{sfx}.json", fingerprint=fp, sigma=cfg.sigma,
                    dataset_sha256=meta["data_sha256"])
     tio.write_estimate(best, out / f"estimate_selected{sfx}.json", fingerprint=fp,
@@ -172,18 +172,17 @@ def cmd_extract(args) -> int:
 
 
 def _read_recorded(out: Path, fp: str, doc_name: str, name: str,
-                   stage: str, since: str) -> TransmissionMatrix:
+                   stage: str) -> TransmissionMatrix:
     """The matrix ``name`` that ``stage`` wrote under this config: the
-    ``doc_name`` it wrote beside it (since tminfer ``since``) must carry the
-    config's fingerprint and record the hash the matrix is registered under
-    now.  The matrix has the role that record names (an ``extract*.json``
-    records one; ``t_true`` under ``dataset.meta.json`` is ``direct``), as an
-    ``.npy`` file carries none."""
+    ``doc_name`` it wrote beside it must carry the config's fingerprint and
+    record the hash the matrix is registered under now.  The matrix has the
+    role that record names (an ``extract*.json`` records one; ``t_true``
+    under ``dataset.meta.json`` is ``direct``), as an ``.npy`` file carries
+    none."""
     doc = tio.read_json_artifact(out / doc_name, fingerprint=fp)
     recorded = doc.get("matrix_sha256", {})
     if name not in recorded:
-        raise tio.ChainError(f"{doc_name} records no {name} (tminfer < {since} recorded "
-                             f"none); re-run {stage}")
+        raise tio.ChainError(f"{doc_name} records no {name}; re-run {stage}")
     tm = tio.read_matrix(out / name, sha256=recorded[name])
     return replace(tm, role=doc.get("role", "direct"))
 
@@ -192,15 +191,12 @@ def cmd_eval(args) -> int:
     """Run focusing and image-reconstruction experiments on extracted matrices."""
     cfg, out, fp = _load(args)
     t_true = _read_recorded(out, fp, "dataset.meta.json", _array_name(cfg, "t_true"),
-                            "generate", "0.9.0")
-    t_inf = _read_recorded(out, fp, "extract.json", _array_name(cfg, "t_inf"),
-                           "extract", "0.8.0")
+                            "generate")
+    t_inf = _read_recorded(out, fp, "extract.json", _array_name(cfg, "t_inf"), "extract")
     inv = _array_name(cfg, "t_inv_inf")
-    t_inv = _read_recorded(out, fp, "extract_reversed.json", inv, "extract --reversed",
-                           "0.8.0") if (out / inv).exists() else None
-    target = gaussian_spot(cfg.dims, width=cfg.spot_width,
-                           amplitude=cfg.spot_amplitude,
-                           background=cfg.spot_background)
+    t_inv = _read_recorded(out, fp, "extract_reversed.json", inv,
+                           "extract --reversed") if (out / inv).exists() else None
+    target = gaussian_spot(cfg.dims)
     doc = {
         "format": "tminfer-eval",
         "sigma": cfg.sigma,

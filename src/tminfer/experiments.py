@@ -45,27 +45,21 @@ __all__ = [
 ]
 
 
-def gaussian_spot(
-    dims: Dimensions,
-    width: float = 1.2,
-    amplitude: float = 0.004,
-    background: float = 0.5,
-) -> np.ndarray:
-    """Flattened w x w Gaussian spot on a flat pedestal, values in [0, 1].
+def gaussian_spot(dims: Dimensions) -> np.ndarray:
+    """Flattened w x w Gaussian spot on a flat pedestal, the focusing target.
 
     A row-stochastic channel maps a constant frame to itself, so the pedestal
     rides through exactly; only the spot component needs an input excursion.
     Random sparse channels amplify that excursion by one to two orders of
-    magnitude, so the default amplitude is small enough that the focusing
-    solve stays inside the [0, 1] intensity box instead of being distorted by
-    the clamp.
+    magnitude, so the amplitude is small enough that the focusing solve stays
+    inside the [0, 1] intensity box instead of being distorted by the clamp.
     """
+    width, amplitude, background = 1.2, 0.004, 0.5
     w = dims.w
     center = (w - 1) / 2.0
     yy, xx = np.mgrid[0:w, 0:w]
     bump = np.exp(-((yy - center) ** 2 + (xx - center) ** 2) / (2.0 * width**2))
-    img = background + amplitude * bump
-    return np.clip(img, 0.0, 1.0).ravel()
+    return (background + amplitude * bump).ravel()
 
 
 def glyph_image(dims: Dimensions) -> np.ndarray:

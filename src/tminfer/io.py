@@ -46,7 +46,7 @@ import math
 import os
 import secrets
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -54,7 +54,7 @@ import numpy as np
 from . import __version__
 from .experiments import SweepConfig
 from .model import Dataset, Dimensions, Moments, TransmissionMatrix
-from .optimize import CouplingEstimate
+from .optimize import SCOPES, CouplingEstimate
 from .selection import DecimationOptions, DecimationPath
 
 __all__ = [
@@ -682,7 +682,7 @@ def _canonical_json(obj) -> str:
 
 def config_fingerprint(config: "RunConfig") -> str:
     """Short stable hash of the validated configuration."""
-    return _sha256_bytes(_canonical_json(config.to_dict()).encode())[:16]
+    return _sha256_bytes(_canonical_json(asdict(config)).encode())[:16]
 
 
 def _load_manifest(out_dir: Path) -> dict:
@@ -756,18 +756,6 @@ def _check_fingerprint(artifact: dict, expected: str, name: str) -> None:
 # Run configuration
 
 
-_DEC_KEYS = {"batch_fraction"}
-_TOP_KEYS = {
-    "w", "density", "m_samples", "sigma", "sigma_grid", "seed", "replicates",
-    "scope", "binary_io", "include_balance",
-    "spot_width", "spot_amplitude", "spot_background",
-    "decimation",
-}
-_INT_KEYS = ("w", "m_samples", "seed", "replicates")
-_REAL_KEYS = ("density", "sigma", "spot_width", "spot_amplitude", "spot_background")
-_BOOL_KEYS = ("binary_io", "include_balance")
-
-
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
@@ -776,10 +764,20 @@ def _is_real(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
+# The check of each field annotated int, float or bool, and what it expects.
+_FIELD_CHECKS = {
+    "int": (_is_int, "an integer"),
+    "float": (_is_real, "a finite number"),
+    "bool": (lambda x: isinstance(x, bool), "true or false"),
+}
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated knobs for a whole run; unknown keys and mistyped values are
-    rejected when the config is loaded, before any stage does work."""
+    """Validated knobs for a whole run.  The fields are the config keys, and
+    their annotations the types checked (``_FIELD_CHECKS``); unknown keys and
+    mistyped values are rejected when the config is loaded, before any stage
+    does work."""
 
     w: int
     density: float = 0.20
@@ -791,18 +789,13 @@ class RunConfig:
     scope: str = "output"
     binary_io: bool = False
     include_balance: bool = False
-    spot_width: float = 1.2
-    spot_amplitude: float = 0.004
-    spot_background: float = 0.5
     decimation: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for keys, ok, kind in ((_INT_KEYS, _is_int, "an integer"),
-                               (_REAL_KEYS, _is_real, "a finite number"),
-                               (_BOOL_KEYS, lambda x: isinstance(x, bool), "true or false")):
-            for key in keys:
-                if not ok(getattr(self, key)):
-                    raise ConfigError(f"{key} must be {kind}, got {getattr(self, key)!r}")
+        for f in fields(self):
+            ok, kind = _FIELD_CHECKS.get(f.type, (lambda x: True, ""))
+            if not ok(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be {kind}, got {getattr(self, f.name)!r}")
         if self.sigma_grid is not None and not (
                 isinstance(self.sigma_grid, (list, tuple))
                 and all(map(_is_real, self.sigma_grid))):
@@ -810,8 +803,9 @@ class RunConfig:
                               f"got {self.sigma_grid!r}")
         if not isinstance(self.decimation, dict):
             raise ConfigError(f"decimation must be an object, got {self.decimation!r}")
-        if self.scope not in ("output", "all"):
-            raise ConfigError(f"scope must be 'output' or 'all', got {self.scope!r}")
+        if self.scope not in SCOPES:
+            raise ConfigError(f"scope must be {' or '.join(map(repr, SCOPES))}, "
+                              f"got {self.scope!r}")
         if self.w < 2:
             raise ConfigError("w must be >= 2")
         if not 0.0 < self.density <= 1.0:
@@ -825,12 +819,11 @@ class RunConfig:
             raise ConfigError("sigma must be nonnegative")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
-        bad = set(self.decimation) - _DEC_KEYS
+        bad = set(self.decimation) - {f.name for f in fields(DecimationOptions)}
         if bad:
             raise ConfigError(f"unknown decimation keys: {sorted(bad)}")
         try:
-            object.__setattr__(self, "_decimation_options",
-                               DecimationOptions(**self.decimation))
+            decim_opts = DecimationOptions(**self.decimation)
         except ValueError as exc:
             raise ConfigError(f"decimation: {exc}") from exc
         if self.sigma_grid is not None:
@@ -843,7 +836,7 @@ class RunConfig:
                 dims=self.dims, density=self.density, m_samples=self.m_samples,
                 sigma_grid=self.sigma_grid if self.sigma_grid is not None else (self.sigma,),
                 master_seed=self.seed, replicates=self.replicates, scope=self.scope,
-                decim_opts=self._decimation_options, include_balance=self.include_balance))
+                decim_opts=decim_opts, include_balance=self.include_balance))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -855,7 +848,7 @@ class RunConfig:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
-        unknown = set(raw) - _TOP_KEYS
+        unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if "w" not in raw:
@@ -865,18 +858,9 @@ class RunConfig:
         except TypeError as exc:
             raise ConfigError(str(exc)) from exc
 
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        if d["sigma_grid"] is not None:
-            d["sigma_grid"] = list(d["sigma_grid"])
-        return d
-
     @property
     def dims(self) -> Dimensions:
         return Dimensions(w=self.w)
-
-    def decimation_options(self) -> DecimationOptions:
-        return self._decimation_options
 
     def sweep_config(self) -> SweepConfig:
         """The noise sweep over ``sigma_grid`` (``sigma`` alone without one)."""

@@ -44,9 +44,12 @@ _DRAW_VALUES = 1 << 16
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
-    """Return a float64 C-contiguous view/copy flagged read-only."""
+    """Return a float64 C-contiguous copy of ``arr`` flagged read-only.  The
+    copy shares no memory with ``arr``, even where ``ascontiguousarray``
+    returns a new view of it (an equal but distinct dtype object, as an
+    unpickled array or a dtype with metadata has)."""
     out = np.ascontiguousarray(arr, dtype=np.float64)
-    if out is arr:
+    if np.may_share_memory(out, arr):
         out = out.copy()
     out.flags.writeable = False
     return out
@@ -173,8 +176,8 @@ class Dataset:
 
     def __reduce__(self):
         # Pickling and deep copies rebuild through the constructor, which
-        # gives the copy its own read-only table.
-        return type(self), (self.dims, self.samples, self.direction, self.meta)
+        # gives the copy its own read-only table (``_rebuild_dataset``).
+        return _rebuild_dataset, (self.dims, self.samples, self.direction, self.meta)
 
     @property
     def inputs(self) -> np.ndarray:
@@ -193,6 +196,16 @@ class Dataset:
     def site_matrix(self) -> np.ndarray:
         """The read-only (M, n) sample table, one site vector per row; no copy."""
         return self.samples
+
+
+def _rebuild_dataset(dims: Dimensions, samples: np.ndarray, direction: str,
+                     meta: dict) -> Dataset:
+    """``Dataset.__reduce__``'s constructor.  A deep copy hands over a table of
+    its own, which is flagged read-only so the dataset adopts it; an unpickled
+    table is a view on the pickle's bytes, which the dataset copies."""
+    if isinstance(samples, np.ndarray) and samples.flags.owndata:
+        samples.flags.writeable = False
+    return Dataset(dims, samples, direction, meta)
 
 
 @dataclass(frozen=True)

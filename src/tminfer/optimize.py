@@ -123,14 +123,16 @@ def minimize_row(
     depend on the BLAS thread count.
     ``rss = C[y,y] - 2 beta.C[A,y] + beta.C[A,A] beta`` is clamped at 0, where
     it cancels on exact fits.  Masked couplings stay 0.  ``converged``: the
-    projected gradient is within ``GRAD_TOL``.
+    projected gradient is within ``GRAD_TOL`` and the row has fewer active
+    regressors than samples; a row with as many or more interpolates them.
     """
     n = dataset.dims.n
     if mask is None:
         mask = RowMask(site=site, active=np.ones(n - 1, dtype=bool))
     elif mask.site != site or mask.active.shape[0] != n - 1:
         raise ValueError("mask does not match site / dims")
-    c = Moments.of(dataset).c
+    moments = Moments.of(dataset)
+    c = moments.c
     # The sites at the row's active positions, one further from `site` on.
     idx = mask.active.nonzero()[0]
     idx[np.count_nonzero(mask.active[:site]):] += 1
@@ -149,7 +151,8 @@ def minimize_row(
     k = np.zeros(n - 1)
     k[mask.active] = 2.0 * a * beta
     return RowFit(params=RowParams(site=site, a=a, k=k),
-                  converged=grad_norm <= GRAD_TOL, iterations=1,
+                  converged=grad_norm <= GRAD_TOL and len(idx) < moments.m_samples,
+                  iterations=1,
                   objective=a * rss + log_partition(a, 0.0), grad_norm=grad_norm)
 
 

@@ -60,7 +60,8 @@ def lbfgs_row(dataset, site, start):
 def lstsq_row(site, moments, mask, a_cap):
     """Reference row solve: ``lstsq`` (minimum norm) on ``C[A,A] beta = C[A,y]``
     for every block, then ``minimize_row``'s closed form and projected
-    gradient.  Returns a ``RowFit``."""
+    gradient; a row with no fewer active regressors than samples is not
+    converged.  Returns a ``RowFit``."""
     n = moments.dims.n
     c = moments.c
     idx = np.delete(np.arange(n), site)[mask.active]
@@ -77,7 +78,8 @@ def lstsq_row(site, moments, mask, a_cap):
     k[mask.active] = 2.0 * a * beta
     log_z = math.log(2.0) + 0.5 * (math.log(math.pi) - math.log(4.0 * a))
     return tm.RowFit(params=tm.RowParams(site=site, a=a, k=k),
-                     converged=grad_norm <= 1e-6, iterations=1,
+                     converged=grad_norm <= 1e-6 and len(idx) < moments.m_samples,
+                     iterations=1,
                      objective=a * rss + log_z, grad_norm=grad_norm)
 
 

@@ -52,7 +52,7 @@ class TestFocusing:
     def test_identity_channel_perfect_focus(self):
         dims = tm.Dimensions(w=2)
         eye = tm.TransmissionMatrix(dims=dims, entries=np.eye(4))
-        target = gaussian_spot(dims, amplitude=0.3, background=0.4)
+        target = gaussian_spot(dims)
         achieved, rep = focusing_experiment(eye, eye, target,
                                             tm.NoiseSpec(sigma=0.0),
                                             np.random.default_rng(0))

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import hashlib
 import io as io_module
 import itertools
@@ -6,6 +7,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -69,7 +71,7 @@ class TestRunConfig:
     def test_happy_path(self, tmp_path):
         cfg = tio.RunConfig.from_file(write_config(tmp_path))
         assert cfg.w == 4
-        assert cfg.decimation_options().batch_fraction == 0.1
+        assert cfg.sweep_config().decim_opts.batch_fraction == 0.1
 
     def test_unknown_top_level_key(self, tmp_path):
         with pytest.raises(tio.ConfigError, match="unknown config keys"):
@@ -80,10 +82,15 @@ class TestRunConfig:
             tio.RunConfig.from_file(
                 write_config(tmp_path, {"decimation": {"lr": 0.1}}))
 
-    def test_removed_optimizer_section(self, tmp_path, capsys):
-        # The section removed in 0.2.0 meets the rule for any unknown key.
-        path = write_config(tmp_path, {"optimizer": {"grad_tol": 1e-6}})
-        message = "unknown config keys: ['optimizer']"
+    # Keys removed in 0.2.0 (optimizer) and 0.10.0 (spot_*), at their old defaults.
+    REMOVED = {"optimizer": {"grad_tol": 1e-6}, "spot_width": 1.2,
+               "spot_amplitude": 0.004, "spot_background": 0.5}
+
+    @pytest.mark.parametrize("key", REMOVED)
+    def test_removed_optimizer_section(self, tmp_path, capsys, key):
+        # A removed key meets the rule for any unknown key.
+        path = write_config(tmp_path, {key: self.REMOVED[key]})
+        message = f"unknown config keys: [{key!r}]"
         with pytest.raises(tio.ConfigError) as err:
             tio.RunConfig.from_file(path)
         assert str(err.value) == message
@@ -102,7 +109,7 @@ class TestRunConfig:
         {"scope": "some"}, {"density": 0.0}, {"m_samples": 0}, {"sigma": -1},
         {"m_samples": 500.5}, {"m_samples": True}, {"w": 4.0}, {"seed": "7"},
         {"seed": -1}, {"replicates": 1.5}, {"density": "0.2"}, {"sigma": None},
-        {"spot_width": [1.2]}, {"sigma_grid": [0.0, "0.1"]}, {"binary_io": "yes"},
+        {"sigma": [0.1]}, {"sigma_grid": [0.0, "0.1"]}, {"binary_io": "yes"},
         {"decimation": {"batch_fraction": "0.1"}}, {"decimation": {"batch_fraction": 1.0}},
         {"decimation": [0.1]}, {"sigma_grid": [0.2, 0.1]}, {"sigma_grid": [-0.1]},
         {"sigma_grid": []}, {"replicates": 0},
@@ -139,12 +146,20 @@ class TestRunConfig:
 
     def test_threads_not_in_fingerprint(self, tmp_path, capsys):
         cfg = tio.RunConfig.from_file(write_config(tmp_path))
-        assert "threads" not in cfg.to_dict()
+        assert "threads" not in dataclasses.asdict(cfg)
         path = write_config(tmp_path, {"threads": 8}, "c2.json")
         with pytest.raises(tio.ConfigError, match="unknown config keys.*threads"):
             tio.RunConfig.from_file(path)
         assert main(["generate", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
         assert "threads" in capsys.readouterr().err
+
+    def test_readme_config_example_loads(self, tmp_path):
+        # The CLI section's example config names only keys RunConfig accepts.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        example = re.search(r"cat > config\.json <<'EOF'\n(.*?)\nEOF\n", readme, re.S)
+        path = tmp_path / "config.json"
+        path.write_text(example.group(1))
+        assert tio.RunConfig.from_file(path).w == 4
 
     def test_threads_environment_not_read(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TMINFER_THREADS", "junk")
@@ -1107,7 +1122,7 @@ class TestCli:
             runs.append((arrays, json.loads((out / "eval.json").read_text())))
             # An .npy file carries no role; eval gets the one its record names.
             fp = tio.config_fingerprint(tio.RunConfig.from_file(cfg))
-            roles = [_read_recorded(out, fp, doc, f"{name}{suffix}", "", "").role
+            roles = [_read_recorded(out, fp, doc, f"{name}{suffix}", "").role
                      for doc, name in (("dataset.meta.json", "t_true"),
                                        ("extract.json", "t_inf"),
                                        ("extract_reversed.json", "t_inv_inf"))]

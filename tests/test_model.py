@@ -203,10 +203,16 @@ class TestSampleBuffer:
         larger = rng.random((2200, 32))
         view = larger[100:2100]
         view.flags.writeable = False
+        # float64 tables whose dtype is an equal but distinct object, which
+        # ascontiguousarray(dtype=float64) hands back as a new view.
+        labelled = np.zeros((2000, 32), dtype=np.dtype(np.float64, metadata={"unit": "W"}))
+        labelled[...] = rng.random((2000, 32))
         return {"writable C": rng.random((2000, 32)),
                 "Fortran": np.asfortranarray(rng.random((2000, 32))),
                 "float32": rng.random((2000, 32)).astype(np.float32),
-                "read-only view": view}
+                "read-only view": view,
+                "dtype with metadata": labelled,
+                "unpickled": pickle.loads(pickle.dumps(rng.random((2000, 32))))}
 
     def test_callers_arrays_are_copied(self, rng, traced_peak):
         for kind, t in self.callers_tables(rng).items():
@@ -243,9 +249,12 @@ class TestSampleBuffer:
 
     @pytest.mark.parametrize("clone", [copy.deepcopy,
                                        lambda ds: pickle.loads(pickle.dumps(ds))])
-    def test_copies_get_their_own_buffer(self, data4_noisy, clone):
-        ds = clone(data4_noisy)
+    def test_copies_get_their_own_buffer(self, data4_noisy, clone, traced_peak):
+        ds, peak = traced_peak(lambda: clone(data4_noisy))
         s = ds.site_matrix()
+        if clone is copy.deepcopy:
+            # The copy adopts the table that deepcopy made instead of copying it.
+            assert peak < 1.1 * s.nbytes
         assert s.tobytes() == data4_noisy.site_matrix().tobytes()
         assert not np.shares_memory(s, data4_noisy.site_matrix())
         assert np.shares_memory(ds.inputs, s) and np.shares_memory(ds.outputs, s)

@@ -202,6 +202,7 @@ def test_solver_settings_are_fixed(dims4, data4_noisy):
         lambda: tm.run_decimation(data4_noisy, fit_opts=tm.OptimOptions()),
         lambda: tm.NoiseSpec(0.1, seed=9),
         lambda: tm.gaussian_spot(dims4, center=(1.0, 1.0)),
+        lambda: tm.gaussian_spot(dims4, width=1.0),
         lambda: tm.quality_q(np.ones(3), np.ones(3), operands="demo"),
     ]
     for call in calls:
@@ -349,11 +350,12 @@ class TestFitAllRows:
     @pytest.mark.parametrize("m", [1, 8])
     def test_fewer_samples_than_regressors(self, channel4, scope, m):
         # C[A,A] has rank <= M < |A|: the minimum-norm solution interpolates
-        # the samples, so every row is an exact fit parked at the cap.
+        # the samples, so every row is an exact fit parked at the cap, and
+        # none is reported as converged.
         ds = tm.generate_dataset(channel4, m, tm.NoiseSpec(sigma=0.1), seed=3)
         est = tm.fit_all_rows(ds, scope=scope)
         assert max(int(mk.active.sum()) for mk in est.masks) > m
-        assert all(est.converged)
+        assert not any(est.converged)
         for row in est.rows:
             assert np.all(np.isfinite(row.k))
             assert row.a == A_CAP
