@@ -27,7 +27,7 @@ from . import io as tio
 from .experiments import evaluate_channel, gaussian_spot, run_sweep
 from .extraction import extract_gramian, extract_tm
 from .model import Moments, NoiseSpec, TransmissionMatrix, build_random_tm, generate_dataset
-from .optimize import fit_all_rows
+from .optimize import CERTIFY_TOL, fit_all_rows
 from .selection import run_decimation
 
 
@@ -118,6 +118,10 @@ def cmd_fit(args) -> int:
     tio.write_estimate(est, out / name, fingerprint=fp,
                        dataset_sha256=meta["data_sha256"], moments=moments)
     print(f"fit {len(est.a)} rows, total_pl={est.total_pl:.6g}")
+    # The smallest Cholesky pivot of C over its diagonal: a conditioning figure.
+    certified = "certified" if moments.pivot_ratio > CERTIFY_TOL else "not certified"
+    print(f"second moments {certified} positive definite, "
+          f"smallest pivot ratio {moments.pivot_ratio:.3g}")
     return 0
 
 

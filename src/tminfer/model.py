@@ -23,8 +23,11 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
+
+from .linalg import cholesky
 
 __all__ = [
     "Dimensions",
@@ -142,13 +145,16 @@ class Dataset:
     ``samples`` is the read-only C-contiguous float64 (M, n) table, row m
     holding the site vector ``[in, out]`` of sample m; ``inputs`` and
     ``outputs`` are read-only (M, n_half) views of its two halves.  A table
-    that is already such an array and owns its memory is kept as it is;
-    anything else is copied once, so a dataset shares no memory with an
-    array its caller can write.
+    that is already such an array and owns its memory, or views immutable
+    ``bytes`` (as an unpickled table does), is kept as it is; anything else
+    is copied once, so a dataset shares no memory with an array its caller
+    can write.
     ``direction`` is ``forward`` for as-measured pairs and ``reversed`` when
     input/output have been swapped (the representation used to infer the
     inverse map).  ``meta`` carries seed, sigma, and a source description.
-    Row fits read the data only through ``Moments.of(dataset)``.
+    Row fits read the data only through ``Moments.of(dataset)``, a record
+    built on first use and kept on this dataset only: a copy, an unpickled
+    dataset or a ``dataclasses.replace`` builds its own.
     """
 
     dims: Dimensions
@@ -160,7 +166,9 @@ class Dataset:
         if self.direction not in ("forward", "reversed"):
             raise ValueError(f"direction must be 'forward' or 'reversed', got {self.direction!r}")
         s = self.samples
-        if not (isinstance(s, np.ndarray) and s.dtype == np.float64 and s.flags.owndata
+        # A read-only view of bytes cannot be made writable again.
+        if not (isinstance(s, np.ndarray) and s.dtype == np.float64
+                and (s.flags.owndata or isinstance(s.base, bytes))
                 and s.flags.c_contiguous and not s.flags.writeable):
             s = _readonly(s)
         n = self.dims.n
@@ -197,13 +205,20 @@ class Dataset:
         """The read-only (M, n) sample table, one site vector per row; no copy."""
         return self.samples
 
+    @cached_property
+    def _moments(self) -> Moments:
+        """``Moments.of(self)``, formed once."""
+        s = self.site_matrix()
+        return Moments(self.dims, self.direction, self.m_samples, s.T @ s / self.m_samples)
+
 
 def _rebuild_dataset(dims: Dimensions, samples: np.ndarray, direction: str,
                      meta: dict) -> Dataset:
-    """``Dataset.__reduce__``'s constructor.  A deep copy hands over a table of
-    its own, which is flagged read-only so the dataset adopts it; an unpickled
-    table is a view on the pickle's bytes, which the dataset copies."""
-    if isinstance(samples, np.ndarray) and samples.flags.owndata:
+    """``Dataset.__reduce__``'s constructor.  The table is the copy's own: a
+    deep copy made it, or it views bytes private to the unpickler.  It is
+    flagged read-only so the dataset adopts it."""
+    if isinstance(samples, np.ndarray) and (samples.flags.owndata
+                                            or isinstance(samples.base, bytes)):
         samples.flags.writeable = False
     return Dataset(dims, samples, direction, meta)
 
@@ -213,7 +228,8 @@ class Moments:
     """The sufficient statistics of a dataset for row fits, without its samples:
     ``dims``, ``direction``, ``m_samples`` and the second moments
     ``c = S^T S / M``.  The CLI also builds it from the ``c`` that ``fit``
-    recorded, so no stage after ``fit`` re-reads the samples.
+    recorded, so no stage after ``fit`` re-reads the samples.  ``pivot_ratio``
+    is computed on first use and kept on the record.
     """
 
     dims: Dimensions
@@ -236,11 +252,22 @@ class Moments:
 
     @classmethod
     def of(cls, data: Dataset | Moments) -> Moments:
-        """The record of a ``Dataset``; a ``Moments`` record is returned as is."""
-        if isinstance(data, Moments):
-            return data
-        s = data.site_matrix()
-        return cls(data.dims, data.direction, data.m_samples, s.T @ s / data.m_samples)
+        """The record of a ``Dataset``, formed on first use and then kept on
+        it; a ``Moments`` record is returned as is."""
+        return data if isinstance(data, Moments) else data._moments
+
+    @cached_property
+    def pivot_ratio(self) -> float:
+        """Smallest pivot of the Cholesky factor ``L`` of ``c`` as a share of
+        its diagonal entry, ``min_j L_jj**2 / C_jj``; 0 where the factorisation
+        fails.  ``L_jj**2 / C_jj`` is one minus the squared multiple
+        correlation of site j with the sites before it, so a row's block of
+        ``c``, taken in site order, has no smaller pivot ratio."""
+        try:
+            low = cholesky(self.c)
+        except np.linalg.LinAlgError:
+            return 0.0
+        return float(np.min(np.diagonal(low) ** 2 / np.diagonal(self.c)))
 
     @property
     def fingerprint(self) -> str:

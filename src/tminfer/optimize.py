@@ -10,9 +10,12 @@ Buhlmann, Ann. Stat. 2006).
 The optimum and its gradient depend on the data only through the sample
 second moments ``C = S^T S / M``, which every entry point reads from the
 record ``Moments.of(dataset)``: a row solve is one small solve on a block of
-``C``.  The block is factorised by Cholesky first; ``lstsq`` takes over where
-the block is singular or has more than ``CHOLESKY_MAX`` rows.  A solve costs
-well under a millisecond, so rows run one after another on the calling thread.
+``C``.  A record whose whole ``C`` factorises with every pivot ratio above
+``CERTIFY_TOL`` certifies every block positive definite, so its rows of up
+to ``PANEL`` regressors are one LU solve.  Other blocks are factorised by
+Cholesky first, in panels above ``PANEL`` regressors; ``lstsq`` takes over
+where a block is singular.  A solve costs well under a millisecond at w=6,
+so rows run one after another on the calling thread.
 
 An estimate stacks the rows of its scope as arrays, ``(rows,)`` or
 ``(rows, n-1)``, which ``_solve_rows`` assembles; every support but
@@ -25,6 +28,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .linalg import PANEL, cholesky, cholesky_solve
 from .model import Dataset, Dimensions, Moments
 from .pseudolikelihood import RowMask, RowParams, log_partition
 
@@ -45,13 +49,6 @@ SCOPES = ("output", "all")
 # Inf-norm bound on the projected gradient for a row to count as converged.
 GRAD_TOL = 1e-6
 
-# Largest active set solved by Cholesky; larger ones go to lstsq.  OpenBLAS
-# runs getrf with several threads from n = 100 and potrf from n ~ 128 up, and
-# the bits of the solution then depend on OPENBLAS_NUM_THREADS.  lstsq gives
-# the same bits at any thread count, so every artifact stays byte-identical
-# across BLAS settings.
-CHOLESKY_MAX = 96
-
 # Smallest Cholesky pivot, as a share of its diagonal entry of C[A,A], taken
 # as positive definite.  The pivot L_jj**2 is C_jj * (1 - R_j**2), with R_j**2
 # the squared multiple correlation of regressor j with the ones before it.  A
@@ -60,6 +57,13 @@ CHOLESKY_MAX = 96
 # singular channel, fitted reversed, does this on most rows.  Regressors with
 # noise leave 1e-4 and more (w=4, sigma >= 0.01).
 PIVOT_TOL = 1e-10
+
+# Smallest ``Moments.pivot_ratio`` that certifies every row's block of C
+# positive definite.  A block's pivot ratios are no smaller than those of the
+# whole C, and 100 times PIVOT_TOL leaves far more room than the rounding in
+# either factorisation, so every row of a certified record passes the
+# PIVOT_TOL test without running it.
+CERTIFY_TOL = 100 * PIVOT_TOL
 
 # Upper bound on the curvature: on noise-free data the objective decreases
 # forever along a -> inf, so every exact-fit row parks at the cap instead.  The
@@ -86,25 +90,33 @@ class RowFit:
     grad_norm: float
 
 
-def _solve_normal(c_aa: np.ndarray, c_ay: np.ndarray) -> np.ndarray:
+def _factor(c_aa: np.ndarray) -> np.ndarray | None:
+    """The Cholesky factor of ``c_aa`` when every pivot ``L_jj**2`` clears
+    ``PIVOT_TOL`` of ``C_jj``, else None."""
+    try:
+        low = cholesky(c_aa)
+    except np.linalg.LinAlgError:
+        return None
+    return low if np.all(np.diagonal(low) ** 2 > PIVOT_TOL * np.diagonal(c_aa)) else None
+
+
+def _solve_normal(c_aa: np.ndarray, c_ay: np.ndarray, certified: bool) -> np.ndarray:
     """``beta`` with ``c_aa beta = c_ay``.
 
-    Up to ``CHOLESKY_MAX`` regressors, a Cholesky factorisation whose pivots
-    all clear ``PIVOT_TOL`` certifies ``c_aa`` positive definite, and an LU
-    solve is then exact to rounding (numpy has no triangular solve; LU costs
-    less than two solves on the factor).  Otherwise the regressors are
-    collinear (noise-free all-sites fits, fewer samples than regressors,
-    duplicated or dead channels, a singular channel), and ``lstsq`` returns
-    the minimum-norm solution.  ``lstsq`` also takes every larger block, for
-    the thread-invariance above.
+    Up to ``PANEL`` regressors, a block that its record certifies, or whose
+    own Cholesky pivots all clear ``PIVOT_TOL``, is positive definite, and an
+    LU solve is then exact to rounding (numpy has no triangular solve; LU
+    costs less than two solves on the factor).  A larger block is solved on
+    its panelled factor when that factor's pivots clear ``PIVOT_TOL``.
+    Otherwise the regressors are collinear (noise-free all-sites fits, fewer
+    samples than regressors, duplicated or dead channels, a singular
+    channel), and ``lstsq`` returns the minimum-norm solution.
     """
-    if c_aa.shape[0] <= CHOLESKY_MAX:
-        try:
-            pivots = np.diagonal(np.linalg.cholesky(c_aa)) ** 2
-            if np.all(pivots > PIVOT_TOL * np.diagonal(c_aa)):
-                return np.linalg.solve(c_aa, c_ay)
-        except np.linalg.LinAlgError:
-            pass
+    if c_aa.shape[0] <= PANEL:
+        if certified or _factor(c_aa) is not None:
+            return np.linalg.solve(c_aa, c_ay)
+    elif (low := _factor(c_aa)) is not None:
+        return cholesky_solve(low, c_ay)
     return np.linalg.lstsq(c_aa, c_ay, rcond=None)[0]
 
 
@@ -116,11 +128,11 @@ def minimize_row(
     """Fit one site's conditional Gaussian under a support mask.
 
     Reads only ``C = Moments.of(dataset).c``.  ``beta`` solves
-    ``C[A,A] beta = C[A,y]`` (``_solve_normal``): by Cholesky where
-    ``C[A,A]`` is positive definite, else by ``lstsq``, the minimum-norm
-    solution when the active regressors are collinear.  Blocks of more than
-    ``CHOLESKY_MAX`` regressors always go to ``lstsq``, whose bits do not
-    depend on the BLAS thread count.
+    ``C[A,A] beta = C[A,y]`` (``_solve_normal``): by LU or Cholesky where
+    ``C[A,A]`` is positive definite, which a certified record
+    (``pivot_ratio`` above ``CERTIFY_TOL``) guarantees for every block, else
+    by ``lstsq``, the minimum-norm solution when the active regressors are
+    collinear.  Every path gives the same bits at any BLAS thread count.
     ``rss = C[y,y] - 2 beta.C[A,y] + beta.C[A,A] beta`` is clamped at 0, where
     it cancels on exact fits.  Masked couplings stay 0.  ``converged``: the
     projected gradient is within ``GRAD_TOL`` and the row has fewer active
@@ -137,7 +149,7 @@ def minimize_row(
     idx = mask.active.nonzero()[0]
     idx[np.count_nonzero(mask.active[:site]):] += 1
     c_aa, c_ay, c_yy = c.take(idx, 0).take(idx, 1), c[idx, site], float(c[site, site])
-    beta = _solve_normal(c_aa, c_ay)
+    beta = _solve_normal(c_aa, c_ay, moments.pivot_ratio > CERTIFY_TOL)
     c_aa_beta = c_aa @ beta
     fitted = float(beta @ c_aa_beta)
     rss = max(c_yy - 2.0 * float(beta @ c_ay) + fitted, 0.0)

@@ -123,6 +123,40 @@ def array_equal_decimation(moments, scope, batch_fraction):
     return DecimationPath(records=tuple(records), selected=select_best(records))
 
 
+def lstsq_decimation(moments, scope, batch_fraction):
+    """Reference decimation loop that solves every row with ``lstsq_row``:
+    rank |k| over the active couplings (stable, ties by row then position),
+    clear the batch and refit the rows that lost a coupling.  Returns the
+    ``k_free`` and ``total_pl`` sequences, the index of the least
+    ``(bic, k_free)`` and that record's ``(rows, n-1)`` support."""
+    active = tm.initial_masks(moments.dims, scope)
+    first = moments.dims.n - active.shape[0]
+    m = moments.m_samples
+
+    def fit(r):
+        return lstsq_row(first + r, moments, tm.RowMask(site=first + r, active=active[r]),
+                         tm.optimize.A_CAP)
+
+    fits = [fit(r) for r in range(len(active))]
+    k_free, total, best, best_key, best_active = [], [], 0, None, None
+    while True:
+        k_free.append(int(active.sum()) + len(fits))
+        total.append(-m * sum(f.objective for f in fits))
+        key = (tm.bic_score(k_free[-1], m, total[-1]), k_free[-1])
+        if best_key is None or key < best_key:
+            best, best_key, best_active = len(k_free) - 1, key, active.copy()
+        remaining = int(active.sum())
+        if remaining == 0:
+            return k_free, total, best, best_active
+        batch = min(remaining, max(1, int(batch_fraction * remaining)))
+        flat = np.flatnonzero(active)
+        k = np.vstack([f.params.k for f in fits])
+        drop = flat[np.argsort(np.abs(k.ravel()[flat]), kind="stable")[:batch]]
+        active.ravel()[drop] = False
+        for r in sorted(set((drop // active.shape[1]).tolist())):
+            fits[r] = fit(r)
+
+
 def select_best(records):
     """Index of the minimum-BIC record, ties resolved toward fewer parameters:
     the least ``(bic, k_free)`` pair in lexicographic order."""

@@ -11,7 +11,7 @@ import tminfer as tm
 
 ROOT = Path(__file__).resolve().parents[1]
 
-MODULES = ("model", "pseudolikelihood", "optimize", "selection", "extraction",
+MODULES = ("linalg", "model", "pseudolikelihood", "optimize", "selection", "extraction",
            "experiments", "io")
 
 

@@ -169,6 +169,20 @@ class TestSweep:
         assert "synthetic fault" in failed[0].failure
         assert report.records[1].failure is None
 
+    def test_each_grid_point_forms_each_c_once(self, dims4, monkeypatch):
+        # The forward C serves the decimation, the known-support and the
+        # balance fits; the reversed dataset forms its own.
+        calls = []
+        real = tm.Dataset.site_matrix
+        monkeypatch.setattr(tm.Dataset, "site_matrix",
+                            lambda self: calls.append(self.direction) or real(self))
+        cfg = tm.SweepConfig(
+            dims=dims4, density=0.25, m_samples=200, sigma_grid=(0.0, 0.1),
+            master_seed=5, replicates=1, include_balance=True)
+        report = run_sweep(cfg)
+        assert [r.failure for r in report.records] == [None, None]
+        assert calls == ["forward", "reversed"] * 2
+
     def test_two_pixel_frame(self):
         cfg = tm.SweepConfig(
             dims=tm.Dimensions(w=2), density=0.5, m_samples=200, sigma_grid=(0.0, 0.1),

@@ -967,6 +967,22 @@ class TestCli:
         assert table[0] == "k_active,sigma,total_pl,bic,selected_flag"
         assert sum(row.endswith(",1") for row in table[1:]) == 1
 
+    @pytest.mark.parametrize("sigma, verdict", [(0.1, "certified"), (0.0, "not certified")])
+    def test_fit_prints_the_certificate(self, tmp_path, capsys, sigma, verdict):
+        # On stdout only, so no artifact changes.
+        cfg = write_config(tmp_path, {"sigma": sigma})
+        out = tmp_path / "run"
+        assert self.run("generate", "--config", str(cfg), "--out", str(out)) == 0
+        capsys.readouterr()
+        for extra in ((), ("--reversed",)):
+            assert self.run("fit", "--config", str(cfg), "--out", str(out), *extra) == 0
+            ds, _ = tio.read_dataset(out)
+            moments = tm.Moments.of(tm.reverse_dataset(ds) if extra else ds)
+            captured = capsys.readouterr()
+            assert (f"second moments {verdict} positive definite, smallest pivot ratio "
+                    f"{moments.pivot_ratio:.3g}\n") in captured.out
+            assert captured.err == ""
+
     def test_tampered_dataset_blocks_fit(self, tmp_path):
         cfg = write_config(tmp_path)
         out = tmp_path / "run"

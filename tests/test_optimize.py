@@ -6,11 +6,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import tminfer as tm
 import tminfer.io as tio
+import tminfer.optimize as topt
 from oracles import lstsq_row, ols_conditional
-from tminfer.optimize import A_CAP, refit_rows
+from tminfer.linalg import PANEL
+from tminfer.optimize import A_CAP, CERTIFY_TOL, PIVOT_TOL, refit_rows
 from tminfer.pseudolikelihood import other_sites
 
 
@@ -111,6 +115,113 @@ def same_bits(fit, ref):
     return (fit.params.k.tobytes() == ref.params.k.tobytes()
             and fit.params.a == ref.params.a and fit.objective == ref.objective
             and fit.grad_norm == ref.grad_norm and fit.converged == ref.converged)
+
+
+def certified(moments):
+    return moments.pivot_ratio > CERTIFY_TOL
+
+
+def thinned_masks(dims, scope, rng, keep=0.5):
+    """``scope_masks`` with each active coupling kept with probability ``keep``."""
+    return [tm.RowMask(site=mk.site, active=mk.active & (rng.random(dims.n - 1) < keep))
+            for mk in scope_masks(dims, scope)]
+
+
+@pytest.fixture(scope="module")
+def data6():
+    channel = tm.build_random_tm(tm.Dimensions(w=6), 0.2, seed=5)
+    return tm.generate_dataset(channel, 600, tm.NoiseSpec(sigma=0.05), seed=6)
+
+
+@pytest.fixture(scope="module")
+def data12():
+    channel = tm.build_random_tm(tm.Dimensions(w=12), 0.2, seed=1)
+    return tm.generate_dataset(channel, 1000, tm.NoiseSpec(sigma=0.05), seed=2)
+
+
+class TestCertificate:
+    """One Cholesky of the whole C certifies every row's block of a record."""
+
+    @pytest.mark.parametrize("scope", ["output", "all"])
+    @pytest.mark.parametrize("name", ["data4_noisy", "data4_clean", "data6"])
+    def test_certified_rows_keep_the_per_row_bits(self, request, name, scope, rng,
+                                                  monkeypatch):
+        moments = tm.Moments.of(request.getfixturevalue(name))
+        # Noise-free outputs are linear in the inputs: C is singular.
+        assert certified(moments) == (name != "data4_clean")
+        masks = scope_masks(moments.dims, scope) + thinned_masks(moments.dims, scope, rng)
+        fits = [tm.minimize_row(mk.site, moments, mk) for mk in masks]
+        monkeypatch.setattr(topt, "CERTIFY_TOL", np.inf)  # every row tests its own pivots
+        for mk, fit in zip(masks, fits):
+            ref = tm.minimize_row(mk.site, moments, mk)
+            assert same_bits(fit, ref)
+            assert (fit.params.site, fit.iterations) == (ref.params.site, ref.iterations)
+
+    @settings(max_examples=40, deadline=None)
+    @given(w=st.integers(2, 4), sigma=st.floats(0.01, 0.5), seed=st.integers(0, 2**16),
+           per_site=st.integers(1, 8), data=st.data())
+    def test_certificate_covers_every_ascending_block(self, w, sigma, seed, per_site, data):
+        dims = tm.Dimensions(w=w)
+        channel = tm.build_random_tm(dims, 0.5, seed=seed)
+        ds = tm.generate_dataset(channel, per_site * dims.n, tm.NoiseSpec(sigma=sigma),
+                                 seed=seed + 1)
+        moments = tm.Moments.of(ds)
+        if not certified(moments):
+            return
+        c = moments.c
+        subsets = [data.draw(arrays(bool, dims.n)) for _ in range(10)]
+        subsets += [np.arange(dims.n) != site for site in range(dims.n)]
+        for keep in subsets:
+            idx = np.flatnonzero(keep)  # ascending site order
+            if idx.size == 0:
+                continue
+            block = c[np.ix_(idx, idx)]
+            pivots = np.diagonal(np.linalg.cholesky(block)) ** 2
+            assert np.all(pivots > PIVOT_TOL * np.diagonal(block))
+            # Conditioning on fewer sites leaves no smaller share (to rounding).
+            assert np.min(pivots / np.diagonal(block)) >= moments.pivot_ratio * (1 - 1e-9)
+
+    def test_record_is_certified_once(self, data4_noisy, monkeypatch):
+        moments = tm.Moments.of(data4_noisy)
+        moments.pivot_ratio
+        monkeypatch.setattr(tm.model, "cholesky", None)  # a second factorisation fails
+        for mask in scope_masks(moments.dims, "all"):
+            tm.minimize_row(mask.site, data4_noisy, mask)
+        assert tm.Moments.of(data4_noisy) is moments
+
+
+class TestPanelledSolve:
+    """Blocks above PANEL regressors: panelled Cholesky, or lstsq if singular."""
+
+    @pytest.mark.parametrize("scope", ["output", "all"])
+    def test_matches_lstsq_reference(self, data12, scope, rng):
+        moments = tm.Moments.of(data12)
+        assert certified(moments)
+        full = scope_masks(moments.dims, scope)
+        masks = [full[0], full[-1], *thinned_masks(moments.dims, scope, rng, keep=0.8)[:2]]
+        for mask in masks:
+            assert mask.active.sum() > PANEL
+            fit = tm.minimize_row(mask.site, moments, mask)
+            ref = lstsq_row(mask.site, moments, mask, A_CAP)
+            # Output rows regress on the inputs alone (condition ~1e3); an
+            # all-sites block holds outputs that the inputs nearly explain
+            # (condition ~1e5), and two stable solvers then agree only to
+            # eps times the condition.
+            idx = other_sites(mask.site, moments.dims.n)[mask.active]
+            rel = max(1e-12, np.finfo(float).eps * np.linalg.cond(moments.c[np.ix_(idx, idx)]))
+            k_ref = ref.params.k
+            assert np.abs(fit.params.k - k_ref).max() <= rel * np.abs(k_ref).max()
+            assert fit.params.a == pytest.approx(ref.params.a, rel=rel, abs=0)
+            assert fit.objective == pytest.approx(ref.objective, rel=rel, abs=0)
+            assert fit.converged and ref.converged
+
+    def test_singular_block_takes_the_lstsq_fallback(self, data12):
+        moments = moments_with(data12, duplicate_input)
+        assert not certified(moments)
+        for mask in scope_masks(moments.dims, "output")[:3]:
+            assert mask.active.sum() > PANEL
+            fit = tm.minimize_row(mask.site, moments, mask)
+            assert same_bits(fit, lstsq_row(mask.site, moments, mask, A_CAP))
 
 
 class TestRowSolveBranches:
@@ -219,7 +330,7 @@ c = np.load(sys.argv[1])
 dims = tm.Dimensions(w=int(sys.argv[2]))
 moments = tm.Moments(dims, "forward", int(sys.argv[3]), c)
 site = dims.n_half
-out = {}
+out = {"pivot_ratio": moments.pivot_ratio.hex()}
 for size in json.loads(sys.argv[4]):
     active = np.zeros(dims.n - 1, dtype=bool)
     active[:size] = True
@@ -231,14 +342,15 @@ print(json.dumps(out))
 
 
 def test_row_solves_identical_across_blas_threads(tmp_path):
-    # OpenBLAS factorises blocks of 100 and more on several threads; up to
-    # CHOLESKY_MAX the Cholesky branch and above it lstsq must give the same
-    # bits at any thread count.
+    # OpenBLAS factorises and solves blocks of 100 and more on several
+    # threads, and its matmul splits the columns of a wide product between
+    # them.  The LU solve up to PANEL, the panelled Cholesky above it and the
+    # whole C's pivot ratio must give the same bits at any thread count.
     dims, m = tm.Dimensions(w=12), 1000
     ds = tm.generate_dataset(tm.build_random_tm(dims, 0.2, seed=1), m,
                              tm.NoiseSpec(sigma=0.05), seed=2)
     np.save(tmp_path / "c.npy", tm.Moments.of(ds).c)
-    sizes = [36, 95, 96, 97, 144]
+    sizes = [36, 95, 96, 97, 144, 192, 193, 287]
     src = str(Path(__file__).resolve().parents[1] / "src")
     outs = {}
     for threads in ("1", "2", "4"):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import tminfer as tm
-from oracles import array_equal_decimation, select_best
+from oracles import array_equal_decimation, lstsq_decimation, select_best
 from tminfer import optimize, selection
 from tminfer.selection import DecimationRecord
 
@@ -289,3 +289,22 @@ class TestRefitOnlyPrunedRows:
         assert np.array_equal(best.active, ref_best.active)
         assert best.a.tobytes() == ref_best.a.tobytes()
         assert best.k.tobytes() == ref_best.k.tobytes()
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("w, m", [(12, 5000), (16, 8000)])
+def test_panelled_rows_keep_the_lstsq_path(w, m):
+    # Every block here has more than PANEL regressors, which lstsq solved
+    # before the panelled Cholesky: the path and the selection must not move.
+    # (12, 5000) is criterion 10's data.
+    dims = tm.Dimensions(w=w)
+    ds = tm.generate_dataset(tm.build_random_tm(dims, 0.2, seed=1), m,
+                             tm.NoiseSpec(sigma=0.05), seed=2)
+    moments = tm.Moments.of(ds)
+    path, best = tm.run_decimation(moments, scope="output")
+    k_free, total, selected, support = lstsq_decimation(moments, "output", 0.1)
+    assert [r.k_free for r in path.records] == k_free
+    assert path.selected == selected
+    assert np.array_equal(best.active, support)
+    got = np.array([r.total_pl for r in path.records])
+    assert np.all(np.abs(got - total) <= 1e-12 * np.abs(total))
