@@ -31,7 +31,8 @@ allocated at the shape its metadata (or a matrix's header) gives, an ``.npy``
 one at its header's shape once the file's size matches it.  A data file that
 does not parse, holds a non-finite value or disagrees with its metadata in
 shape raises ``ChainError`` naming the file, and so does a matrix file that
-does not parse.
+does not parse.  An estimate is JSON of its scalars, hashes and whole arrays
+(``write_estimate``), each checked whole when read.
 """
 
 from __future__ import annotations
@@ -994,24 +995,14 @@ def read_matrix(path: str | Path, sha256: str | None = None) -> TransmissionMatr
 
 def write_estimate(est: CouplingEstimate, path: str | Path, fingerprint: str,
                    dataset_sha256: str, moments: Moments | None = None) -> None:
-    """Write ``est`` as JSON.  With ``moments``, the record of the data ``est``
-    was fitted on, also record its sample count and exact second moments ``C``
-    (JSON floats round-trip bit for bit), all that a later fit or decimation
-    needs to continue from the file without the samples."""
+    """Write ``est`` as JSON: its scalars, hashes and arrays, ``a``,
+    ``row_objectives``, ``converged``, ``support`` (the ascending flat indices
+    of ``active``) and ``couplings`` (``k`` there).  With ``moments``, the
+    record of the data ``est`` was fitted on, also record its sample count and
+    exact second moments ``C``, all that a later fit or decimation needs to
+    continue from the file without the samples.  JSON floats round-trip."""
     if moments is not None and moments.fingerprint != est.dataset_fingerprint:
         raise ValueError("moments and estimate dataset fingerprints differ")
-    rows = []
-    for r, (site, converged, objective) in enumerate(zip(
-            est.fitted_sites, est.converged.tolist(), est.row_objectives.tolist())):
-        positions = np.flatnonzero(est.active[r])
-        rows.append({
-            "site": site,
-            "a": float(est.a[r]),
-            "positions": positions.tolist(),
-            "values": est.k[r, positions].tolist(),
-            "converged": converged,
-            "objective": objective,
-        })
     doc = {
         "format": "tminfer-estimate",
         "versions": _VERSIONS,
@@ -1022,7 +1013,11 @@ def write_estimate(est: CouplingEstimate, path: str | Path, fingerprint: str,
         "dataset_fingerprint": est.dataset_fingerprint,
         "dataset_sha256": dataset_sha256,
         "config_fingerprint": fingerprint,
-        "rows": rows,
+        "a": est.a.tolist(),
+        "row_objectives": est.row_objectives.tolist(),
+        "converged": est.converged.tolist(),
+        "support": np.flatnonzero(est.active).tolist(),
+        "couplings": est.k[est.active].tolist(),
     }
     if moments is not None:
         doc["m_samples"] = moments.m_samples
@@ -1030,10 +1025,20 @@ def write_estimate(est: CouplingEstimate, path: str | Path, fingerprint: str,
     write_json_artifact(doc, path, fingerprint)
 
 
+def _json_array(doc: dict, key: str, dtype, types: set) -> np.ndarray:
+    """The JSON list ``doc[key]`` as a 1-d ``dtype`` array; ValueError if it
+    holds a type not in ``types`` (a bool is not an int, a list not a number)."""
+    values = doc[key]
+    if type(values) is not list or not set(map(type, values)) <= types:
+        raise ValueError(f"{key} must be a list of {dtype.__name__} values")
+    return np.array(values, dtype=dtype)
+
+
 def read_estimate(path: str | Path, fingerprint: str | None = None,
                   dataset_sha256: str | None = None, with_moments: bool = False):
     """Read a registered estimate, checking the config fingerprint and the
-    sha256 of the data file it was fitted on when they are given.
+    sha256 of the data file it was fitted on when they are given.  Arrays are
+    checked whole: their types and ``support`` here, the rest by ``CouplingEstimate``.
 
     Returns the ``CouplingEstimate``, or ``(estimate, Moments)`` with
     ``with_moments``: the record of the fitted data that ``write_estimate``
@@ -1045,38 +1050,27 @@ def read_estimate(path: str | Path, fingerprint: str | None = None,
         raise ChainError(f"{path} is not an estimate artifact")
     if dataset_sha256 is not None and doc.get("dataset_sha256") != dataset_sha256:
         raise ChainError(f"{name} was fitted on different data")
+    if "support" not in doc:
+        raise ChainError(f"{name} holds the per-row layout of tminfer <= 0.11.0; re-run fit")
     try:
         dims = Dimensions(w=doc["w"])
-        recs = doc["rows"]
-        k = np.zeros((len(recs), dims.n - 1))
+        a = _json_array(doc, "a", np.float64, {int, float})
+        support = _json_array(doc, "support", np.int64, {int})
+        couplings = _json_array(doc, "couplings", np.float64, {int, float})
+        k = np.zeros((len(a), dims.n - 1))
         active = np.zeros(k.shape, dtype=bool)
-        for r, rec in enumerate(recs):
-            pos = rec["positions"]
-            if (len(rec["values"]) != len(pos) or any(type(p) is not int for p in pos)
-                    or pos != sorted(set(pos)) or not all(0 <= p < dims.n - 1 for p in pos)):
-                raise ValueError(f"row {r} needs distinct ascending positions in "
-                                 f"0..{dims.n - 2}, one value each")
-            if type(rec["converged"]) is not bool or type(rec["objective"]) is not float:
-                raise ValueError(f"row {r} needs a boolean converged and a real objective")
-            k[r, pos] = rec["values"]
-            active[r, pos] = True
+        if np.any(np.diff(np.r_[-1, support, k.size]) <= 0) or couplings.shape != support.shape:
+            raise ValueError(f"support must ascend strictly in 0..{k.size - 1}, one coupling each")
+        k.reshape(-1)[support] = couplings
+        active.reshape(-1)[support] = True
         est = CouplingEstimate(
-            dims=dims,
-            scope=doc["scope"],
-            direction=doc["direction"],
-            a=[rec["a"] for rec in recs],
-            k=k,
-            active=active,
-            converged=[rec["converged"] for rec in recs],
-            row_objectives=[rec["objective"] for rec in recs],
-            total_pl=doc["total_pl"],
-            dataset_fingerprint=doc["dataset_fingerprint"],
-        )
-        if [rec["site"] for rec in recs] != list(est.fitted_sites):
-            raise ValueError(f"row sites differ from the {est.scope} scope's sites")
+            dims=dims, scope=doc["scope"], direction=doc["direction"], a=a, k=k, active=active,
+            converged=_json_array(doc, "converged", bool, {bool}),
+            row_objectives=_json_array(doc, "row_objectives", np.float64, {int, float}),
+            total_pl=doc["total_pl"], dataset_fingerprint=doc["dataset_fingerprint"])
         if est.total_pl is not None and type(est.total_pl) is not float:
             raise ValueError("total_pl must be a real number or null")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ChainError(f"{name} holds a malformed estimate: {exc}") from exc
     if not with_moments:
         return est

@@ -278,7 +278,7 @@ class Moments:
 
     def reversed(self) -> Moments:
         """The record of the swapped samples, ``c`` permuted to
-        ``[[C_OO, C_OI], [C_IO, C_II]]``: bit for bit the ``c`` of ``reverse_dataset``."""
+        ``[[C_OO, C_OI], [C_IO, C_II]]``; ``reverse_dataset`` gives it that record."""
         nh = self.dims.n_half
         swap = np.r_[nh:2 * nh, 0:nh]
         direction = "forward" if self.direction == "reversed" else "reversed"
@@ -392,8 +392,10 @@ def reverse_dataset(ds: Dataset) -> Dataset:
     """Swap input/output per sample, preserving order.
 
     The reversed dataset feeds the same fitting pipeline to infer the inverse
-    map.  Its sample table is the swapped copy, built once.  Reversing twice
-    is rejected to prevent a silent double swap.
+    map.  Its sample table is the swapped copy, built once.  Its record is
+    ``Moments.of(ds).reversed()``, the ``c`` that ``fit --reversed`` reads:
+    at odd w, ``S^T S`` of the swapped table differs from it in the last bits.
+    Reversing twice is rejected to prevent a silent double swap.
     """
     if ds.direction != "forward":
         raise ValueError("dataset is already reversed")
@@ -401,4 +403,6 @@ def reverse_dataset(ds: Dataset) -> Dataset:
     meta["source"] = f"{meta.get('source', 'unknown')} (reversed)"
     samples = np.concatenate([ds.outputs, ds.inputs], axis=1)
     samples.flags.writeable = False
-    return replace(ds, samples=samples, direction="reversed", meta=meta)
+    rev = replace(ds, samples=samples, direction="reversed", meta=meta)
+    vars(rev)["_moments"] = Moments.of(ds).reversed()  # the cached_property's slot
+    return rev

@@ -270,21 +270,63 @@ class TestFormats:
             assert np.array_equal(m1.active, m2.active)
 
     def test_fully_decimated_estimate_round_trip(self, tmp_path, data4_noisy):
-        # The last record of a path has no coupling left: every row is written
-        # with "positions": [] and reads back bit for bit.
+        # The last record of a path has no coupling left: it is written with
+        # an empty support and reads back bit for bit.
         path = array_equal_decimation(tm.Moments.of(data4_noisy), "output", 0.1)
         est = path.records[-1].estimate
         assert est.n_active_couplings == 0
         tio.write_estimate(est, tmp_path / "e.json", fingerprint="fp",
                            dataset_sha256="x")
-        rows = json.loads((tmp_path / "e.json").read_text())["rows"]
-        assert all(row["positions"] == row["values"] == [] for row in rows)
+        doc = json.loads((tmp_path / "e.json").read_text())
+        assert doc["support"] == doc["couplings"] == []
         back = tio.read_estimate(tmp_path / "e.json", fingerprint="fp")
         for name in ("a", "k", "active"):
             assert getattr(back, name).tobytes() == getattr(est, name).tobytes()
         assert np.array_equal(back.converged, est.converged)
         assert np.array_equal(back.row_objectives, est.row_objectives)
         assert back.total_pl == est.total_pl
+
+    def test_active_zero_coupling_stays_active(self, tmp_path, data4_noisy):
+        # A dead channel's minimum-norm fit leaves an active coupling of
+        # exactly 0: the support, not k, says it is active.
+        est = tm.fit_all_rows(data4_noisy, scope="output")
+        assert est.active[2, 5]
+        k = np.array(est.k)
+        k[2, 5] = 0.0
+        est = dataclasses.replace(est, k=k)
+        tio.write_estimate(est, tmp_path / "e.json", fingerprint="fp", dataset_sha256="x")
+        doc = json.loads((tmp_path / "e.json").read_text())
+        assert doc["support"] == np.flatnonzero(est.active).tolist()
+        assert doc["couplings"][doc["support"].index(2 * 31 + 5)] == 0.0
+        back = tio.read_estimate(tmp_path / "e.json", fingerprint="fp")
+        assert same_bits(back.active, est.active) and same_bits(back.k, est.k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(w=st.sampled_from([2, 3, 4]), scope=st.sampled_from(["output", "all"]),
+           data=st.data())
+    def test_estimate_arrays_round_trip(self, w, scope, data):
+        # Every array and total_pl read back bit for bit, whatever the support:
+        # empty rows, no coupling at all, active couplings of exactly 0.
+        dims = tm.Dimensions(w=w)
+        rows = dims.n if scope == "all" else dims.n_half
+        grid = (rows, dims.n - 1)
+        active = data.draw(st.one_of(arrays(np.bool_, grid), st.just(np.zeros(grid, bool))))
+        values = data.draw(arrays(np.float64, grid, elements=st.one_of(st.just(0.0), FINITE)))
+        positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+        est = tm.CouplingEstimate(
+            dims=dims, scope=scope, direction=data.draw(st.sampled_from(["forward", "reversed"])),
+            a=data.draw(arrays(np.float64, rows, elements=positive)),
+            k=np.where(active, values, 0.0), active=active,
+            converged=data.draw(arrays(np.bool_, rows)),
+            row_objectives=data.draw(arrays(np.float64, rows, elements=FINITE)),
+            total_pl=data.draw(st.one_of(st.none(), FINITE)), dataset_fingerprint="0" * 16)
+        with tempfile.TemporaryDirectory() as tmp:
+            tio.write_estimate(est, Path(tmp) / "e.json", fingerprint="fp", dataset_sha256="x")
+            back = tio.read_estimate(Path(tmp) / "e.json", fingerprint="fp")
+        for name in ("a", "k", "active", "converged", "row_objectives"):
+            assert same_bits(getattr(back, name), getattr(est, name)), name
+        assert repr(back.total_pl) == repr(est.total_pl)
+        assert (back.dims, back.scope, back.direction) == (dims, scope, est.direction)
 
     def test_fingerprint_mismatch_rejected(self, tmp_path, data4_noisy):
         est = tm.fit_all_rows(data4_noisy, scope="output")
@@ -1008,58 +1050,115 @@ class TestCli:
         for verb in ("generate", "fit"):
             assert self.run(verb, "--config", str(cfg), "--out", str(out)) == 0
         doc = json.loads((out / "estimate_full.json").read_text())
-        doc["rows"][0]["a"] *= 2
+        doc["a"][0] *= 2
         (out / "estimate_full.json").write_text(json.dumps(doc))
         assert self.run("select", "--config", str(cfg), "--out", str(out)) == 1
 
-    @pytest.mark.parametrize("case", [
-        "position 999", "position -1", "repeated position", "descending positions",
-        "position not an integer", "values short", "a zero", "a negative", "a nan",
-        "value nan", "site", "row missing", "converged not a bool",
-        "objective not a number", "total_pl not a number"])
-    def test_malformed_estimate_rows_are_a_chain_error(self, tmp_path, capsys, case):
+    def selected(self, tmp_path):
+        """A config, its chain through select, and the selected estimate's JSON."""
         cfg = write_config(tmp_path)
         out = tmp_path / "run"
         for verb in ("generate", "fit", "select"):
             assert self.run(verb, "--config", str(cfg), "--out", str(out)) == 0
-        name = "estimate_selected.json"
-        doc = json.loads((out / name).read_text())
-        row = max(doc["rows"], key=lambda rec: len(rec["positions"]))
-        pos = row["positions"]
-        assert len(pos) >= 2
+        return cfg, out, json.loads((out / "estimate_selected.json").read_text())
+
+    # The case names before the arrays are those of the per-row layout that
+    # the arrays replaced: a position is a support index, a row's values are
+    # couplings, and "site" puts the rows under a scope of other sites.
+    @pytest.mark.parametrize("case", [
+        "position 999", "position -1", "repeated position", "descending positions",
+        "position not an integer", "values short", "a zero", "a negative", "a nan",
+        "value nan", "site", "row missing", "converged not a bool",
+        "objective not a number", "total_pl not a number", "support ragged",
+        "support nested", "position a boolean", "position past int64",
+        "couplings not numbers", "a not numbers", "couplings missing"])
+    def test_malformed_estimate_rows_are_a_chain_error(self, tmp_path, capsys, case):
+        cfg, out, doc = self.selected(tmp_path)
+        support, couplings = doc["support"], doc["couplings"]
+        assert len(support) >= 2
         if case == "position 999":
-            pos[-1] = 999
+            support[-1] = 999  # the grid holds 16 * 31 = 496 entries
         elif case == "position -1":
-            pos[0] = -1
+            support[0] = -1
         elif case == "repeated position":
-            pos[1] = pos[0]
+            support[1] = support[0]
         elif case == "descending positions":
-            pos.reverse()
-            row["values"].reverse()
+            support.reverse()
+            couplings.reverse()
         elif case == "position not an integer":
-            pos[0] = float(pos[0])
+            support[0] = float(support[0])
         elif case == "values short":
-            row["values"].pop()
+            couplings.pop()
         elif case in ("a zero", "a negative", "a nan"):
-            row["a"] = {"a zero": 0.0, "a negative": -1.0, "a nan": math.nan}[case]
+            doc["a"][3] = {"a zero": 0.0, "a negative": -1.0, "a nan": math.nan}[case]
         elif case == "value nan":
-            row["values"][0] = math.nan
+            couplings[0] = math.nan
         elif case == "site":
-            row["site"] = 0
+            doc["scope"] = "all"
         elif case == "row missing":
-            doc["rows"].remove(row)
+            # The last row goes from every array, so its support fits the
+            # smaller grid and only the row count is wrong.
+            for key in ("a", "converged", "row_objectives"):
+                doc[key].pop()
+            kept = sum(i < 15 * 31 for i in support)
+            del support[kept:], couplings[kept:]
         elif case == "converged not a bool":
-            row["converged"] = 1
+            doc["converged"][3] = 1
         elif case == "objective not a number":
-            row["objective"] = "0.5"
+            doc["row_objectives"][3] = "0.5"
+        elif case == "support ragged":
+            support[0] = [support[0]]
+        elif case == "support nested":
+            doc["support"] = [support]
+        elif case == "position a boolean":
+            support[0] = True  # numpy would read [true, 3] as [1, 3]
+        elif case == "position past int64":
+            support[-1] = 2 ** 70
+        elif case == "couplings not numbers":
+            couplings[0] = "0.5"
+        elif case == "a not numbers":
+            doc["a"][3] = None
+        elif case == "couplings missing":
+            del doc["couplings"]
         else:
             doc["total_pl"] = "-1e3"
+        name = "estimate_selected.json"
         (out / name).write_text(json.dumps(doc))
         register(out, name)
         capsys.readouterr()
         assert self.run("extract", "--config", str(cfg), "--out", str(out)) == 1
         assert f"{name} holds a malformed estimate" in capsys.readouterr().err
         assert not (out / "t_inf.csv").exists()
+
+    def test_estimate_of_the_per_row_layout_is_refused(self, tmp_path, capsys):
+        # tminfer <= 0.11.0 wrote one record per row instead of the arrays.
+        cfg, out, doc = self.selected(tmp_path)
+        est = tio.read_estimate(out / "estimate_selected.json")
+        for key in ("a", "row_objectives", "converged", "support", "couplings"):
+            del doc[key]
+        doc["rows"] = [{"site": site, "a": float(est.a[r]),
+                        "positions": np.flatnonzero(est.active[r]).tolist(),
+                        "values": est.k[r][est.active[r]].tolist(),
+                        "converged": bool(est.converged[r]),
+                        "objective": float(est.row_objectives[r])}
+                       for r, site in enumerate(est.fitted_sites)]
+        (out / "estimate_selected.json").write_text(json.dumps(doc))
+        register(out, "estimate_selected.json")
+        capsys.readouterr()
+        assert self.run("extract", "--config", str(cfg), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "tminfer <= 0.11.0" in err and "re-run fit" in err
+        assert not (out / "t_inf.csv").exists()
+
+    def test_checksum_error_wins_over_a_malformed_estimate(self, tmp_path, capsys):
+        cfg, out, doc = self.selected(tmp_path)
+        doc["support"].reverse()
+        (out / "estimate_selected.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert self.run("extract", "--config", str(cfg), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "estimate_selected.json fails checksum validation" in err
+        assert "malformed" not in err
 
     def test_config_change_between_stages_rejected(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -1276,8 +1375,8 @@ class TestCli:
         assert self.run("select", "--config", str(cfg), "--out", str(out),
                         "--reversed") == 1
 
-    def fitted(self, tmp_path):
-        cfg = write_config(tmp_path)
+    def fitted(self, tmp_path, overrides=None):
+        cfg = write_config(tmp_path, overrides)
         out = tmp_path / "run"
         for verb in ("generate", "fit"):
             assert self.run(verb, "--config", str(cfg), "--out", str(out)) == 0
@@ -1334,8 +1433,10 @@ class TestCli:
         doc = json.loads((out / f"estimate_{kind}{'_reversed' * reverse}.json").read_text())
         assert doc["direction"] == ("reversed" if reverse else "forward")
 
-    def test_reversed_fit_matches_the_swapped_samples(self, tmp_path):
-        cfg, out = self.fitted(tmp_path)
+    @pytest.mark.parametrize("w", [3, 4])
+    def test_reversed_fit_matches_the_swapped_samples(self, tmp_path, w):
+        # At odd w too, where S^T S of the swapped table has other last bits.
+        cfg, out = self.fitted(tmp_path, {"w": w})
         assert self.run("fit", "--config", str(cfg), "--out", str(out), "--reversed") == 0
         est, moments = tio.read_estimate(out / "estimate_full_reversed.json",
                                          with_moments=True)

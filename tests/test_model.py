@@ -241,8 +241,10 @@ class TestSampleBuffer:
     def test_replace_shares_the_buffer_and_reverse_copies_it(self, data4_noisy, traced_peak):
         same = dataclasses.replace(data4_noisy, meta={"source": "relabelled"})
         assert same.site_matrix() is data4_noisy.site_matrix()
+        fwd = tm.Moments.of(data4_noisy)
         rev, peak = traced_peak(lambda: tm.reverse_dataset(data4_noisy))
-        assert peak < 1.1 * rev.site_matrix().nbytes + 1024  # the one swapped table
+        # The one swapped table, and the record permuted from the forward one.
+        assert peak < 1.1 * rev.site_matrix().nbytes + 4 * fwd.c.nbytes
         assert not np.shares_memory(rev.site_matrix(), data4_noisy.site_matrix())
         assert np.shares_memory(rev.inputs, rev.site_matrix())
         assert not rev.inputs.flags.writeable
@@ -350,19 +352,34 @@ class TestSecondMoments:
 
     @pytest.mark.parametrize("w, m", [(4, 300), (4, 40000), (12, 5000)])
     def test_reversed_is_the_swapped_samples_bit_for_bit(self, w, m):
-        # The CLI fits the inverse map from the permuted forward C, so the
-        # permutation must equal S^T S of the swapped samples exactly.
+        # At even w the permuted forward C is S^T S of the swapped samples
+        # exactly, as the same product forms it.
         channel = tm.build_random_tm(tm.Dimensions(w=w), 0.5 if w == 4 else 0.2, seed=w)
         ds = tm.generate_dataset(channel, m, tm.NoiseSpec(sigma=0.1), seed=m)
         fwd = tm.Moments.of(ds)
         rev = fwd.reversed()
-        ref = tm.Moments.of(tm.reverse_dataset(ds))
+        swapped = tm.reverse_dataset(ds).samples
+        ref = tm.Moments(ds.dims, "reversed", m, swapped.T @ swapped / m)
         assert rev.c.tobytes() == ref.c.tobytes()
         assert rev.fingerprint == ref.fingerprint
         assert (rev.direction, rev.m_samples) == ("reversed", m)
         back = rev.reversed()
         assert back.c.tobytes() == fwd.c.tobytes()
         assert back.fingerprint == fwd.fingerprint
+
+    @pytest.mark.parametrize("w", [3, 5, 7])
+    def test_reversed_dataset_carries_the_permuted_record(self, w):
+        # At odd w, S^T S of the swapped table differs from the permuted
+        # forward C in the last bits, so the reversed dataset takes the
+        # permutation as its record: a library fit of it reads the C that
+        # `tminfer fit --reversed` reads.
+        channel = tm.build_random_tm(tm.Dimensions(w=w), 0.5, seed=w)
+        ds = tm.generate_dataset(channel, 500, tm.NoiseSpec(sigma=0.1), seed=w)
+        rev = tm.reverse_dataset(ds)
+        mo, ref = tm.Moments.of(rev), tm.Moments.of(ds).reversed()
+        assert mo.c.tobytes() == ref.c.tobytes() and mo.fingerprint == ref.fingerprint
+        assert (mo.direction, mo.m_samples) == ("reversed", 500)
+        np.testing.assert_allclose(mo.c, self.reference(rev), rtol=1e-14, atol=0)
 
 
 class TestMoments:
