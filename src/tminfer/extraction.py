@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import TransmissionMatrix
+from .model import TransmissionMatrix, _frozen
 from .optimize import CouplingEstimate
 
 __all__ = [
@@ -36,15 +36,14 @@ class ChannelNoiseEstimate:
     converged: np.ndarray
 
     def __post_init__(self) -> None:
-        s = np.asarray(self.sigma_hat, dtype=np.float64)
-        b = np.asarray(self.beta_hat, dtype=np.float64)
+        for name, dtype in (("sigma_hat", np.float64), ("beta_hat", np.float64),
+                            ("converged", bool)):
+            object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
+        s, b = self.sigma_hat, self.beta_hat
         if np.any(s <= 0) or np.any(b <= 0):
             raise ValueError("noise levels and inverse temperatures must be positive")
         if not np.allclose(b, 1.0 / (2.0 * s * s), rtol=1e-12):
             raise ValueError("beta_hat must equal 1 / (2 * sigma_hat**2)")
-        object.__setattr__(self, "sigma_hat", s)
-        object.__setattr__(self, "beta_hat", b)
-        object.__setattr__(self, "converged", np.asarray(self.converged, dtype=bool))
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,7 @@ import json
 import math
 import os
 import secrets
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -54,8 +54,8 @@ import numpy as np
 
 from . import __version__
 from .experiments import SweepConfig
-from .model import Dataset, Dimensions, Moments, TransmissionMatrix
-from .optimize import SCOPES, CouplingEstimate
+from .model import Dataset, Dimensions, Moments, TransmissionMatrix, _frozen
+from .optimize import SCOPES, CouplingEstimate, _scope_sites
 from .selection import DecimationOptions, DecimationPath
 
 __all__ = [
@@ -559,7 +559,7 @@ class _HashingReader(_io.RawIOBase):
         self._hash = hashlib.sha256()
 
     def sha256(self) -> str:
-        block = bytearray(_HASH_CHUNK)
+        block = bytearray(min(_HASH_CHUNK, max(self.size - self.tell(), 1 << 12)))
         while self.readinto(block):
             pass
         return self._hash.hexdigest()
@@ -688,7 +688,12 @@ def config_fingerprint(config: "RunConfig") -> str:
 
 def _load_manifest(out_dir: Path) -> dict:
     p = Path(out_dir) / MANIFEST
-    return json.loads(p.read_text()) if p.exists() else {}
+    with suppress(ValueError):  # not JSON, or not UTF-8
+        man = json.loads(p.read_bytes()) if p.exists() else {}
+        if isinstance(man, dict) and all(isinstance(v, str) for v in man.values()):
+            return man
+    raise ChainError(f"{p} is not a JSON object of sha256 strings; "
+                     "remove it and re-run the chain from generate")
 
 
 def register_artifacts(out_dir: str | Path, hashes: dict[str, str]) -> None:
@@ -1031,7 +1036,7 @@ def _json_array(doc: dict, key: str, dtype, types: set) -> np.ndarray:
     values = doc[key]
     if type(values) is not list or not set(map(type, values)) <= types:
         raise ValueError(f"{key} must be a list of {dtype.__name__} values")
-    return np.array(values, dtype=dtype)
+    return _frozen(values, dtype)
 
 
 def read_estimate(path: str | Path, fingerprint: str | None = None,
@@ -1057,6 +1062,8 @@ def read_estimate(path: str | Path, fingerprint: str | None = None,
         a = _json_array(doc, "a", np.float64, {int, float})
         support = _json_array(doc, "support", np.int64, {int})
         couplings = _json_array(doc, "couplings", np.float64, {int, float})
+        if len(a) != len(_scope_sites(dims, doc["scope"])):  # before the grid is sized
+            raise ValueError(f"a holds {len(a)} rows, not one per site in scope")
         k = np.zeros((len(a), dims.n - 1))
         active = np.zeros(k.shape, dtype=bool)
         if np.any(np.diff(np.r_[-1, support, k.size]) <= 0) or couplings.shape != support.shape:
@@ -1080,7 +1087,7 @@ def read_estimate(path: str | Path, fingerprint: str | None = None,
     try:
         moments = Moments(dims=dims, direction=doc["direction"],
                           m_samples=doc["m_samples"],
-                          c=np.array(doc["second_moments"], dtype=np.float64))
+                          c=_frozen(doc["second_moments"]))  # copied once, then adopted
     except ValueError as exc:
         raise ChainError(f"{name}: {exc}") from exc
     if moments.fingerprint != est.dataset_fingerprint:

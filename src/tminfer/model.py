@@ -11,12 +11,20 @@ decimation, extraction) operates on the concatenated site vector
 ``I = [in, out]`` of length ``n = 2 * w**2``; input channels occupy sites
 ``0 .. n_half-1`` and output channels sites ``n_half .. n-1``.
 
+Every record (``TransmissionMatrix``, ``NoiseSpec``, ``Dataset``, ``Moments``,
+``RowParams``, ``RowMask``, ``CouplingEstimate``, ``ChannelNoiseEstimate``)
+takes its arrays by one rule, ``_frozen``: a read-only C-contiguous array of
+its dtype that owns its memory, or views immutable ``bytes``, is adopted;
+anything else is copied once and sealed, so no record shares memory with an
+array its caller can write.  An adopted array's owner could still flip its
+``writeable`` flag back.
+
 A ``Dataset`` is built from its samples, one read-only C-contiguous float64
 ``(M, n)`` table of site vectors; ``inputs`` and ``outputs`` are read-only
 views of its left and right halves, and ``site_matrix()`` is the table
 itself.  ``generate_dataset`` draws straight into such a table and
 ``io.read_dataset`` hands over the table it parsed, so neither copies the
-samples; arrays from anywhere else are copied once.
+samples.
 """
 
 from __future__ import annotations
@@ -46,14 +54,13 @@ __all__ = [
 _DRAW_VALUES = 1 << 16
 
 
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    """Return a float64 C-contiguous copy of ``arr`` flagged read-only.  The
-    copy shares no memory with ``arr``, even where ``ascontiguousarray``
-    returns a new view of it (an equal but distinct dtype object, as an
-    unpickled array or a dtype with metadata has)."""
-    out = np.ascontiguousarray(arr, dtype=np.float64)
-    if np.may_share_memory(out, arr):
-        out = out.copy()
+def _frozen(arr, dtype=np.float64) -> np.ndarray:
+    """``arr`` itself if the module's rule adopts it, else a read-only
+    C-contiguous ``dtype`` copy of it that shares no memory with ``arr``."""
+    if (isinstance(arr, np.ndarray) and not arr.flags.writeable and arr.flags.c_contiguous
+            and arr.dtype == dtype and (arr.flags.owndata or isinstance(arr.base, bytes))):
+        return arr
+    out = np.array(arr, dtype=dtype, order="C")
     out.flags.writeable = False
     return out
 
@@ -102,13 +109,12 @@ class TransmissionMatrix:
     def __post_init__(self) -> None:
         if self.role not in ("direct", "inverse"):
             raise ValueError(f"role must be 'direct' or 'inverse', got {self.role!r}")
-        m = np.asarray(self.entries, dtype=np.float64)
+        object.__setattr__(self, "entries", _frozen(self.entries))
         nh = self.dims.n_half
-        if m.shape != (nh, nh):
-            raise ValueError(f"entries must have shape ({nh}, {nh}), got {m.shape}")
-        if not np.all(np.isfinite(m)):
+        if self.entries.shape != (nh, nh):
+            raise ValueError(f"entries must have shape ({nh}, {nh}), got {self.entries.shape}")
+        if not np.all(np.isfinite(self.entries)):
             raise ValueError("transmission matrix entries must all be finite")
-        object.__setattr__(self, "entries", _readonly(m))
 
 
 @dataclass(frozen=True)
@@ -121,16 +127,15 @@ class NoiseSpec:
     sigma: float | np.ndarray
 
     def __post_init__(self) -> None:
-        s = np.asarray(self.sigma, dtype=np.float64)
-        if s.ndim > 1:
+        object.__setattr__(self, "sigma", _frozen(self.sigma))
+        if self.sigma.ndim > 1:
             raise ValueError("sigma must be a scalar or a 1-d vector")
-        if not np.all(np.isfinite(s)) or np.any(s < 0):
+        if not np.all(np.isfinite(self.sigma)) or np.any(self.sigma < 0):
             raise ValueError("sigma must be finite and nonnegative")
-        object.__setattr__(self, "sigma", s if s.ndim == 0 else _readonly(s))
 
     def sigma_vector(self, n_half: int) -> np.ndarray:
         """Broadcast sigma to a length-``n_half`` vector."""
-        s = np.asarray(self.sigma, dtype=np.float64)
+        s = self.sigma
         if s.ndim == 0:
             return np.full(n_half, float(s))
         if s.shape != (n_half,):
@@ -144,11 +149,8 @@ class Dataset:
 
     ``samples`` is the read-only C-contiguous float64 (M, n) table, row m
     holding the site vector ``[in, out]`` of sample m; ``inputs`` and
-    ``outputs`` are read-only (M, n_half) views of its two halves.  A table
-    that is already such an array and owns its memory, or views immutable
-    ``bytes`` (as an unpickled table does), is kept as it is; anything else
-    is copied once, so a dataset shares no memory with an array its caller
-    can write.
+    ``outputs`` are read-only (M, n_half) views of its two halves.  The
+    table is taken by the module's one rule, ``_frozen``.
     ``direction`` is ``forward`` for as-measured pairs and ``reversed`` when
     input/output have been swapped (the representation used to infer the
     inverse map).  ``meta`` carries seed, sigma, and a source description.
@@ -165,12 +167,7 @@ class Dataset:
     def __post_init__(self) -> None:
         if self.direction not in ("forward", "reversed"):
             raise ValueError(f"direction must be 'forward' or 'reversed', got {self.direction!r}")
-        s = self.samples
-        # A read-only view of bytes cannot be made writable again.
-        if not (isinstance(s, np.ndarray) and s.dtype == np.float64
-                and (s.flags.owndata or isinstance(s.base, bytes))
-                and s.flags.c_contiguous and not s.flags.writeable):
-            s = _readonly(s)
+        s = _frozen(self.samples)
         n = self.dims.n
         if s.ndim != 2 or s.shape[1] != n:
             raise ValueError(f"samples must have shape (M, {n})")
@@ -209,17 +206,18 @@ class Dataset:
     def _moments(self) -> Moments:
         """``Moments.of(self)``, formed once."""
         s = self.site_matrix()
-        return Moments(self.dims, self.direction, self.m_samples, s.T @ s / self.m_samples)
+        c = s.T @ s
+        c /= self.m_samples
+        c.flags.writeable = False  # the record adopts it
+        return Moments(self.dims, self.direction, self.m_samples, c)
 
 
 def _rebuild_dataset(dims: Dimensions, samples: np.ndarray, direction: str,
                      meta: dict) -> Dataset:
-    """``Dataset.__reduce__``'s constructor.  The table is the copy's own: a
-    deep copy made it, or it views bytes private to the unpickler.  It is
-    flagged read-only so the dataset adopts it."""
-    if isinstance(samples, np.ndarray) and (samples.flags.owndata
-                                            or isinstance(samples.base, bytes)):
-        samples.flags.writeable = False
+    """``Dataset.__reduce__``'s constructor.  No one else holds the table that
+    a deep copy or the unpickler made, so it is flagged read-only: the
+    dataset adopts it if it owns its memory or views the unpickler's bytes."""
+    samples.flags.writeable = False
     return Dataset(dims, samples, direction, meta)
 
 
@@ -242,13 +240,12 @@ class Moments:
             raise ValueError(f"direction must be 'forward' or 'reversed', got {self.direction!r}")
         if self.m_samples < 1:
             raise ValueError("m_samples must be >= 1")
-        c = np.asarray(self.c, dtype=np.float64)
+        object.__setattr__(self, "c", _frozen(self.c))
         n = self.dims.n
-        if c.shape != (n, n):
-            raise ValueError(f"second moments must have shape ({n}, {n}), got {c.shape}")
-        if not np.all(np.isfinite(c)):
+        if self.c.shape != (n, n):
+            raise ValueError(f"second moments must have shape ({n}, {n}), got {self.c.shape}")
+        if not np.all(np.isfinite(self.c)):
             raise ValueError("second moments must all be finite")
-        object.__setattr__(self, "c", _readonly(c))
 
     @classmethod
     def of(cls, data: Dataset | Moments) -> Moments:
@@ -282,7 +279,9 @@ class Moments:
         nh = self.dims.n_half
         swap = np.r_[nh:2 * nh, 0:nh]
         direction = "forward" if self.direction == "reversed" else "reversed"
-        return replace(self, direction=direction, c=self.c[np.ix_(swap, swap)])
+        c = self.c[np.ix_(swap, swap)]
+        c.flags.writeable = False  # the record adopts it
+        return replace(self, direction=direction, c=c)
 
 
 def build_random_tm(dims: Dimensions, density: float, seed: int | None = None) -> TransmissionMatrix:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .linalg import PANEL, cholesky, cholesky_solve
-from .model import Dataset, Dimensions, Moments
+from .model import Dataset, Dimensions, Moments, _frozen
 from .pseudolikelihood import RowMask, RowParams, log_partition
 
 __all__ = [
@@ -177,9 +177,9 @@ class CouplingEstimate:
     ``active[r]``, with ``k`` exactly 0 where ``active`` is False;
     ``converged[r]`` flags its solve and ``row_objectives[r]`` is its
     per-sample-mean negative log-pseudolikelihood at its optimum.  Each array
-    is a read-only copy of what the caller passed.  ``total_pl`` is the
-    sample-sum total log-pseudolikelihood (None when parameters were
-    constructed rather than fitted to a dataset).
+    is taken by ``model._frozen``: adopted if sealed, else copied once.
+    ``total_pl`` is the sample-sum total log-pseudolikelihood (None when
+    parameters were constructed rather than fitted to a dataset).
     """
 
     dims: Dimensions
@@ -199,10 +199,9 @@ class CouplingEstimate:
         for name, dtype, shape in (("a", np.float64, rows), ("k", np.float64, grid),
                                    ("active", bool, grid), ("converged", bool, rows),
                                    ("row_objectives", np.float64, rows)):
-            arr = np.array(getattr(self, name), dtype=dtype)
+            arr = _frozen(getattr(self, name), dtype)
             if arr.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
-            arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         if not (np.all(np.isfinite(self.a)) and np.all(self.a > 0)):
             raise ValueError("curvatures must be finite and > 0")
@@ -211,7 +210,7 @@ class CouplingEstimate:
 
     @property
     def fitted_sites(self) -> tuple[int, ...]:
-        return _scope_sites(self.dims, self.scope)
+        return tuple(_scope_sites(self.dims, self.scope))
 
     @property
     def rows(self) -> tuple[RowParams, ...]:
@@ -235,11 +234,11 @@ class CouplingEstimate:
         return int(self.active.sum())
 
 
-def _scope_sites(dims: Dimensions, scope: str) -> tuple[int, ...]:
+def _scope_sites(dims: Dimensions, scope: str) -> range:
     if scope == "output":
-        return tuple(range(dims.n_half, dims.n))
+        return range(dims.n_half, dims.n)
     if scope == "all":
-        return tuple(range(dims.n))
+        return range(dims.n)
     raise ValueError(f"scope must be one of {SCOPES}, got {scope!r}")
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset
+from .model import Dataset, _frozen
 
 __all__ = [
     "RowParams",
@@ -66,19 +66,15 @@ class RowParams:
     k: np.ndarray
 
     def __post_init__(self) -> None:
-        k = np.asarray(self.k, dtype=np.float64)
-        if k.ndim != 1:
+        object.__setattr__(self, "k", _frozen(self.k))
+        if self.k.ndim != 1:
             raise ValueError("k must be a 1-d vector")
-        if not np.all(np.isfinite(k)):
+        if not np.all(np.isfinite(self.k)):
             raise ValueError("coupling fields must be finite")
         if not (math.isfinite(self.a) and self.a > 0):
             raise ValueError(f"curvature must be finite and > 0, got {self.a!r}")
-        n = k.shape[0] + 1
-        if not 0 <= self.site < n:
-            raise ValueError(f"site {self.site} inconsistent with k length {k.shape[0]}")
-        kc = k.copy()
-        kc.flags.writeable = False
-        object.__setattr__(self, "k", kc)
+        if not 0 <= self.site < self.k.shape[0] + 1:
+            raise ValueError(f"site {self.site} inconsistent with k length {self.k.shape[0]}")
         object.__setattr__(self, "a", float(self.a))
 
 
@@ -90,12 +86,9 @@ class RowMask:
     active: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.active, dtype=bool)
-        if m.ndim != 1:
+        object.__setattr__(self, "active", _frozen(self.active, bool))
+        if self.active.ndim != 1:
             raise ValueError("active must be a 1-d boolean vector")
-        mc = m.copy()
-        mc.flags.writeable = False
-        object.__setattr__(self, "active", mc)
 
 
 def _masked_k(params: RowParams, mask: RowMask | None) -> np.ndarray:

@@ -152,6 +152,13 @@ class TestExtractionMatchesPerRowLoops:
 
 
 class TestChannelNoiseEstimate:
+    def test_arrays_are_read_only(self, data4_noisy):
+        _, noise = tm.extract_tm(tm.fit_all_rows(data4_noisy, scope="output"))
+        for arr in (noise.sigma_hat, noise.beta_hat, noise.converged):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
     def test_invariant_enforced(self):
         with pytest.raises(ValueError):
             tm.ChannelNoiseEstimate(sigma_hat=np.array([0.1]),

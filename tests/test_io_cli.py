@@ -8,6 +8,7 @@ import math
 import os
 import random
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -1071,8 +1072,9 @@ class TestCli:
         "value nan", "site", "row missing", "converged not a bool",
         "objective not a number", "total_pl not a number", "support ragged",
         "support nested", "position a boolean", "position past int64",
-        "couplings not numbers", "a not numbers", "couplings missing"])
-    def test_malformed_estimate_rows_are_a_chain_error(self, tmp_path, capsys, case):
+        "couplings not numbers", "a not numbers", "couplings missing", "w 300"])
+    def test_malformed_estimate_rows_are_a_chain_error(self, tmp_path, capsys, traced_peak,
+                                                      case):
         cfg, out, doc = self.selected(tmp_path)
         support, couplings = doc["support"], doc["couplings"]
         assert len(support) >= 2
@@ -1120,11 +1122,18 @@ class TestCli:
             doc["a"][3] = None
         elif case == "couplings missing":
             del doc["couplings"]
+        elif case == "w 300":
+            doc["w"] = 300  # a (16, 179999) grid, were it sized before the rows are counted
         else:
             doc["total_pl"] = "-1e3"
         name = "estimate_selected.json"
         (out / name).write_text(json.dumps(doc))
         register(out, name)
+
+        def refuse():
+            with pytest.raises(tio.ChainError, match=f"{name} holds a malformed estimate"):
+                tio.read_estimate(out / name)
+        assert traced_peak(refuse)[1] < 10 ** 6  # 29.5 MB at w 300 when the grid came first
         capsys.readouterr()
         assert self.run("extract", "--config", str(cfg), "--out", str(out)) == 1
         assert f"{name} holds a malformed estimate" in capsys.readouterr().err
@@ -1608,7 +1617,8 @@ def test_random_walk_over_the_artifact_contract(tmp_path, walk_chains, seed):
     # Stages of one config and then the other, between deletions and copies
     # of files from either config's clean chains, registered as their stage
     # would register them.  A stage may refuse what it finds (exit 1), never
-    # fail at run time (exit 2), and leaves no temp file.  An eval that
+    # fail at run time (exit 2), and leaves no temp file; under a corrupt
+    # manifest, put back after the move, it refuses.  An eval that
     # succeeds writes the eval.json of the clean chain of its config that
     # extracts from the estimates its extract*.json files name.
     cfgs, chains = walk_chains
@@ -1628,10 +1638,14 @@ def test_random_walk_over_the_artifact_contract(tmp_path, walk_chains, seed):
                 (out / name).write_bytes((chain / name).read_bytes())
                 register(out, name)
         else:  # one stage, or the chain from it on, up to the first refusal
+            manifest = out / tio.MANIFEST
+            good = manifest.read_bytes() if roll > 0.95 and manifest.exists() else None
+            if good is not None:
+                manifest.write_bytes(rng.choice([b"[]", good[:len(good) // 2]]))
             start = rng.randrange(len(STAGES))
             for stage in STAGES[start:len(STAGES) if rng.random() < 0.5 else start + 1]:
                 code = main([*stage.split(), "--config", str(cfgs[i]), "--out", str(out)])
-                assert code in (0, 1), stage
+                assert code in ((0, 1) if good is None else (1,)), stage
                 if code:
                     break
                 if stage == "eval":
@@ -1642,4 +1656,29 @@ def test_random_walk_over_the_artifact_contract(tmp_path, walk_chains, seed):
                         "source_estimate"] if inv.exists() else None
                     assert (out / "eval.json").read_bytes() == \
                         (chains[i, fwd, rev] / "eval.json").read_bytes()
+            if good is not None:
+                manifest.write_bytes(good)
         assert not list(out.glob("*.tmp"))
+
+
+@pytest.mark.parametrize("corrupt", [b"[]", b'{"dataset.csv": 1}', b'{"dataset.csv": "\xff"}',
+                                     "truncated"])
+def test_corrupt_manifest_is_refused_at_every_stage(tmp_path, capsys, walk_chains, corrupt):
+    # Not JSON, not UTF-8, not an object, or a hash that is not a string:
+    # every stage refuses it naming the file (exit 1, not a runtime failure
+    # at exit 2), and none rewrites it.
+    cfgs, chains = walk_chains
+    out = tmp_path / "run"
+    shutil.copytree(chains[0, "estimate_selected.json", "estimate_selected_reversed.json"], out)
+    manifest = out / tio.MANIFEST
+    if corrupt == "truncated":
+        corrupt = manifest.read_bytes()[:-20]
+    manifest.write_bytes(corrupt)
+    for stage in STAGES:
+        capsys.readouterr()
+        assert main([*stage.split(), "--config", str(cfgs[0]), "--out", str(out)]) == 1, stage
+        assert f"{tio.MANIFEST} is not a JSON object" in capsys.readouterr().err, stage
+        assert manifest.read_bytes() == corrupt, stage
+    with pytest.raises(tio.ChainError, match=tio.MANIFEST):
+        register(out, "dataset.csv")
+    assert manifest.read_bytes() == corrupt and not list(out.glob("*.tmp"))

@@ -197,22 +197,26 @@ class TestSampleBuffer:
                 a[0, 0] = 1.0
 
     @staticmethod
-    def callers_tables(rng):
-        """Tables a dataset must copy: each is not, or may not stay, a
-        read-only C-contiguous float64 array that owns its memory."""
-        larger = rng.random((2200, 32))
-        view = larger[100:2100]
+    def callers_tables(rng, shape=(2000, 32), dtype=np.float64):
+        """Arrays a record must copy: each is not, or may not stay, a
+        read-only C-contiguous ``dtype`` array that owns its memory.  Their
+        values lie in [0.5, 1.5), or are bools for a bool ``dtype``."""
+        def draw(shape):
+            x = rng.random(shape)
+            return x < 0.5 if dtype is bool else x + 0.5
+        larger = draw((shape[0] + 200, *shape[1:]))
+        view = larger[100:-100]
         view.flags.writeable = False
-        # float64 tables whose dtype is an equal but distinct object, which
-        # ascontiguousarray(dtype=float64) hands back as a new view.
-        labelled = np.zeros((2000, 32), dtype=np.dtype(np.float64, metadata={"unit": "W"}))
-        labelled[...] = rng.random((2000, 32))
-        return {"writable C": rng.random((2000, 32)),
-                "Fortran": np.asfortranarray(rng.random((2000, 32))),
-                "float32": rng.random((2000, 32)).astype(np.float32),
+        # Arrays whose dtype is an equal but distinct object, which
+        # ascontiguousarray(dtype=dtype) hands back as a new view.
+        labelled = np.zeros(shape, dtype=np.dtype(dtype, metadata={"unit": "W"}))
+        labelled[...] = draw(shape)
+        return {"writable C": draw(shape),
+                "Fortran": np.asfortranarray(draw(shape)),
+                "float32": draw(shape).astype(np.float32),
                 "read-only view": view,
                 "dtype with metadata": labelled,
-                "unpickled": pickle.loads(pickle.dumps(rng.random((2000, 32))))}
+                "unpickled": pickle.loads(pickle.dumps(draw(shape)))}
 
     def test_callers_arrays_are_copied(self, rng, traced_peak):
         for kind, t in self.callers_tables(rng).items():
@@ -286,6 +290,68 @@ class TestSampleBuffer:
         samples[3, 7] = bad
         with pytest.raises(ValueError, match="finite"):
             tm.Dataset(dims=tm.Dimensions(w=4), samples=samples)
+
+
+def _estimate(**arrays):
+    """A w=4 output-scope estimate with ``arrays`` in place of its defaults."""
+    return tm.CouplingEstimate(**{
+        "dims": tm.Dimensions(w=4), "scope": "output", "direction": "forward",
+        "a": np.ones(16), "k": np.zeros((16, 31)), "active": np.ones((16, 31), dtype=bool),
+        "converged": np.ones(16, dtype=bool), "row_objectives": np.zeros(16),
+        "total_pl": None, **arrays})
+
+
+def _noise(sigma=None, beta=None, converged=np.ones(16, dtype=bool)):
+    """A ChannelNoiseEstimate from ``sigma`` or ``beta``, the other derived."""
+    if sigma is None:
+        sigma = 1.0 / np.sqrt(2.0 * np.asarray(beta, dtype=np.float64))
+    if beta is None:
+        beta = 1.0 / (2.0 * np.asarray(sigma, dtype=np.float64) ** 2)
+    return tm.ChannelNoiseEstimate(sigma_hat=sigma, beta_hat=beta, converged=converged)
+
+
+# Every record's array field but Dataset.samples, which TestSampleBuffer
+# covers: (record.field, shape, dtype, record of an array).
+RECORD_ARRAYS = [
+    ("TransmissionMatrix.entries", (16, 16), np.float64,
+     lambda x: tm.TransmissionMatrix(tm.Dimensions(w=4), x)),
+    ("NoiseSpec.sigma", (16,), np.float64, tm.NoiseSpec),
+    ("Moments.c", (32, 32), np.float64,
+     lambda x: tm.Moments(tm.Dimensions(w=4), "forward", 50, x)),
+    ("RowParams.k", (31,), np.float64, lambda x: tm.RowParams(site=3, a=1.0, k=x)),
+    ("RowMask.active", (31,), bool, lambda x: tm.RowMask(site=3, active=x)),
+    ("CouplingEstimate.a", (16,), np.float64, lambda x: _estimate(a=x)),
+    ("CouplingEstimate.k", (16, 31), np.float64, lambda x: _estimate(k=x)),
+    ("CouplingEstimate.active", (16, 31), bool, lambda x: _estimate(active=x)),
+    ("CouplingEstimate.converged", (16,), bool, lambda x: _estimate(converged=x)),
+    ("CouplingEstimate.row_objectives", (16,), np.float64,
+     lambda x: _estimate(row_objectives=x)),
+    ("ChannelNoiseEstimate.sigma_hat", (16,), np.float64, lambda x: _noise(sigma=x)),
+    ("ChannelNoiseEstimate.beta_hat", (16,), np.float64, lambda x: _noise(beta=x)),
+    ("ChannelNoiseEstimate.converged", (16,), bool,
+     lambda x: _noise(sigma=np.full(16, 0.1), converged=x)),
+]
+
+
+@pytest.mark.parametrize("name, shape, dtype, build", RECORD_ARRAYS,
+                         ids=[r[0] for r in RECORD_ARRAYS])
+class TestOneOwnershipRule:
+    """Every record takes its arrays by one rule: a read-only C-contiguous
+    array of its dtype that owns its memory (or views immutable bytes) is
+    adopted, anything else is copied once into such an array."""
+
+    def test_callers_arrays_are_copied(self, rng, name, shape, dtype, build):
+        for kind, x in TestSampleBuffer.callers_tables(rng, shape, dtype).items():
+            stored = getattr(build(x), name.split(".")[1])
+            assert not stored.flags.writeable and stored.flags.c_contiguous, kind
+            assert stored.dtype == dtype and stored.shape == shape, kind
+            assert np.array_equal(stored, x), kind
+            assert not np.shares_memory(stored, x), kind
+
+    def test_sealed_array_is_adopted(self, rng, name, shape, dtype, build):
+        x = TestSampleBuffer.callers_tables(rng, shape, dtype)["writable C"]
+        x.flags.writeable = False
+        assert getattr(build(x), name.split(".")[1]) is x
 
 
 class TestReverseDataset:
@@ -383,6 +449,22 @@ class TestSecondMoments:
 
 
 class TestMoments:
+    @pytest.fixture(scope="class")
+    def data12(self):
+        channel = tm.build_random_tm(tm.Dimensions(w=12), 0.2, seed=12)
+        return tm.generate_dataset(channel, 3000, tm.NoiseSpec(sigma=0.1), seed=3000)
+
+    def test_of_holds_c_once(self, data12, traced_peak):
+        # The record adopts the C that Dataset._moments forms (2.00x when it
+        # copied it); the rest is its finiteness check.
+        mo, peak = traced_peak(lambda: tm.Moments.of(data12))
+        assert peak < 1.3 * mo.c.nbytes
+
+    def test_reversed_holds_c_once(self, data12, traced_peak):
+        fwd = tm.Moments.of(data12)
+        rev, peak = traced_peak(fwd.reversed)
+        assert peak < 1.3 * rev.c.nbytes  # 2.00x when the record copied it
+
     def test_formed_once_per_dataset(self, channel4, monkeypatch):
         ds = tm.generate_dataset(channel4, 300, tm.NoiseSpec(sigma=0.1), seed=4)
         calls = []
