@@ -80,7 +80,8 @@ def extract_tm(estimate: CouplingEstimate) -> tuple[TransmissionMatrix, ChannelN
     the input-site couplings, sigma_g = (2 * a_g) ** -0.5.  Output sites come
     last in either scope, so they are the last n_half rows of the estimate,
     and inputs precede outputs, so their couplings are positions 0..n_half-1.
-    Rows flagged non-converged keep their entries; the flags ride along in
+    A row flagged non-converged had no fewer active regressors than samples
+    and interpolates them; it keeps its entries, and the flags ride along in
     the noise estimate.  Fitted output-to-output couplings (all-sites scope)
     are not folded in.
     """

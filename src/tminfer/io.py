@@ -641,8 +641,9 @@ def _loadtxt(src: _HashingReader) -> np.ndarray:
 
 def _load_table(src: _HashingReader, path: Path, shape: tuple | None = None) -> np.ndarray:
     """The float64 table of the ``.npy`` or CSV file ``path`` read from
-    ``src``, '#' lines skipped; ``ChainError`` naming the file when it does
-    not parse.  The caller checks its shape.
+    ``src``, '#' lines skipped, sealed read-only so the record built on it
+    adopts it (``model._frozen``); ``ChainError`` naming the file when it
+    does not parse.  The caller checks its shape.
 
     ``shape`` is the shape a CSV file's metadata or header gives, if any: the
     only one allocated before its data is read (an npy file's size bounds
@@ -654,11 +655,14 @@ def _load_table(src: _HashingReader, path: Path, shape: tuple | None = None) -> 
     ``np.loadtxt`` (``_loadtxt``)."""
     try:
         if path.suffix == ".npy":
-            return _load_npy(src)
-        table = None if shape is None else _read_csv(src, shape)
-        return _loadtxt(src) if table is None else table
+            table = _load_npy(src)
+        else:
+            table = None if shape is None else _read_csv(src, shape)
+            table = _loadtxt(src) if table is None else table
     except ValueError as exc:
         raise ChainError(f"{path.name} does not parse: {exc}") from None
+    table.flags.writeable = False
+    return table
 
 
 def _write_array(path: Path, table: np.ndarray, header: bytes = b"") -> str:
@@ -900,12 +904,36 @@ def write_dataset(ds: Dataset, path: str | Path, fingerprint: str,
     write_json_artifact(meta, path.with_name("dataset.meta.json"), fingerprint)
 
 
+# The fields of ``dataset.meta.json`` that the readers use, and what each must be.
+_META_CHECKS = (
+    ("w", lambda v: _is_int(v) and v >= 2, "an integer >= 2"),
+    ("m_samples", lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+    ("data_file", lambda v: isinstance(v, str) and v not in ("", ".", "..")
+     and "/" not in v and os.sep not in v, "a bare file name"),
+    ("data_sha256", lambda v: isinstance(v, str), "a string"),
+)
+
+
+def _read_dataset_meta(out: Path, fingerprint: str | None) -> dict:
+    """The registered ``dataset.meta.json`` of ``out``, its fingerprint
+    checked if given, and every field in ``_META_CHECKS``; ChainError naming
+    the file for the first field that is missing or malformed."""
+    name = "dataset.meta.json"
+    meta = read_json_artifact(out / name, fingerprint)
+    for key, ok, expected in _META_CHECKS:
+        if not ok(meta.get(key)):
+            raise ChainError(f"{name} holds a malformed {key}, {meta.get(key)!r}: "
+                             f"expected {expected}")
+    return meta
+
+
 def verify_dataset(out_dir: str | Path, fingerprint: str | None = None) -> dict:
-    """Check ``dataset.meta.json`` and its data file against the manifest and
-    against each other (and the fingerprint if given) without parsing the
-    samples; return the verified metadata."""
+    """Check ``dataset.meta.json``, its fields (``_META_CHECKS``) and its
+    data file against the manifest and against each other (and the
+    fingerprint if given) without parsing the samples; return the verified
+    metadata."""
     out = Path(out_dir)
-    meta = read_json_artifact(out / "dataset.meta.json", fingerprint)
+    meta = _read_dataset_meta(out, fingerprint)
     data_name = meta["data_file"]
     if verify_artifact(out, data_name) != meta["data_sha256"]:
         raise ChainError(f"{data_name} does not match the checksum in its metadata")
@@ -919,12 +947,13 @@ def read_dataset(out_dir: str | Path, fingerprint: str | None = None) -> tuple[D
     the bytes hashed, and a CSV table is allocated at the shape ``meta``
     gives only.  The table becomes the dataset's ``samples`` without a
     copy.  Returns ``(dataset, meta)``, ``meta`` being the verified
-    ``dataset.meta.json`` content.  Raises ``ChainError`` naming the data
-    file when it does not parse (ragged rows, say), holds a table of another
-    shape than ``meta`` gives, or holds a non-finite value.
+    ``dataset.meta.json`` content.  Raises ``ChainError`` naming the
+    metadata file when a field it uses is malformed (``_META_CHECKS``), and
+    naming the data file when it does not parse (ragged rows, say), holds a
+    table of another shape than ``meta`` gives, or holds a non-finite value.
     """
     out = Path(out_dir)
-    meta = read_json_artifact(out / "dataset.meta.json", fingerprint)
+    meta = _read_dataset_meta(out, fingerprint)
     data_name = meta["data_file"]
     dims = Dimensions(w=meta["w"])
     shape = (meta["m_samples"], dims.n)
@@ -938,7 +967,6 @@ def read_dataset(out_dir: str | Path, fingerprint: str | None = None) -> tuple[D
 
     table, _ = _read_registered(out / data_name, parse, meta["data_sha256"],
                                 "does not match the checksum in its metadata")
-    table.flags.writeable = False
     try:
         ds = Dataset(dims=dims, samples=table, direction=meta["direction"], meta=meta["meta"])
     except ValueError as exc:
@@ -1084,6 +1112,9 @@ def read_estimate(path: str | Path, fingerprint: str | None = None,
     if "second_moments" not in doc or "m_samples" not in doc:
         raise ChainError(f"{name} holds no second moments (tminfer < 0.3.0 wrote "
                          "none); re-run fit")
+    if not _is_int(doc["m_samples"]):
+        raise ChainError(f"{name} holds a malformed m_samples, {doc['m_samples']!r}: "
+                         "expected an integer")
     try:
         moments = Moments(dims=dims, direction=doc["direction"],
                           m_samples=doc["m_samples"],
@@ -1133,9 +1164,12 @@ def write_json_artifact(doc: dict, path: str | Path, fingerprint: str) -> None:
 
 def read_json_artifact(path: str | Path, fingerprint: str | None = None) -> dict:
     """Read a registered JSON artifact, checking ``fingerprint`` if given;
-    the bytes parsed are the bytes hashed."""
+    the bytes parsed are the bytes hashed.  ChainError if it is not a JSON
+    object."""
     path = Path(path)
     doc, _ = _read_registered(path, lambda src: json.loads(src.read()))
+    if not isinstance(doc, dict):
+        raise ChainError(f"{path.name} is not a JSON object")
     if fingerprint is not None:
         _check_fingerprint(doc, fingerprint, path.name)
     return doc

@@ -227,7 +227,7 @@ class Moments:
     ``dims``, ``direction``, ``m_samples`` and the second moments
     ``c = S^T S / M``.  The CLI also builds it from the ``c`` that ``fit``
     recorded, so no stage after ``fit`` re-reads the samples.  ``pivot_ratio``
-    is computed on first use and kept on the record.
+    and ``fingerprint`` are computed on first use and kept on the record.
     """
 
     dims: Dimensions
@@ -266,9 +266,10 @@ class Moments:
             return 0.0
         return float(np.min(np.diagonal(low) ** 2 / np.diagonal(self.c)))
 
-    @property
+    @cached_property
     def fingerprint(self) -> str:
-        """Short hash of everything a fit depends on: w, direction, M and ``c``."""
+        """Short hash of everything a fit depends on: w, direction, M and
+        ``c``; computed on first use and kept on the record."""
         h = hashlib.sha256(f"{self.dims.w}|{self.direction}|{self.m_samples}|".encode())
         h.update(self.c.tobytes())
         return h.hexdigest()[:16]

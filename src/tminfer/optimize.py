@@ -7,10 +7,14 @@ residual and ``A_CAP`` a constant, and couplings ``k = 2 * a * beta``.  This is
 neighbourhood regression for a Gaussian graphical model (Meinshausen &
 Buhlmann, Ann. Stat. 2006).
 
-The optimum and its gradient depend on the data only through the sample
-second moments ``C = S^T S / M``, which every entry point reads from the
-record ``Moments.of(dataset)``: a row solve is one small solve on a block of
-``C``.  A record whose whole ``C`` factorises with every pivot ratio above
+The optimum depends on the data only through the sample second moments
+``C = S^T S / M``, which every entry point reads from the record
+``Moments.of(dataset)``: a row solve is one small solve on a block of ``C``.
+A closed-form solve is stationary to rounding wherever ``beta`` is
+identified, so a row is ``converged`` exactly when it has fewer active
+regressors than samples; with as many or more it interpolates them.
+
+A record whose whole ``C`` factorises with every pivot ratio above
 ``CERTIFY_TOL`` certifies every block positive definite, so its rows of up
 to ``PANEL`` regressors are one LU solve.  Other blocks are factorised by
 Cholesky first, in panels above ``PANEL`` regressors; ``lstsq`` takes over
@@ -46,9 +50,6 @@ __all__ = [
 
 SCOPES = ("output", "all")
 
-# Inf-norm bound on the projected gradient for a row to count as converged.
-GRAD_TOL = 1e-6
-
 # Smallest Cholesky pivot, as a share of its diagonal entry of C[A,A], taken
 # as positive definite.  The pivot L_jj**2 is C_jj * (1 - R_j**2), with R_j**2
 # the squared multiple correlation of regressor j with the ones before it.  A
@@ -81,13 +82,13 @@ class OptimOptions:
 
 @dataclass(frozen=True)
 class RowFit:
-    """Outcome of one row solve; ``iterations`` is 1 for the closed form."""
+    """Outcome of one row solve: ``converged`` when the row has fewer active
+    regressors than samples, and ``iterations`` 1, the closed form."""
 
     params: RowParams
     converged: bool
     iterations: int
     objective: float
-    grad_norm: float
 
 
 def _factor(c_aa: np.ndarray) -> np.ndarray | None:
@@ -135,8 +136,8 @@ def minimize_row(
     collinear.  Every path gives the same bits at any BLAS thread count.
     ``rss = C[y,y] - 2 beta.C[A,y] + beta.C[A,A] beta`` is clamped at 0, where
     it cancels on exact fits.  Masked couplings stay 0.  ``converged``: the
-    projected gradient is within ``GRAD_TOL`` and the row has fewer active
-    regressors than samples; a row with as many or more interpolates them.
+    row has fewer active regressors than samples, so ``beta`` is identified;
+    a row with as many or more interpolates them.
     """
     n = dataset.dims.n
     if mask is None:
@@ -150,22 +151,14 @@ def minimize_row(
     idx[np.count_nonzero(mask.active[:site]):] += 1
     c_aa, c_ay, c_yy = c.take(idx, 0).take(idx, 1), c[idx, site], float(c[site, site])
     beta = _solve_normal(c_aa, c_ay, moments.pivot_ratio > CERTIFY_TOL)
-    c_aa_beta = c_aa @ beta
-    fitted = float(beta @ c_aa_beta)
+    fitted = float(beta @ (c_aa @ beta))
     rss = max(c_yy - 2.0 * float(beta @ c_ay) + fitted, 0.0)
     a = A_CAP if rss <= 0.5 / A_CAP else 0.5 / rss
-    d_k = c_aa_beta - c_ay
-    d_a = c_yy - fitted - 0.5 / a
-    # At the cap a negative d/da only pushes against the bound: it is projected out.
-    pg_a = 0.0 if (a >= A_CAP and d_a < 0.0) else abs(d_a)
-    grad_norm = max(pg_a, float(np.max(np.abs(d_k), initial=0.0)))
-
     k = np.zeros(n - 1)
     k[mask.active] = 2.0 * a * beta
     return RowFit(params=RowParams(site=site, a=a, k=k),
-                  converged=grad_norm <= GRAD_TOL and len(idx) < moments.m_samples,
-                  iterations=1,
-                  objective=a * rss + log_partition(a, 0.0), grad_norm=grad_norm)
+                  converged=len(idx) < moments.m_samples, iterations=1,
+                  objective=a * rss + log_partition(a, 0.0))
 
 
 @dataclass(frozen=True)
@@ -175,9 +168,10 @@ class CouplingEstimate:
     Row ``r`` describes site ``fitted_sites[r]``: curvature ``a[r]``, coupling
     field ``k[r]`` over the other sites in ``other_sites`` order and support
     ``active[r]``, with ``k`` exactly 0 where ``active`` is False;
-    ``converged[r]`` flags its solve and ``row_objectives[r]`` is its
-    per-sample-mean negative log-pseudolikelihood at its optimum.  Each array
-    is taken by ``model._frozen``: adopted if sealed, else copied once.
+    ``converged[r]`` is ``active[r].sum() < M`` (``minimize_row``) and
+    ``row_objectives[r]`` is its per-sample-mean negative
+    log-pseudolikelihood at its optimum.  Each array is taken by
+    ``model._frozen``: adopted if sealed, else copied once.
     ``total_pl`` is the sample-sum total log-pseudolikelihood (None when
     parameters were constructed rather than fitted to a dataset).
     """
@@ -271,15 +265,25 @@ def true_support_masks(dims: Dimensions, support: np.ndarray) -> np.ndarray:
     return active
 
 
-def _solve_rows(moments: Moments, sites, active: np.ndarray):
-    """``minimize_row`` per (site, support row), in order, stacked as the
-    arrays ``(a, k, converged, objectives)`` of an estimate's rows."""
-    a, k = np.empty(len(sites)), np.empty((len(sites), moments.dims.n - 1))
-    converged, objectives = np.empty(len(sites), bool), np.empty(len(sites))
-    for r, (site, act) in enumerate(zip(sites, active)):
-        fit = minimize_row(site, moments, RowMask(site=site, active=act))
+def _solve_rows(moments: Moments, sites, active: np.ndarray, rows,
+                base: CouplingEstimate | None = None):
+    """``minimize_row`` for each index ``r`` in ``rows``, in order, of site
+    ``sites[r]`` under support ``active[r]``, stacked as the arrays
+    ``(a, k, converged, objectives)`` of an estimate's rows.  Rows not
+    solved are copied from ``base``.  The arrays are sealed, so the estimate
+    built on them adopts them (``model._frozen``)."""
+    if base is None:
+        a, k = np.empty(len(sites)), np.empty((len(sites), moments.dims.n - 1))
+        converged, objectives = np.empty(len(sites), bool), np.empty(len(sites))
+    else:
+        a, k, converged, objectives = (
+            arr.copy() for arr in (base.a, base.k, base.converged, base.row_objectives))
+    for r in rows:
+        fit = minimize_row(sites[r], moments, RowMask(site=sites[r], active=active[r]))
         a[r], k[r], converged[r], objectives[r] = \
             fit.params.a, fit.params.k, fit.converged, fit.objective
+    for arr in (a, k, converged, objectives):
+        arr.flags.writeable = False
     return a, k, converged, objectives
 
 
@@ -296,10 +300,14 @@ def fit_all_rows(
     """
     moments = Moments.of(dataset)
     sites = _scope_sites(moments.dims, scope)
-    active = initial_masks(moments.dims, scope) if masks is None else masks
+    if masks is None:
+        active = initial_masks(moments.dims, scope)
+        active.flags.writeable = False  # the estimate adopts it
+    else:
+        active = masks
     if np.shape(active) != (len(sites), moments.dims.n - 1):
         raise ValueError("masks inconsistent with scope sites")
-    a, k, converged, objectives = _solve_rows(moments, sites, active)
+    a, k, converged, objectives = _solve_rows(moments, sites, active, range(len(sites)))
     return CouplingEstimate(
         dims=moments.dims, scope=scope, direction=moments.direction, a=a, k=k,
         active=active, converged=converged, row_objectives=objectives,
@@ -321,14 +329,14 @@ def refit_rows(
     threads: int = 1,
 ) -> CouplingEstimate:
     """Refit the given row indices of ``estimate`` under the ``(rows, n-1)``
-    support ``new_masks``; untouched rows carry over unchanged.  ``threads``
-    is accepted and ignored."""
-    idx = np.array(sorted(rows_to_refit), dtype=np.intp)
-    sites = estimate.fitted_sites
-    a, k = estimate.a.copy(), estimate.k.copy()
-    converged, objectives = estimate.converged.copy(), estimate.row_objectives.copy()
-    a[idx], k[idx], converged[idx], objectives[idx] = _solve_rows(
-        Moments.of(dataset), [sites[r] for r in idx], new_masks[idx])
+    support ``new_masks``; untouched rows carry over unchanged.  ValueError
+    if ``estimate`` was fitted on other data.  ``threads`` is accepted and
+    ignored."""
+    moments = Moments.of(dataset)
+    if estimate.dataset_fingerprint != moments.fingerprint:
+        raise ValueError("estimate was fitted on other data")
+    a, k, converged, objectives = _solve_rows(
+        moments, estimate.fitted_sites, new_masks, sorted(rows_to_refit), estimate)
     return replace(estimate, a=a, k=k, active=new_masks, converged=converged,
                    row_objectives=objectives,
-                   total_pl=float(-dataset.m_samples * sum(objectives.tolist())))
+                   total_pl=float(-moments.m_samples * sum(objectives.tolist())))

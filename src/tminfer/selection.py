@@ -99,8 +99,9 @@ def _prune(estimate: CouplingEstimate, batch: int) -> tuple[np.ndarray, list[int
 
     Ranking is by |k| ascending across all fitted rows (ties broken by row
     then position, so the result is order-independent).  Curvature parameters
-    are never decimated.  Returns the new ``(rows, n-1)`` support and the
-    sorted indices of the rows that lost a coupling.
+    are never decimated.  Returns the new ``(rows, n-1)`` support, sealed so
+    the refit's estimate adopts it, and the sorted indices of the rows that
+    lost a coupling.
     """
     active = estimate.active.copy()
     n_active = int(active.sum())
@@ -113,6 +114,7 @@ def _prune(estimate: CouplingEstimate, batch: int) -> tuple[np.ndarray, list[int
     order = np.argsort(magnitudes, kind="stable")
     drop = flat_idx[order[:batch]]
     active.ravel()[drop] = False
+    active.flags.writeable = False
     return active, sorted(set((drop // active.shape[1]).tolist()))
 
 
@@ -141,7 +143,8 @@ def run_decimation(
     record that keeps its estimate: the loop holds the running minimum (the
     lowest BIC, ties toward fewer parameters) and drops every other estimate
     as it goes.
-    ``initial`` may supply an existing full-mask fit to avoid repeating it.
+    ``initial`` may supply an existing full-mask fit to avoid repeating it;
+    ValueError if its scope differs or it was fitted on other data.
     ``threads`` is accepted and ignored.
     """
     moments = Moments.of(dataset)
@@ -150,6 +153,8 @@ def run_decimation(
     else:
         if initial.scope != scope:
             raise ValueError("initial estimate scope differs from requested scope")
+        if initial.dataset_fingerprint != moments.fingerprint:
+            raise ValueError("initial estimate was fitted on other data")
         estimate = initial
 
     m = moments.m_samples

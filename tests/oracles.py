@@ -59,28 +59,22 @@ def lbfgs_row(dataset, site, start):
 
 def lstsq_row(site, moments, mask, a_cap):
     """Reference row solve: ``lstsq`` (minimum norm) on ``C[A,A] beta = C[A,y]``
-    for every block, then ``minimize_row``'s closed form and projected
-    gradient; a row with no fewer active regressors than samples is not
-    converged.  Returns a ``RowFit``."""
+    for every block, then ``minimize_row``'s closed form; a row with no fewer
+    active regressors than samples is not converged.  Returns a ``RowFit``."""
     n = moments.dims.n
     c = moments.c
     idx = np.delete(np.arange(n), site)[mask.active]
     c_aa, c_ay, c_yy = c[np.ix_(idx, idx)], c[idx, site], c[site, site]
     beta = np.linalg.lstsq(c_aa, c_ay, rcond=None)[0]
-    c_aa_beta = c_aa @ beta
-    fitted = float(beta @ c_aa_beta)
+    fitted = float(beta @ (c_aa @ beta))
     rss = max(c_yy - 2.0 * float(beta @ c_ay) + fitted, 0.0)
     a = a_cap if rss <= 0.5 / a_cap else 0.5 / rss
-    d_a = c_yy - fitted - 0.5 / a
-    pg_a = 0.0 if (a >= a_cap and d_a < 0.0) else abs(d_a)
-    grad_norm = max(pg_a, float(np.max(np.abs(c_aa_beta - c_ay), initial=0.0)))
     k = np.zeros(n - 1)
     k[mask.active] = 2.0 * a * beta
     log_z = math.log(2.0) + 0.5 * (math.log(math.pi) - math.log(4.0 * a))
     return tm.RowFit(params=tm.RowParams(site=site, a=a, k=k),
-                     converged=grad_norm <= 1e-6 and len(idx) < moments.m_samples,
-                     iterations=1,
-                     objective=a * rss + log_z, grad_norm=grad_norm)
+                     converged=len(idx) < moments.m_samples, iterations=1,
+                     objective=a * rss + log_z)
 
 
 def ranked_masks(est, batch):

@@ -796,6 +796,15 @@ class TestSampleBufferIO:
         assert np.shares_memory(back.inputs, back.site_matrix())
         assert not back.site_matrix().flags.writeable
 
+    def test_npy_matrix_read_adopts_its_table(self, tmp_path, traced_peak):
+        # The record takes the table the reader parsed and sealed, no copy.
+        dims = tm.Dimensions(w=12)
+        channel = tm.build_random_tm(dims, 0.2, seed=1)
+        tio.write_matrix(channel, tmp_path / "m.npy")
+        back, peak = traced_peak(lambda: tio.read_matrix(tmp_path / "m.npy"))
+        assert peak < 1.2 * channel.entries.nbytes  # 2.15x when the record copied
+        assert back.entries.tobytes() == channel.entries.tobytes()
+
     def test_tall_dataset_is_the_reference_text(self, tmp_path, big):
         tio.write_dataset(big, tmp_path / "dataset.csv", "fp")
         assert (tmp_path / "dataset.csv").read_bytes() == reference_csv(big.site_matrix())
@@ -1138,6 +1147,58 @@ class TestCli:
         assert self.run("extract", "--config", str(cfg), "--out", str(out)) == 1
         assert f"{name} holds a malformed estimate" in capsys.readouterr().err
         assert not (out / "t_inf.csv").exists()
+
+    @pytest.mark.parametrize("name, key, value", [
+        ("dataset.meta.json", "m_samples", "400"),
+        ("dataset.meta.json", "m_samples", 400.0),
+        ("dataset.meta.json", "m_samples", True),
+        ("dataset.meta.json", "m_samples", 0),
+        ("dataset.meta.json", "w", "3"),
+        ("dataset.meta.json", "w", None),
+        ("dataset.meta.json", "data_file", 5),
+        ("dataset.meta.json", "data_file", "../dataset.csv"),
+        ("dataset.meta.json", "data_file", ".."),
+        ("dataset.meta.json", "data_sha256", None),
+        ("estimate_full.json", "m_samples", "500"),
+        ("estimate_full.json", "m_samples", None),
+        ("estimate_full.json", "m_samples", [1]),
+        ("estimate_full.json", "m_samples", 400.0),
+    ])
+    def test_malformed_registered_field_is_a_chain_error(self, tmp_path, capsys,
+                                                         name, key, value):
+        # Every registered JSON field a reader uses is checked before it is
+        # used: the stage reading it exits 1 with an error naming the file.
+        cfg = write_config(tmp_path, {"w": 3})
+        out = tmp_path / "run"
+        before, stage = (("generate",), "fit") if name == "dataset.meta.json" else \
+            (("generate", "fit"), "select")
+        for verb in before:
+            assert self.run(verb, "--config", str(cfg), "--out", str(out)) == 0
+        doc = json.loads((out / name).read_text())
+        doc[key] = value
+        (out / name).write_text(json.dumps(doc))
+        register(out, name)
+        capsys.readouterr()
+        assert self.run(stage, "--config", str(cfg), "--out", str(out)) == 1
+        assert f"{name} holds a malformed {key}" in capsys.readouterr().err
+        if name == "dataset.meta.json":
+            with pytest.raises(tio.ChainError, match=f"{name} holds a malformed {key}"):
+                tio.verify_dataset(out)
+
+    @pytest.mark.parametrize("name, stage", [("dataset.meta.json", "fit"),
+                                             ("estimate_full.json", "select"),
+                                             ("path.json", "report")])
+    def test_registered_json_that_is_not_an_object_is_a_chain_error(self, tmp_path, capsys,
+                                                                    name, stage):
+        cfg = write_config(tmp_path, {"w": 3})
+        out = tmp_path / "run"
+        for verb in ("generate", "fit", "select"):
+            assert self.run(verb, "--config", str(cfg), "--out", str(out)) == 0
+        (out / name).write_text("[]")
+        register(out, name)
+        capsys.readouterr()
+        assert self.run(stage, "--config", str(cfg), "--out", str(out)) == 1
+        assert f"{name} is not a JSON object" in capsys.readouterr().err
 
     def test_estimate_of_the_per_row_layout_is_refused(self, tmp_path, capsys):
         # tminfer <= 0.11.0 wrote one record per row instead of the arrays.

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tminfer as tm
 from oracles import array_equal_decimation, lstsq_decimation, select_best
@@ -238,6 +239,18 @@ class TestRunDecimation:
         with pytest.raises(ValueError):
             tm.run_decimation(data4_noisy, scope="all", initial=est)
 
+    def test_estimate_of_other_data_rejected(self, data4_noisy, data4_clean):
+        # The path would start from the other data's fit and label its
+        # refits with that data's fingerprint.
+        est = tm.fit_all_rows(data4_clean, scope="output")
+        with pytest.raises(ValueError, match="other data"):
+            tm.run_decimation(data4_noisy, scope="output", initial=est)
+        pruned, changed = selection._prune(est, 5)
+        with pytest.raises(ValueError, match="other data"):
+            optimize.refit_rows(est, data4_noisy, pruned, changed)
+        moments = tm.Moments.of(data4_noisy)
+        assert vars(moments)["fingerprint"] == moments.fingerprint  # hashed once, kept
+
 
 class TestRefitOnlyPrunedRows:
     def test_each_refit_solves_exactly_the_rows_that_lost_a_coupling(
@@ -289,6 +302,39 @@ class TestRefitOnlyPrunedRows:
         assert np.array_equal(best.active, ref_best.active)
         assert best.a.tobytes() == ref_best.a.tobytes()
         assert best.k.tobytes() == ref_best.k.tobytes()
+
+
+@st.composite
+def scaled_channels(draw):
+    """A dataset of a small random channel, w 2 or 3 and sigma > 0, with M
+    above the regressors of a full all-sites row, in units from 1 to 1e5."""
+    dims = tm.Dimensions(w=draw(st.sampled_from([2, 3])))
+    seed = draw(st.integers(0, 2 ** 16))
+    channel = tm.build_random_tm(dims, draw(st.floats(0.3, 1.0)), seed=seed)
+    m = draw(st.integers(dims.n, 4 * dims.n))
+    ds = tm.generate_dataset(channel, m, tm.NoiseSpec(sigma=draw(st.floats(0.01, 0.5))),
+                             seed=seed + 1)
+    return tm.Dataset(dims, ds.samples * 10 ** draw(st.floats(0.0, 5.0)))
+
+
+@settings(max_examples=12, deadline=None)
+@given(ds=scaled_channels(), scope=st.sampled_from(["output", "all"]))
+def test_fit_and_path_properties(ds, scope):
+    c = tm.Moments.of(ds).c
+    est = tm.fit_all_rows(ds, scope=scope)
+    path, best = tm.run_decimation(ds, scope=scope, initial=est)
+    for fit in (est, best):
+        # Stationary by the sample-based gradient, in the data's units.
+        for row, mask in zip(fit.rows, fit.masks):
+            d_a, d_k = tm.row_grad(row, ds, mask)
+            assert max(abs(d_a), float(np.abs(d_k).max())) <= 1e-9 * c[row.site, row.site]
+        assert np.array_equal(fit.converged, fit.active.sum(axis=1) < ds.m_samples)
+    assert all(rec.all_converged for rec in path.records)
+    k_free = [rec.k_free for rec in path.records]
+    assert all(b < a for a, b in zip(k_free, k_free[1:]))
+    # The BIC minimum, ties going to fewer parameters.
+    assert path.selected == min(range(len(k_free)),
+                                key=lambda i: (path.records[i].bic, k_free[i]))
 
 
 @pytest.mark.slow
