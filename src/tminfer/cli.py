@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -79,7 +79,7 @@ def cmd_generate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     t_name = _array_name(cfg, "t_true")
     # eval reads t_true only while its hash is the one the metadata records.
-    t_sha256 = tio.write_matrix(tm, out / t_name)
+    t_sha256 = tio.write_matrix(tm.entries, out / t_name)
     tio.write_dataset(ds, out / _array_name(cfg, "dataset"), fingerprint=fp,
                       matrix_sha256={t_name: t_sha256})
     print(f"wrote {out}/{_array_name(cfg, 'dataset')}, dataset.meta.json, {t_name}")
@@ -153,7 +153,7 @@ def cmd_extract(args) -> int:
     est = tio.read_estimate(out / name, fingerprint=fp)
     tm, noise = extract_tm(est)
     t_name = _array_name(cfg, "t_inv_inf" if est.direction == "reversed" else "t_inf")
-    matrices = {t_name: tio.write_matrix(tm, out / t_name)}
+    matrices = {t_name: tio.write_matrix(tm.entries, out / t_name)}
     doc = {
         "format": "tminfer-extract",
         "source_estimate": name,
@@ -165,8 +165,7 @@ def cmd_extract(args) -> int:
     if est.scope == "all":
         u, doc["balance"] = extract_gramian(est)
         g_name = _array_name(cfg, f"gramian_inf{sfx}")
-        matrices[g_name] = tio.write_matrix(
-            TransmissionMatrix(dims=est.dims, entries=u, role="direct"), out / g_name)
+        matrices[g_name] = tio.write_matrix(u, out / g_name)
     # eval reads a matrix only while its hash is the one recorded here.
     doc["matrix_sha256"] = matrices
     tio.write_json_artifact(doc, out / f"extract{sfx}.json", fingerprint=fp)
@@ -175,30 +174,28 @@ def cmd_extract(args) -> int:
     return 0
 
 
-def _read_recorded(out: Path, fp: str, doc_name: str, name: str,
+def _read_recorded(cfg: tio.RunConfig, out: Path, doc_name: str, name: str,
                    stage: str) -> TransmissionMatrix:
-    """The matrix ``name`` that ``stage`` wrote under this config: the
+    """The matrix ``name`` that ``stage`` wrote under ``cfg``: the
     ``doc_name`` it wrote beside it must carry the config's fingerprint and
-    record the hash the matrix is registered under now.  The matrix has the
-    role that record names (an ``extract*.json`` records one; ``t_true``
-    under ``dataset.meta.json`` is ``direct``), as an ``.npy`` file carries
-    none."""
-    doc = tio.read_json_artifact(out / doc_name, fingerprint=fp)
+    record the hash the matrix is registered under now.  The file holds the
+    entries only: ``cfg.dims`` sizes them and the record names the role (an
+    ``extract*.json`` records one; ``t_true`` is ``direct``)."""
+    doc = tio.read_json_artifact(out / doc_name, fingerprint=tio.config_fingerprint(cfg))
     recorded = doc.get("matrix_sha256", {})
     if name not in recorded:
         raise tio.ChainError(f"{doc_name} records no {name}; re-run {stage}")
-    tm = tio.read_matrix(out / name, sha256=recorded[name])
-    return replace(tm, role=doc.get("role", "direct"))
+    entries = tio.read_matrix(out / name, cfg.dims, sha256=recorded[name])
+    return TransmissionMatrix(dims=cfg.dims, entries=entries, role=doc.get("role", "direct"))
 
 
 def cmd_eval(args) -> int:
     """Run focusing and image-reconstruction experiments on extracted matrices."""
     cfg, out, fp = _load(args)
-    t_true = _read_recorded(out, fp, "dataset.meta.json", _array_name(cfg, "t_true"),
-                            "generate")
-    t_inf = _read_recorded(out, fp, "extract.json", _array_name(cfg, "t_inf"), "extract")
+    t_true = _read_recorded(cfg, out, "dataset.meta.json", _array_name(cfg, "t_true"), "generate")
+    t_inf = _read_recorded(cfg, out, "extract.json", _array_name(cfg, "t_inf"), "extract")
     inv = _array_name(cfg, "t_inv_inf")
-    t_inv = _read_recorded(out, fp, "extract_reversed.json", inv,
+    t_inv = _read_recorded(cfg, out, "extract_reversed.json", inv,
                            "extract --reversed") if (out / inv).exists() else None
     target = gaussian_spot(cfg.dims)
     doc = {
@@ -227,6 +224,21 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _table_rows(name: str, doc: dict, cells) -> list[list]:
+    """``cells(i, rec)`` for each record ``rec`` of the registered artifact
+    ``name`` (``doc``); ChainError naming the file unless ``records`` is a
+    list whose every cell that ``cells`` reads is there, a number or null."""
+    records = doc.get("records")
+    try:
+        rows = [cells(i, rec) for i, rec in enumerate(records)]
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise tio.ChainError(f"{name} holds malformed records: {exc!r}") from None
+    if type(records) is not list or not all(
+            x is None or type(x) in (int, float) for row in rows for x in row):
+        raise tio.ChainError(f"{name} holds malformed records: not a list of numbers or null")
+    return rows
+
+
 def cmd_report(args) -> int:
     """Export plot-ready CSV tables from path/sweep artifacts."""
     cfg, out, fp = _load(args)
@@ -236,18 +248,23 @@ def cmd_report(args) -> int:
         if not (out / pname).exists():
             continue
         doc = tio.read_json_artifact(out / pname, fingerprint=fp)
+        selected = doc.get("selected")
+        rows = _table_rows(pname, doc, lambda i, rec: [
+            rec["k_free"], doc["sigma"], rec["total_pl"], rec["bic"], int(i == selected)])
+        if type(selected) is not int or not 0 <= selected < len(rows):
+            raise tio.ChainError(f"{pname} holds a malformed selected, {selected!r}: "
+                                 "expected the index of one of its records")
         tname = f"path_table{sfx}.csv"
         tio.write_table(out / tname, ["k_active", "sigma", "total_pl", "bic", "selected_flag"],
-                        ([rec["k_free"], doc["sigma"], rec["total_pl"], rec["bic"],
-                          int(i == doc["selected"])] for i, rec in enumerate(doc["records"])))
+                        rows)
         wrote.append(tname)
     if (out / "sweep.json").exists():
         doc = tio.read_json_artifact(out / "sweep.json", fingerprint=fp)
         cols = ["sigma", "replicate", "q_bic", "q_true_support", "q_focus",
                 "q_image_inverse", "q_image_pinv", "selected_couplings",
                 "true_couplings", "balance"]
-        tio.write_table(out / "sweep_table.csv", cols,
-                        ([rec.get(c) for c in cols] for rec in doc["records"]))
+        tio.write_table(out / "sweep_table.csv", cols, _table_rows(
+            "sweep.json", doc, lambda i, rec: [rec.get(c) for c in cols]))
         wrote.append("sweep_table.csv")
     if not wrote:
         raise tio.ChainError("nothing to report: no path.json or sweep.json in out dir")

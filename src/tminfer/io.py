@@ -26,13 +26,14 @@ A dataset's data file is its (M, 2 w**2) sample table (``Dataset.samples``),
 one sample per row: ``write_dataset(ds, path, fingerprint)`` formats CSV
 blocks from slices of it or streams the ``.npy`` header and its bytes, and
 ``read_dataset`` reads the file in one pass into one table and hands it to
-``Dataset`` as its ``samples``, so neither copies them.  A CSV table is
-allocated at the shape its metadata (or a matrix's header) gives, an ``.npy``
-one at its header's shape once the file's size matches it.  A data file that
-does not parse, holds a non-finite value or disagrees with its metadata in
-shape raises ``ChainError`` naming the file, and so does a matrix file that
-does not parse.  An estimate is JSON of its scalars, hashes and whole arrays
-(``write_estimate``), each checked whole when read.
+``Dataset`` as its ``samples``, so neither copies them.  An array file holds
+its entries only, sized by the record that reads it: a dataset's metadata,
+or the run's dims for a matrix (``_read_table``).  A CSV table is allocated
+at that shape, an ``.npy`` one at its header's shape once the file's size
+matches it.  A file that does not parse or holds another shape, and a data
+file holding a non-finite value, raise ``ChainError`` naming the file.  An
+estimate is JSON of its scalars, hashes and whole arrays (``write_estimate``),
+each checked whole when read.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ import fcntl
 import functools
 import hashlib
 import io as _io
-import itertools
 import json
 import math
 import os
@@ -54,7 +54,7 @@ import numpy as np
 
 from . import __version__
 from .experiments import SweepConfig
-from .model import Dataset, Dimensions, Moments, TransmissionMatrix, _frozen
+from .model import Dataset, Dimensions, Moments, _frozen
 from .optimize import SCOPES, CouplingEstimate, _scope_sites
 from .selection import DecimationOptions, DecimationPath
 
@@ -82,8 +82,6 @@ MANIFEST = "MANIFEST.json"
 # block of a streamed .npy file.
 _BLOCK_VALUES = 1 << 12
 _HASH_CHUNK = 1 << 20
-# Bytes read for a CSV matrix's '# rows cols role' header line.
-_HEADER_BYTES = 256
 _VERSIONS = {"tminfer": __version__, "numpy": np.__version__}
 
 
@@ -639,14 +637,14 @@ def _loadtxt(src: _HashingReader) -> np.ndarray:
         text.detach().detach()  # src stays open for its hash
 
 
-def _load_table(src: _HashingReader, path: Path, shape: tuple | None = None) -> np.ndarray:
+def _load_table(src: _HashingReader, path: Path, shape: tuple[int, int]) -> np.ndarray:
     """The float64 table of the ``.npy`` or CSV file ``path`` read from
-    ``src``, '#' lines skipped, sealed read-only so the record built on it
-    adopts it (``model._frozen``); ``ChainError`` naming the file when it
-    does not parse.  The caller checks its shape.
+    ``src``, leading '#' lines skipped, sealed read-only so the record built
+    on it adopts it (``model._frozen``); ``ChainError`` naming the file when
+    it does not parse.  The caller checks its shape.
 
-    ``shape`` is the shape a CSV file's metadata or header gives, if any: the
-    only one allocated before its data is read (an npy file's size bounds
+    ``shape`` is the shape the record reading the file gives: the only one
+    allocated before a CSV file's data is read (an npy file's size bounds
     its allocation, ``_load_npy``).  A CSV file gives the bits and errors of
     ``np.loadtxt(path, delimiter=",", ndmin=2)``: ``_read_csv`` reads it in
     blocks into memory the table owns, as a dataset's samples need, and a
@@ -657,7 +655,7 @@ def _load_table(src: _HashingReader, path: Path, shape: tuple | None = None) -> 
         if path.suffix == ".npy":
             table = _load_npy(src)
         else:
-            table = None if shape is None else _read_csv(src, shape)
+            table = _read_csv(src, shape)
             table = _loadtxt(src) if table is None else table
     except ValueError as exc:
         raise ChainError(f"{path.name} does not parse: {exc}") from None
@@ -665,12 +663,12 @@ def _load_table(src: _HashingReader, path: Path, shape: tuple | None = None) -> 
     return table
 
 
-def _write_array(path: Path, table: np.ndarray, header: bytes = b"") -> str:
-    """Write ``table`` in the format the suffix of ``path`` names: ``.npy``,
-    or else ``header`` and then CSV, one row per line.  Register the file's
-    sha256 in the manifest beside it and return that hash."""
+def _write_array(path: Path, table: np.ndarray) -> str:
+    """Write the C-contiguous 2-d ``table`` in the format the suffix of
+    ``path`` names: ``.npy``, or else CSV, one row per line.  Register the
+    file's sha256 in the manifest beside it and return that hash."""
     return _write_artifact(path, _npy_blocks(table) if path.suffix == ".npy"
-                           else itertools.chain((header,), _csv_blocks(table)))
+                           else _csv_blocks(table))
 
 
 def _write_artifact(path: Path, blocks) -> str:
@@ -940,33 +938,38 @@ def verify_dataset(out_dir: str | Path, fingerprint: str | None = None) -> dict:
     return meta
 
 
+def _read_table(path: Path, shape: tuple[int, int], recorded: str | None,
+                rewritten: str) -> np.ndarray:
+    """The sealed table of the registered array file ``path``, read in one
+    pass (``_read_registered``, which checks ``recorded`` and says
+    ``rewritten``).  ``shape`` is the one its reader's record gives;
+    ChainError naming the file when it does not parse or holds another."""
+    def parse(src):
+        table = _load_table(src, path, shape)
+        if table.shape != shape:
+            raise ChainError(f"{path.name} holds a {table.shape} table; its record "
+                             f"gives {shape}")
+        return table
+
+    return _read_registered(path, parse, recorded, rewritten)[0]
+
+
 def read_dataset(out_dir: str | Path, fingerprint: str | None = None) -> tuple[Dataset, dict]:
     """Read a dataset back, verifying checksums (and fingerprint if given).
 
-    The data file is opened once and read in one pass: the bytes parsed are
-    the bytes hashed, and a CSV table is allocated at the shape ``meta``
-    gives only.  The table becomes the dataset's ``samples`` without a
-    copy.  Returns ``(dataset, meta)``, ``meta`` being the verified
-    ``dataset.meta.json`` content.  Raises ``ChainError`` naming the
-    metadata file when a field it uses is malformed (``_META_CHECKS``), and
-    naming the data file when it does not parse (ragged rows, say), holds a
-    table of another shape than ``meta`` gives, or holds a non-finite value.
+    The data file is read in one pass at the shape ``meta`` gives
+    (``_read_table``) into the table that becomes the dataset's ``samples``
+    without a copy.  Returns ``(dataset, meta)``, ``meta`` being the verified
+    ``dataset.meta.json`` content.  ``ChainError`` names the metadata file
+    when a field it uses is malformed (``_META_CHECKS``), and the data file
+    when it does not parse, holds another shape or a non-finite value.
     """
     out = Path(out_dir)
     meta = _read_dataset_meta(out, fingerprint)
     data_name = meta["data_file"]
     dims = Dimensions(w=meta["w"])
-    shape = (meta["m_samples"], dims.n)
-
-    def parse(src):
-        table = _load_table(src, out / data_name, shape)
-        if table.shape != shape:
-            raise ChainError(f"{data_name} holds a {table.shape} table; its metadata "
-                             f"gives {shape}")
-        return table
-
-    table, _ = _read_registered(out / data_name, parse, meta["data_sha256"],
-                                "does not match the checksum in its metadata")
+    table = _read_table(out / data_name, (meta["m_samples"], dims.n), meta["data_sha256"],
+                        "does not match the checksum in its metadata")
     try:
         ds = Dataset(dims=dims, samples=table, direction=meta["direction"], meta=meta["meta"])
     except ValueError as exc:
@@ -978,48 +981,22 @@ def read_dataset(out_dir: str | Path, fingerprint: str | None = None) -> tuple[D
 # Matrices
 
 
-def write_matrix(tm: TransmissionMatrix, path: str | Path) -> str:
-    """Write ``tm`` in the format its path's suffix names, as ``read_matrix``
-    reads it: ``.npy``, or else CSV, one row per line under a '#'-prefixed
-    shape/role header.  Return the sha256 registered for the file."""
-    rows, cols = tm.entries.shape
-    return _write_array(Path(path), tm.entries, f"# {rows} {cols} {tm.role}\n".encode())
+def write_matrix(entries: np.ndarray, path: str | Path) -> str:
+    """Write the C-contiguous 2-d ``entries`` and nothing else in the format
+    their path's suffix names, as ``read_matrix`` reads them: ``.npy``, or
+    else CSV, one row per line.  Return the sha256 registered for the file."""
+    return _write_array(Path(path), entries)
 
 
-def read_matrix(path: str | Path, sha256: str | None = None) -> TransmissionMatrix:
-    """Read a registered square matrix of side w**2 in one pass; a CSV must
-    match its header, which sizes its table and gives its role.  An ``.npy``
-    file carries no role and reads as ``direct``.  With ``sha256``, the hash that
-    the stage which wrote the file recorded, the file registered now must be
-    that one.  ``ChainError`` naming the file when it does not parse."""
-    path = Path(path)
-
-    def parse(src):
-        if path.suffix == ".npy":
-            entries = _load_table(src, path)
-            role = "direct"
-        else:
-            header = src.read(_HEADER_BYTES).split(b"\n", 1)[0].decode(errors="replace")
-            src.rewind()
-            parts = header[1:].split()
-            shape = (int(parts[0]), int(parts[1])) if (
-                header.startswith("#") and len(parts) >= 2
-                and parts[0].isdigit() and parts[1].isdigit()) else None
-            entries = _load_table(src, path, shape)  # its parse errors first
-            if shape is None:
-                raise ChainError(f"{path} lacks the '# rows cols role' header")
-            if entries.shape != shape:
-                raise ChainError(f"{path} holds a {entries.shape} matrix, its header "
-                                 f"says ({parts[0]}, {parts[1]})")
-            role = parts[2] if len(parts) > 2 else "direct"
-        w = math.isqrt(entries.shape[0]) if entries.ndim == 2 else 0
-        if entries.shape != (w * w, w * w):
-            raise ChainError(f"{path} holds a {entries.shape} matrix; a transmission "
-                             "matrix is square with a side of w**2")
-        return TransmissionMatrix(dims=Dimensions(w=w), entries=entries, role=role)
-
-    return _read_registered(path, parse, sha256, "is not the matrix its producing stage "
-                            "recorded (another run rewrote it); re-run that stage")[0]
+def read_matrix(path: str | Path, dims: Dimensions, sha256: str | None = None) -> np.ndarray:
+    """The sealed ``(w**2, w**2)`` entries, sized by the run's ``dims``, of
+    a registered matrix file read in one pass (``_read_table``).  With
+    ``sha256``, the hash that the stage which wrote the file recorded, the
+    file registered now must be that one.  ``ChainError`` naming the file
+    when it does not parse or holds another shape."""
+    return _read_table(Path(path), (dims.n_half, dims.n_half), sha256,
+                       "is not the matrix its producing stage recorded (another run "
+                       "rewrote it); re-run that stage")
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ samples.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -63,6 +64,11 @@ def _frozen(arr, dtype=np.float64) -> np.ndarray:
     out = np.array(arr, dtype=dtype, order="C")
     out.flags.writeable = False
     return out
+
+
+def _all_finite(arr: np.ndarray) -> bool:
+    """Whether every value of the non-empty ``arr`` is finite, by min and max: no mask."""
+    return math.isfinite(arr.min()) and math.isfinite(arr.max())
 
 
 @dataclass(frozen=True)
@@ -113,7 +119,7 @@ class TransmissionMatrix:
         nh = self.dims.n_half
         if self.entries.shape != (nh, nh):
             raise ValueError(f"entries must have shape ({nh}, {nh}), got {self.entries.shape}")
-        if not np.all(np.isfinite(self.entries)):
+        if not _all_finite(self.entries):
             raise ValueError("transmission matrix entries must all be finite")
 
 
@@ -130,7 +136,7 @@ class NoiseSpec:
         object.__setattr__(self, "sigma", _frozen(self.sigma))
         if self.sigma.ndim > 1:
             raise ValueError("sigma must be a scalar or a 1-d vector")
-        if not np.all(np.isfinite(self.sigma)) or np.any(self.sigma < 0):
+        if not (_all_finite(self.sigma) and self.sigma.min() >= 0):
             raise ValueError("sigma must be finite and nonnegative")
 
     def sigma_vector(self, n_half: int) -> np.ndarray:
@@ -173,9 +179,7 @@ class Dataset:
             raise ValueError(f"samples must have shape (M, {n})")
         if s.shape[0] < 1:
             raise ValueError("a dataset needs at least one sample")
-        # The min and max are finite exactly when every sample is; neither
-        # reduction allocates a mask the size of the table.
-        if not (np.isfinite(s.min()) and np.isfinite(s.max())):
+        if not _all_finite(s):
             raise ValueError("dataset intensities must all be finite")
         object.__setattr__(self, "samples", s)
 
@@ -244,7 +248,7 @@ class Moments:
         n = self.dims.n
         if self.c.shape != (n, n):
             raise ValueError(f"second moments must have shape ({n}, {n}), got {self.c.shape}")
-        if not np.all(np.isfinite(self.c)):
+        if not _all_finite(self.c):
             raise ValueError("second moments must all be finite")
 
     @classmethod

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .linalg import PANEL, cholesky, cholesky_solve
-from .model import Dataset, Dimensions, Moments, _frozen
+from .model import Dataset, Dimensions, Moments, _all_finite, _frozen
 from .pseudolikelihood import RowMask, RowParams, log_partition
 
 __all__ = [
@@ -156,6 +156,7 @@ def minimize_row(
     a = A_CAP if rss <= 0.5 / A_CAP else 0.5 / rss
     k = np.zeros(n - 1)
     k[mask.active] = 2.0 * a * beta
+    k.flags.writeable = False  # the record adopts it
     return RowFit(params=RowParams(site=site, a=a, k=k),
                   converged=len(idx) < moments.m_samples, iterations=1,
                   objective=a * rss + log_partition(a, 0.0))
@@ -188,7 +189,7 @@ class CouplingEstimate:
     dataset_fingerprint: str = ""
 
     def __post_init__(self) -> None:
-        rows = (len(self.fitted_sites),)
+        rows = (len(_scope_sites(self.dims, self.scope)),)
         grid = (*rows, self.dims.n - 1)
         for name, dtype, shape in (("a", np.float64, rows), ("k", np.float64, grid),
                                    ("active", bool, grid), ("converged", bool, rows),
@@ -197,9 +198,9 @@ class CouplingEstimate:
             if arr.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
             object.__setattr__(self, name, arr)
-        if not (np.all(np.isfinite(self.a)) and np.all(self.a > 0)):
+        if not (_all_finite(self.a) and self.a.min() > 0):
             raise ValueError("curvatures must be finite and > 0")
-        if not np.all(np.isfinite(self.k)):
+        if not _all_finite(self.k):
             raise ValueError("coupling fields must be finite")
 
     @property

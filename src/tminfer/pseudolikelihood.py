@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset, _frozen
+from .model import Dataset, _all_finite, _frozen
 
 __all__ = [
     "RowParams",
@@ -69,7 +69,7 @@ class RowParams:
         object.__setattr__(self, "k", _frozen(self.k))
         if self.k.ndim != 1:
             raise ValueError("k must be a 1-d vector")
-        if not np.all(np.isfinite(self.k)):
+        if not _all_finite(self.k):
             raise ValueError("coupling fields must be finite")
         if not (math.isfinite(self.a) and self.a > 0):
             raise ValueError(f"curvature must be finite and > 0, got {self.a!r}")

@@ -50,8 +50,8 @@ def register(out, name):
     tio.register_artifacts(out, {name: hashlib.sha256(data).hexdigest()})
 
 
-# Every message of read_matrix's shape checks, and none of its manifest checks.
-SHAPE_ERROR = r"header|square with a side of w\*\*2"
+# The message of read_matrix's shape check at w=4, and none of its manifest checks.
+SHAPE_ERROR = r"holds a \(.*\) table; its record gives \(16, 16\)"
 
 
 def data_file(out, binary):
@@ -182,47 +182,61 @@ class TestFormats:
 
     @pytest.mark.parametrize("binary", [False, True])
     def test_matrix_round_trip(self, tmp_path, channel4, binary):
-        # The path's suffix picks the format: .npy, or CSV under its header.
+        # The path's suffix picks the format: .npy, or CSV of the entries only.
         name = "m.npy" if binary else "m.csv"
-        tio.write_matrix(channel4, tmp_path / name)
-        head = b"\x93NUMPY" if binary else b"# 16 16 direct\n"
-        assert (tmp_path / name).read_bytes().startswith(head)
-        back = tio.read_matrix(tmp_path / name)
-        assert back.entries.tobytes() == channel4.entries.tobytes()
-        if not binary:
-            assert back.role == "direct"
+        tio.write_matrix(channel4.entries, tmp_path / name)
+        raw = (tmp_path / name).read_bytes()
+        assert raw.startswith(b"\x93NUMPY") if binary else raw == reference_csv(channel4.entries)
+        back = tio.read_matrix(tmp_path / name, channel4.dims)
+        assert same_bits(back, channel4.entries) and not back.flags.writeable
 
     def test_matrix_role_preserved(self, tmp_path, channel4):
-        inv = tm.TransmissionMatrix(dims=channel4.dims,
-                                    entries=np.linalg.pinv(channel4.entries),
-                                    role="inverse")
-        tio.write_matrix(inv, tmp_path / "inv.csv")
-        assert tio.read_matrix(tmp_path / "inv.csv").role == "inverse"
+        # A matrix file holds no role: eval takes the one its record names.
+        cfg = tio.RunConfig(w=4)
+        inv = np.linalg.pinv(channel4.entries)
+        doc = {"role": "inverse", "matrix_sha256": {
+            "inv.csv": tio.write_matrix(inv, tmp_path / "inv.csv")}}
+        tio.write_json_artifact(doc, tmp_path / "extract_reversed.json",
+                                tio.config_fingerprint(cfg))
+        back = _read_recorded(cfg, tmp_path, "extract_reversed.json", "inv.csv", "")
+        assert back.role == "inverse" and same_bits(back.entries, inv)
 
     @pytest.mark.parametrize("header, rows, cols", [
-        ("# 16 16 direct", 15, 16),    # body shorter than the header says
-        ("# 16 16 direct", 16, 15),    # body narrower than the header says
+        ("# 16 16 direct", 15, 16),    # body shorter than the run's dims give
+        ("# 16 16 direct", 16, 15),    # body narrower than the run's dims give
         ("# 16 15 direct", 16, 15),    # not square
         ("# 15 15 direct", 15, 15),    # side is not w**2
-        ("# direct", 16, 16),          # no shape in the header
-        ("# 4000000000 16 direct", 16, 16),  # a header no file this short holds
-        ("", 16, 16),                  # no header
+        ("# direct", 16, 16),          # the run's shape under any '#' line
+        ("# 4000000000 16 direct", 16, 16),  # a shape no file this short holds, unread
+        ("", 16, 16),                  # the entries only, as 0.13.0 writes them
     ])
-    def test_matrix_shape_checked(self, tmp_path, header, rows, cols):
+    def test_matrix_shape_checked(self, tmp_path, dims4, header, rows, cols):
+        # The run's dims (w=4) size a matrix's table; leading '#' lines, such
+        # as the '# rows cols role' line of tminfer <= 0.12.0, are skipped.
         body = [",".join(["0.5"] * cols)] * rows
-        (tmp_path / "m.csv").write_text("\n".join([header, *body]) + "\n")
+        (tmp_path / "m.csv").write_text("\n".join([header, *body]).lstrip("\n") + "\n")
         register(tmp_path, "m.csv")
-        with pytest.raises(tio.ChainError, match=SHAPE_ERROR):
-            tio.read_matrix(tmp_path / "m.csv")
+        if (rows, cols) == (16, 16):
+            assert same_bits(tio.read_matrix(tmp_path / "m.csv", dims4), np.full((16, 16), 0.5))
+        else:
+            with pytest.raises(tio.ChainError, match=f"m.csv {SHAPE_ERROR}"):
+                tio.read_matrix(tmp_path / "m.csv", dims4)
 
-    def test_npy_matrix_shape_checked(self, tmp_path):
+    def test_npy_matrix_shape_checked(self, tmp_path, dims4):
         for shape in ((16, 15), (15, 15), (16,)):
             np.save(tmp_path / "m.npy", np.zeros(shape))
             register(tmp_path, "m.npy")
-            with pytest.raises(tio.ChainError, match=SHAPE_ERROR):
-                tio.read_matrix(tmp_path / "m.npy")
+            with pytest.raises(tio.ChainError, match=f"m.npy {SHAPE_ERROR}"):
+                tio.read_matrix(tmp_path / "m.npy", dims4)
 
-    def test_npy_header_is_not_allocated_before_its_data_is_there(self, tmp_path):
+    def test_matrix_written_by_0_12_0_reads_back(self, tmp_path, channel4):
+        # tminfer 0.12.0 wrote a '# rows cols role' line above a CSV matrix.
+        raw = b"# 16 16 direct\n" + reference_csv(channel4.entries)
+        (tmp_path / "m.csv").write_bytes(raw)
+        register(tmp_path, "m.csv")
+        assert same_bits(tio.read_matrix(tmp_path / "m.csv", channel4.dims), channel4.entries)
+
+    def test_npy_header_is_not_allocated_before_its_data_is_there(self, tmp_path, dims4):
         # A header that gives a (10**6, 10**6) array over 16 values: refused
         # as a file that does not parse, not an 8 TB allocation.
         buf = io_module.BytesIO()
@@ -231,19 +245,19 @@ class TestFormats:
         (tmp_path / "m.npy").write_bytes(buf.getvalue() + np.zeros(16).tobytes())
         register(tmp_path, "m.npy")
         with pytest.raises(tio.ChainError, match="m.npy does not parse: its data does not fill"):
-            tio.read_matrix(tmp_path / "m.npy")
+            tio.read_matrix(tmp_path / "m.npy", dims4)
 
     @pytest.mark.parametrize("name", ["m.csv", "m.npy"])
     def test_matrix_that_does_not_parse_names_the_file(self, tmp_path, capsys, name):
         # A 3-value row in a 4 x 4 CSV matrix; an .npy whose data stops short.
-        ragged = "# 4 4 direct\n" + "0.5,0.5,0.5,0.5\n0.5,0.5,0.5\n" * 2
+        ragged = "0.5,0.5,0.5,0.5\n0.5,0.5,0.5\n" * 2
         buf = io_module.BytesIO()
         np.save(buf, np.zeros((4, 4)))
         raw = ragged.encode() if name.endswith(".csv") else buf.getvalue()[:-8]
         (tmp_path / name).write_bytes(raw)
         register(tmp_path, name)
         with pytest.raises(tio.ChainError, match=rf"{name} does not parse"):
-            tio.read_matrix(tmp_path / name)
+            tio.read_matrix(tmp_path / name, tm.Dimensions(w=2))
         # eval reads the ground truth first, only under the hash generate
         # recorded: a hand-written one, registered again, is refused unparsed.
         cfg = write_config(tmp_path, {"w": 2, "binary_io": name.endswith(".npy")})
@@ -348,7 +362,8 @@ class TestFormats:
     def test_readers_verify_before_parsing(self, tmp_path, data4_noisy, channel4, reader):
         est = tm.fit_all_rows(data4_noisy, scope="output")
         name, write, read = {
-            "matrix": ("m.csv", lambda p: tio.write_matrix(channel4, p), tio.read_matrix),
+            "matrix": ("m.csv", lambda p: tio.write_matrix(channel4.entries, p),
+                       lambda p: tio.read_matrix(p, channel4.dims)),
             "estimate": ("e.json", lambda p: tio.write_estimate(
                 est, p, fingerprint="fp", dataset_sha256="x"), tio.read_estimate),
             "json": ("d.json", lambda p: tio.write_json_artifact({"q": 0.5}, p, "fp"),
@@ -413,8 +428,7 @@ class TestStreamingCodec:
         inputs = data.draw(arrays(np.float64, (m, nh), elements=FINITE))
         outputs = data.draw(arrays(np.float64, (m, nh), elements=FINITE))
         ds = tm.Dataset(dims=tm.Dimensions(w=w), samples=np.hstack([inputs, outputs]))
-        matrix = tm.TransmissionMatrix(
-            dims=ds.dims, entries=data.draw(arrays(np.float64, (nh, nh), elements=FINITE)))
+        matrix = data.draw(arrays(np.float64, (nh, nh), elements=FINITE))
         with tempfile.TemporaryDirectory() as tmp, \
                 mock.patch.object(tio, "_BLOCK_VALUES", block * 2 * nh):
             out = Path(tmp)
@@ -425,10 +439,8 @@ class TestStreamingCodec:
             assert back.inputs.tobytes() == inputs.tobytes()
             assert back.outputs.tobytes() == outputs.tobytes()
             tio.write_matrix(matrix, out / "m.csv")
-            header = f"# {nh} {nh} direct\n".encode()
-            assert (out / "m.csv").read_bytes() == header + reference_csv(matrix.entries)
-            assert tio.read_matrix(out / "m.csv").entries.tobytes() == \
-                matrix.entries.tobytes()
+            assert (out / "m.csv").read_bytes() == reference_csv(matrix)
+            assert same_bits(tio.read_matrix(out / "m.csv", ds.dims), matrix)
 
     def test_write_dataset_streams(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -453,8 +465,8 @@ class TestStreamingCodec:
         path, _ = tm.run_decimation(data4_noisy)
         monkeypatch.setattr(tio, "_HashingReader", mock.Mock(side_effect=AssertionError))
         tio.write_dataset(ds, tmp_path / "dataset.csv", fingerprint="fp")
-        tio.write_matrix(channel4, tmp_path / "m.csv")
-        tio.write_matrix(channel4, tmp_path / "m.npy")
+        tio.write_matrix(channel4.entries, tmp_path / "m.csv")
+        tio.write_matrix(channel4.entries, tmp_path / "m.npy")
         tio.write_estimate(est, tmp_path / "e.json", fingerprint="fp", dataset_sha256="x")
         tio.write_path(path, tmp_path / "p.json", fingerprint="fp", sigma=0.1,
                        dataset_sha256="x")
@@ -600,8 +612,8 @@ def read_csv(path, shape):
         return tio._read_csv(src, shape)
 
 
-def load_table(path, shape=None):
-    """``_load_table``'s table of ``path``, sized at ``shape`` if given."""
+def load_table(path, shape):
+    """``_load_table``'s table of ``path``, sized at ``shape``."""
     with tio._HashingReader(open(path, "rb", buffering=0)) as src:
         return tio._load_table(src, path, shape)
 
@@ -759,7 +771,7 @@ class TestCsvReader:
         path.write_bytes(raw)
         # The reader sized by a shape that a caller could give: its lines by
         # the first line's fields, and np.loadtxt's own shape.
-        shapes = [None, (raw.count(b"\n"), raw.split(b"\n")[0].count(b",") + 1)]
+        shapes = [(raw.count(b"\n"), raw.split(b"\n")[0].count(b",") + 1)]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # loadtxt: input contained no data
             try:
@@ -800,10 +812,10 @@ class TestSampleBufferIO:
         # The record takes the table the reader parsed and sealed, no copy.
         dims = tm.Dimensions(w=12)
         channel = tm.build_random_tm(dims, 0.2, seed=1)
-        tio.write_matrix(channel, tmp_path / "m.npy")
-        back, peak = traced_peak(lambda: tio.read_matrix(tmp_path / "m.npy"))
+        tio.write_matrix(channel.entries, tmp_path / "m.npy")
+        back, peak = traced_peak(lambda: tio.read_matrix(tmp_path / "m.npy", dims))
         assert peak < 1.2 * channel.entries.nbytes  # 2.15x when the record copied
-        assert back.entries.tobytes() == channel.entries.tobytes()
+        assert same_bits(back, channel.entries)
 
     def test_tall_dataset_is_the_reference_text(self, tmp_path, big):
         tio.write_dataset(big, tmp_path / "dataset.csv", "fp")
@@ -811,7 +823,7 @@ class TestSampleBufferIO:
 
     def test_npy_is_what_np_save_writes(self, tmp_path, data4_noisy, channel4):
         tio.write_dataset(data4_noisy, tmp_path / "dataset.npy", "fp")
-        tio.write_matrix(channel4, tmp_path / "m.npy")
+        tio.write_matrix(channel4.entries, tmp_path / "m.npy")
         for name, a in (("dataset.npy", data4_noisy.site_matrix()), ("m.npy", channel4.entries)):
             ref = tmp_path / f"ref-{name}"
             np.save(ref, a)
@@ -1200,6 +1212,36 @@ class TestCli:
         assert self.run(stage, "--config", str(cfg), "--out", str(out)) == 1
         assert f"{name} is not a JSON object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, edit, message", [
+        ("path.json", lambda doc: doc.pop("records"), "malformed records"),
+        ("path.json", lambda doc: doc["records"][1].pop("bic"), "malformed records"),
+        ("path.json", lambda doc: doc.update(selected=float(doc["selected"])),
+         "malformed selected"),
+        ("sweep.json", lambda doc: doc["records"].append({"sigma": 0.1, "q_bic": [0.5]}),
+         "not a list of numbers or null"),
+    ], ids=["no-records", "no-bic", "selected-float", "sweep-list-cell"])
+    def test_malformed_report_input_is_a_chain_error(self, tmp_path, capsys, name, edit,
+                                                     message):
+        # report refuses a registered path.json or sweep.json that it cannot
+        # tabulate (exit 1, naming the file), and writes no table.
+        cfg = write_config(tmp_path, {"w": 2})
+        out = tmp_path / "run"
+        for verb in ("generate", "fit", "select"):
+            assert self.run(verb, "--config", str(cfg), "--out", str(out)) == 0
+        if name == "sweep.json":
+            tio.write_json_artifact({"format": "tminfer-sweep", "records": []}, out / name,
+                                    tio.config_fingerprint(tio.RunConfig.from_file(cfg)))
+            (out / "path.json").unlink()
+        doc = json.loads((out / name).read_text())
+        edit(doc)
+        (out / name).write_text(json.dumps(doc))
+        register(out, name)
+        capsys.readouterr()
+        assert self.run("report", "--config", str(cfg), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert f"error: {name} holds" in err and message in err
+        assert not list(out.glob("*_table.csv"))
+
     def test_estimate_of_the_per_row_layout_is_refused(self, tmp_path, capsys):
         # tminfer <= 0.11.0 wrote one record per row instead of the arrays.
         cfg, out, doc = self.selected(tmp_path)
@@ -1269,8 +1311,8 @@ class TestCli:
                 assert self.run(*stage.split(), *common) == 0, stage
             ext = ".npy" if binary else ".csv"
             for sfx, t_name in (("", "t_inf"), ("_reversed", "t_inv_inf")):
-                u = tio.read_matrix(out / f"gramian_inf{sfx}{ext}").entries
-                t = tio.read_matrix(out / f"{t_name}{ext}").entries
+                u = tio.read_matrix(out / f"gramian_inf{sfx}{ext}", tm.Dimensions(w=4))
+                t = tio.read_matrix(out / f"{t_name}{ext}", tm.Dimensions(w=4))
                 gram = t.T @ t
                 doc = json.loads((out / f"extract{sfx}.json").read_text())
                 assert doc["balance"] == np.linalg.norm(u - gram) / np.linalg.norm(gram)
@@ -1286,7 +1328,8 @@ class TestCli:
             assert self.run(verb, "--config", str(cfg), "--out", str(out),
                             "--reversed") == 0
         assert (out / "t_inv_inf.csv").exists()
-        assert tio.read_matrix(out / "t_inv_inf.csv").role == "inverse"
+        assert _read_recorded(tio.RunConfig.from_file(cfg), out, "extract_reversed.json",
+                              "t_inv_inf.csv", "").role == "inverse"
         assert self.run("eval", "--config", str(cfg), "--out", str(out)) == 0
         doc = json.loads((out / "eval.json").read_text())
         assert "q_image_inverse" in doc
@@ -1302,12 +1345,12 @@ class TestCli:
                 assert self.run(*stage.split(), "--config", str(cfg), "--out", str(out)) == 0
             suffix = ".npy" if binary else ".csv"
             arrays = [tio.read_dataset(out)[0].site_matrix()] + [
-                tio.read_matrix(out / f"{name}{suffix}").entries
+                tio.read_matrix(out / f"{name}{suffix}", tm.Dimensions(w=4))
                 for name in ("t_true", "t_inf", "t_inv_inf")]
             runs.append((arrays, json.loads((out / "eval.json").read_text())))
-            # An .npy file carries no role; eval gets the one its record names.
-            fp = tio.config_fingerprint(tio.RunConfig.from_file(cfg))
-            roles = [_read_recorded(out, fp, doc, f"{name}{suffix}", "").role
+            # A matrix file carries no role; eval gets the one its record names.
+            run_cfg = tio.RunConfig.from_file(cfg)
+            roles = [_read_recorded(run_cfg, out, doc, f"{name}{suffix}", "").role
                      for doc, name in (("dataset.meta.json", "t_true"),
                                        ("extract.json", "t_inf"),
                                        ("extract_reversed.json", "t_inv_inf"))]
@@ -1388,7 +1431,8 @@ class TestCli:
         digest = hashlib.sha256((out / f"{t_name}.csv").read_bytes()).hexdigest()
         assert doc["matrix_sha256"] == {f"{t_name}.csv": digest}
         assert self.run("eval", *common) == 0
-        tio.write_matrix(tio.read_matrix(out / "t_true.csv"), out / f"{t_name}.csv")
+        tio.write_matrix(tio.read_matrix(out / "t_true.csv", tm.Dimensions(w=4)),
+                         out / f"{t_name}.csv")
         capsys.readouterr()
         assert self.run("eval", *common) == 1
         assert f"{t_name}.csv is not the matrix its producing stage recorded" in \

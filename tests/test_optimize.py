@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -80,6 +81,23 @@ class TestMinimizeRow:
         y = data4_noisy.site_matrix()[:, site]
         assert fit.converged
         assert fit.params.a == pytest.approx(1.0 / (2.0 * np.mean(y * y)), rel=1e-6)
+
+    def test_record_adopts_the_row_it_solved(self, data4_noisy, monkeypatch):
+        # minimize_row seals the k it built, so RowParams takes it uncopied.
+        mask = output_mask(data4_noisy.dims, 3)
+        copied = []
+        real = tm.pseudolikelihood._frozen
+
+        def counting(arr, dtype=np.float64):
+            out = real(arr, dtype)
+            if out is not arr:
+                copied.append(arr)
+            return out
+
+        monkeypatch.setattr(tm.pseudolikelihood, "_frozen", counting)
+        fit = tm.minimize_row(mask.site, data4_noisy, mask)
+        assert not copied
+        assert not fit.params.k.flags.writeable
 
     def test_bad_mask_rejected(self, data4_noisy):
         with pytest.raises(ValueError):
@@ -571,6 +589,15 @@ class TestEstimateArrays:
             assert all(got is want for got, want in zip(held, arrays))
         assert full.active is made[0] and refit.active is pruned
         assert again.active is not masks and masks.flags.writeable
+
+    def test_build_from_sealed_arrays_allocates_nothing_sized_by_k(self, traced_peak):
+        # The checks of finiteness and a > 0 are reductions, not masks.
+        channel = tm.build_random_tm(tm.Dimensions(w=12), 0.2, seed=1)
+        est = tm.fit_all_rows(tm.generate_dataset(channel, 3000, tm.NoiseSpec(sigma=0.05),
+                                                  seed=2))
+        back, peak = traced_peak(lambda: dataclasses.replace(est))
+        assert back.k is est.k and back.a is est.a
+        assert peak < 0.01 * est.k.nbytes  # 0.13x when the finiteness check made a mask
 
     def test_fit_copies_the_masks_it_is_given(self, data4_noisy):
         masks = tm.initial_masks(data4_noisy.dims, "output")
