@@ -118,10 +118,10 @@ def cmd_fit(args) -> int:
     tio.write_estimate(est, out / name, fingerprint=fp,
                        dataset_sha256=meta["data_sha256"], moments=moments)
     print(f"fit {len(est.a)} rows, total_pl={est.total_pl:.6g}")
-    # The smallest Cholesky pivot of C over its diagonal: a conditioning figure.
-    certified = "certified" if moments.pivot_ratio > CERTIFY_TOL else "not certified"
-    print(f"second moments {certified} positive definite, "
-          f"smallest pivot ratio {moments.pivot_ratio:.3g}")
+    ratio = moments.input_pivot_ratio if cfg.scope == "output" else moments.pivot_ratio
+    print(f"second moments {'C_II' if cfg.scope == 'output' else 'C'} "
+          f"{'' if ratio > CERTIFY_TOL else 'not '}certified positive definite, "
+          f"smallest pivot ratio {ratio:.3g}")
     return 0
 
 
@@ -182,11 +182,16 @@ def _read_recorded(cfg: tio.RunConfig, out: Path, doc_name: str, name: str,
     entries only: ``cfg.dims`` sizes them and the record names the role (an
     ``extract*.json`` records one; ``t_true`` is ``direct``)."""
     doc = tio.read_json_artifact(out / doc_name, fingerprint=tio.config_fingerprint(cfg))
-    recorded = doc.get("matrix_sha256", {})
+    recorded, role = doc.get("matrix_sha256", {}), doc.get("role", "direct")
+    for key, ok, expected in (("matrix_sha256", type(recorded) is dict, "a JSON object"),
+                              ("role", role in ("direct", "inverse"), "'direct' or 'inverse'")):
+        if not ok:
+            raise tio.ChainError(f"{doc_name} holds a malformed {key}, {doc[key]!r}: "
+                                 f"expected {expected}")
     if name not in recorded:
         raise tio.ChainError(f"{doc_name} records no {name}; re-run {stage}")
     entries = tio.read_matrix(out / name, cfg.dims, sha256=recorded[name])
-    return TransmissionMatrix(dims=cfg.dims, entries=entries, role=doc.get("role", "direct"))
+    return TransmissionMatrix(dims=cfg.dims, entries=entries, role=role)
 
 
 def cmd_eval(args) -> int:

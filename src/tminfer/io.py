@@ -909,6 +909,8 @@ _META_CHECKS = (
     ("data_file", lambda v: isinstance(v, str) and v not in ("", ".", "..")
      and "/" not in v and os.sep not in v, "a bare file name"),
     ("data_sha256", lambda v: isinstance(v, str), "a string"),
+    ("direction", lambda v: v in ("forward", "reversed"), "'forward' or 'reversed'"),
+    ("meta", lambda v: isinstance(v, dict), "a JSON object"),
 )
 
 

@@ -225,13 +225,22 @@ def _rebuild_dataset(dims: Dimensions, samples: np.ndarray, direction: str,
     return Dataset(dims, samples, direction, meta)
 
 
+def _pivot_ratios(c: np.ndarray) -> np.ndarray | None:
+    """``L_jj**2 / C_jj`` of the Cholesky factor ``L`` of ``c``; None where it fails."""
+    try:
+        low = cholesky(c)
+    except np.linalg.LinAlgError:
+        return None
+    return np.diagonal(low) ** 2 / np.diagonal(c)
+
+
 @dataclass(frozen=True)
 class Moments:
     """The sufficient statistics of a dataset for row fits, without its samples:
     ``dims``, ``direction``, ``m_samples`` and the second moments
     ``c = S^T S / M``.  The CLI also builds it from the ``c`` that ``fit``
-    recorded, so no stage after ``fit`` re-reads the samples.  ``pivot_ratio``
-    and ``fingerprint`` are computed on first use and kept on the record.
+    recorded, so no stage after ``fit`` re-reads the samples.  The two
+    certificates and ``fingerprint`` are computed on first use and kept.
     """
 
     dims: Dimensions
@@ -258,17 +267,25 @@ class Moments:
         return data if isinstance(data, Moments) else data._moments
 
     @cached_property
+    def _c_ratios(self) -> np.ndarray | None:
+        return _pivot_ratios(self.c)
+
+    @cached_property
     def pivot_ratio(self) -> float:
-        """Smallest pivot of the Cholesky factor ``L`` of ``c`` as a share of
-        its diagonal entry, ``min_j L_jj**2 / C_jj``; 0 where the factorisation
-        fails.  ``L_jj**2 / C_jj`` is one minus the squared multiple
-        correlation of site j with the sites before it, so a row's block of
-        ``c``, taken in site order, has no smaller pivot ratio."""
-        try:
-            low = cholesky(self.c)
-        except np.linalg.LinAlgError:
-            return 0.0
-        return float(np.min(np.diagonal(low) ** 2 / np.diagonal(self.c)))
+        """``min_j L_jj**2 / C_jj`` of the Cholesky factor ``L`` of ``c``, 0
+        where it fails.  ``L_jj**2 / C_jj`` is one minus the squared multiple
+        correlation of site j with the sites before it, so a block of ``c``,
+        taken in site order, has no smaller pivot ratio."""
+        return 0.0 if self._c_ratios is None else float(np.min(self._c_ratios))
+
+    @cached_property
+    def input_pivot_ratio(self) -> float:
+        """``pivot_ratio`` of the input block ``C_II`` (the leading ``n_half``
+        sites): the first ``n_half`` ratios of ``c``'s factor are ``C_II``'s,
+        and where ``c`` does not factorise, ``C_II`` takes its own."""
+        nh, ratios = self.dims.n_half, self._c_ratios
+        ratios = _pivot_ratios(self.c[:nh, :nh]) if ratios is None else ratios[:nh]
+        return 0.0 if ratios is None else float(np.min(ratios))
 
     @cached_property
     def fingerprint(self) -> str:

@@ -14,12 +14,11 @@ A closed-form solve is stationary to rounding wherever ``beta`` is
 identified, so a row is ``converged`` exactly when it has fewer active
 regressors than samples; with as many or more it interpolates them.
 
-A record whose whole ``C`` factorises with every pivot ratio above
-``CERTIFY_TOL`` certifies every block positive definite, so its rows of up
-to ``PANEL`` regressors are one LU solve.  Other blocks are factorised by
-Cholesky first, in panels above ``PANEL`` regressors; ``lstsq`` takes over
-where a block is singular.  A solve costs well under a millisecond at w=6,
-so rows run one after another on the calling thread.
+Each row solves a block of ``C_II`` when its active regressors are all
+inputs, else of the whole ``C``: where the record certifies that matrix
+(``CERTIFY_TOL``), by LU up to ``PANEL`` regressors and a panelled Cholesky
+above, and otherwise by the minimum-norm ``lstsq``.  A solve costs well under
+a millisecond at w=6, so rows run one after another on the calling thread.
 
 An estimate stacks the rows of its scope as arrays, ``(rows,)`` or
 ``(rows, n-1)``, which ``_solve_rows`` assembles; every support but
@@ -50,21 +49,12 @@ __all__ = [
 
 SCOPES = ("output", "all")
 
-# Smallest Cholesky pivot, as a share of its diagonal entry of C[A,A], taken
-# as positive definite.  The pivot L_jj**2 is C_jj * (1 - R_j**2), with R_j**2
-# the squared multiple correlation of regressor j with the ones before it.  A
-# regressor that the others reproduce exactly leaves only rounding there, up
-# to ~1e-13, and the factorisation need not fail: noise-free data through a
-# singular channel, fitted reversed, does this on most rows.  Regressors with
-# noise leave 1e-4 and more (w=4, sigma >= 0.01).
-PIVOT_TOL = 1e-10
-
-# Smallest ``Moments.pivot_ratio`` that certifies every row's block of C
-# positive definite.  A block's pivot ratios are no smaller than those of the
-# whole C, and 100 times PIVOT_TOL leaves far more room than the rounding in
-# either factorisation, so every row of a certified record passes the
-# PIVOT_TOL test without running it.
-CERTIFY_TOL = 100 * PIVOT_TOL
+# Smallest pivot ratio L_jj**2 / C_jj = 1 - R_j**2 (R_j**2: the squared multiple
+# correlation of site j with the sites before it) that certifies a matrix, and so
+# every block of it in site order, positive definite.  A site the others reproduce
+# exactly leaves ~1e-13 of rounding, and the factorisation need not fail (noiseless
+# data through a singular channel, fitted reversed); noise leaves 1e-4 and more.
+CERTIFY_TOL = 1e-8
 
 # Upper bound on the curvature: on noise-free data the objective decreases
 # forever along a -> inf, so every exact-fit row parks at the cap instead.  The
@@ -91,34 +81,17 @@ class RowFit:
     objective: float
 
 
-def _factor(c_aa: np.ndarray) -> np.ndarray | None:
-    """The Cholesky factor of ``c_aa`` when every pivot ``L_jj**2`` clears
-    ``PIVOT_TOL`` of ``C_jj``, else None."""
-    try:
-        low = cholesky(c_aa)
-    except np.linalg.LinAlgError:
-        return None
-    return low if np.all(np.diagonal(low) ** 2 > PIVOT_TOL * np.diagonal(c_aa)) else None
-
-
 def _solve_normal(c_aa: np.ndarray, c_ay: np.ndarray, certified: bool) -> np.ndarray:
-    """``beta`` with ``c_aa beta = c_ay``.
-
-    Up to ``PANEL`` regressors, a block that its record certifies, or whose
-    own Cholesky pivots all clear ``PIVOT_TOL``, is positive definite, and an
-    LU solve is then exact to rounding (numpy has no triangular solve; LU
-    costs less than two solves on the factor).  A larger block is solved on
-    its panelled factor when that factor's pivots clear ``PIVOT_TOL``.
-    Otherwise the regressors are collinear (noise-free all-sites fits, fewer
-    samples than regressors, duplicated or dead channels, a singular
-    channel), and ``lstsq`` returns the minimum-norm solution.
-    """
+    """``beta`` with ``c_aa beta = c_ay``: for a ``certified`` (positive
+    definite) block, LU up to ``PANEL`` regressors (numpy has no triangular
+    solve; LU costs less than two solves on the factor) and the panelled
+    Cholesky above; else ``lstsq``, the minimum-norm solution where the
+    regressors are collinear."""
+    if not certified:
+        return np.linalg.lstsq(c_aa, c_ay, rcond=None)[0]
     if c_aa.shape[0] <= PANEL:
-        if certified or _factor(c_aa) is not None:
-            return np.linalg.solve(c_aa, c_ay)
-    elif (low := _factor(c_aa)) is not None:
-        return cholesky_solve(low, c_ay)
-    return np.linalg.lstsq(c_aa, c_ay, rcond=None)[0]
+        return np.linalg.solve(c_aa, c_ay)
+    return cholesky_solve(cholesky(c_aa), c_ay)
 
 
 def minimize_row(
@@ -129,11 +102,10 @@ def minimize_row(
     """Fit one site's conditional Gaussian under a support mask.
 
     Reads only ``C = Moments.of(dataset).c``.  ``beta`` solves
-    ``C[A,A] beta = C[A,y]`` (``_solve_normal``): by LU or Cholesky where
-    ``C[A,A]`` is positive definite, which a certified record
-    (``pivot_ratio`` above ``CERTIFY_TOL``) guarantees for every block, else
-    by ``lstsq``, the minimum-norm solution when the active regressors are
-    collinear.  Every path gives the same bits at any BLAS thread count.
+    ``C[A,A] beta = C[A,y]`` (``_solve_normal``): by LU or Cholesky where the
+    record certifies the block's matrix (``C_II`` for inputs alone, else
+    ``C``), else by ``lstsq``, the minimum-norm solution.  Every path gives
+    the same bits at any BLAS thread count.
     ``rss = C[y,y] - 2 beta.C[A,y] + beta.C[A,A] beta`` is clamped at 0, where
     it cancels on exact fits.  Masked couplings stay 0.  ``converged``: the
     row has fewer active regressors than samples, so ``beta`` is identified;
@@ -150,7 +122,10 @@ def minimize_row(
     idx = mask.active.nonzero()[0]
     idx[np.count_nonzero(mask.active[:site]):] += 1
     c_aa, c_ay, c_yy = c.take(idx, 0).take(idx, 1), c[idx, site], float(c[site, site])
-    beta = _solve_normal(c_aa, c_ay, moments.pivot_ratio > CERTIFY_TOL)
+    # Inputs lead the site order, so the last active site decides the matrix.
+    inputs_only = idx.size == 0 or idx[-1] < moments.dims.n_half
+    ratio = moments.input_pivot_ratio if inputs_only else moments.pivot_ratio
+    beta = _solve_normal(c_aa, c_ay, ratio > CERTIFY_TOL)
     fitted = float(beta @ (c_aa @ beta))
     rss = max(c_yy - 2.0 * float(beta @ c_ay) + fitted, 0.0)
     a = A_CAP if rss <= 0.5 / A_CAP else 0.5 / rss

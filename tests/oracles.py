@@ -4,7 +4,8 @@ Everything here deliberately avoids the package's own code paths: OLS goes
 through raw normal equations, gradients through central differences, the
 Gaussian normalizer through adaptive quadrature, the iterative row optimum
 through scipy's L-BFGS-B on the objective's public definition, the moment row
-solve through ``lstsq`` alone, the decimation loop through its own ranking,
+solve through ``lstsq`` alone (or the one solver a test names), the
+decimation loop through its own ranking,
 per-row mask comparisons and BIC minimum, extraction through per-row loops
 and the sample generator through whole-array draws.  The ``parameterize_*``
 functions write a known channel's exact natural parameters as an estimate,
@@ -61,11 +62,17 @@ def lstsq_row(site, moments, mask, a_cap):
     """Reference row solve: ``lstsq`` (minimum norm) on ``C[A,A] beta = C[A,y]``
     for every block, then ``minimize_row``'s closed form; a row with no fewer
     active regressors than samples is not converged.  Returns a ``RowFit``."""
+    return solved_row(site, moments, mask, a_cap,
+                      lambda c_aa, c_ay: np.linalg.lstsq(c_aa, c_ay, rcond=None)[0])
+
+
+def solved_row(site, moments, mask, a_cap, solve):
+    """``lstsq_row`` with ``beta = solve(C[A,A], C[A,y])``."""
     n = moments.dims.n
     c = moments.c
     idx = np.delete(np.arange(n), site)[mask.active]
     c_aa, c_ay, c_yy = c[np.ix_(idx, idx)], c[idx, site], c[site, site]
-    beta = np.linalg.lstsq(c_aa, c_ay, rcond=None)[0]
+    beta = solve(c_aa, c_ay)
     fitted = float(beta @ (c_aa @ beta))
     rss = max(c_yy - 2.0 * float(beta @ c_ay) + fitted, 0.0)
     a = a_cap if rss <= 0.5 / a_cap else 0.5 / rss

@@ -29,6 +29,7 @@ from hypothesis.extra.numpy import arrays
 import tminfer as tm
 import tminfer.io as tio
 from tminfer.cli import _read_recorded, main
+from tminfer.optimize import CERTIFY_TOL
 from oracles import array_equal_decimation
 
 
@@ -42,6 +43,10 @@ CONFIG = {
 # The CLI stages of a whole chain, in order.
 STAGES = ("generate", "fit", "select", "extract", "fit --reversed", "select --reversed",
           "extract --reversed", "eval", "report")
+
+
+# A field that a test deletes from its registered JSON.
+MISSING = object()
 
 
 def register(out, name):
@@ -1033,8 +1038,9 @@ class TestCli:
 
     @pytest.mark.parametrize("sigma, verdict", [(0.1, "certified"), (0.0, "not certified")])
     def test_fit_prints_the_certificate(self, tmp_path, capsys, sigma, verdict):
-        # On stdout only, so no artifact changes.
-        cfg = write_config(tmp_path, {"sigma": sigma})
+        # All-sites rows use the whole C, which noise-free outputs make
+        # singular.  On stdout only, so no artifact changes.
+        cfg = write_config(tmp_path, {"sigma": sigma, "scope": "all"})
         out = tmp_path / "run"
         assert self.run("generate", "--config", str(cfg), "--out", str(out)) == 0
         capsys.readouterr()
@@ -1043,9 +1049,26 @@ class TestCli:
             ds, _ = tio.read_dataset(out)
             moments = tm.Moments.of(tm.reverse_dataset(ds) if extra else ds)
             captured = capsys.readouterr()
-            assert (f"second moments {verdict} positive definite, smallest pivot ratio "
+            assert (f"second moments C {verdict} positive definite, smallest pivot ratio "
                     f"{moments.pivot_ratio:.3g}\n") in captured.out
             assert captured.err == ""
+
+    def test_output_fit_prints_the_input_block_certificate(self, tmp_path, capsys):
+        # Output rows regress on inputs alone, so they use blocks of C_II: at
+        # sigma 0 the forward C_II is certified although C is singular.
+        cfg = write_config(tmp_path, {"sigma": 0.0})
+        out = tmp_path / "run"
+        assert self.run("generate", "--config", str(cfg), "--out", str(out)) == 0
+        capsys.readouterr()
+        for extra in ((), ("--reversed",)):
+            assert self.run("fit", "--config", str(cfg), "--out", str(out), *extra) == 0
+            ds, _ = tio.read_dataset(out)
+            moments = tm.Moments.of(tm.reverse_dataset(ds) if extra else ds)
+            ratio = moments.input_pivot_ratio
+            verdict = "certified" if ratio > CERTIFY_TOL else "not certified"
+            assert extra or (moments.pivot_ratio <= CERTIFY_TOL < ratio)
+            assert (f"second moments C_II {verdict} positive definite, smallest pivot "
+                    f"ratio {ratio:.3g}\n") in capsys.readouterr().out
 
     def test_tampered_dataset_blocks_fit(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -1171,6 +1194,11 @@ class TestCli:
         ("dataset.meta.json", "data_file", "../dataset.csv"),
         ("dataset.meta.json", "data_file", ".."),
         ("dataset.meta.json", "data_sha256", None),
+        ("dataset.meta.json", "direction", 5),
+        ("dataset.meta.json", "direction", "backward"),
+        ("dataset.meta.json", "direction", MISSING),
+        ("dataset.meta.json", "meta", ["seed"]),
+        ("dataset.meta.json", "meta", MISSING),
         ("estimate_full.json", "m_samples", "500"),
         ("estimate_full.json", "m_samples", None),
         ("estimate_full.json", "m_samples", [1]),
@@ -1187,7 +1215,10 @@ class TestCli:
         for verb in before:
             assert self.run(verb, "--config", str(cfg), "--out", str(out)) == 0
         doc = json.loads((out / name).read_text())
-        doc[key] = value
+        if value is MISSING:
+            del doc[key]
+        else:
+            doc[key] = value
         (out / name).write_text(json.dumps(doc))
         register(out, name)
         capsys.readouterr()
@@ -1479,6 +1510,29 @@ class TestCli:
         capsys.readouterr()
         assert self.run("eval", "--config", str(cfg), "--out", str(out)) == 1
         assert "extract.json records no t_inf.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc_name, key, value", [
+        ("extract.json", "matrix_sha256", ["t_inf.csv"]),
+        ("extract.json", "matrix_sha256", "t_inf.csv"),
+        ("dataset.meta.json", "matrix_sha256", ["t_true.csv"]),
+        ("extract.json", "role", ["direct"]),
+        ("extract.json", "role", 5),
+    ])
+    def test_eval_refuses_a_malformed_matrix_record(self, tmp_path, capsys, doc_name, key,
+                                                    value):
+        # The record eval reads a matrix under is checked before it is used:
+        # exit 1 with an error naming the file, not a runtime failure.
+        out = tmp_path / "run"
+        cfg = self.chain(tmp_path, out)
+        doc = json.loads((out / doc_name).read_text())
+        doc[key] = value
+        (out / doc_name).write_text(json.dumps(doc))
+        register(out, doc_name)
+        (out / "eval.json").unlink()
+        capsys.readouterr()
+        assert self.run("eval", "--config", str(cfg), "--out", str(out)) == 1
+        assert f"{doc_name} holds a malformed {key}, {value!r}" in capsys.readouterr().err
+        assert not (out / "eval.json").exists()
 
     def test_dataset_fingerprint_guard_on_reversed_select(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -13,9 +13,9 @@ from hypothesis.extra.numpy import arrays
 import tminfer as tm
 import tminfer.io as tio
 import tminfer.optimize as topt
-from oracles import lstsq_row, ols_conditional
+from oracles import lstsq_row, ols_conditional, solved_row
 from tminfer.linalg import PANEL
-from tminfer.optimize import A_CAP, CERTIFY_TOL, PIVOT_TOL, refit_rows
+from tminfer.optimize import A_CAP, CERTIFY_TOL, SCOPES, refit_rows
 from tminfer.pseudolikelihood import other_sites
 
 
@@ -139,6 +139,20 @@ def certified(moments):
     return moments.pivot_ratio > CERTIFY_TOL
 
 
+def rule_row(moments, mask):
+    """The row solve the certificate rule names: a row regressed on inputs
+    alone uses ``C_II``'s certificate, any other row ``C``'s; a certified
+    row of up to ``PANEL`` regressors is the LU solve of its block, any
+    other row the lstsq solve."""
+    idx = other_sites(mask.site, moments.dims.n)[mask.active]
+    inputs_only = np.all(idx < moments.dims.n_half)
+    ratio = moments.input_pivot_ratio if inputs_only else moments.pivot_ratio
+    if ratio > CERTIFY_TOL:
+        assert idx.size <= PANEL
+        return solved_row(mask.site, moments, mask, A_CAP, np.linalg.solve)
+    return lstsq_row(mask.site, moments, mask, A_CAP)
+
+
 def thinned_masks(dims, scope, rng, keep=0.5):
     """``scope_masks`` with each active coupling kept with probability ``keep``."""
     return [tm.RowMask(site=mk.site, active=mk.active & (rng.random(dims.n - 1) < keep))
@@ -158,54 +172,113 @@ def data12():
 
 
 class TestCertificate:
-    """One Cholesky of the whole C certifies every row's block of a record."""
+    """One certificate of C_II or of C picks every row's solver."""
 
     @pytest.mark.parametrize("scope", ["output", "all"])
     @pytest.mark.parametrize("name", ["data4_noisy", "data4_clean", "data6"])
-    def test_certified_rows_keep_the_per_row_bits(self, request, name, scope, rng,
-                                                  monkeypatch):
+    def test_certified_rows_keep_the_per_row_bits(self, request, name, scope, rng):
+        # A row of a certified matrix is, bit for bit, the LU solve of its
+        # own block, and every other row the lstsq solve.
         moments = tm.Moments.of(request.getfixturevalue(name))
-        # Noise-free outputs are linear in the inputs: C is singular.
+        # Noise-free outputs are linear in the inputs: C is singular, C_II not.
         assert certified(moments) == (name != "data4_clean")
+        assert moments.input_pivot_ratio > CERTIFY_TOL
         masks = scope_masks(moments.dims, scope) + thinned_masks(moments.dims, scope, rng)
-        fits = [tm.minimize_row(mk.site, moments, mk) for mk in masks]
-        monkeypatch.setattr(topt, "CERTIFY_TOL", np.inf)  # every row tests its own pivots
-        for mk, fit in zip(masks, fits):
-            ref = tm.minimize_row(mk.site, moments, mk)
-            assert same_bits(fit, ref)
-            assert (fit.params.site, fit.iterations) == (ref.params.site, ref.iterations)
+        for mk in masks:
+            fit = tm.minimize_row(mk.site, moments, mk)
+            assert same_bits(fit, rule_row(moments, mk))
+            assert (fit.params.site, fit.iterations) == (mk.site, 1)
 
     @settings(max_examples=40, deadline=None)
-    @given(w=st.integers(2, 4), sigma=st.floats(0.01, 0.5), seed=st.integers(0, 2**16),
-           per_site=st.integers(1, 8), data=st.data())
+    @given(w=st.integers(2, 4), sigma=st.one_of(st.just(0.0), st.floats(0.01, 0.5)),
+           seed=st.integers(0, 2**16), per_site=st.integers(1, 8), data=st.data())
     def test_certificate_covers_every_ascending_block(self, w, sigma, seed, per_site, data):
         dims = tm.Dimensions(w=w)
         channel = tm.build_random_tm(dims, 0.5, seed=seed)
         ds = tm.generate_dataset(channel, per_site * dims.n, tm.NoiseSpec(sigma=sigma),
                                  seed=seed + 1)
         moments = tm.Moments.of(ds)
-        if not certified(moments):
-            return
-        c = moments.c
+        assert moments.input_pivot_ratio >= moments.pivot_ratio
+        c, inputs = moments.c, np.arange(dims.n) < dims.n_half
         subsets = [data.draw(arrays(bool, dims.n)) for _ in range(10)]
         subsets += [np.arange(dims.n) != site for site in range(dims.n)]
+        subsets += [keep & inputs for keep in subsets]
         for keep in subsets:
             idx = np.flatnonzero(keep)  # ascending site order
-            if idx.size == 0:
+            # A block of inputs alone is one of C_II, any other one of C.
+            ratio = moments.input_pivot_ratio if not keep[~inputs].any() else moments.pivot_ratio
+            if idx.size == 0 or ratio <= CERTIFY_TOL:
                 continue
             block = c[np.ix_(idx, idx)]
-            pivots = np.diagonal(np.linalg.cholesky(block)) ** 2
-            assert np.all(pivots > PIVOT_TOL * np.diagonal(block))
+            ratios = np.diagonal(np.linalg.cholesky(block)) ** 2 / np.diagonal(block)
             # Conditioning on fewer sites leaves no smaller share (to rounding).
-            assert np.min(pivots / np.diagonal(block)) >= moments.pivot_ratio * (1 - 1e-9)
+            assert np.min(ratios) >= ratio * (1 - 1e-9)
 
-    def test_record_is_certified_once(self, data4_noisy, monkeypatch):
+    def test_input_block_ratio_is_read_from_the_factor_of_c(self, data4_noisy, data4_clean):
+        # C's factor starts with C_II's; where C does not factorise, C_II
+        # takes a Cholesky of its own.
+        nh = data4_noisy.dims.n_half
+        for ds in (data4_noisy, data4_clean):
+            moments = tm.Moments.of(ds)
+            try:
+                low = np.linalg.cholesky(moments.c)
+            except np.linalg.LinAlgError:
+                c_ii = moments.c[:nh, :nh]
+                low, c_diag = np.linalg.cholesky(c_ii), np.diagonal(c_ii)
+            else:
+                c_diag = np.diagonal(moments.c)[:nh]
+            assert moments.input_pivot_ratio == np.min(np.diagonal(low)[:nh] ** 2 / c_diag)
+        assert tm.Moments.of(data4_clean).pivot_ratio == 0.0
+
+    def test_record_is_certified_once(self, data4_noisy, data4_clean, monkeypatch):
+        # Each matrix is factorised once, on first use: C's factor gives C_II's
+        # certificate too, unless C is singular.
+        real, sizes = tm.model.cholesky, []
+
+        def counting(c):
+            sizes.append(c.shape[0])
+            return real(c)
+        monkeypatch.setattr(tm.model, "cholesky", counting)
+        for ds, expected in ((data4_noisy, [32]), (data4_clean, [32, 16])):
+            moments = dataclasses.replace(tm.Moments.of(ds))  # certified by no one yet
+            sizes.clear()
+            for scope in ("output", "all", "output"):
+                tm.fit_all_rows(moments, scope=scope)
+            assert sizes == expected
         moments = tm.Moments.of(data4_noisy)
-        moments.pivot_ratio
-        monkeypatch.setattr(tm.model, "cholesky", None)  # a second factorisation fails
-        for mask in scope_masks(moments.dims, "all"):
-            tm.minimize_row(mask.site, data4_noisy, mask)
+        tm.fit_all_rows(data4_noisy, scope="all")
         assert tm.Moments.of(data4_noisy) is moments
+
+    def test_row_of_an_uncertified_matrix_is_the_lstsq_solve(self, data4_noisy):
+        # A dead input leaves C_II singular.  An output row that drops it has
+        # a positive definite block, but no certificate covers that block, so
+        # the row is the minimum-norm lstsq solve.
+        moments = moments_with(data4_noisy, dead_input)
+        assert moments.input_pivot_ratio == moments.pivot_ratio == 0.0
+        for mask in scope_masks(moments.dims, "output"):
+            mask = tm.RowMask(site=mask.site, active=mask.active & (np.arange(31) != 2))
+            assert not cholesky_raises(moments, mask)
+            fit = tm.minimize_row(mask.site, moments, mask)
+            assert same_bits(fit, lstsq_row(mask.site, moments, mask, A_CAP))
+
+    @settings(max_examples=40, deadline=None)
+    @given(w=st.integers(2, 4), sigma=st.one_of(st.just(0.0), st.floats(0.01, 0.5)),
+           seed=st.integers(0, 2**16), scope=st.sampled_from(SCOPES), reverse=st.booleans(),
+           data=st.data())
+    def test_every_row_takes_the_solver_its_certificate_names(self, w, sigma, seed, scope,
+                                                             reverse, data):
+        # From fewer samples than sites to 4 per site, noise-free or not, in
+        # both scopes and directions, under full and thinned supports.
+        dims = tm.Dimensions(w=w)
+        m = data.draw(st.integers(dims.n // 2, 4 * dims.n))
+        ds = tm.generate_dataset(tm.build_random_tm(dims, 0.5, seed=seed), m,
+                                 tm.NoiseSpec(sigma=sigma), seed=seed + 1)
+        moments = tm.Moments.of(tm.reverse_dataset(ds) if reverse else ds)
+        for mask in scope_masks(dims, scope):
+            keep = data.draw(arrays(bool, dims.n - 1))
+            for active in (mask.active, mask.active & keep):
+                mk = tm.RowMask(site=mask.site, active=active)
+                assert same_bits(tm.minimize_row(mk.site, moments, mk), rule_row(moments, mk))
 
 
 class TestPanelledSolve:
@@ -282,8 +355,9 @@ class TestRowSolveBranches:
     def test_singular_block_that_factorises_takes_the_fallback(self):
         # Noise-free samples through a singular channel, fitted reversed: each
         # row regresses an input on outputs of rank < 16.  Cholesky succeeds
-        # on that singular block with a pivot at rounding level, below
-        # PIVOT_TOL, so the row is still the minimum-norm lstsq solve.
+        # on that singular block with a pivot at rounding level, so the
+        # record's C_II is not certified, and the row is the minimum-norm
+        # lstsq solve.
         dims = tm.Dimensions(w=4)
         channel = tm.build_random_tm(dims, 0.2, seed=0)
         assert np.linalg.matrix_rank(channel.entries) < dims.n_half
@@ -291,6 +365,7 @@ class TestRowSolveBranches:
         moments = tm.Moments.of(tm.reverse_dataset(ds))
         masks = scope_masks(dims, "output")
         assert not any(cholesky_raises(moments, mask) for mask in masks)
+        assert 0 < moments.input_pivot_ratio <= CERTIFY_TOL
         for mask in masks:
             fit = tm.minimize_row(mask.site, moments, mask)
             assert same_bits(fit, lstsq_row(mask.site, moments, mask, A_CAP))
