@@ -9,7 +9,7 @@ noise levels, then evaluates the result in focusing and image-reconstruction
 experiments.
 """
 
-__version__ = "0.14.0"
+__version__ = "0.15.0"
 
 from .model import (
     Dataset,

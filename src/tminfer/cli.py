@@ -26,7 +26,8 @@ import numpy as np
 from . import io as tio
 from .experiments import evaluate_channel, gaussian_spot, run_sweep
 from .extraction import extract_gramian, extract_tm
-from .model import Moments, NoiseSpec, TransmissionMatrix, build_random_tm, generate_dataset
+from .model import (Moments, NoiseSpec, TransmissionMatrix, _one_blas_thread, build_random_tm,
+                    generate_dataset)
 from .optimize import CERTIFY_TOL, fit_all_rows
 from .selection import run_decimation
 
@@ -291,7 +292,11 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        # Every BLAS call of a stage (pinv, lstsq and the products of eval
+        # among them) runs on one thread, so its artifacts have the same
+        # bits at any OPENBLAS_NUM_THREADS.
+        with _one_blas_thread():
+            return _COMMANDS[args.command](args)
     except (tio.ConfigError, tio.ChainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -95,7 +95,7 @@ def extract_tm(estimate: CouplingEstimate) -> tuple[TransmissionMatrix, ChannelN
                                     converged=estimate.converged[-nh:])
 
 
-def extract_gramian(estimate: CouplingEstimate) -> tuple[np.ndarray, float]:
+def extract_gramian(estimate: CouplingEstimate) -> tuple[np.ndarray, float | None]:
     """Recover the input self-coupling Gramian and the balance diagnostic.
 
     An input channel's conditional Gaussian has curvature beta * U[a, a] and
@@ -107,7 +107,8 @@ def extract_gramian(estimate: CouplingEstimate) -> tuple[np.ndarray, float]:
     to the other inputs at positions 0..n_half-2, in ascending site order.
     ``balance`` is the relative Frobenius gap between the directly fitted
     Gramian and ``T_inf^T @ T_inf``; small values indicate a self-consistent
-    fit and can serve as a halt criterion.
+    fit and can serve as a halt criterion.  It is None where ``T_inf`` is 0,
+    an estimate with no output-to-input coupling.
     """
     if estimate.scope != "all":
         raise ValueError("Gramian extraction needs an all-sites estimate")
@@ -118,5 +119,6 @@ def extract_gramian(estimate: CouplingEstimate) -> tuple[np.ndarray, float]:
     u[np.diag_indices(nh)] = estimate.a[:nh] / beta_in
     tm, _ = extract_tm(estimate)
     gram = tm.entries.T @ tm.entries
-    balance = float(np.linalg.norm(u - gram) / np.linalg.norm(gram))
+    norm = float(np.linalg.norm(gram))
+    balance = float(np.linalg.norm(u - gram)) / norm if norm > 0 else None
     return u, balance

@@ -54,7 +54,7 @@ import numpy as np
 
 from . import __version__
 from .experiments import SweepConfig
-from .model import Dataset, Dimensions, Moments, _frozen
+from .model import Dataset, Dimensions, Moments, _blas_threads, _frozen
 from .optimize import SCOPES, CouplingEstimate, _scope_sites
 from .selection import DecimationOptions, DecimationPath
 
@@ -82,7 +82,13 @@ MANIFEST = "MANIFEST.json"
 # block of a streamed .npy file.
 _BLOCK_VALUES = 1 << 12
 _HASH_CHUNK = 1 << 20
-_VERSIONS = {"tminfer": __version__, "numpy": np.__version__}
+
+
+def _versions() -> dict:
+    """The ``versions`` a JSON artifact records; ``blas_pinned`` says whether
+    the BLAS calls that define its bits ran on one thread (``model._one_blas_thread``)."""
+    return {"tminfer": __version__, "numpy": np.__version__,
+            "blas_pinned": _blas_threads() is not None}
 
 
 class ConfigError(ValueError):
@@ -888,7 +894,7 @@ def write_dataset(ds: Dataset, path: str | Path, fingerprint: str,
     path = Path(path)
     meta = {
         "format": "tminfer-dataset",
-        "versions": _VERSIONS,
+        "versions": _versions(),
         "w": ds.dims.w,
         "m_samples": ds.m_samples,
         "direction": ds.direction,
@@ -1017,7 +1023,7 @@ def write_estimate(est: CouplingEstimate, path: str | Path, fingerprint: str,
         raise ValueError("moments and estimate dataset fingerprints differ")
     doc = {
         "format": "tminfer-estimate",
-        "versions": _VERSIONS,
+        "versions": _versions(),
         "w": est.dims.w,
         "scope": est.scope,
         "direction": est.direction,
@@ -1118,7 +1124,7 @@ def write_path(path_obj: DecimationPath, path: str | Path, fingerprint: str,
     } for r in path_obj.records]
     doc = {
         "format": "tminfer-path",
-        "versions": _VERSIONS,
+        "versions": _versions(),
         "sigma": sigma,
         "selected": path_obj.selected,
         "records": records,
@@ -1136,7 +1142,7 @@ def write_json_artifact(doc: dict, path: str | Path, fingerprint: str) -> None:
     """Write ``doc`` as JSON, adding the versions and config ``fingerprint``;
     keys ``doc`` already holds keep their place in the file."""
     doc = dict(doc)
-    doc.setdefault("versions", _VERSIONS)
+    doc.setdefault("versions", _versions())
     doc["config_fingerprint"] = fingerprint
     _write_artifact(Path(path), ((json.dumps(doc, indent=1) + "\n").encode(),))
 

@@ -29,14 +29,15 @@ samples.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import hashlib
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
-
-from .linalg import cholesky
 
 __all__ = [
     "Dimensions",
@@ -53,6 +54,48 @@ __all__ = [
 
 # Values per block of random draws in ``generate_dataset``.
 _DRAW_VALUES = 1 << 16
+
+
+@functools.cache
+def _blas_threads():
+    """The thread-count getter and setter of the OpenBLAS that numpy's wheel
+    ships (``numpy.libs``, or ``numpy/.dylibs`` on macOS), found on first
+    use; None where it ships none (Accelerate, MKL, a system BLAS)."""
+    root = Path(np.__file__).parent
+    for lib in sorted([*root.parent.glob("numpy.libs/*openblas*"),
+                       *root.glob(".dylibs/*openblas*")]):
+        blas = ctypes.CDLL(str(lib))
+        # numpy 2 wheels ship scipy-openblas; numpy 1.2x wheels openblas64_.
+        for prefix in ("scipy_openblas", "openblas"):
+            get = getattr(blas, f"{prefix}_get_num_threads64_", None)
+            put = getattr(blas, f"{prefix}_set_num_threads64_", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+class _one_blas_thread:
+    """``with _one_blas_thread():`` runs the block on one OpenBLAS thread.
+    OpenBLAS splits a product or a factorisation between threads from some
+    size on, and the bits of the result then depend on
+    ``OPENBLAS_NUM_THREADS``; every call whose bits an artifact records runs
+    under this pin.  No set call where the count is already 1; a no-op where
+    ``_blas_threads`` finds no setter.  A class, not a generator: a row
+    solve takes the pin, and this costs a third as much."""
+
+    __slots__ = ("_threads",)
+
+    def __enter__(self) -> None:
+        calls = _blas_threads()
+        self._threads = calls[0]() if calls is not None else 1
+        if self._threads != 1:
+            calls[1](1)
+
+    def __exit__(self, *exc) -> None:
+        if self._threads != 1:
+            _blas_threads()[1](self._threads)
 
 
 def _frozen(arr, dtype=np.float64) -> np.ndarray:
@@ -210,7 +253,8 @@ class Dataset:
     def _moments(self) -> Moments:
         """``Moments.of(self)``, formed once."""
         s = self.site_matrix()
-        c = s.T @ s
+        with _one_blas_thread():
+            c = s.T @ s
         c /= self.m_samples
         c.flags.writeable = False  # the record adopts it
         return Moments(self.dims, self.direction, self.m_samples, c)
@@ -228,7 +272,8 @@ def _rebuild_dataset(dims: Dimensions, samples: np.ndarray, direction: str,
 def _pivot_ratios(c: np.ndarray) -> np.ndarray | None:
     """``L_jj**2 / C_jj`` of the Cholesky factor ``L`` of ``c``; None where it fails."""
     try:
-        low = cholesky(c)
+        with _one_blas_thread():
+            low = np.linalg.cholesky(c)
     except np.linalg.LinAlgError:
         return None
     return np.diagonal(low) ** 2 / np.diagonal(c)
@@ -394,7 +439,8 @@ def generate_dataset(
     # One product over all rows, as a whole-array draw computes it: OpenBLAS
     # picks its kernel by the row count, so a product per block would change
     # the bits of short blocks.
-    np.matmul(inputs, tm.entries.T, out=outputs)
+    with _one_blas_thread():
+        np.matmul(inputs, tm.entries.T, out=outputs)
     sigma = noise.sigma_vector(nh)
     for b in blocks:
         eps = rng.standard_normal(outputs[b].shape)

@@ -16,9 +16,9 @@ regressors than samples; with as many or more it interpolates them.
 
 Each row solves a block of ``C_II`` when its active regressors are all
 inputs, else of the whole ``C``: where the record certifies that matrix
-(``CERTIFY_TOL``), by LU up to ``PANEL`` regressors and a panelled Cholesky
-above, and otherwise by the minimum-norm ``lstsq``.  A solve costs well under
-a millisecond at w=6, so rows run one after another on the calling thread.
+(``CERTIFY_TOL``), by LU, and otherwise by the minimum-norm ``lstsq``, each
+on one BLAS thread.  A solve costs well under a millisecond at w=6, so rows
+run one after another on the calling thread.
 
 An estimate stacks the rows of its scope as arrays, ``(rows,)`` or
 ``(rows, n-1)``, which ``_solve_rows`` assembles; every support but
@@ -31,8 +31,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .linalg import PANEL, cholesky, cholesky_solve
-from .model import Dataset, Dimensions, Moments, _all_finite, _frozen
+from .model import Dataset, Dimensions, Moments, _all_finite, _frozen, _one_blas_thread
 from .pseudolikelihood import RowMask, RowParams, log_partition
 
 __all__ = [
@@ -82,16 +81,14 @@ class RowFit:
 
 
 def _solve_normal(c_aa: np.ndarray, c_ay: np.ndarray, certified: bool) -> np.ndarray:
-    """``beta`` with ``c_aa beta = c_ay``: for a ``certified`` (positive
-    definite) block, LU up to ``PANEL`` regressors (numpy has no triangular
-    solve; LU costs less than two solves on the factor) and the panelled
-    Cholesky above; else ``lstsq``, the minimum-norm solution where the
-    regressors are collinear."""
-    if not certified:
+    """``beta`` with ``c_aa beta = c_ay``, on one BLAS thread: LU for a
+    ``certified`` (positive definite) block (numpy has no triangular solve;
+    LU costs less than two solves on a Cholesky factor), else ``lstsq``, the
+    minimum-norm solution where the regressors are collinear."""
+    with _one_blas_thread():
+        if certified:
+            return np.linalg.solve(c_aa, c_ay)
         return np.linalg.lstsq(c_aa, c_ay, rcond=None)[0]
-    if c_aa.shape[0] <= PANEL:
-        return np.linalg.solve(c_aa, c_ay)
-    return cholesky_solve(cholesky(c_aa), c_ay)
 
 
 def minimize_row(
@@ -102,10 +99,10 @@ def minimize_row(
     """Fit one site's conditional Gaussian under a support mask.
 
     Reads only ``C = Moments.of(dataset).c``.  ``beta`` solves
-    ``C[A,A] beta = C[A,y]`` (``_solve_normal``): by LU or Cholesky where the
-    record certifies the block's matrix (``C_II`` for inputs alone, else
-    ``C``), else by ``lstsq``, the minimum-norm solution.  Every path gives
-    the same bits at any BLAS thread count.
+    ``C[A,A] beta = C[A,y]`` (``_solve_normal``): by LU where the record
+    certifies the block's matrix (``C_II`` for inputs alone, else ``C``),
+    else by ``lstsq``, the minimum-norm solution.  Both run on one BLAS
+    thread, so they give the same bits at any thread count.
     ``rss = C[y,y] - 2 beta.C[A,y] + beta.C[A,A] beta`` is clamped at 0, where
     it cancels on exact fits.  Masked couplings stay 0.  ``converged``: the
     row has fewer active regressors than samples, so ``beta`` is identified;

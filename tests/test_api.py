@@ -11,8 +11,8 @@ import tminfer as tm
 
 ROOT = Path(__file__).resolve().parents[1]
 
-MODULES = ("linalg", "model", "pseudolikelihood", "optimize", "selection", "extraction",
-           "experiments", "io")
+MODULES = ("model", "pseudolikelihood", "optimize", "selection", "extraction", "experiments",
+           "io")
 
 
 @pytest.mark.parametrize("name", [None, *MODULES])

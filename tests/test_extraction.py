@@ -123,6 +123,16 @@ class TestExtractGramian:
         with pytest.raises(ValueError):
             tm.extract_gramian(est)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_no_output_to_input_coupling_has_no_balance(self, data4_noisy):
+        # T_inf = 0, so T_inf^T T_inf = 0 and no relative gap is defined.
+        dims = data4_noisy.dims
+        active = tm.initial_masks(dims, "all")
+        active[dims.n_half:, :dims.n_half] = False
+        u, balance = tm.extract_gramian(tm.fit_all_rows(data4_noisy, active, scope="all"))
+        assert balance is None
+        assert np.all(np.isfinite(u))
+
 
 class TestExtractionMatchesPerRowLoops:
     """The array expressions give the bits of the per-row loops in oracles.py."""

@@ -1684,6 +1684,23 @@ class TestCli:
                                                  "q_image_inverse"))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("seed", [1, 2, 3, 5])
+def test_extract_without_output_coupling_writes_null_balance(tmp_path, seed):
+    # select keeps no output->input coupling of these all-sites chains, so
+    # the balance has no scale; extract writes null, which strict JSON reads.
+    cfg = write_config(tmp_path, {"w": 2, "density": 0.5, "m_samples": 20, "sigma": 2.0,
+                                  "seed": seed, "scope": "all"})
+    out = tmp_path / "run"
+    for verb in ("generate", "fit", "select", "extract"):
+        assert main([verb, "--config", str(cfg), "--out", str(out)]) == 0, verb
+    est = tio.read_estimate(out / "estimate_selected.json")
+    assert not est.active[-est.dims.n_half:, :est.dims.n_half].any()
+    doc = json.loads((out / "extract.json").read_text(),
+                     parse_constant=lambda name: pytest.fail(f"extract.json holds {name}"))
+    assert doc["balance"] is None
+
+
 def test_no_thread_is_started(tmp_path, data4_noisy):
     # Rows are solved on the calling thread: a thread count is accepted and
     # ignored, so nothing may start a thread even when one asks for four.
@@ -1699,12 +1716,21 @@ def test_no_thread_is_started(tmp_path, data4_noisy):
     assert best.n_active_couplings == path.selected_record.n_couplings
 
 
-@pytest.mark.slow
-def test_artifacts_identical_across_blas_threads(tmp_path):
-    # The only large BLAS call left in a fit is S^T S; every artifact of the
-    # full-scale chain must come out byte-identical for 1 and 2 BLAS threads.
-    cfg = write_config(tmp_path, {"w": 12, "density": 0.2, "m_samples": 5000,
-                                  "sigma": 0.05, "seed": 1})
+# Runs the stages argv[3:] of one chain in this process; exits 1 if one fails.
+_CHAIN = """
+import sys
+from tminfer.cli import main
+cfg, out = sys.argv[1], sys.argv[2]
+for stage in sys.argv[3:]:
+    if main([*stage.split(), "--config", cfg, "--out", out]) != 0:
+        sys.exit(f"{stage} failed")
+"""
+
+
+def files_differing_across_blas_threads(tmp_path, overrides):
+    """The files of the whole chain of ``overrides``' config whose bytes
+    differ between OPENBLAS_NUM_THREADS 1 and 2, one subprocess each."""
+    cfg = write_config(tmp_path, overrides)
     src = str(Path(__file__).resolve().parents[1] / "src")
     outs = {}
     for blas_threads in ("1", "2"):
@@ -1712,18 +1738,35 @@ def test_artifacts_identical_across_blas_threads(tmp_path):
                    PYTHONPATH=os.pathsep.join(
                        filter(None, [src, os.environ.get("PYTHONPATH")])))
         out = tmp_path / f"blas{blas_threads}"
-        for stage in STAGES:
-            res = subprocess.run([sys.executable, "-m", "tminfer.cli", *stage.split(),
-                                  "--config", str(cfg), "--out", str(out)],
-                                 env=env, capture_output=True, text=True)
-            assert res.returncode == 0, (stage, blas_threads, res.stderr)
+        res = subprocess.run([sys.executable, "-c", _CHAIN, str(cfg), str(out), *STAGES],
+                             env=env, capture_output=True, text=True, timeout=1800)
+        assert res.returncode == 0, (blas_threads, res.stderr)
         outs[blas_threads] = out
     names = sorted(p.name for p in outs["1"].iterdir())
     assert names == sorted(p.name for p in outs["2"].iterdir())
     assert "t_inv_inf.csv" in names
-    diffs = [n for n in names
-             if (outs["1"] / n).read_bytes() != (outs["2"] / n).read_bytes()]
-    assert not diffs
+    doc = json.loads((outs["1"] / "eval.json").read_text())
+    assert doc["versions"]["blas_pinned"] == (tm.model._blas_threads() is not None)
+    return [n for n in names if (outs["1"] / n).read_bytes() != (outs["2"] / n).read_bytes()]
+
+
+def test_chain_identical_across_blas_threads(tmp_path):
+    # At w=7, S^T S is split between BLAS threads; each stage runs on one
+    # pinned thread, so every file has the same bytes at any thread count.
+    assert not files_differing_across_blas_threads(
+        tmp_path, {"w": 7, "density": 0.2, "m_samples": 1000, "sigma": 0.05, "seed": 5})
+
+
+@pytest.mark.slow
+def test_artifacts_identical_across_blas_threads(tmp_path):
+    # Full-scale chains: criterion 10's data at w=12, and at w=15 and w=20
+    # the samples' product too is split between BLAS threads, as are the
+    # row solves above 100 regressors and eval's pinv and lstsq.
+    for w, m in ((12, 5000), (15, 1000), (20, 1000)):
+        run = tmp_path / f"w{w}"
+        run.mkdir()
+        assert not files_differing_across_blas_threads(
+            run, {"w": w, "density": 0.2, "m_samples": m, "sigma": 0.05, "seed": 1}), w
 
 
 def test_only_io_knows_the_artifact_contract():

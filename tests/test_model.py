@@ -1,11 +1,17 @@
 import copy
 import dataclasses
+import json
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import tminfer as tm
+from tminfer.model import _blas_threads, _one_blas_thread
 from tminfer.pseudolikelihood import other_sites
 from oracles import assemble_coupling_blocks, parameterize_channel, whole_array_samples
 
@@ -536,6 +542,63 @@ class TestMoments:
         assert np.array_equal(est.row_objectives, ref.row_objectives)
         for r1, r2 in zip(est.rows, ref.rows):
             assert r1.a == r2.a and r1.k.tobytes() == r2.k.tobytes()
+
+
+# Prints the sha256 of C and of the samples of each (w, M) in argv[1].
+_MOMENT_HASHES = """
+import hashlib, json, sys
+import tminfer as tm
+out = {}
+for w, m in json.loads(sys.argv[1]):
+    dims = tm.Dimensions(w=w)
+    ds = tm.generate_dataset(tm.build_random_tm(dims, 0.2, seed=5), m,
+                             tm.NoiseSpec(sigma=0.05), seed=6)
+    out[f"{w},{m}"] = [hashlib.sha256(arr.tobytes()).hexdigest()
+                       for arr in (tm.Moments.of(ds).c, ds.samples)]
+print(json.dumps(out))
+"""
+
+
+class TestOneBlasThread:
+    def test_moments_and_samples_identical_across_blas_threads(self):
+        # OpenBLAS splits S^T S (from w=7) and the samples' inputs @ T^T
+        # (from w=14) between threads, which changed their last bits with
+        # OPENBLAS_NUM_THREADS before both ran on one pinned thread.
+        sizes = [(7, 1000), (9, 1000), (13, 1000), (14, 1000), (15, 1000), (20, 5000)]
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outs = {}
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")])))
+            res = subprocess.run([sys.executable, "-c", _MOMENT_HASHES, json.dumps(sizes)],
+                                 env=env, capture_output=True, text=True, timeout=300)
+            assert res.returncode == 0, res.stderr
+            outs[threads] = json.loads(res.stdout)
+        assert outs["1"] == outs["2"]
+
+    def test_pin_is_found_wherever_numpy_ships_openblas(self):
+        # A wrong symbol name would leave the pin a silent no-op, and every
+        # artifact's bits would depend on the thread count again.
+        root = Path(np.__file__).parent
+        shipped = [*root.parent.glob("numpy.libs/*openblas*"), *root.glob(".dylibs/*openblas*")]
+        calls = _blas_threads()
+        assert (calls is not None) == bool(shipped), shipped
+        if calls is None:
+            return
+        get, put = calls
+        before = get()
+        put(2)
+        try:
+            with _one_blas_thread():
+                assert get() == 1
+                with _one_blas_thread():
+                    assert get() == 1
+            assert get() == 2
+            with pytest.raises(ZeroDivisionError), _one_blas_thread():
+                1 / 0
+            assert get() == 2
+        finally:
+            put(before)
 
 
 class TestGroundTruthCoupling:

@@ -14,7 +14,7 @@ import tminfer as tm
 import tminfer.io as tio
 import tminfer.optimize as topt
 from oracles import lstsq_row, ols_conditional, solved_row
-from tminfer.linalg import PANEL
+from tminfer.model import _one_blas_thread
 from tminfer.optimize import A_CAP, CERTIFY_TOL, SCOPES, refit_rows
 from tminfer.pseudolikelihood import other_sites
 
@@ -142,13 +142,11 @@ def certified(moments):
 def rule_row(moments, mask):
     """The row solve the certificate rule names: a row regressed on inputs
     alone uses ``C_II``'s certificate, any other row ``C``'s; a certified
-    row of up to ``PANEL`` regressors is the LU solve of its block, any
-    other row the lstsq solve."""
+    row is the LU solve of its block, any other row the lstsq solve."""
     idx = other_sites(mask.site, moments.dims.n)[mask.active]
     inputs_only = np.all(idx < moments.dims.n_half)
     ratio = moments.input_pivot_ratio if inputs_only else moments.pivot_ratio
     if ratio > CERTIFY_TOL:
-        assert idx.size <= PANEL
         return solved_row(mask.site, moments, mask, A_CAP, np.linalg.solve)
     return lstsq_row(mask.site, moments, mask, A_CAP)
 
@@ -233,12 +231,12 @@ class TestCertificate:
     def test_record_is_certified_once(self, data4_noisy, data4_clean, monkeypatch):
         # Each matrix is factorised once, on first use: C's factor gives C_II's
         # certificate too, unless C is singular.
-        real, sizes = tm.model.cholesky, []
+        real, sizes = np.linalg.cholesky, []
 
         def counting(c):
             sizes.append(c.shape[0])
             return real(c)
-        monkeypatch.setattr(tm.model, "cholesky", counting)
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
         for ds, expected in ((data4_noisy, [32]), (data4_clean, [32, 16])):
             moments = dataclasses.replace(tm.Moments.of(ds))  # certified by no one yet
             sizes.clear()
@@ -282,7 +280,8 @@ class TestCertificate:
 
 
 class TestPanelledSolve:
-    """Blocks above PANEL regressors: panelled Cholesky, or lstsq if singular."""
+    """Blocks above 96 regressors, which a panelled Cholesky solved before
+    0.15.0: LU on one BLAS thread, or lstsq if singular."""
 
     @pytest.mark.parametrize("scope", ["output", "all"])
     def test_matches_lstsq_reference(self, data12, scope, rng):
@@ -291,8 +290,13 @@ class TestPanelledSolve:
         full = scope_masks(moments.dims, scope)
         masks = [full[0], full[-1], *thinned_masks(moments.dims, scope, rng, keep=0.8)[:2]]
         for mask in masks:
-            assert mask.active.sum() > PANEL
+            assert mask.active.sum() > 96
             fit = tm.minimize_row(mask.site, moments, mask)
+            # The certified row is the LU solve of its block, bit for bit,
+            # where both run on one BLAS thread.
+            with _one_blas_thread():
+                assert same_bits(fit, solved_row(mask.site, moments, mask, A_CAP,
+                                                 np.linalg.solve))
             ref = lstsq_row(mask.site, moments, mask, A_CAP)
             # Output rows regress on the inputs alone (condition ~1e3); an
             # all-sites block holds outputs that the inputs nearly explain
@@ -310,7 +314,7 @@ class TestPanelledSolve:
         moments = moments_with(data12, duplicate_input)
         assert not certified(moments)
         for mask in scope_masks(moments.dims, "output")[:3]:
-            assert mask.active.sum() > PANEL
+            assert mask.active.sum() > 96
             fit = tm.minimize_row(mask.site, moments, mask)
             assert same_bits(fit, lstsq_row(mask.site, moments, mask, A_CAP))
 
@@ -437,7 +441,7 @@ print(json.dumps(out))
 def test_row_solves_identical_across_blas_threads(tmp_path):
     # OpenBLAS factorises and solves blocks of 100 and more on several
     # threads, and its matmul splits the columns of a wide product between
-    # them.  The LU solve up to PANEL, the panelled Cholesky above it and the
+    # them.  The LU solve at every size, run on one pinned thread, and the
     # whole C's pivot ratio must give the same bits at any thread count.
     dims, m = tm.Dimensions(w=12), 1000
     ds = tm.generate_dataset(tm.build_random_tm(dims, 0.2, seed=1), m,

@@ -340,9 +340,9 @@ def test_fit_and_path_properties(ds, scope):
 @pytest.mark.slow
 @pytest.mark.parametrize("w, m", [(12, 5000), (16, 8000)])
 def test_panelled_rows_keep_the_lstsq_path(w, m):
-    # Every block here has more than PANEL regressors, which lstsq solved
-    # before the panelled Cholesky: the path and the selection must not move.
-    # (12, 5000) is criterion 10's data.
+    # Every block here has more than 96 regressors, which lstsq solved
+    # before 0.11.0 and LU on one BLAS thread solves now: the path and the
+    # selection must not move.  (12, 5000) is criterion 10's data.
     dims = tm.Dimensions(w=w)
     ds = tm.generate_dataset(tm.build_random_tm(dims, 0.2, seed=1), m,
                              tm.NoiseSpec(sigma=0.05), seed=2)
