@@ -161,7 +161,6 @@ def cmd_extract(args) -> int:
         "role": tm.role,
         "sigma_hat": [float(s) for s in noise.sigma_hat],
         "beta_hat": [float(b) for b in noise.beta_hat],
-        "rows_converged": [bool(c) for c in noise.converged],
     }
     if est.scope == "all":
         u, doc["balance"] = extract_gramian(est)

@@ -22,6 +22,7 @@ from .model import (
     Moments,
     NoiseSpec,
     TransmissionMatrix,
+    _one_blas_thread,
     build_random_tm,
     generate_dataset,
     reverse_dataset,
@@ -75,17 +76,17 @@ def glyph_image(dims: Dimensions) -> np.ndarray:
     return img.ravel()
 
 
-def focus_contrast(achieved: np.ndarray, target: np.ndarray) -> float:
+def focus_contrast(achieved: np.ndarray, target: np.ndarray) -> float | None:
     """Peak-to-mean-background ratio of the achieved pattern.
 
     The peak pixel is where the target is brightest; background is every
-    other pixel.
+    other pixel.  None, undefined, where the background's mean is not positive.
     """
     peak = int(np.argmax(target))
     rest = np.delete(achieved, peak)
     bg = float(np.mean(rest))
     if bg <= 0:
-        return float("inf")
+        return None
     return float(achieved[peak]) / bg
 
 
@@ -142,20 +143,22 @@ def evaluate_channel(t_true: TransmissionMatrix, t_inf: TransmissionMatrix, nois
     """The evaluation experiments of an inferred channel: focusing on ``target``
     through ``t_inf``, and glyph reconstruction through ``pinv(t_inf)`` and, when
     given, ``t_inv``.  Each draws its noise from a generator of its own, seeded
-    ``seed_focus`` or ``seed_img``.  Returns each Q under its ``SweepRecord`` name."""
-    achieved, q_focus = focusing_experiment(
-        t_true, t_inf, target, noise, np.random.default_rng(seed_focus))
-    obj = glyph_image(t_true.dims)
-    t_pinv = TransmissionMatrix(dims=t_true.dims, entries=np.linalg.pinv(t_inf.entries),
-                                role="inverse")
-    _, q_img_pinv = image_reconstruction(
-        t_pinv, t_true, obj, noise, np.random.default_rng(seed_img))
-    out = {"q_focus": q_focus.q, "focus_peak_ratio": focus_contrast(achieved, target),
-           "q_image_pinv": q_img_pinv.q}
-    if t_inv is not None:
-        _, q_img_inv = image_reconstruction(
-            t_inv, t_true, obj, noise, np.random.default_rng(seed_img))
-        out["q_image_inverse"] = q_img_inv.q
+    ``seed_focus`` or ``seed_img``, on one BLAS thread (``model._one_blas_thread``).
+    Returns each Q under its ``SweepRecord`` name."""
+    with _one_blas_thread():
+        achieved, q_focus = focusing_experiment(
+            t_true, t_inf, target, noise, np.random.default_rng(seed_focus))
+        obj = glyph_image(t_true.dims)
+        t_pinv = TransmissionMatrix(dims=t_true.dims, entries=np.linalg.pinv(t_inf.entries),
+                                    role="inverse")
+        _, q_img_pinv = image_reconstruction(
+            t_pinv, t_true, obj, noise, np.random.default_rng(seed_img))
+        out = {"q_focus": q_focus.q, "focus_peak_ratio": focus_contrast(achieved, target),
+               "q_image_pinv": q_img_pinv.q}
+        if t_inv is not None:
+            _, q_img_inv = image_reconstruction(
+                t_inv, t_true, obj, noise, np.random.default_rng(seed_img))
+            out["q_image_inverse"] = q_img_inv.q
     return out
 
 
@@ -289,21 +292,23 @@ def run_sweep(config: SweepConfig) -> ExperimentReport:
     The channel matrix is drawn once per replicate and held fixed across the
     noise grid; data are drawn fresh per grid point with seeds derived from
     the master seed.  A failing grid point is recorded with its error message
-    and the sweep continues.
+    and the sweep continues (an underdetermined row is one such error).
+    Runs on one BLAS thread, as ``evaluate_channel`` does.
     """
     root = np.random.SeedSequence(config.master_seed)
     rep_seqs = root.spawn(config.replicates)
     records = []
-    for rep in range(config.replicates):
-        tm_seq, *point_seqs = rep_seqs[rep].spawn(1 + len(config.sigma_grid))
-        tm_true = build_random_tm(config.dims, config.density, seed=_seed_int(tm_seq))
-        for i, sigma in enumerate(config.sigma_grid):
-            sub = point_seqs[i].spawn(3)
-            seeds = (_seed_int(sub[0]), _seed_int(sub[1]), _seed_int(sub[2]))
-            try:
-                rec = _sweep_point(config, tm_true, sigma, rep, seeds)
-            except Exception as exc:  # record and continue
-                rec = SweepRecord(sigma=sigma, replicate=rep, data_seed=seeds[0],
-                                  failure=f"{type(exc).__name__}: {exc}")
-            records.append(rec)
+    with _one_blas_thread():
+        for rep in range(config.replicates):
+            tm_seq, *point_seqs = rep_seqs[rep].spawn(1 + len(config.sigma_grid))
+            tm_true = build_random_tm(config.dims, config.density, seed=_seed_int(tm_seq))
+            for i, sigma in enumerate(config.sigma_grid):
+                sub = point_seqs[i].spawn(3)
+                seeds = (_seed_int(sub[0]), _seed_int(sub[1]), _seed_int(sub[2]))
+                try:
+                    rec = _sweep_point(config, tm_true, sigma, rep, seeds)
+                except Exception as exc:  # record and continue
+                    rec = SweepRecord(sigma=sigma, replicate=rep, data_seed=seeds[0],
+                                      failure=f"{type(exc).__name__}: {exc}")
+                records.append(rec)
     return ExperimentReport(config=config, records=tuple(records))

@@ -33,12 +33,10 @@ class ChannelNoiseEstimate:
 
     sigma_hat: np.ndarray
     beta_hat: np.ndarray
-    converged: np.ndarray
 
     def __post_init__(self) -> None:
-        for name, dtype in (("sigma_hat", np.float64), ("beta_hat", np.float64),
-                            ("converged", bool)):
-            object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
+        for name in ("sigma_hat", "beta_hat"):
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
         s, b = self.sigma_hat, self.beta_hat
         if np.any(s <= 0) or np.any(b <= 0):
             raise ValueError("noise levels and inverse temperatures must be positive")
@@ -80,10 +78,7 @@ def extract_tm(estimate: CouplingEstimate) -> tuple[TransmissionMatrix, ChannelN
     the input-site couplings, sigma_g = (2 * a_g) ** -0.5.  Output sites come
     last in either scope, so they are the last n_half rows of the estimate,
     and inputs precede outputs, so their couplings are positions 0..n_half-1.
-    A row flagged non-converged had no fewer active regressors than samples
-    and interpolates them; it keeps its entries, and the flags ride along in
-    the noise estimate.  Fitted output-to-output couplings (all-sites scope)
-    are not folded in.
+    Fitted output-to-output couplings (all-sites scope) are not folded in.
     """
     nh = estimate.dims.n_half
     a_vec = estimate.a[-nh:]
@@ -91,8 +86,7 @@ def extract_tm(estimate: CouplingEstimate) -> tuple[TransmissionMatrix, ChannelN
     sigma_hat = 1.0 / np.sqrt(2.0 * a_vec)
     role = "direct" if estimate.direction == "forward" else "inverse"
     tm = TransmissionMatrix(dims=estimate.dims, entries=t, role=role)
-    return tm, ChannelNoiseEstimate(sigma_hat=sigma_hat, beta_hat=a_vec,
-                                    converged=estimate.converged[-nh:])
+    return tm, ChannelNoiseEstimate(sigma_hat=sigma_hat, beta_hat=a_vec)
 
 
 def extract_gramian(estimate: CouplingEstimate) -> tuple[np.ndarray, float | None]:

@@ -1014,7 +1014,7 @@ def read_matrix(path: str | Path, dims: Dimensions, sha256: str | None = None) -
 def write_estimate(est: CouplingEstimate, path: str | Path, fingerprint: str,
                    dataset_sha256: str, moments: Moments | None = None) -> None:
     """Write ``est`` as JSON: its scalars, hashes and arrays, ``a``,
-    ``row_objectives``, ``converged``, ``support`` (the ascending flat indices
+    ``row_objectives``, ``support`` (the ascending flat indices
     of ``active``) and ``couplings`` (``k`` there).  With ``moments``, the
     record of the data ``est`` was fitted on, also record its sample count and
     exact second moments ``C``, all that a later fit or decimation needs to
@@ -1033,7 +1033,6 @@ def write_estimate(est: CouplingEstimate, path: str | Path, fingerprint: str,
         "config_fingerprint": fingerprint,
         "a": est.a.tolist(),
         "row_objectives": est.row_objectives.tolist(),
-        "converged": est.converged.tolist(),
         "support": np.flatnonzero(est.active).tolist(),
         "couplings": est.k[est.active].tolist(),
     }
@@ -1085,7 +1084,6 @@ def read_estimate(path: str | Path, fingerprint: str | None = None,
         active.reshape(-1)[support] = True
         est = CouplingEstimate(
             dims=dims, scope=doc["scope"], direction=doc["direction"], a=a, k=k, active=active,
-            converged=_json_array(doc, "converged", bool, {bool}),
             row_objectives=_json_array(doc, "row_objectives", np.float64, {int, float}),
             total_pl=doc["total_pl"], dataset_fingerprint=doc["dataset_fingerprint"])
         if est.total_pl is not None and type(est.total_pl) is not float:
@@ -1120,7 +1118,6 @@ def write_path(path_obj: DecimationPath, path: str | Path, fingerprint: str,
         "k_free": r.k_free,
         "total_pl": r.total_pl,
         "bic": r.bic,
-        "all_converged": r.all_converged,
     } for r in path_obj.records]
     doc = {
         "format": "tminfer-path",
@@ -1140,11 +1137,16 @@ def write_path(path_obj: DecimationPath, path: str | Path, fingerprint: str,
 
 def write_json_artifact(doc: dict, path: str | Path, fingerprint: str) -> None:
     """Write ``doc`` as JSON, adding the versions and config ``fingerprint``;
-    keys ``doc`` already holds keep their place in the file."""
+    keys ``doc`` already holds keep their place in the file.  ValueError naming
+    the file, neither written nor registered, if ``doc`` holds a NaN or an inf."""
     doc = dict(doc)
     doc.setdefault("versions", _versions())
     doc["config_fingerprint"] = fingerprint
-    _write_artifact(Path(path), ((json.dumps(doc, indent=1) + "\n").encode(),))
+    try:
+        text = json.dumps(doc, indent=1, allow_nan=False)
+    except ValueError as exc:
+        raise ValueError(f"{Path(path).name} not written: it holds a NaN or an infinity") from exc
+    _write_artifact(Path(path), ((text + "\n").encode(),))
 
 
 def read_json_artifact(path: str | Path, fingerprint: str | None = None) -> dict:

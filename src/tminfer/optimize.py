@@ -12,7 +12,7 @@ The optimum depends on the data only through the sample second moments
 ``Moments.of(dataset)``: a row solve is one small solve on a block of ``C``.
 A closed-form solve is stationary to rounding wherever ``beta`` is
 identified, so a row is ``converged`` exactly when it has fewer active
-regressors than samples; with as many or more it interpolates them.
+regressors than samples; an estimate holds no other row (``_solve_rows``).
 
 Each row solves a block of ``C_II`` when its active regressors are all
 inputs, else of the whole ``C``: where the record certifies that matrix
@@ -140,8 +140,7 @@ class CouplingEstimate:
 
     Row ``r`` describes site ``fitted_sites[r]``: curvature ``a[r]``, coupling
     field ``k[r]`` over the other sites in ``other_sites`` order and support
-    ``active[r]``, with ``k`` exactly 0 where ``active`` is False;
-    ``converged[r]`` is ``active[r].sum() < M`` (``minimize_row``) and
+    ``active[r]``, with ``k`` exactly 0 where ``active`` is False, and
     ``row_objectives[r]`` is its per-sample-mean negative
     log-pseudolikelihood at its optimum.  Each array is taken by
     ``model._frozen``: adopted if sealed, else copied once.
@@ -155,7 +154,6 @@ class CouplingEstimate:
     a: np.ndarray
     k: np.ndarray
     active: np.ndarray
-    converged: np.ndarray
     row_objectives: np.ndarray
     total_pl: float | None
     dataset_fingerprint: str = ""
@@ -164,8 +162,7 @@ class CouplingEstimate:
         rows = (len(_scope_sites(self.dims, self.scope)),)
         grid = (*rows, self.dims.n - 1)
         for name, dtype, shape in (("a", np.float64, rows), ("k", np.float64, grid),
-                                   ("active", bool, grid), ("converged", bool, rows),
-                                   ("row_objectives", np.float64, rows)):
+                                   ("active", bool, grid), ("row_objectives", np.float64, rows)):
             arr = _frozen(getattr(self, name), dtype)
             if arr.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
@@ -242,22 +239,26 @@ def _solve_rows(moments: Moments, sites, active: np.ndarray, rows,
                 base: CouplingEstimate | None = None):
     """``minimize_row`` for each index ``r`` in ``rows``, in order, of site
     ``sites[r]`` under support ``active[r]``, stacked as the arrays
-    ``(a, k, converged, objectives)`` of an estimate's rows.  Rows not
-    solved are copied from ``base``.  The arrays are sealed, so the estimate
-    built on them adopts them (``model._frozen``)."""
+    ``(a, k, objectives)`` of an estimate's rows.  Rows not solved are
+    copied from ``base``.  The arrays are sealed, so the estimate built on
+    them adopts them (``model._frozen``).  ValueError, before any solve, if a
+    row has no fewer active regressors than samples: it interpolates them."""
+    for r in rows:  # every row is counted before any is solved
+        n_active = np.count_nonzero(active[r])
+        if n_active >= moments.m_samples:
+            raise ValueError(f"the row of site {sites[r]} has {n_active} active regressors, "
+                             f"not fewer than the M={moments.m_samples} samples")
     if base is None:
         a, k = np.empty(len(sites)), np.empty((len(sites), moments.dims.n - 1))
-        converged, objectives = np.empty(len(sites), bool), np.empty(len(sites))
+        objectives = np.empty(len(sites))
     else:
-        a, k, converged, objectives = (
-            arr.copy() for arr in (base.a, base.k, base.converged, base.row_objectives))
+        a, k, objectives = (arr.copy() for arr in (base.a, base.k, base.row_objectives))
     for r in rows:
         fit = minimize_row(sites[r], moments, RowMask(site=sites[r], active=active[r]))
-        a[r], k[r], converged[r], objectives[r] = \
-            fit.params.a, fit.params.k, fit.converged, fit.objective
-    for arr in (a, k, converged, objectives):
+        a[r], k[r], objectives[r] = fit.params.a, fit.params.k, fit.objective
+    for arr in (a, k, objectives):
         arr.flags.writeable = False
-    return a, k, converged, objectives
+    return a, k, objectives
 
 
 def fit_all_rows(
@@ -269,6 +270,7 @@ def fit_all_rows(
     """Fit every row in scope independently and assemble the estimate.
 
     ``masks`` is the ``(rows, n-1)`` support, ``initial_masks`` by default.
+    ValueError if a row has no fewer active regressors than samples.
     ``threads`` is accepted and ignored: rows are solved on the calling thread.
     """
     moments = Moments.of(dataset)
@@ -280,10 +282,10 @@ def fit_all_rows(
         active = masks
     if np.shape(active) != (len(sites), moments.dims.n - 1):
         raise ValueError("masks inconsistent with scope sites")
-    a, k, converged, objectives = _solve_rows(moments, sites, active, range(len(sites)))
+    a, k, objectives = _solve_rows(moments, sites, active, range(len(sites)))
     return CouplingEstimate(
         dims=moments.dims, scope=scope, direction=moments.direction, a=a, k=k,
-        active=active, converged=converged, row_objectives=objectives,
+        active=active, row_objectives=objectives,
         # Python's left-to-right sum: the bits every artifact records.
         total_pl=float(-moments.m_samples * sum(objectives.tolist())),
         dataset_fingerprint=moments.fingerprint)
@@ -303,13 +305,12 @@ def refit_rows(
 ) -> CouplingEstimate:
     """Refit the given row indices of ``estimate`` under the ``(rows, n-1)``
     support ``new_masks``; untouched rows carry over unchanged.  ValueError
-    if ``estimate`` was fitted on other data.  ``threads`` is accepted and
-    ignored."""
+    if ``estimate`` was fitted on other data or a refit row is underdetermined.
+    ``threads`` is accepted and ignored."""
     moments = Moments.of(dataset)
     if estimate.dataset_fingerprint != moments.fingerprint:
         raise ValueError("estimate was fitted on other data")
-    a, k, converged, objectives = _solve_rows(
+    a, k, objectives = _solve_rows(
         moments, estimate.fitted_sites, new_masks, sorted(rows_to_refit), estimate)
-    return replace(estimate, a=a, k=k, active=new_masks, converged=converged,
-                   row_objectives=objectives,
+    return replace(estimate, a=a, k=k, active=new_masks, row_objectives=objectives,
                    total_pl=float(-moments.m_samples * sum(objectives.tolist())))

@@ -58,7 +58,6 @@ class DecimationRecord:
     total_pl: float
     bic: float
     estimate: CouplingEstimate | None
-    all_converged: bool
 
 
 @dataclass(frozen=True)
@@ -126,7 +125,6 @@ def _record(estimate: CouplingEstimate, n_couplings: int, m_samples: int) -> Dec
         total_pl=estimate.total_pl,
         bic=bic_score(k_free, m_samples, estimate.total_pl),
         estimate=None,
-        all_converged=all(estimate.converged),
     )
 
 

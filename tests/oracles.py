@@ -110,7 +110,7 @@ def array_equal_decimation(moments, scope, batch_fraction):
         return DecimationRecord(n_couplings=e.n_active_couplings, k_free=k_free,
                                 total_pl=e.total_pl,
                                 bic=tm.bic_score(k_free, m, e.total_pl),
-                                estimate=e, all_converged=all(e.converged))
+                                estimate=e)
 
     records = [record(est)]
     while est.n_active_couplings > 0:
@@ -267,7 +267,6 @@ def parameterize_tm(channel, sigma):
         a=a,
         k=k,
         active=active,
-        converged=(True,) * nh,
         row_objectives=(math.nan,) * nh,
         total_pl=None,
         dataset_fingerprint="parameterized",
@@ -314,7 +313,6 @@ def parameterize_channel(channel, sigma):
         a=a,
         k=k,
         active=k != 0.0,
-        converged=(True,) * dims.n,
         row_objectives=(math.nan,) * dims.n,
         total_pl=None,
         dataset_fingerprint="parameterized",
@@ -324,17 +322,15 @@ def parameterize_channel(channel, sigma):
 def per_row_extract_tm(estimate):
     """``extract_tm`` in loop form: T[g] = k[:n_half] / (2 a) and
     sigma = (2 a) ** -0.5, one output row at a time through ``row_for``.
-    Returns (T entries, sigma_hat, beta_hat, converged)."""
+    Returns (T entries, sigma_hat, beta_hat)."""
     nh = estimate.dims.n_half
     t = np.empty((nh, nh))
     a_vec = np.empty(nh)
-    conv = np.empty(nh, dtype=bool)
     for g in range(nh):
         row = estimate.row_for(nh + g)
         t[g] = row.k[:nh] / (2.0 * row.a)
         a_vec[g] = row.a
-        conv[g] = estimate.converged[estimate.fitted_sites.index(nh + g)]
-    return t, 1.0 / np.sqrt(2.0 * a_vec), a_vec, conv
+    return t, 1.0 / np.sqrt(2.0 * a_vec), a_vec
 
 
 def per_row_extract_gramian(estimate):

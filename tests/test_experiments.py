@@ -47,6 +47,13 @@ class TestTargets:
         achieved = np.array([0.1, 0.9, 0.1, 0.1])
         assert focus_contrast(achieved, target) == pytest.approx(9.0)
 
+    @pytest.mark.parametrize("rest", [0.0, -0.1])
+    def test_focus_contrast_without_a_positive_background_is_none(self, rest):
+        # The ratio is undefined; it was inf, which JSON cannot hold.
+        target = np.array([0.0, 1.0, 0.0, 0.0])
+        achieved = np.array([rest, 0.9, rest, 0.0])
+        assert focus_contrast(achieved, target) is None
+
 
 class TestFocusing:
     def test_identity_channel_perfect_focus(self):
@@ -168,6 +175,17 @@ class TestSweep:
         assert len(failed) == 1
         assert "synthetic fault" in failed[0].failure
         assert report.records[1].failure is None
+
+    def test_underdetermined_point_records_the_refusal(self, dims4):
+        # At M=12 every output row has 16 regressors and interpolates the
+        # samples: the estimate refuses it, and the point records the refusal
+        # instead of a Q of an interpolating fit.
+        cfg = tm.SweepConfig(dims=dims4, density=0.25, m_samples=12, sigma_grid=(0.1,),
+                             master_seed=7, replicates=1, include_balance=False)
+        [rec] = run_sweep(cfg).records
+        assert rec.failure == ("ValueError: the row of site 16 has 16 active regressors, "
+                               "not fewer than the M=12 samples")
+        assert rec.q_bic is None and rec.selected_couplings is None
 
     def test_each_grid_point_forms_each_c_once(self, dims4, monkeypatch):
         # The forward C serves the decimation, the known-support and the

@@ -81,14 +81,6 @@ class TestExtractTm:
         t_out, _ = tm.extract_tm(est)
         assert t_out.role == "inverse"
 
-    def test_convergence_flags_ride_along(self, channel4, data4_clean):
-        # noise-free rows park at the curvature cap and keep their flags
-        est = tm.fit_all_rows(data4_clean, scope="output")
-        t_out, noise = tm.extract_tm(est)
-        assert noise.converged.shape == (16,)
-        assert np.array_equal(noise.converged, np.array(est.converged))
-        assert np.all(np.isfinite(t_out.entries))
-
     def test_beta_positivity(self, data4_noisy):
         est = tm.fit_all_rows(data4_noisy, scope="output")
         _, noise = tm.extract_tm(est)
@@ -149,11 +141,10 @@ class TestExtractionMatchesPerRowLoops:
         else:
             est = tm.fit_all_rows(data4_noisy, scope=case)
         t_out, noise = tm.extract_tm(est)
-        t_ref, sigma_ref, beta_ref, conv_ref = per_row_extract_tm(est)
+        t_ref, sigma_ref, beta_ref = per_row_extract_tm(est)
         assert t_out.entries.tobytes() == t_ref.tobytes()
         assert noise.sigma_hat.tobytes() == sigma_ref.tobytes()
         assert noise.beta_hat.tobytes() == beta_ref.tobytes()
-        assert np.array_equal(noise.converged, conv_ref)
         if est.scope == "all":
             u, balance = tm.extract_gramian(est)
             u_ref, balance_ref = per_row_extract_gramian(est)
@@ -164,7 +155,7 @@ class TestExtractionMatchesPerRowLoops:
 class TestChannelNoiseEstimate:
     def test_arrays_are_read_only(self, data4_noisy):
         _, noise = tm.extract_tm(tm.fit_all_rows(data4_noisy, scope="output"))
-        for arr in (noise.sigma_hat, noise.beta_hat, noise.converged):
+        for arr in (noise.sigma_hat, noise.beta_hat):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 1
@@ -172,11 +163,9 @@ class TestChannelNoiseEstimate:
     def test_invariant_enforced(self):
         with pytest.raises(ValueError):
             tm.ChannelNoiseEstimate(sigma_hat=np.array([0.1]),
-                                    beta_hat=np.array([1.0]),
-                                    converged=np.array([True]))
+                                    beta_hat=np.array([1.0]))
 
     def test_positivity_enforced(self):
         with pytest.raises(ValueError):
             tm.ChannelNoiseEstimate(sigma_hat=np.array([-0.1]),
-                                    beta_hat=np.array([50.0]),
-                                    converged=np.array([True]))
+                                    beta_hat=np.array([50.0]))

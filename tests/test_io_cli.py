@@ -175,6 +175,16 @@ class TestRunConfig:
 
 
 class TestFormats:
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_json_artifact_refuses_a_number_json_cannot_hold(self, tmp_path, value):
+        # Python's json writes these as Infinity and NaN, which no strict
+        # reader parses; the file is neither written nor registered.
+        tio.write_json_artifact({"q": 0.5}, tmp_path / "a.json", "fp")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        with pytest.raises(ValueError, match="^b.json not written: it holds a NaN or an inf"):
+            tio.write_json_artifact({"q": [0.5, value]}, tmp_path / "b.json", "fp")
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
     @pytest.mark.parametrize("binary", [False, True])
     def test_dataset_round_trip(self, tmp_path, channel4, binary):
         ds = tm.generate_dataset(channel4, 30, tm.NoiseSpec(sigma=0.2), seed=3)
@@ -302,7 +312,6 @@ class TestFormats:
         back = tio.read_estimate(tmp_path / "e.json", fingerprint="fp")
         for name in ("a", "k", "active"):
             assert getattr(back, name).tobytes() == getattr(est, name).tobytes()
-        assert np.array_equal(back.converged, est.converged)
         assert np.array_equal(back.row_objectives, est.row_objectives)
         assert back.total_pl == est.total_pl
 
@@ -337,13 +346,12 @@ class TestFormats:
             dims=dims, scope=scope, direction=data.draw(st.sampled_from(["forward", "reversed"])),
             a=data.draw(arrays(np.float64, rows, elements=positive)),
             k=np.where(active, values, 0.0), active=active,
-            converged=data.draw(arrays(np.bool_, rows)),
             row_objectives=data.draw(arrays(np.float64, rows, elements=FINITE)),
             total_pl=data.draw(st.one_of(st.none(), FINITE)), dataset_fingerprint="0" * 16)
         with tempfile.TemporaryDirectory() as tmp:
             tio.write_estimate(est, Path(tmp) / "e.json", fingerprint="fp", dataset_sha256="x")
             back = tio.read_estimate(Path(tmp) / "e.json", fingerprint="fp")
-        for name in ("a", "k", "active", "converged", "row_objectives"):
+        for name in ("a", "k", "active", "row_objectives"):
             assert same_bits(getattr(back, name), getattr(est, name)), name
         assert repr(back.total_pl) == repr(est.total_pl)
         assert (back.dims, back.scope, back.direction) == (dims, scope, est.direction)
@@ -958,7 +966,6 @@ class TestRecordedMoments:
         assert path.selected == ref_path.selected
         assert best.dataset_fingerprint == ref_best.dataset_fingerprint
         assert np.array_equal(best.row_objectives, ref_best.row_objectives)
-        assert np.array_equal(best.converged, ref_best.converged)
         for r1, r2, m1, m2 in zip(best.rows, ref_best.rows, best.masks, ref_best.masks):
             assert r1.a == r2.a
             assert r1.k.tobytes() == r2.k.tobytes()
@@ -1113,7 +1120,7 @@ class TestCli:
     @pytest.mark.parametrize("case", [
         "position 999", "position -1", "repeated position", "descending positions",
         "position not an integer", "values short", "a zero", "a negative", "a nan",
-        "value nan", "site", "row missing", "converged not a bool",
+        "value nan", "site", "row missing",
         "objective not a number", "total_pl not a number", "support ragged",
         "support nested", "position a boolean", "position past int64",
         "couplings not numbers", "a not numbers", "couplings missing", "w 300"])
@@ -1144,12 +1151,10 @@ class TestCli:
         elif case == "row missing":
             # The last row goes from every array, so its support fits the
             # smaller grid and only the row count is wrong.
-            for key in ("a", "converged", "row_objectives"):
+            for key in ("a", "row_objectives"):
                 doc[key].pop()
             kept = sum(i < 15 * 31 for i in support)
             del support[kept:], couplings[kept:]
-        elif case == "converged not a bool":
-            doc["converged"][3] = 1
         elif case == "objective not a number":
             doc["row_objectives"][3] = "0.5"
         elif case == "support ragged":
@@ -1273,16 +1278,36 @@ class TestCli:
         assert f"error: {name} holds" in err and message in err
         assert not list(out.glob("*_table.csv"))
 
+    def test_estimate_written_by_0_15_0_feeds_select(self, tmp_path):
+        # tminfer 0.15.0 wrote a per-row converged list into each estimate,
+        # path.json an all_converged per record and extract.json its rows'
+        # flags; the reader ignores the list, and select writes the same files.
+        cfg = write_config(tmp_path)
+        common = ("--config", str(cfg), "--out", str(tmp_path / "run"))
+        out = tmp_path / "run"
+        for verb in ("generate", "fit", "select", "extract"):
+            assert self.run(verb, *common) == 0, verb
+        assert "converged" not in json.loads((out / "estimate_full.json").read_text())
+        assert "all_converged" not in json.loads((out / "path.json").read_text())["records"][0]
+        assert "rows_converged" not in json.loads((out / "extract.json").read_text())
+        written = {n: (out / n).read_bytes() for n in ("path.json", "estimate_selected.json")}
+        doc = json.loads((out / "estimate_full.json").read_text())
+        doc["converged"] = [True] * len(doc["a"])
+        (out / "estimate_full.json").write_text(json.dumps(doc, indent=1) + "\n")
+        register(out, "estimate_full.json")
+        assert self.run("select", *common) == 0
+        assert {n: (out / n).read_bytes() for n in written} == written
+
     def test_estimate_of_the_per_row_layout_is_refused(self, tmp_path, capsys):
         # tminfer <= 0.11.0 wrote one record per row instead of the arrays.
         cfg, out, doc = self.selected(tmp_path)
         est = tio.read_estimate(out / "estimate_selected.json")
-        for key in ("a", "row_objectives", "converged", "support", "couplings"):
+        for key in ("a", "row_objectives", "support", "couplings"):
             del doc[key]
         doc["rows"] = [{"site": site, "a": float(est.a[r]),
                         "positions": np.flatnonzero(est.active[r]).tolist(),
                         "values": est.k[r][est.active[r]].tolist(),
-                        "converged": bool(est.converged[r]),
+                        "converged": True,
                         "objective": float(est.row_objectives[r])}
                        for r, site in enumerate(est.fitted_sites)]
         (out / "estimate_selected.json").write_text(json.dumps(doc))
@@ -1699,6 +1724,22 @@ def test_extract_without_output_coupling_writes_null_balance(tmp_path, seed):
     doc = json.loads((out / "extract.json").read_text(),
                      parse_constant=lambda name: pytest.fail(f"extract.json holds {name}"))
     assert doc["balance"] is None
+
+
+@pytest.mark.parametrize("seed", [2, 3, 6])
+def test_chain_writes_strict_json(tmp_path, seed):
+    # Focusing through these noisy two-pixel channels leaves no positive
+    # background, so the peak ratio is undefined: eval.json held the invalid
+    # JSON Infinity and now holds null.  Every JSON artifact parses strictly.
+    cfg = write_config(tmp_path, {"w": 2, "density": 0.5, "m_samples": 20, "sigma": 2.0,
+                                  "seed": seed})
+    out = tmp_path / "run"
+    for stage in STAGES:
+        assert main([*stage.split(), "--config", str(cfg), "--out", str(out)]) == 0, stage
+    for path in sorted(out.glob("*.json")):
+        json.loads(path.read_text(),
+                   parse_constant=lambda name: pytest.fail(f"{path.name} holds {name}"))
+    assert json.loads((out / "eval.json").read_text())["focus_peak_ratio"] is None
 
 
 def test_no_thread_is_started(tmp_path, data4_noisy):

@@ -303,17 +303,16 @@ def _estimate(**arrays):
     return tm.CouplingEstimate(**{
         "dims": tm.Dimensions(w=4), "scope": "output", "direction": "forward",
         "a": np.ones(16), "k": np.zeros((16, 31)), "active": np.ones((16, 31), dtype=bool),
-        "converged": np.ones(16, dtype=bool), "row_objectives": np.zeros(16),
-        "total_pl": None, **arrays})
+        "row_objectives": np.zeros(16), "total_pl": None, **arrays})
 
 
-def _noise(sigma=None, beta=None, converged=np.ones(16, dtype=bool)):
+def _noise(sigma=None, beta=None):
     """A ChannelNoiseEstimate from ``sigma`` or ``beta``, the other derived."""
     if sigma is None:
         sigma = 1.0 / np.sqrt(2.0 * np.asarray(beta, dtype=np.float64))
     if beta is None:
         beta = 1.0 / (2.0 * np.asarray(sigma, dtype=np.float64) ** 2)
-    return tm.ChannelNoiseEstimate(sigma_hat=sigma, beta_hat=beta, converged=converged)
+    return tm.ChannelNoiseEstimate(sigma_hat=sigma, beta_hat=beta)
 
 
 # Every record's array field but Dataset.samples, which TestSampleBuffer
@@ -329,13 +328,10 @@ RECORD_ARRAYS = [
     ("CouplingEstimate.a", (16,), np.float64, lambda x: _estimate(a=x)),
     ("CouplingEstimate.k", (16, 31), np.float64, lambda x: _estimate(k=x)),
     ("CouplingEstimate.active", (16, 31), bool, lambda x: _estimate(active=x)),
-    ("CouplingEstimate.converged", (16,), bool, lambda x: _estimate(converged=x)),
     ("CouplingEstimate.row_objectives", (16,), np.float64,
      lambda x: _estimate(row_objectives=x)),
     ("ChannelNoiseEstimate.sigma_hat", (16,), np.float64, lambda x: _noise(sigma=x)),
     ("ChannelNoiseEstimate.beta_hat", (16,), np.float64, lambda x: _noise(beta=x)),
-    ("ChannelNoiseEstimate.converged", (16,), bool,
-     lambda x: _noise(sigma=np.full(16, 0.1), converged=x)),
 ]
 
 
@@ -558,6 +554,36 @@ for w, m in json.loads(sys.argv[1]):
 print(json.dumps(out))
 """
 
+# Prints the hex bits of evaluate_channel's scores for a w=15 channel and a
+# noisy copy of it as the inferred one.
+_EVAL_BITS = """
+import json
+import numpy as np
+import tminfer as tm
+from tminfer.experiments import evaluate_channel, gaussian_spot
+dims = tm.Dimensions(w=15)
+t = tm.build_random_tm(dims, 0.2, seed=1)
+noisy = t.entries + 0.01 * np.random.default_rng(3).standard_normal(t.entries.shape)
+scores = evaluate_channel(t, tm.TransmissionMatrix(dims, noisy), tm.NoiseSpec(0.05),
+                          gaussian_spot(dims), 101, 102)
+print(json.dumps({k: None if v is None else v.hex() for k, v in scores.items()}))
+"""
+
+
+def outputs_at_blas_threads(script, *args):
+    """The JSON that ``script`` prints at OPENBLAS_NUM_THREADS 1 and 2, one
+    subprocess each, keyed by the thread count."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        res = subprocess.run([sys.executable, "-c", script, *args],
+                             env=env, capture_output=True, text=True, timeout=300)
+        assert res.returncode == 0, res.stderr
+        outs[threads] = json.loads(res.stdout)
+    return outs
+
 
 class TestOneBlasThread:
     def test_moments_and_samples_identical_across_blas_threads(self):
@@ -565,16 +591,16 @@ class TestOneBlasThread:
         # (from w=14) between threads, which changed their last bits with
         # OPENBLAS_NUM_THREADS before both ran on one pinned thread.
         sizes = [(7, 1000), (9, 1000), (13, 1000), (14, 1000), (15, 1000), (20, 5000)]
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        outs = {}
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
-                filter(None, [src, os.environ.get("PYTHONPATH")])))
-            res = subprocess.run([sys.executable, "-c", _MOMENT_HASHES, json.dumps(sizes)],
-                                 env=env, capture_output=True, text=True, timeout=300)
-            assert res.returncode == 0, res.stderr
-            outs[threads] = json.loads(res.stdout)
+        outs = outputs_at_blas_threads(_MOMENT_HASHES, json.dumps(sizes))
         assert outs["1"] == outs["2"]
+
+    def test_evaluation_identical_across_blas_threads(self):
+        # evaluate_channel's pinv and lstsq at w=15 are split between BLAS
+        # threads; outside the CLI's per-stage pin q_focus, the peak ratio
+        # and q_image_pinv changed their last bits with the thread count.
+        outs = outputs_at_blas_threads(_EVAL_BITS)
+        assert outs["1"] == outs["2"]
+        assert outs["1"]["q_focus"] is not None
 
     def test_pin_is_found_wherever_numpy_ships_openblas(self):
         # A wrong symbol name would leave the pin a silent no-op, and every

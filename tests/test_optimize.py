@@ -509,8 +509,8 @@ class TestFitAllRows:
     def test_every_row_is_stationary(self, data4_noisy, data4_clean, scope):
         for ds in (data4_noisy, data4_clean):
             est = tm.fit_all_rows(ds, scope=scope)
-            assert all(est.converged)
             for row, mask in zip(est.rows, est.masks):
+                assert tm.minimize_row(row.site, ds, mask).converged
                 d_a, d_k = tm.row_grad(row, ds, mask)
                 if row.a == A_CAP:
                     d_a = max(d_a, 0.0)  # the cap blocks moves to larger a
@@ -556,17 +556,24 @@ class TestFitAllRows:
 
     @pytest.mark.parametrize("scope", ["output", "all"])
     @pytest.mark.parametrize("m", [1, 8])
-    def test_fewer_samples_than_regressors(self, channel4, scope, m):
+    def test_fewer_samples_than_regressors(self, channel4, scope, m, monkeypatch):
         # C[A,A] has rank <= M < |A|: the minimum-norm solution interpolates
-        # the samples, so every row is an exact fit parked at the cap, and
-        # none is reported as converged.
+        # the samples.  minimize_row reports each row as a finite fit, not
+        # converged; an estimate refuses the first such row before it
+        # solves any.
         ds = tm.generate_dataset(channel4, m, tm.NoiseSpec(sigma=0.1), seed=3)
-        est = tm.fit_all_rows(ds, scope=scope)
-        assert max(int(mk.active.sum()) for mk in est.masks) > m
-        assert not any(est.converged)
-        for row in est.rows:
-            assert np.all(np.isfinite(row.k))
-            assert row.a == A_CAP
+        masks = scope_masks(ds.dims, scope)
+        for mask in masks:
+            fit = tm.minimize_row(mask.site, ds, mask)
+            assert not fit.converged and np.all(np.isfinite(fit.params.k))
+        solved = []
+        monkeypatch.setattr(topt, "minimize_row", lambda *args: solved.append(args))
+        n_active = int(masks[0].active.sum())
+        with pytest.raises(ValueError, match=rf"^the row of site {masks[0].site} has "
+                                             rf"{n_active} active regressors, not fewer "
+                                             rf"than the M={m} samples$"):
+            tm.fit_all_rows(ds, scope=scope)
+        assert solved == []
 
     def test_fingerprint_binds_to_data(self, channel4, data4_noisy):
         other = tm.generate_dataset(channel4, 500, tm.NoiseSpec(sigma=0.1), seed=12)
@@ -584,16 +591,74 @@ def data4_camera():
 
 @pytest.mark.parametrize("scale", [1.0, 1e3, 1e5])
 @pytest.mark.parametrize("scope", ["output", "all"])
-def test_converged_does_not_depend_on_the_units(data4_camera, scope, scale):
+def test_converged_does_not_depend_on_the_units(data4_camera, scope, scale, monkeypatch):
     # The same exact fits on samples in other units, up to camera photon
     # counts.  An absolute bound on the gradient flagged 2 of 16 output rows
     # and 24 of 32 all-sites rows as not converged at 1e5, where rounding in
-    # C[y,y] ~ 1e10 leaves a gradient of ~1e-6.
+    # C[y,y] ~ 1e10 leaves a gradient of ~1e-6.  The fit and the decimation
+    # succeed, and every row solve they make reports converged.
+    fits = []
+
+    def spy(*args):
+        fits.append(real(*args))
+        return fits[-1]
+    real = topt.minimize_row
+    monkeypatch.setattr(topt, "minimize_row", spy)
     ds = tm.Dataset(data4_camera.dims, data4_camera.samples * scale)
     est = tm.fit_all_rows(ds, scope=scope)
-    assert est.converged.all()
     path, _ = tm.run_decimation(ds, scope=scope, initial=est)
-    assert all(rec.all_converged for rec in path.records)
+    assert len(fits) > len(est.a) and len(path.records) > 1
+    assert all(fit.converged for fit in fits)
+
+
+@st.composite
+def supports_around_m(draw):
+    """Moments of a small random channel, w 2-4 and either scope, with M drawn
+    around the regressor count of a full-support row, and a support of that
+    scope: full, thinned at random, or any random mask."""
+    dims = tm.Dimensions(w=draw(st.integers(2, 4)))
+    scope = draw(st.sampled_from(SCOPES))
+    full = tm.initial_masks(dims, scope)
+    n_full = int(full[0].sum())
+    m = draw(st.integers(max(1, n_full - 3), n_full + 3))
+    seed = draw(st.integers(0, 2 ** 16))
+    channel = tm.build_random_tm(dims, draw(st.floats(0.3, 1.0)), seed=seed)
+    ds = tm.generate_dataset(channel, m, tm.NoiseSpec(sigma=draw(st.floats(0.0, 0.5))),
+                             seed=seed + 1)
+    noise = draw(arrays(np.bool_, full.shape))
+    masks = draw(st.sampled_from([full, full & noise, noise]))
+    return tm.Moments.of(ds), scope, masks
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=supports_around_m())
+def test_an_estimate_refuses_exactly_the_underdetermined_rows(case):
+    # A row with no fewer active regressors than samples interpolates them:
+    # fit_all_rows refuses the first such row, naming its site, its count
+    # and M.  Otherwise every row is minimize_row's, bit for bit, converged.
+    moments, scope, masks = case
+    m, sites = moments.m_samples, topt._scope_sites(moments.dims, scope)
+    counts = masks.sum(axis=1)
+    if counts.max() >= m:
+        r = int(np.argmax(counts >= m))
+        with pytest.raises(ValueError, match=rf"^the row of site {sites[r]} has {counts[r]} "
+                                             rf"active regressors, not fewer than the M={m} "):
+            tm.fit_all_rows(moments, masks=masks, scope=scope)
+        return
+    est = tm.fit_all_rows(moments, masks=masks, scope=scope)
+    for r, (site, mask) in enumerate(zip(sites, est.masks)):
+        fit = tm.minimize_row(site, moments, mask)
+        assert fit.converged
+        assert (fit.params.a, fit.objective) == (est.a[r], est.row_objectives[r])
+        assert fit.params.k.tobytes() == est.k[r].tobytes()
+    assert refit_rows(est, moments, masks, []).k.tobytes() == est.k.tobytes()
+    # Lifting a row to M regressors makes its refit underdetermined.
+    r = len(sites) - 1
+    if m <= moments.dims.n - 1:
+        lifted = masks.copy()
+        lifted[r, np.flatnonzero(~lifted[r])[:m - counts[r]]] = True
+        with pytest.raises(ValueError, match=rf"^the row of site {sites[r]} has {m} "):
+            refit_rows(est, moments, lifted, [r])
 
 
 class TestEstimateArrays:
@@ -606,7 +671,7 @@ class TestEstimateArrays:
         est = tm.fit_all_rows(data, scope="output")
         return {"dims": data.dims, "scope": "output", "direction": "forward",
                 "a": np.array(est.a), "k": np.array(est.k), "active": np.array(est.active),
-                "converged": est.converged, "row_objectives": est.row_objectives,
+                "row_objectives": est.row_objectives,
                 "total_pl": est.total_pl}
 
     def test_arrays_are_read_only(self, data4_noisy):
@@ -624,10 +689,9 @@ class TestEstimateArrays:
         tio.write_estimate(refit, tmp_path / "e.json", fingerprint="fp", dataset_sha256="x")
         back = tio.read_estimate(tmp_path / "e.json", fingerprint="fp")
         for est in (full, refit, back):
-            for name, dtype in (("converged", np.bool_), ("row_objectives", np.float64)):
-                arr = getattr(est, name)
-                assert isinstance(arr, np.ndarray) and arr.dtype == dtype
-                assert arr.shape == (16,) and not arr.flags.writeable
+            arr = est.row_objectives
+            assert isinstance(arr, np.ndarray) and arr.dtype == np.float64
+            assert arr.shape == (16,) and not arr.flags.writeable
         assert np.array_equal(back.row_objectives, refit.row_objectives)
         assert refit.row_objectives[3] != full.row_objectives[3]
         assert np.array_equal(np.delete(refit.row_objectives, 3),
@@ -664,7 +728,7 @@ class TestEstimateArrays:
         again = refit_rows(full, data4_noisy, masks, changed)
         assert len(solved) == 3
         for est, arrays in zip((full, refit, again), solved):
-            held = (est.a, est.k, est.converged, est.row_objectives)
+            held = (est.a, est.k, est.row_objectives)
             assert all(got is want for got, want in zip(held, arrays))
         assert full.active is made[0] and refit.active is pruned
         assert again.active is not masks and masks.flags.writeable
@@ -709,7 +773,6 @@ class TestEstimateArrays:
         ("a", lambda f: np.where(np.arange(16) == 3, np.inf, f["a"])),
         ("k", lambda f: np.where(f["active"], np.nan, f["k"])),
         ("k", lambda f: np.where(f["active"], -np.inf, f["k"])),
-        ("converged", lambda f: f["converged"][:-1]),
         ("row_objectives", lambda f: np.append(f["row_objectives"], 0.0)),
         ("scope", lambda f: "inputs"),
     ])

@@ -19,7 +19,7 @@ def toy_estimate(dims, k_rows, a=1.0):
     active[:, :nh] = k[:, :nh] != 0.0
     return tm.CouplingEstimate(
         dims=dims, scope="output", direction="forward", a=np.full(nh, a), k=k,
-        active=active, converged=(True,) * nh, row_objectives=(0.0,) * nh,
+        active=active, row_objectives=(0.0,) * nh,
         total_pl=0.0, dataset_fingerprint="toy")
 
 
@@ -91,7 +91,7 @@ class TestSelectBest:
 
     def _rec(self, k_free, bic):
         return DecimationRecord(n_couplings=k_free, k_free=k_free, total_pl=0.0,
-                                bic=bic, estimate=None, all_converged=True)
+                                bic=bic, estimate=None)
 
     def test_minimum_wins(self):
         recs = [self._rec(10, 5.0), self._rec(8, 3.0), self._rec(6, 4.0)]
@@ -328,8 +328,6 @@ def test_fit_and_path_properties(ds, scope):
         for row, mask in zip(fit.rows, fit.masks):
             d_a, d_k = tm.row_grad(row, ds, mask)
             assert max(abs(d_a), float(np.abs(d_k).max())) <= 1e-9 * c[row.site, row.site]
-        assert np.array_equal(fit.converged, fit.active.sum(axis=1) < ds.m_samples)
-    assert all(rec.all_converged for rec in path.records)
     k_free = [rec.k_free for rec in path.records]
     assert all(b < a for a, b in zip(k_free, k_free[1:]))
     # The BIC minimum, ties going to fewer parameters.
