@@ -201,6 +201,9 @@ class SweepConfig:
         object.__setattr__(self, "sigma_grid", grid)
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
+        if self.include_balance and self.m_samples <= self.dims.n - 1:
+            raise ValueError(f"include_balance needs m_samples to exceed the {self.dims.n - 1} "
+                             f"regressors of a full-support all row, got {self.m_samples}")
 
 
 @dataclass(frozen=True)
@@ -266,10 +269,8 @@ def _sweep_point(
     scores = evaluate_channel(tm_true, t_inf, noise, gaussian_spot(config.dims),
                               seed_focus, seed_img, t_inv=t_inv_inf)
 
-    balance = None
-    if config.include_balance:
-        full = fit_all_rows(moments, scope="all")
-        _, balance = extract_gramian(full)
+    balance = (extract_gramian(fit_all_rows(moments, scope="all"))[1]
+               if config.include_balance else None)
 
     return SweepRecord(
         sigma=sigma,

@@ -244,8 +244,7 @@ def _solve_rows(moments: Moments, sites, active: np.ndarray, rows,
     them adopts them (``model._frozen``).  ValueError, before any solve, if a
     row has no fewer active regressors than samples: it interpolates them."""
     for r in rows:  # every row is counted before any is solved
-        n_active = np.count_nonzero(active[r])
-        if n_active >= moments.m_samples:
+        if (n_active := np.count_nonzero(active[r])) >= moments.m_samples:
             raise ValueError(f"the row of site {sites[r]} has {n_active} active regressors, "
                              f"not fewer than the M={moments.m_samples} samples")
     if base is None:

@@ -187,6 +187,20 @@ class TestSweep:
                                "not fewer than the M=12 samples")
         assert rec.q_bic is None and rec.selected_couplings is None
 
+    def test_balance_fit_must_be_identifiable(self):
+        # The balance fit solves full-support all rows of 2w^2-1 regressors
+        # in any scope.  With no more samples than that every point would
+        # lose its valid scores to the refusal, so the config is refused.
+        dims3 = tm.Dimensions(w=3)
+        for m in (12, 17):
+            with pytest.raises(ValueError, match=f"the 17 regressors .*, got {m}$"):
+                tm.SweepConfig(dims=dims3, m_samples=m, include_balance=True)
+        assert tm.SweepConfig(dims=dims3, m_samples=12, include_balance=False).m_samples == 12
+        cfg = tm.SweepConfig(dims=dims3, density=0.5, m_samples=18, sigma_grid=(0.1,),
+                             master_seed=3, replicates=1, include_balance=True)
+        [rec] = run_sweep(cfg).records
+        assert rec.failure is None and rec.balance is not None
+
     def test_each_grid_point_forms_each_c_once(self, dims4, monkeypatch):
         # The forward C serves the decimation, the known-support and the
         # balance fits, and the reversed dataset's record is its permutation:

@@ -569,6 +569,18 @@ scores = evaluate_channel(t, tm.TransmissionMatrix(dims, noisy), tm.NoiseSpec(0.
 print(json.dumps({k: None if v is None else v.hex() for k, v in scores.items()}))
 """
 
+# Prints the hex bits of run_sweep's record at w=11, where quality_q's norm
+# of 121^2 entries is a BLAS dot, outside evaluate_channel's own pin.
+_SWEEP_BITS = """
+import json
+import tminfer as tm
+from tminfer.experiments import run_sweep
+cfg = tm.SweepConfig(dims=tm.Dimensions(w=11), density=0.2, m_samples=400, sigma_grid=(0.05,),
+                     master_seed=1, replicates=1, include_balance=False)
+[rec] = run_sweep(cfg).records
+print(json.dumps({k: v.hex() if isinstance(v, float) else v for k, v in vars(rec).items()}))
+"""
+
 
 def outputs_at_blas_threads(script, *args):
     """The JSON that ``script`` prints at OPENBLAS_NUM_THREADS 1 and 2, one
@@ -601,6 +613,13 @@ class TestOneBlasThread:
         outs = outputs_at_blas_threads(_EVAL_BITS)
         assert outs["1"] == outs["2"]
         assert outs["1"]["q_focus"] is not None
+
+    def test_sweep_identical_across_blas_threads(self):
+        # q_bic and q_true_support changed their last bits with the thread
+        # count until the whole sweep ran on one pinned thread.
+        outs = outputs_at_blas_threads(_SWEEP_BITS)
+        assert outs["1"] == outs["2"]
+        assert outs["1"]["failure"] is None
 
     def test_pin_is_found_wherever_numpy_ships_openblas(self):
         # A wrong symbol name would leave the pin a silent no-op, and every
