@@ -28,7 +28,7 @@ from .model import (
     reverse_dataset,
     transmit,
 )
-from .optimize import OptimOptions, fit_all_rows, true_support_masks
+from .optimize import OptimOptions, _scope_sites, fit_all_rows, true_support_masks
 from .selection import DecimationOptions, run_decimation
 
 __all__ = [
@@ -201,6 +201,7 @@ class SweepConfig:
         object.__setattr__(self, "sigma_grid", grid)
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
+        _scope_sites(self.dims, self.scope)  # refuses a scope outside SCOPES
         if self.include_balance and self.m_samples <= self.dims.n - 1:
             raise ValueError(f"include_balance needs m_samples to exceed the {self.dims.n - 1} "
                              f"regressors of a full-support all row, got {self.m_samples}")

@@ -1013,13 +1013,14 @@ def read_matrix(path: str | Path, dims: Dimensions, sha256: str | None = None) -
 
 def write_estimate(est: CouplingEstimate, path: str | Path, fingerprint: str,
                    dataset_sha256: str, moments: Moments | None = None) -> None:
-    """Write ``est`` as JSON: its scalars, hashes and arrays, ``a``,
-    ``row_objectives``, ``support`` (the ascending flat indices
-    of ``active``) and ``couplings`` (``k`` there).  With ``moments``, the
-    record of the data ``est`` was fitted on, also record its sample count and
-    exact second moments ``C``, all that a later fit or decimation needs to
-    continue from the file without the samples.  JSON floats round-trip."""
-    if moments is not None and moments.fingerprint != est.dataset_fingerprint:
+    """Write ``est`` as JSON: its scalars (``m_samples`` among them), hashes
+    and arrays, ``a``, ``row_objectives``, ``support`` (the ascending flat
+    indices of ``active``) and ``couplings`` (``k`` there).  With ``moments``,
+    the record of the data ``est`` was fitted on, also record its exact second
+    moments ``C``, all that a later fit or decimation needs to continue from
+    the file without the samples.  JSON floats round-trip."""
+    if moments is not None and (moments.fingerprint, moments.m_samples) != (
+            est.dataset_fingerprint, est.m_samples):
         raise ValueError("moments and estimate dataset fingerprints differ")
     doc = {
         "format": "tminfer-estimate",
@@ -1027,7 +1028,7 @@ def write_estimate(est: CouplingEstimate, path: str | Path, fingerprint: str,
         "w": est.dims.w,
         "scope": est.scope,
         "direction": est.direction,
-        "total_pl": est.total_pl,
+        "m_samples": est.m_samples,
         "dataset_fingerprint": est.dataset_fingerprint,
         "dataset_sha256": dataset_sha256,
         "config_fingerprint": fingerprint,
@@ -1037,7 +1038,6 @@ def write_estimate(est: CouplingEstimate, path: str | Path, fingerprint: str,
         "couplings": est.k[est.active].tolist(),
     }
     if moments is not None:
-        doc["m_samples"] = moments.m_samples
         doc["second_moments"] = moments.c.tolist()
     write_json_artifact(doc, path, fingerprint)
 
@@ -1069,6 +1069,12 @@ def read_estimate(path: str | Path, fingerprint: str | None = None,
         raise ChainError(f"{name} was fitted on different data")
     if "support" not in doc:
         raise ChainError(f"{name} holds the per-row layout of tminfer <= 0.11.0; re-run fit")
+    if with_moments and ("second_moments" not in doc or "m_samples" not in doc):
+        raise ChainError(f"{name} holds no second moments (tminfer < 0.3.0 wrote "
+                         "none); re-run fit")
+    if with_moments and not _is_int(doc["m_samples"]):
+        raise ChainError(f"{name} holds a malformed m_samples, {doc['m_samples']!r}: "
+                         "expected an integer")
     try:
         dims = Dimensions(w=doc["w"])
         a = _json_array(doc, "a", np.float64, {int, float})
@@ -1085,19 +1091,12 @@ def read_estimate(path: str | Path, fingerprint: str | None = None,
         est = CouplingEstimate(
             dims=dims, scope=doc["scope"], direction=doc["direction"], a=a, k=k, active=active,
             row_objectives=_json_array(doc, "row_objectives", np.float64, {int, float}),
-            total_pl=doc["total_pl"], dataset_fingerprint=doc["dataset_fingerprint"])
-        if est.total_pl is not None and type(est.total_pl) is not float:
-            raise ValueError("total_pl must be a real number or null")
+            # tminfer <= 0.16.0 wrote a total_pl instead, and no M into a selected estimate.
+            m_samples=doc.get("m_samples"), dataset_fingerprint=doc["dataset_fingerprint"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ChainError(f"{name} holds a malformed estimate: {exc}") from exc
     if not with_moments:
         return est
-    if "second_moments" not in doc or "m_samples" not in doc:
-        raise ChainError(f"{name} holds no second moments (tminfer < 0.3.0 wrote "
-                         "none); re-run fit")
-    if not _is_int(doc["m_samples"]):
-        raise ChainError(f"{name} holds a malformed m_samples, {doc['m_samples']!r}: "
-                         "expected an integer")
     try:
         moments = Moments(dims=dims, direction=doc["direction"],
                           m_samples=doc["m_samples"],

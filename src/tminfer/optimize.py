@@ -23,6 +23,8 @@ run one after another on the calling thread.
 An estimate stacks the rows of its scope as arrays, ``(rows,)`` or
 ``(rows, n-1)``, which ``_solve_rows`` assembles; every support but
 ``minimize_row``'s one ``RowMask`` is such a ``(rows, n-1)`` boolean array.
+It stores its support, solved rows and sample count M; ``total_pl`` follows
+from the rows and M, and a refit solves the rows whose support changed.
 """
 
 from __future__ import annotations
@@ -144,7 +146,7 @@ class CouplingEstimate:
     ``row_objectives[r]`` is its per-sample-mean negative
     log-pseudolikelihood at its optimum.  Each array is taken by
     ``model._frozen``: adopted if sealed, else copied once.
-    ``total_pl`` is the sample-sum total log-pseudolikelihood (None when
+    ``m_samples`` is the sample count M of the fitted data (None when
     parameters were constructed rather than fitted to a dataset).
     """
 
@@ -155,10 +157,14 @@ class CouplingEstimate:
     k: np.ndarray
     active: np.ndarray
     row_objectives: np.ndarray
-    total_pl: float | None
+    m_samples: int | None
     dataset_fingerprint: str = ""
 
     def __post_init__(self) -> None:
+        if self.direction not in ("forward", "reversed"):
+            raise ValueError(f"direction must be 'forward' or 'reversed', got {self.direction!r}")
+        if not (self.m_samples is None or type(self.m_samples) is int and self.m_samples >= 1):
+            raise ValueError(f"m_samples must be None or an integer >= 1, got {self.m_samples!r}")
         rows = (len(_scope_sites(self.dims, self.scope)),)
         grid = (*rows, self.dims.n - 1)
         for name, dtype, shape in (("a", np.float64, rows), ("k", np.float64, grid),
@@ -171,6 +177,12 @@ class CouplingEstimate:
             raise ValueError("curvatures must be finite and > 0")
         if not _all_finite(self.k):
             raise ValueError("coupling fields must be finite")
+
+    @property
+    def total_pl(self) -> float | None:
+        """The sample-sum total log-pseudolikelihood (None without M)."""
+        m = self.m_samples  # Python's left-to-right sum: the bits every artifact records.
+        return None if m is None else float(-m * sum(self.row_objectives.tolist()))
 
     @property
     def fitted_sites(self) -> tuple[int, ...]:
@@ -203,7 +215,7 @@ def _scope_sites(dims: Dimensions, scope: str) -> range:
         return range(dims.n_half, dims.n)
     if scope == "all":
         return range(dims.n)
-    raise ValueError(f"scope must be one of {SCOPES}, got {scope!r}")
+    raise ValueError(f"scope must be {' or '.join(map(repr, SCOPES))}, got {scope!r}")
 
 
 def initial_masks(dims: Dimensions, scope: str) -> np.ndarray:
@@ -284,9 +296,7 @@ def fit_all_rows(
     a, k, objectives = _solve_rows(moments, sites, active, range(len(sites)))
     return CouplingEstimate(
         dims=moments.dims, scope=scope, direction=moments.direction, a=a, k=k,
-        active=active, row_objectives=objectives,
-        # Python's left-to-right sum: the bits every artifact records.
-        total_pl=float(-moments.m_samples * sum(objectives.tolist())),
+        active=active, row_objectives=objectives, m_samples=moments.m_samples,
         dataset_fingerprint=moments.fingerprint)
 
 
@@ -299,17 +309,18 @@ def refit_rows(
     estimate: CouplingEstimate,
     dataset: Dataset | Moments,
     new_masks: np.ndarray,
-    rows_to_refit,
     threads: int = 1,
 ) -> CouplingEstimate:
-    """Refit the given row indices of ``estimate`` under the ``(rows, n-1)``
-    support ``new_masks``; untouched rows carry over unchanged.  ValueError
-    if ``estimate`` was fitted on other data or a refit row is underdetermined.
-    ``threads`` is accepted and ignored."""
+    """``estimate`` under the ``(rows, n-1)`` support ``new_masks``: the rows whose
+    support changed are solved afresh, so a fit's refit is the fit of its new support,
+    bit for bit.  ValueError if ``estimate`` was fitted on other data, the support has
+    another shape or a refit row is underdetermined; ``threads`` is ignored."""
     moments = Moments.of(dataset)
-    if estimate.dataset_fingerprint != moments.fingerprint:
+    if (estimate.dataset_fingerprint, estimate.m_samples) != (moments.fingerprint,
+                                                               moments.m_samples):
         raise ValueError("estimate was fitted on other data")
-    a, k, objectives = _solve_rows(
-        moments, estimate.fitted_sites, new_masks, sorted(rows_to_refit), estimate)
-    return replace(estimate, a=a, k=k, active=new_masks, row_objectives=objectives,
-                   total_pl=float(-moments.m_samples * sum(objectives.tolist())))
+    if np.shape(new_masks) != estimate.active.shape:
+        raise ValueError("masks inconsistent with scope sites")
+    changed = np.flatnonzero((new_masks != estimate.active).any(axis=1)).tolist()
+    a, k, objectives = _solve_rows(moments, estimate.fitted_sites, new_masks, changed, estimate)
+    return replace(estimate, a=a, k=k, active=new_masks, row_objectives=objectives)

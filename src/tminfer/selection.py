@@ -4,9 +4,9 @@ The loop alternates refits and prunes: fit the model, record its total
 log-pseudolikelihood and BIC, zero out the globally smallest surviving
 couplings, refit the affected rows, and repeat until nothing is left.  The
 record with the minimum BIC names the selected support.  A prune ranks |k|
-over the estimate's ``active`` array and returns a new one; only the rows it
-changed are refit.  The path keeps every record's scalars but only the
-selected record's estimate.
+over the estimate's ``active`` array and returns a new one, and ``refit_rows``
+solves the rows it changed.  Every record's scalars are read from its estimate;
+the path keeps them all, but only the selected record's estimate.
 """
 
 from __future__ import annotations
@@ -93,14 +93,13 @@ def bic_score(k_free: int, m_samples: int, total_pl: float) -> float:
     return k_free * math.log(m_samples) - 2.0 * total_pl
 
 
-def _prune(estimate: CouplingEstimate, batch: int) -> tuple[np.ndarray, list[int]]:
+def _prune(estimate: CouplingEstimate, batch: int) -> np.ndarray:
     """Deactivate the ``batch`` globally smallest-magnitude active couplings.
 
     Ranking is by |k| ascending across all fitted rows (ties broken by row
     then position, so the result is order-independent).  Curvature parameters
     are never decimated.  Returns the new ``(rows, n-1)`` support, sealed so
-    the refit's estimate adopts it, and the sorted indices of the rows that
-    lost a coupling.
+    the refit's estimate adopts it.
     """
     active = estimate.active.copy()
     n_active = int(active.sum())
@@ -114,18 +113,14 @@ def _prune(estimate: CouplingEstimate, batch: int) -> tuple[np.ndarray, list[int
     drop = flat_idx[order[:batch]]
     active.ravel()[drop] = False
     active.flags.writeable = False
-    return active, sorted(set((drop // active.shape[1]).tolist()))
+    return active
 
 
-def _record(estimate: CouplingEstimate, n_couplings: int, m_samples: int) -> DecimationRecord:
+def _record(estimate: CouplingEstimate) -> DecimationRecord:
+    n_couplings, total_pl = estimate.n_active_couplings, estimate.total_pl
     k_free = n_couplings + len(estimate.a)
-    return DecimationRecord(
-        n_couplings=n_couplings,
-        k_free=k_free,
-        total_pl=estimate.total_pl,
-        bic=bic_score(k_free, m_samples, estimate.total_pl),
-        estimate=None,
-    )
+    return DecimationRecord(n_couplings=n_couplings, k_free=k_free, total_pl=total_pl,
+                            bic=bic_score(k_free, estimate.m_samples, total_pl), estimate=None)
 
 
 def run_decimation(
@@ -146,25 +141,19 @@ def run_decimation(
     ``threads`` is accepted and ignored.
     """
     moments = Moments.of(dataset)
-    if initial is None:
-        estimate = fit_all_rows(moments, scope=scope)
-    else:
-        if initial.scope != scope:
-            raise ValueError("initial estimate scope differs from requested scope")
-        if initial.dataset_fingerprint != moments.fingerprint:
-            raise ValueError("initial estimate was fitted on other data")
-        estimate = initial
+    estimate = fit_all_rows(moments, scope=scope) if initial is None else initial
+    if estimate.scope != scope:
+        raise ValueError("initial estimate scope differs from requested scope")
+    if (estimate.dataset_fingerprint, estimate.m_samples) != (moments.fingerprint,
+                                                              moments.m_samples):
+        raise ValueError("initial estimate was fitted on other data")
 
-    m = moments.m_samples
-    remaining = estimate.n_active_couplings
-    records = [_record(estimate, remaining, m)]
+    records = [_record(estimate)]
     best, best_estimate = 0, estimate
-    while remaining > 0:
+    while (remaining := records[-1].n_couplings) > 0:
         batch = min(remaining, max(1, int(decim_opts.batch_fraction * remaining)))
-        new_masks, changed = _prune(estimate, batch)
-        estimate = refit_rows(estimate, moments, new_masks, changed)
-        remaining -= batch
-        records.append(_record(estimate, remaining, m))
+        estimate = refit_rows(estimate, moments, _prune(estimate, batch))
+        records.append(_record(estimate))
         if _beats(records[-1], records[best]):
             best, best_estimate = len(records) - 1, estimate
 

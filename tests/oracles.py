@@ -19,7 +19,6 @@ from scipy.integrate import quad
 from scipy.optimize import minimize
 
 import tminfer as tm
-from tminfer.optimize import refit_rows
 from tminfer.pseudolikelihood import other_sites
 from tminfer.selection import DecimationPath, DecimationRecord
 
@@ -97,11 +96,11 @@ def ranked_masks(est, batch):
     return new_active
 
 
-def array_equal_decimation(moments, scope, batch_fraction):
-    """Reference decimation loop: every step ranks with ``ranked_masks``,
-    compares each row's mask before and after (``np.array_equal``) and refits
-    the rows that differ.  Every record keeps its estimate.  Returns the
-    ``DecimationPath``."""
+def fresh_fit_decimation(moments, scope, batch_fraction):
+    """Reference decimation loop: every step ranks with ``ranked_masks`` and
+    fits the new support afresh with ``fit_all_rows``, so a refit of the rows
+    that changed must give the same bits.  Every record keeps its estimate.
+    Returns the ``DecimationPath``."""
     est = tm.fit_all_rows(moments, scope=scope)
     m = moments.m_samples
 
@@ -116,10 +115,7 @@ def array_equal_decimation(moments, scope, batch_fraction):
     while est.n_active_couplings > 0:
         remaining = est.n_active_couplings
         batch = min(remaining, max(1, int(batch_fraction * remaining)))
-        new_active = ranked_masks(est, batch)
-        changed = [r for r, mk in enumerate(est.masks)
-                   if not np.array_equal(new_active[r], mk.active)]
-        est = refit_rows(est, moments, new_active, changed)
+        est = tm.fit_all_rows(moments, ranked_masks(est, batch), scope)
         records.append(record(est))
     return DecimationPath(records=tuple(records), selected=select_best(records))
 
@@ -268,7 +264,7 @@ def parameterize_tm(channel, sigma):
         k=k,
         active=active,
         row_objectives=(math.nan,) * nh,
-        total_pl=None,
+        m_samples=None,
         dataset_fingerprint="parameterized",
     )
 
@@ -314,7 +310,7 @@ def parameterize_channel(channel, sigma):
         k=k,
         active=k != 0.0,
         row_objectives=(math.nan,) * dims.n,
-        total_pl=None,
+        m_samples=None,
         dataset_fingerprint="parameterized",
     )
 

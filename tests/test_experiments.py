@@ -216,6 +216,13 @@ class TestSweep:
         assert [r.failure for r in report.records] == [None, None]
         assert calls == ["forward"] * 2
 
+    def test_scope_is_refused_before_any_point_runs(self, monkeypatch):
+        # The config refuses it: no grid point runs to record it as its failure.
+        monkeypatch.setattr(tm.experiments, "generate_dataset", lambda *args, **kw: 1 / 0)
+        with pytest.raises(ValueError, match="^scope must be 'output' or 'all', got 'bogus'$"):
+            run_sweep(tm.SweepConfig(dims=tm.Dimensions(w=3), m_samples=60,
+                                     sigma_grid=(0.1, 0.2), replicates=1, scope="bogus"))
+
     def test_two_pixel_frame(self):
         cfg = tm.SweepConfig(
             dims=tm.Dimensions(w=2), density=0.5, m_samples=200, sigma_grid=(0.0, 0.1),

@@ -30,7 +30,7 @@ import tminfer as tm
 import tminfer.io as tio
 from tminfer.cli import _read_recorded, main
 from tminfer.optimize import CERTIFY_TOL
-from oracles import array_equal_decimation
+from oracles import fresh_fit_decimation
 
 
 CONFIG = {
@@ -304,7 +304,7 @@ class TestFormats:
     def test_fully_decimated_estimate_round_trip(self, tmp_path, data4_noisy):
         # The last record of a path has no coupling left: it is written with
         # an empty support and reads back bit for bit.
-        path = array_equal_decimation(tm.Moments.of(data4_noisy), "output", 0.1)
+        path = fresh_fit_decimation(tm.Moments.of(data4_noisy), "output", 0.1)
         est = path.records[-1].estimate
         assert est.n_active_couplings == 0
         tio.write_estimate(est, tmp_path / "e.json", fingerprint="fp",
@@ -336,7 +336,7 @@ class TestFormats:
     @given(w=st.sampled_from([2, 3, 4]), scope=st.sampled_from(["output", "all"]),
            data=st.data())
     def test_estimate_arrays_round_trip(self, w, scope, data):
-        # Every array and total_pl read back bit for bit, whatever the support:
+        # Every array, M and so total_pl read back bit for bit, whatever the support:
         # empty rows, no coupling at all, active couplings of exactly 0.
         dims = tm.Dimensions(w=w)
         rows = dims.n if scope == "all" else dims.n_half
@@ -349,13 +349,14 @@ class TestFormats:
             a=data.draw(arrays(np.float64, rows, elements=positive)),
             k=np.where(active, values, 0.0), active=active,
             row_objectives=data.draw(arrays(np.float64, rows, elements=FINITE)),
-            total_pl=data.draw(st.one_of(st.none(), FINITE)), dataset_fingerprint="0" * 16)
+            m_samples=data.draw(st.one_of(st.none(), st.integers(1, 10 ** 6))),
+            dataset_fingerprint="0" * 16)
         with tempfile.TemporaryDirectory() as tmp:
             tio.write_estimate(est, Path(tmp) / "e.json", fingerprint="fp", dataset_sha256="x")
             back = tio.read_estimate(Path(tmp) / "e.json", fingerprint="fp")
         for name in ("a", "k", "active", "row_objectives"):
             assert same_bits(getattr(back, name), getattr(est, name)), name
-        assert repr(back.total_pl) == repr(est.total_pl)
+        assert back.m_samples == est.m_samples and repr(back.total_pl) == repr(est.total_pl)
         assert (back.dims, back.scope, back.direction) == (dims, scope, est.direction)
 
     def test_fingerprint_mismatch_rejected(self, tmp_path, data4_noisy):
@@ -996,6 +997,16 @@ class TestRecordedMoments:
                                dataset_sha256="x",
                                moments=tm.Moments.of(data4_noisy).reversed())
 
+    def test_m_must_match(self, tmp_path, data4_noisy):
+        # The file records the estimate's M beside the moments' C: a reader
+        # would take the pair for an edited file.
+        est = tm.fit_all_rows(data4_noisy, scope="output")
+        with pytest.raises(ValueError, match="fingerprints differ"):
+            tio.write_estimate(dataclasses.replace(est, m_samples=est.m_samples + 1),
+                               tmp_path / "e.json", fingerprint="fp", dataset_sha256="x",
+                               moments=tm.Moments.of(data4_noisy))
+        assert not (tmp_path / "e.json").exists()
+
 
 class TestCli:
     def run(self, *argv):
@@ -1123,7 +1134,7 @@ class TestCli:
         "position 999", "position -1", "repeated position", "descending positions",
         "position not an integer", "values short", "a zero", "a negative", "a nan",
         "value nan", "site", "row missing",
-        "objective not a number", "total_pl not a number", "support ragged",
+        "objective not a number", "m_samples not an integer", "direction", "support ragged",
         "support nested", "position a boolean", "position past int64",
         "couplings not numbers", "a not numbers", "couplings missing", "w 300"])
     def test_malformed_estimate_rows_are_a_chain_error(self, tmp_path, capsys, traced_peak,
@@ -1159,6 +1170,8 @@ class TestCli:
             del support[kept:], couplings[kept:]
         elif case == "objective not a number":
             doc["row_objectives"][3] = "0.5"
+        elif case == "direction":
+            doc["direction"] = "sideways"  # read as the inverse by extract_tm
         elif case == "support ragged":
             support[0] = [support[0]]
         elif case == "support nested":
@@ -1176,7 +1189,7 @@ class TestCli:
         elif case == "w 300":
             doc["w"] = 300  # a (16, 179999) grid, were it sized before the rows are counted
         else:
-            doc["total_pl"] = "-1e3"
+            doc["m_samples"] = 120.0
         name = "estimate_selected.json"
         (out / name).write_text(json.dumps(doc))
         register(out, name)
@@ -1299,6 +1312,53 @@ class TestCli:
         register(out, "estimate_full.json")
         assert self.run("select", *common) == 0
         assert {n: (out / n).read_bytes() for n in written} == written
+
+    def test_estimate_written_by_0_16_0_feeds_select_and_extract(self, tmp_path):
+        # tminfer 0.16.0 wrote a total_pl into each estimate, and m_samples
+        # only into a full one; the reader ignores the total and derives it.
+        cfg, out, _ = self.selected(tmp_path)
+        common = ("--config", str(cfg), "--out", str(out))
+        assert self.run("extract", *common) == 0
+        names = ("path.json", "estimate_selected.json", "t_inf.csv", "extract.json")
+        written = {n: (out / n).read_bytes() for n in names}
+        for name in ("estimate_full.json", "estimate_selected.json"):
+            doc = json.loads((out / name).read_text())
+            est = tio.read_estimate(out / name)
+            m = doc.pop("m_samples")
+            doc = {**doc, "total_pl": est.total_pl}
+            if name == "estimate_full.json":
+                doc["m_samples"] = m
+            (out / name).write_text(json.dumps(doc, indent=1) + "\n")
+            register(out, name)
+        assert tio.read_estimate(out / "estimate_selected.json").m_samples is None
+        assert self.run("extract", *common) == 0
+        assert (out / "t_inf.csv").read_bytes() == written["t_inf.csv"]
+        assert self.run("select", *common) == 0
+        assert self.run("extract", *common) == 0
+        assert {n: (out / n).read_bytes() for n in names} == written
+
+    @pytest.mark.parametrize("edit, code", [({"total_pl": None}, 0), ({"m_samples": 5}, 1)],
+                             ids=["null-total", "other-m"])
+    def test_select_reads_the_total_from_the_rows_and_m(self, tmp_path, capsys, edit, code):
+        # The total is derived from row_objectives and m_samples: a stray
+        # null total_pl is ignored, and another M fails the fingerprint,
+        # which hashes the data's.
+        cfg = write_config(tmp_path, {"w": 3, "density": 0.5, "m_samples": 400,
+                                      "sigma": 0.1, "seed": 7})
+        out = tmp_path / "run"
+        common = ("--config", str(cfg), "--out", str(out))
+        for verb in ("generate", "fit", "select"):
+            assert self.run(verb, *common) == 0, verb
+        clean = (out / "path.json").read_bytes()
+        doc = json.loads((out / "estimate_full.json").read_text())
+        (out / "estimate_full.json").write_text(json.dumps({**doc, **edit}))
+        register(out, "estimate_full.json")
+        capsys.readouterr()
+        assert self.run("select", *common) == code
+        if code:
+            assert "estimate_full.json" in capsys.readouterr().err
+        else:
+            assert (out / "path.json").read_bytes() == clean
 
     def test_estimate_of_the_per_row_layout_is_refused(self, tmp_path, capsys):
         # tminfer <= 0.11.0 wrote one record per row instead of the arrays.

@@ -303,7 +303,7 @@ def _estimate(**arrays):
     return tm.CouplingEstimate(**{
         "dims": tm.Dimensions(w=4), "scope": "output", "direction": "forward",
         "a": np.ones(16), "k": np.zeros((16, 31)), "active": np.ones((16, 31), dtype=bool),
-        "row_objectives": np.zeros(16), "total_pl": None, **arrays})
+        "row_objectives": np.zeros(16), "m_samples": None, **arrays})
 
 
 def _noise(sigma=None, beta=None):

@@ -279,9 +279,8 @@ class TestCertificate:
                 assert same_bits(tm.minimize_row(mk.site, moments, mk), rule_row(moments, mk))
 
 
-class TestPanelledSolve:
-    """Blocks above 96 regressors, which a panelled Cholesky solved before
-    0.15.0: LU on one BLAS thread, or lstsq if singular."""
+class TestWideRowSolve:
+    """Blocks above 96 regressors: LU on one BLAS thread, or lstsq if singular."""
 
     @pytest.mark.parametrize("scope", ["output", "all"])
     def test_matches_lstsq_reference(self, data12, scope, rng):
@@ -651,14 +650,73 @@ def test_an_estimate_refuses_exactly_the_underdetermined_rows(case):
         assert fit.converged
         assert (fit.params.a, fit.objective) == (est.a[r], est.row_objectives[r])
         assert fit.params.k.tobytes() == est.k[r].tobytes()
-    assert refit_rows(est, moments, masks, []).k.tobytes() == est.k.tobytes()
+    assert refit_rows(est, moments, masks).k.tobytes() == est.k.tobytes()
     # Lifting a row to M regressors makes its refit underdetermined.
     r = len(sites) - 1
     if m <= moments.dims.n - 1:
         lifted = masks.copy()
         lifted[r, np.flatnonzero(~lifted[r])[:m - counts[r]]] = True
         with pytest.raises(ValueError, match=rf"^the row of site {sites[r]} has {m} "):
-            refit_rows(est, moments, lifted, [r])
+            refit_rows(est, moments, lifted)
+
+
+@st.composite
+def refit_cases(draw):
+    """Moments of a small random channel, w 2-4, either scope and sigma 0 or
+    0.1, with M above every row's regressors, and two random supports of that
+    scope: the second drops some couplings of the first and re-activates others."""
+    dims = tm.Dimensions(w=draw(st.integers(2, 4)))
+    scope = draw(st.sampled_from(SCOPES))
+    seed = draw(st.integers(0, 2 ** 16))
+    ds = tm.generate_dataset(tm.build_random_tm(dims, 0.5, seed=seed), 2 * dims.n,
+                             tm.NoiseSpec(sigma=draw(st.sampled_from([0.0, 0.1]))),
+                             seed=seed + 1)
+    full = tm.initial_masks(dims, scope)
+    before, after = (full & draw(arrays(np.bool_, full.shape)) for _ in range(2))
+    return tm.Moments.of(ds), scope, before, after
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=refit_cases())
+def test_a_refit_is_the_fit_of_its_support(case):
+    # A refit solves the rows whose support changed and carries the others
+    # over: it is the fresh fit of the new support, bit for bit.
+    moments, scope, before, after = case
+    refit = refit_rows(tm.fit_all_rows(moments, before, scope), moments, after)
+    fresh = tm.fit_all_rows(moments, after, scope)
+    for name in ("a", "k", "active", "row_objectives"):
+        assert getattr(refit, name).tobytes() == getattr(fresh, name).tobytes(), name
+    assert repr(refit.total_pl) == repr(fresh.total_pl)
+
+
+def test_a_refit_solves_every_row_whose_support_changed(tmp_path):
+    # Rows 0 and 1 each lose position 0, and both are refit: a coupling left
+    # off the support would reach T[0, 0] through extract_tm, and a write/read
+    # round trip, which stores k on the support only, would drop it.
+    ds = tm.generate_dataset(tm.build_random_tm(tm.Dimensions(w=3), 0.5, seed=1), 400,
+                             tm.NoiseSpec(sigma=0.1), seed=2)
+    est = tm.fit_all_rows(ds)
+    masks = est.active.copy()
+    masks[:2, 0] = False
+    assert np.all(est.k[:2, 0] != 0.0)
+    refit = refit_rows(est, ds, masks)
+    assert np.all(refit.k[:2, 0] == 0.0)
+    assert refit.k[2:].tobytes() == est.k[2:].tobytes()
+    tio.write_estimate(refit, tmp_path / "e.json", fingerprint="fp", dataset_sha256="x")
+    back = tio.read_estimate(tmp_path / "e.json", fingerprint="fp")
+    t = tm.extract_tm(refit)[0].entries
+    assert t[0, 0] == 0.0 and tm.extract_tm(back)[0].entries.tobytes() == t.tobytes()
+
+
+def test_a_support_of_another_shape_is_refused_before_any_solve(data4_noisy, monkeypatch):
+    est = tm.fit_all_rows(data4_noisy)
+    solved = []
+    monkeypatch.setattr(topt, "minimize_row", lambda *args: solved.append(args))
+    # One row would broadcast against the estimate's 16.
+    for masks in (est.active[:1], est.active[:-1], est.active[:, :-1], est.active.ravel()):
+        with pytest.raises(ValueError, match="masks inconsistent with scope sites"):
+            refit_rows(est, data4_noisy, masks)
+    assert solved == []
 
 
 class TestEstimateArrays:
@@ -672,7 +730,7 @@ class TestEstimateArrays:
         return {"dims": data.dims, "scope": "output", "direction": "forward",
                 "a": np.array(est.a), "k": np.array(est.k), "active": np.array(est.active),
                 "row_objectives": est.row_objectives,
-                "total_pl": est.total_pl}
+                "m_samples": est.m_samples}
 
     def test_arrays_are_read_only(self, data4_noisy):
         est = tm.fit_all_rows(data4_noisy, scope="all")
@@ -685,7 +743,7 @@ class TestEstimateArrays:
         full = tm.fit_all_rows(data4_noisy, scope="output")
         masks = full.active.copy()
         masks[3, :2] = False
-        refit = refit_rows(full, data4_noisy, masks, [3])
+        refit = refit_rows(full, data4_noisy, masks)
         tio.write_estimate(refit, tmp_path / "e.json", fingerprint="fp", dataset_sha256="x")
         back = tio.read_estimate(tmp_path / "e.json", fingerprint="fp")
         for est in (full, refit, back):
@@ -722,10 +780,10 @@ class TestEstimateArrays:
         monkeypatch.setattr(topt, "_solve_rows", spy(topt._solve_rows, solved))
         monkeypatch.setattr(topt, "initial_masks", spy(topt.initial_masks, made))
         full = tm.fit_all_rows(data4_noisy, scope="output")
-        pruned, changed = tm.selection._prune(full, 20)
-        refit = refit_rows(full, data4_noisy, pruned, changed)
+        pruned = tm.selection._prune(full, 20)
+        refit = refit_rows(full, data4_noisy, pruned)
         masks = pruned.copy()
-        again = refit_rows(full, data4_noisy, masks, changed)
+        again = refit_rows(full, data4_noisy, masks)
         assert len(solved) == 3
         for est, arrays in zip((full, refit, again), solved):
             held = (est.a, est.k, est.row_objectives)
@@ -775,6 +833,10 @@ class TestEstimateArrays:
         ("k", lambda f: np.where(f["active"], -np.inf, f["k"])),
         ("row_objectives", lambda f: np.append(f["row_objectives"], 0.0)),
         ("scope", lambda f: "inputs"),
+        ("direction", lambda f: "sideways"),
+        ("m_samples", lambda f: float(f["m_samples"])),
+        ("m_samples", lambda f: True),
+        ("m_samples", lambda f: 0),
     ])
     def test_bad_shape_or_value_rejected(self, data4_noisy, name, value):
         f = self.fields(data4_noisy)

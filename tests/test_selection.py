@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tminfer as tm
-from oracles import array_equal_decimation, lstsq_decimation, select_best
+from oracles import fresh_fit_decimation, lstsq_decimation, select_best
 from tminfer import optimize, selection
 from tminfer.selection import DecimationRecord
 
@@ -20,7 +21,7 @@ def toy_estimate(dims, k_rows, a=1.0):
     return tm.CouplingEstimate(
         dims=dims, scope="output", direction="forward", a=np.full(nh, a), k=k,
         active=active, row_objectives=(0.0,) * nh,
-        total_pl=0.0, dataset_fingerprint="toy")
+        m_samples=None, dataset_fingerprint="toy")
 
 
 class TestDecimateStep:
@@ -33,22 +34,22 @@ class TestDecimateStep:
         k_rows[1, 1] = 0.001
         k_rows[2, 2] = 0.9
         est = toy_estimate(dims, k_rows)
-        active, changed = selection._prune(est, batch=1)
+        active = selection._prune(est, batch=1)
         assert not active[1, 1]
         assert active[0, 0] and active[2, 2]
-        assert changed == [1]
+        assert np.count_nonzero(active != est.active) == 1
 
     def test_leaves_the_estimate_untouched(self, data4_noisy):
         est = tm.fit_all_rows(data4_noisy, scope="output")
-        active, changed = selection._prune(est, batch=40)
+        before = est.active.tobytes()
+        active = selection._prune(est, batch=40)
         assert est.n_active_couplings == int(active.sum()) + 40
-        assert changed == np.flatnonzero((est.active != active).any(axis=1)).tolist()
+        assert est.active.tobytes() == before and not active.flags.writeable
 
     def test_full_decimation(self, data4_noisy):
         est = tm.fit_all_rows(data4_noisy, scope="output")
-        active, changed = selection._prune(est, batch=est.n_active_couplings)
+        active = selection._prune(est, batch=est.n_active_couplings)
         assert not active.any()
-        assert changed == list(range(16))
 
     def test_batch_bounds(self, data4_noisy):
         est = tm.fit_all_rows(data4_noisy, scope="output")
@@ -162,7 +163,7 @@ class TestRunDecimation:
 
     def test_pl_nested_model_monotonicity(self, data4_noisy):
         full = tm.fit_all_rows(data4_noisy, scope="output")
-        sub_masks, _ = selection._prune(full, batch=60)
+        sub_masks = selection._prune(full, batch=60)
         sub = tm.fit_all_rows(data4_noisy, masks=sub_masks, scope="output")
         assert full.total_pl >= sub.total_pl - 1e-8 * abs(full.total_pl)
 
@@ -241,13 +242,16 @@ class TestRunDecimation:
 
     def test_estimate_of_other_data_rejected(self, data4_noisy, data4_clean):
         # The path would start from the other data's fit and label its
-        # refits with that data's fingerprint.
-        est = tm.fit_all_rows(data4_clean, scope="output")
-        with pytest.raises(ValueError, match="other data"):
-            tm.run_decimation(data4_noisy, scope="output", initial=est)
-        pruned, changed = selection._prune(est, 5)
-        with pytest.raises(ValueError, match="other data"):
-            optimize.refit_rows(est, data4_noisy, pruned, changed)
+        # refits with that data's fingerprint; an estimate without the
+        # data's M (None, or another) would give the records another total.
+        fit = tm.fit_all_rows(data4_noisy, scope="output")
+        for est in (tm.fit_all_rows(data4_clean, scope="output"),
+                    dataclasses.replace(fit, m_samples=None),
+                    dataclasses.replace(fit, m_samples=fit.m_samples + 1)):
+            with pytest.raises(ValueError, match="other data"):
+                tm.run_decimation(data4_noisy, scope="output", initial=est)
+            with pytest.raises(ValueError, match="other data"):
+                optimize.refit_rows(est, data4_noisy, selection._prune(est, 5))
         moments = tm.Moments.of(data4_noisy)
         assert vars(moments)["fingerprint"] == moments.fingerprint  # hashed once, kept
 
@@ -265,9 +269,9 @@ class TestRefitOnlyPrunedRows:
         calls = []
         real_refit = selection.refit_rows
 
-        def refit_spy(estimate, dataset, new_masks, rows, **kwargs):
+        def refit_spy(estimate, dataset, new_masks, **kwargs):
             solved.clear()
-            result = real_refit(estimate, dataset, new_masks, rows, **kwargs)
+            result = real_refit(estimate, dataset, new_masks, **kwargs)
             calls.append((estimate, new_masks, list(solved)))
             return result
 
@@ -294,7 +298,7 @@ class TestRefitOnlyPrunedRows:
         moments = tm.Moments.of(ds)
         path, best = tm.run_decimation(
             moments, scope=scope, decim_opts=tm.DecimationOptions(batch_fraction=fraction))
-        ref = array_equal_decimation(moments, scope, fraction)
+        ref = fresh_fit_decimation(moments, scope, fraction)
         assert [r.k_free for r in path.records] == [r.k_free for r in ref.records]
         assert [r.total_pl for r in path.records] == [r.total_pl for r in ref.records]
         assert path.selected == ref.selected
@@ -337,10 +341,10 @@ def test_fit_and_path_properties(ds, scope):
 
 @pytest.mark.slow
 @pytest.mark.parametrize("w, m", [(12, 5000), (16, 8000)])
-def test_panelled_rows_keep_the_lstsq_path(w, m):
-    # Every block here has more than 96 regressors, which lstsq solved
-    # before 0.11.0 and LU on one BLAS thread solves now: the path and the
-    # selection must not move.  (12, 5000) is criterion 10's data.
+def test_wide_rows_match_the_lstsq_path(w, m):
+    # Every block here has more than 96 regressors, which LU solves on one
+    # BLAS thread: the path and the selection must be those of the lstsq
+    # reference.  (12, 5000) is criterion 10's data.
     dims = tm.Dimensions(w=w)
     ds = tm.generate_dataset(tm.build_random_tm(dims, 0.2, seed=1), m,
                              tm.NoiseSpec(sigma=0.05), seed=2)
