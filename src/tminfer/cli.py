@@ -181,13 +181,10 @@ def _read_recorded(cfg: tio.RunConfig, out: Path, doc_name: str, name: str,
     record the hash the matrix is registered under now.  The file holds the
     entries only: ``cfg.dims`` sizes them and the record names the role (an
     ``extract*.json`` records one; ``t_true`` is ``direct``)."""
-    doc = tio.read_json_artifact(out / doc_name, fingerprint=tio.config_fingerprint(cfg))
-    recorded, role = doc.get("matrix_sha256", {}), doc.get("role", "direct")
-    for key, ok, expected in (("matrix_sha256", type(recorded) is dict, "a JSON object"),
-                              ("role", role in ("direct", "inverse"), "'direct' or 'inverse'")):
-        if not ok:
-            raise tio.ChainError(f"{doc_name} holds a malformed {key}, {doc[key]!r}: "
-                                 f"expected {expected}")
+    doc = tio.read_json_artifact(out / doc_name, tio.config_fingerprint(cfg), (
+        ("matrix_sha256", lambda v: v is None or type(v) is dict, "a JSON object"),
+        ("role", lambda v: v in (None, "direct", "inverse"), "'direct' or 'inverse'")))
+    recorded, role = doc.get("matrix_sha256") or {}, doc.get("role") or "direct"
     if name not in recorded:
         raise tio.ChainError(f"{doc_name} records no {name}; re-run {stage}")
     entries = tio.read_matrix(out / name, cfg.dims, sha256=recorded[name])
@@ -252,12 +249,12 @@ def cmd_report(args) -> int:
         pname = f"path{sfx}.json"
         if not (out / pname).exists():
             continue
-        doc = tio.read_json_artifact(out / pname, fingerprint=fp)
-        selected = doc.get("selected")
+        doc = tio.read_json_artifact(out / pname, fp, (
+            ("selected", lambda v: type(v) is int, "an integer"),))
         rows = _table_rows(pname, doc, lambda i, rec: [
-            rec["k_free"], doc["sigma"], rec["total_pl"], rec["bic"], int(i == selected)])
-        if type(selected) is not int or not 0 <= selected < len(rows):
-            raise tio.ChainError(f"{pname} holds a malformed selected, {selected!r}: "
+            rec["k_free"], doc["sigma"], rec["total_pl"], rec["bic"], int(i == doc["selected"])])
+        if not 0 <= doc["selected"] < len(rows):
+            raise tio.ChainError(f"{pname} holds a malformed selected, {doc['selected']!r}: "
                                  "expected the index of one of its records")
         tname = f"path_table{sfx}.csv"
         tio.write_table(out / tname, ["k_active", "sigma", "total_pl", "bic", "selected_flag"],
@@ -296,7 +293,7 @@ def main(argv=None) -> int:
         # bits at any OPENBLAS_NUM_THREADS.
         with _one_blas_thread():
             return _COMMANDS[args.command](args)
-    except (tio.ConfigError, tio.ChainError, ValueError) as exc:
+    except ValueError as exc:  # a ConfigError or a ChainError among them
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # runtime failure

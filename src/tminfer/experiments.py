@@ -22,6 +22,7 @@ from .model import (
     Moments,
     NoiseSpec,
     TransmissionMatrix,
+    _count,
     _one_blas_thread,
     build_random_tm,
     generate_dataset,
@@ -179,8 +180,9 @@ def infer_channel(
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Grid definition for a noise sweep; ``threads`` is accepted and ignored
-    and ``fit_opts`` is the row solve's fixed ``OptimOptions``."""
+    """Grid definition for a noise sweep, refused here if bad, before any point
+    runs (``m_samples`` and ``replicates`` by ``model._count``); ``threads`` is
+    accepted and ignored and ``fit_opts`` is the row solve's fixed ``OptimOptions``."""
 
     dims: Dimensions
     density: float = 0.20
@@ -199,8 +201,8 @@ class SweepConfig:
         if not grid or any(s < 0 for s in grid) or list(grid) != sorted(grid):
             raise ValueError("sigma_grid must be nonempty, nonnegative, ascending")
         object.__setattr__(self, "sigma_grid", grid)
-        if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
+        for name in ("m_samples", "replicates"):
+            object.__setattr__(self, name, _count(getattr(self, name), name, 1))
         _scope_sites(self.dims, self.scope)  # refuses a scope outside SCOPES
         if self.include_balance and self.m_samples <= self.dims.n - 1:
             raise ValueError(f"include_balance needs m_samples to exceed the {self.dims.n - 1} "

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,19 +30,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ChannelNoiseEstimate:
-    """Per-output-channel noise inferred from the curvature parameters."""
+    """Per-output-channel noise inferred from the curvature parameters: the
+    positive curvatures ``beta_hat`` (``model._frozen``), and ``sigma_hat``."""
 
-    sigma_hat: np.ndarray
     beta_hat: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("sigma_hat", "beta_hat"):
-            object.__setattr__(self, name, _frozen(getattr(self, name)))
-        s, b = self.sigma_hat, self.beta_hat
-        if np.any(s <= 0) or np.any(b <= 0):
-            raise ValueError("noise levels and inverse temperatures must be positive")
-        if not np.allclose(b, 1.0 / (2.0 * s * s), rtol=1e-12):
-            raise ValueError("beta_hat must equal 1 / (2 * sigma_hat**2)")
+        object.__setattr__(self, "beta_hat", _frozen(self.beta_hat))
+        if np.any(self.beta_hat <= 0):
+            raise ValueError("inverse temperatures must be positive")
+
+    @cached_property
+    def sigma_hat(self) -> np.ndarray:
+        """The noise levels ``(2 * beta_hat) ** -0.5``, sealed; formed on first use and kept."""
+        return _frozen(1.0 / np.sqrt(2.0 * self.beta_hat))
 
 
 @dataclass(frozen=True)
@@ -83,10 +85,9 @@ def extract_tm(estimate: CouplingEstimate) -> tuple[TransmissionMatrix, ChannelN
     nh = estimate.dims.n_half
     a_vec = estimate.a[-nh:]
     t = estimate.k[-nh:, :nh] / (2.0 * a_vec[:, None])
-    sigma_hat = 1.0 / np.sqrt(2.0 * a_vec)
     role = "direct" if estimate.direction == "forward" else "inverse"
     tm = TransmissionMatrix(dims=estimate.dims, entries=t, role=role)
-    return tm, ChannelNoiseEstimate(sigma_hat=sigma_hat, beta_hat=a_vec)
+    return tm, ChannelNoiseEstimate(beta_hat=a_vec)
 
 
 def extract_gramian(estimate: CouplingEstimate) -> tuple[np.ndarray, float | None]:

@@ -55,7 +55,7 @@ import numpy as np
 from . import __version__
 from .experiments import SweepConfig
 from .model import Dataset, Dimensions, Moments, _blas_threads, _frozen
-from .optimize import SCOPES, CouplingEstimate, _scope_sites
+from .optimize import CouplingEstimate, _scope_sites
 from .selection import DecimationOptions, DecimationPath
 
 __all__ = [
@@ -752,18 +752,12 @@ def _read_registered(path: Path, parse=None, recorded: str | None = None,
     return result, digest
 
 
-def verify_artifact(out_dir: str | Path, name: str) -> str:
+def verify_artifact(out_dir: str | Path, name: str, recorded: str | None = None,
+                    rewritten: str = "") -> str:
     """Check ``name`` against its manifest hash and return that hash; raise
-    ChainError if it is unregistered, missing or modified."""
-    return _read_registered(Path(out_dir) / name)[1]
-
-
-def _check_fingerprint(artifact: dict, expected: str, name: str) -> None:
-    got = artifact.get("config_fingerprint")
-    if got != expected:
-        raise ChainError(
-            f"{name} was produced under config fingerprint {got!r}, "
-            f"current config is {expected!r}; refusing to mix runs")
+    ChainError if it is unregistered, missing or modified, or not the
+    ``recorded`` hash if given (the error says ``rewritten``): ``_read_registered``."""
+    return _read_registered(Path(out_dir) / name, None, recorded, rewritten)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -817,18 +811,8 @@ class RunConfig:
                               f"got {self.sigma_grid!r}")
         if not isinstance(self.decimation, dict):
             raise ConfigError(f"decimation must be an object, got {self.decimation!r}")
-        if self.scope not in SCOPES:
-            raise ConfigError(f"scope must be {' or '.join(map(repr, SCOPES))}, "
-                              f"got {self.scope!r}")
-        if self.w < 2:
-            raise ConfigError("w must be >= 2")
         if not 0.0 < self.density <= 1.0:
             raise ConfigError("density must lie in (0, 1]")
-        # Fewer samples than a full-support row's regressors interpolate them.
-        regressors = self.w ** 2 if self.scope == "output" else 2 * self.w ** 2 - 1
-        if self.m_samples <= regressors:
-            raise ConfigError(f"m_samples must exceed the {regressors} regressors of a "
-                              f"full-support {self.scope} row, got {self.m_samples}")
         if self.sigma < 0:
             raise ConfigError("sigma must be nonnegative")
         if self.seed < 0:
@@ -843,8 +827,8 @@ class RunConfig:
         if self.sigma_grid is not None:
             object.__setattr__(self, "sigma_grid",
                                tuple(float(s) for s in self.sigma_grid))
-        # The sweep's own rules (a non-empty, non-negative, ascending grid;
-        # replicates >= 1) hold for every stage, so a bad value stops the first.
+        # The sweep's own rules (on w, the scope, the grid and replicates)
+        # hold for every stage, so a bad value stops the first.
         try:
             object.__setattr__(self, "_sweep_config", SweepConfig(
                 dims=self.dims, density=self.density, m_samples=self.m_samples,
@@ -853,6 +837,11 @@ class RunConfig:
                 decim_opts=decim_opts, include_balance=self.include_balance))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        # Fewer samples than a full-support row's regressors interpolate them.
+        regressors = self.w ** 2 if self.scope == "output" else 2 * self.w ** 2 - 1
+        if self.m_samples <= regressors:
+            raise ConfigError(f"m_samples must exceed the {regressors} regressors of a "
+                              f"full-support {self.scope} row, got {self.m_samples}")
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
@@ -890,8 +879,10 @@ def write_dataset(ds: Dataset, path: str | Path, fingerprint: str,
     """Write the samples to the data file ``path`` (``_write_array``) in an
     existing directory, and their metadata to ``dataset.meta.json`` beside
     it, which records ``matrix_sha256``, the hashes of matrices written beside
-    the data (the channel that ``generate`` drew), when given."""
-    path = Path(path)
+    the data (the channel that ``generate`` drew), when given.  Metadata that
+    JSON cannot hold is refused (``write_json_artifact``'s ValueError) before
+    the data file is written or registered."""
+    path, meta_path = Path(path), Path(path).with_name("dataset.meta.json")
     meta = {
         "format": "tminfer-dataset",
         "versions": _versions(),
@@ -900,12 +891,14 @@ def write_dataset(ds: Dataset, path: str | Path, fingerprint: str,
         "direction": ds.direction,
         "meta": ds.meta,
         "data_file": path.name,
-        "data_sha256": _write_array(path, ds.site_matrix()),
+        "data_sha256": "",
         "config_fingerprint": fingerprint,
     }
     if matrix_sha256 is not None:
         meta["matrix_sha256"] = matrix_sha256
-    write_json_artifact(meta, path.with_name("dataset.meta.json"), fingerprint)
+    _json_bytes(meta, meta_path, fingerprint)
+    meta["data_sha256"] = _write_array(path, ds.site_matrix())
+    write_json_artifact(meta, meta_path, fingerprint)
 
 
 # The fields of ``dataset.meta.json`` that the readers use, and what each must be.
@@ -918,19 +911,7 @@ _META_CHECKS = (
     ("direction", lambda v: v in ("forward", "reversed"), "'forward' or 'reversed'"),
     ("meta", lambda v: isinstance(v, dict), "a JSON object"),
 )
-
-
-def _read_dataset_meta(out: Path, fingerprint: str | None) -> dict:
-    """The registered ``dataset.meta.json`` of ``out``, its fingerprint
-    checked if given, and every field in ``_META_CHECKS``; ChainError naming
-    the file for the first field that is missing or malformed."""
-    name = "dataset.meta.json"
-    meta = read_json_artifact(out / name, fingerprint)
-    for key, ok, expected in _META_CHECKS:
-        if not ok(meta.get(key)):
-            raise ChainError(f"{name} holds a malformed {key}, {meta.get(key)!r}: "
-                             f"expected {expected}")
-    return meta
+_REWRITTEN_DATA = "does not match the checksum in its metadata"
 
 
 def verify_dataset(out_dir: str | Path, fingerprint: str | None = None) -> dict:
@@ -938,11 +919,8 @@ def verify_dataset(out_dir: str | Path, fingerprint: str | None = None) -> dict:
     data file against the manifest and against each other (and the
     fingerprint if given) without parsing the samples; return the verified
     metadata."""
-    out = Path(out_dir)
-    meta = _read_dataset_meta(out, fingerprint)
-    data_name = meta["data_file"]
-    if verify_artifact(out, data_name) != meta["data_sha256"]:
-        raise ChainError(f"{data_name} does not match the checksum in its metadata")
+    meta = read_json_artifact(Path(out_dir) / "dataset.meta.json", fingerprint, _META_CHECKS)
+    verify_artifact(out_dir, meta["data_file"], meta["data_sha256"], _REWRITTEN_DATA)
     return meta
 
 
@@ -973,11 +951,11 @@ def read_dataset(out_dir: str | Path, fingerprint: str | None = None) -> tuple[D
     when it does not parse, holds another shape or a non-finite value.
     """
     out = Path(out_dir)
-    meta = _read_dataset_meta(out, fingerprint)
+    meta = read_json_artifact(out / "dataset.meta.json", fingerprint, _META_CHECKS)
     data_name = meta["data_file"]
     dims = Dimensions(w=meta["w"])
     table = _read_table(out / data_name, (meta["m_samples"], dims.n), meta["data_sha256"],
-                        "does not match the checksum in its metadata")
+                        _REWRITTEN_DATA)
     try:
         ds = Dataset(dims=dims, samples=table, direction=meta["direction"], meta=meta["meta"])
     except ValueError as exc:
@@ -1134,30 +1112,45 @@ def write_path(path_obj: DecimationPath, path: str | Path, fingerprint: str,
 # Generic JSON artifacts (extraction results, eval reports, sweep reports)
 
 
-def write_json_artifact(doc: dict, path: str | Path, fingerprint: str) -> None:
-    """Write ``doc`` as JSON, adding the versions and config ``fingerprint``;
-    keys ``doc`` already holds keep their place in the file.  ValueError naming
-    the file, neither written nor registered, if ``doc`` holds a NaN or an inf."""
+def _json_bytes(doc: dict, path: Path, fingerprint: str) -> bytes:
+    """The bytes ``write_json_artifact`` writes for ``doc`` at ``path``."""
     doc = dict(doc)
     doc.setdefault("versions", _versions())
     doc["config_fingerprint"] = fingerprint
     try:
         text = json.dumps(doc, indent=1, allow_nan=False)
-    except ValueError as exc:
-        raise ValueError(f"{Path(path).name} not written: it holds a NaN or an infinity") from exc
-    _write_artifact(Path(path), ((text + "\n").encode(),))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path.name} not written: it holds a NaN or an infinity, or another "
+                         f"value JSON cannot hold ({exc})") from exc
+    return (text + "\n").encode()
 
 
-def read_json_artifact(path: str | Path, fingerprint: str | None = None) -> dict:
+def write_json_artifact(doc: dict, path: str | Path, fingerprint: str) -> None:
+    """Write ``doc`` as JSON, adding the versions and config ``fingerprint``;
+    keys ``doc`` already holds keep their place in the file.  ValueError naming
+    the file, neither written nor registered, if ``doc`` holds a value JSON
+    cannot hold (a NaN, an inf, a numpy integer)."""
+    path = Path(path)
+    _write_artifact(path, (_json_bytes(doc, path, fingerprint),))
+
+
+def read_json_artifact(path: str | Path, fingerprint: str | None = None,
+                       fields=()) -> dict:
     """Read a registered JSON artifact, checking ``fingerprint`` if given;
     the bytes parsed are the bytes hashed.  ChainError if it is not a JSON
-    object."""
+    object, or for the first ``(key, ok, expected)`` of ``fields`` (the
+    fields its reader uses) with ``ok(doc.get(key))`` false, naming all four."""
     path = Path(path)
     doc, _ = _read_registered(path, lambda src: json.loads(src.read()))
     if not isinstance(doc, dict):
         raise ChainError(f"{path.name} is not a JSON object")
-    if fingerprint is not None:
-        _check_fingerprint(doc, fingerprint, path.name)
+    if fingerprint is not None and (got := doc.get("config_fingerprint")) != fingerprint:
+        raise ChainError(f"{path.name} was produced under config fingerprint {got!r}, "
+                         f"current config is {fingerprint!r}; refusing to mix runs")
+    for key, ok, expected in fields:
+        if not ok(doc.get(key)):
+            raise ChainError(f"{path.name} holds a malformed {key}, {doc.get(key)!r}: "
+                             f"expected {expected}")
     return doc
 
 

@@ -18,6 +18,8 @@ its dtype that owns its memory, or views immutable ``bytes``, is adopted;
 anything else is copied once and sealed, so no record shares memory with an
 array its caller can write.  An adopted array's owner could still flip its
 ``writeable`` flag back.
+Every count a record holds is taken by one rule too, ``_count``: an ``int``
+or a numpy integer, stored as an ``int``; a bool or a float is refused.
 
 A ``Dataset`` is built from its samples, one read-only C-contiguous float64
 ``(M, n)`` table of site vectors; ``inputs`` and ``outputs`` are read-only
@@ -109,6 +111,14 @@ def _frozen(arr, dtype=np.float64) -> np.ndarray:
     return out
 
 
+def _count(value, name: str, minimum: int) -> int:
+    """``value``, an ``int`` or a numpy integer of at least ``minimum``, as a
+    Python ``int``; ValueError naming ``name`` for anything else (a bool, a float)."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= minimum:
+        return int(value)
+    raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 def _all_finite(arr: np.ndarray) -> bool:
     """Whether every value of the non-empty ``arr`` is finite, by min and max: no mask."""
     return math.isfinite(arr.min()) and math.isfinite(arr.max())
@@ -121,14 +131,13 @@ class Dimensions:
     Attributes
     ----------
     w : int
-        Pixels per side of the square input (and output) frame.
+        Pixels per side of the square input (and output) frame, >= 2 (``_count``).
     """
 
     w: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.w, (int, np.integer)) or self.w < 2:
-            raise ValueError(f"frame side must be an integer >= 2, got {self.w!r}")
+        object.__setattr__(self, "w", _count(self.w, "w", 2))
 
     @property
     def n_half(self) -> int:
@@ -282,9 +291,9 @@ def _pivot_ratios(c: np.ndarray) -> np.ndarray | None:
 @dataclass(frozen=True)
 class Moments:
     """The sufficient statistics of a dataset for row fits, without its samples:
-    ``dims``, ``direction``, ``m_samples`` and the second moments
-    ``c = S^T S / M``.  The CLI also builds it from the ``c`` that ``fit``
-    recorded, so no stage after ``fit`` re-reads the samples.  The two
+    ``dims``, ``direction``, ``m_samples`` (an integer >= 1, by ``_count``) and
+    the second moments ``c = S^T S / M``.  The CLI also builds it from the ``c``
+    that ``fit`` recorded, so no stage after ``fit`` re-reads the samples.  The two
     certificates and ``fingerprint`` are computed on first use and kept.
     """
 
@@ -296,8 +305,7 @@ class Moments:
     def __post_init__(self) -> None:
         if self.direction not in ("forward", "reversed"):
             raise ValueError(f"direction must be 'forward' or 'reversed', got {self.direction!r}")
-        if self.m_samples < 1:
-            raise ValueError("m_samples must be >= 1")
+        object.__setattr__(self, "m_samples", _count(self.m_samples, "m_samples", 1))
         object.__setattr__(self, "c", _frozen(self.c))
         n = self.dims.n
         if self.c.shape != (n, n):
@@ -426,8 +434,7 @@ def generate_dataset(
     blocks of rows straight into the dataset's sample buffer; the stream and
     the bits are those of drawing each whole array at once.
     """
-    if m_samples < 1:
-        raise ValueError("m_samples must be >= 1")
+    m_samples = _count(m_samples, "m_samples", 1)
     nh = tm.dims.n_half
     rng = np.random.default_rng(seed)
     samples = np.empty((m_samples, 2 * nh))

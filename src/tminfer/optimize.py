@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .model import Dataset, Dimensions, Moments, _all_finite, _frozen, _one_blas_thread
+from .model import Dataset, Dimensions, Moments, _all_finite, _count, _frozen, _one_blas_thread
 from .pseudolikelihood import RowMask, RowParams, log_partition
 
 __all__ = [
@@ -146,8 +146,8 @@ class CouplingEstimate:
     ``row_objectives[r]`` is its per-sample-mean negative
     log-pseudolikelihood at its optimum.  Each array is taken by
     ``model._frozen``: adopted if sealed, else copied once.
-    ``m_samples`` is the sample count M of the fitted data (None when
-    parameters were constructed rather than fitted to a dataset).
+    ``m_samples`` is the sample count M of the fitted data, by ``model._count``
+    (None when parameters were constructed rather than fitted to a dataset).
     """
 
     dims: Dimensions
@@ -163,8 +163,8 @@ class CouplingEstimate:
     def __post_init__(self) -> None:
         if self.direction not in ("forward", "reversed"):
             raise ValueError(f"direction must be 'forward' or 'reversed', got {self.direction!r}")
-        if not (self.m_samples is None or type(self.m_samples) is int and self.m_samples >= 1):
-            raise ValueError(f"m_samples must be None or an integer >= 1, got {self.m_samples!r}")
+        if self.m_samples is not None:
+            object.__setattr__(self, "m_samples", _count(self.m_samples, "m_samples", 1))
         rows = (len(_scope_sites(self.dims, self.scope)),)
         grid = (*rows, self.dims.n - 1)
         for name, dtype, shape in (("a", np.float64, rows), ("k", np.float64, grid),

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import Dataset, Moments
+from .model import Dataset, Moments, _count
 from .optimize import CouplingEstimate, fit_all_rows, refit_rows
 
 __all__ = [
@@ -85,11 +85,8 @@ def _beats(rec: DecimationRecord, best: DecimationRecord) -> bool:
 
 
 def bic_score(k_free: int, m_samples: int, total_pl: float) -> float:
-    """Bayesian information criterion: k_free * ln(m_samples) - 2 * total_pl."""
-    if k_free < 0:
-        raise ValueError("k_free must be >= 0")
-    if m_samples < 1:
-        raise ValueError("m_samples must be >= 1")
+    """Bayesian information criterion k_free * ln(m_samples) - 2 * total_pl (counts: ``_count``)."""
+    k_free, m_samples = _count(k_free, "k_free", 0), _count(m_samples, "m_samples", 1)
     return k_free * math.log(m_samples) - 2.0 * total_pl
 
 

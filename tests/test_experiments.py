@@ -223,6 +223,13 @@ class TestSweep:
             run_sweep(tm.SweepConfig(dims=tm.Dimensions(w=3), m_samples=60,
                                      sigma_grid=(0.1, 0.2), replicates=1, scope="bogus"))
 
+    @pytest.mark.parametrize("replicates", [2.5, True])
+    def test_replicates_not_an_integer_is_refused_before_any_point_runs(self, replicates):
+        # The config refuses it; run_sweep used to fail on it, or run one replicate for True.
+        with pytest.raises(ValueError, match="^replicates must be an integer >= 1, got "):
+            tm.SweepConfig(dims=tm.Dimensions(w=2), m_samples=40, sigma_grid=(0.1,),
+                           replicates=replicates, include_balance=False)
+
     def test_two_pixel_frame(self):
         cfg = tm.SweepConfig(
             dims=tm.Dimensions(w=2), density=0.5, m_samples=200, sigma_grid=(0.0, 0.1),

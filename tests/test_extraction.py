@@ -160,12 +160,18 @@ class TestChannelNoiseEstimate:
             with pytest.raises(ValueError):
                 arr[0] = 1
 
-    def test_invariant_enforced(self):
-        with pytest.raises(ValueError):
-            tm.ChannelNoiseEstimate(sigma_hat=np.array([0.1]),
-                                    beta_hat=np.array([1.0]))
+    def test_sigma_hat_follows_from_beta_hat(self, data4_noisy):
+        # The record stores the curvatures only; the noise levels are the
+        # bits extract_tm computed when it stored both.
+        assert tm.ChannelNoiseEstimate(beta_hat=np.array([50.0])).sigma_hat.tolist() == [0.1]
+        est = tm.fit_all_rows(data4_noisy, scope="output")
+        _, noise = tm.extract_tm(est)
+        a = est.a[-data4_noisy.dims.n_half:]
+        assert noise.beta_hat.tobytes() == a.tobytes()
+        assert noise.sigma_hat.tobytes() == (1.0 / np.sqrt(2.0 * a)).tobytes()
+        assert noise.sigma_hat is noise.sigma_hat
 
-    def test_positivity_enforced(self):
-        with pytest.raises(ValueError):
-            tm.ChannelNoiseEstimate(sigma_hat=np.array([-0.1]),
-                                    beta_hat=np.array([50.0]))
+    @pytest.mark.parametrize("beta", [-50.0, 0.0])
+    def test_positivity_enforced(self, beta):
+        with pytest.raises(ValueError, match="must be positive"):
+            tm.ChannelNoiseEstimate(beta_hat=np.array([50.0, beta]))

@@ -146,6 +146,13 @@ class TestRunConfig:
         ok = write_config(tmp_path, {**overrides, "m_samples": regressors + 1}, "ok.json")
         assert tio.RunConfig.from_file(ok).m_samples == regressors + 1
 
+    def test_bad_scope_is_named_before_the_row_count(self, tmp_path, capsys):
+        # The scope is the SweepConfig's to refuse; the identifiability check,
+        # which reads it, comes after.
+        path = write_config(tmp_path, {"w": 3, "scope": "bogus", "m_samples": 5})
+        assert main(["generate", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == "error: scope must be 'output' or 'all', got 'bogus'\n"
+
     def test_fingerprint_tracks_content(self, tmp_path):
         a = tio.RunConfig.from_file(write_config(tmp_path))
         b = tio.RunConfig.from_file(write_config(tmp_path, {"seed": 43}, "c2.json"))
@@ -186,6 +193,35 @@ class TestFormats:
         with pytest.raises(ValueError, match="^b.json not written: it holds a NaN or an inf"):
             tio.write_json_artifact({"q": [0.5, value]}, tmp_path / "b.json", "fp")
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_json_artifact_refuses_a_type_json_cannot_hold(self, tmp_path):
+        with pytest.raises(ValueError, match="^a.json not written: .*int64"):
+            tio.write_json_artifact({"x": np.int64(3)}, tmp_path / "a.json", "fp")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_dataset_metadata_json_cannot_hold_writes_nothing(self, tmp_path):
+        # The data file used to be written and registered before the
+        # metadata failed to encode, leaving a half-written dataset.
+        channel = tm.build_random_tm(tm.Dimensions(w=2), 0.5, seed=1)
+        ds = tm.generate_dataset(channel, 40, tm.NoiseSpec(sigma=0.1), seed=np.int64(2))
+        with pytest.raises(ValueError, match="^dataset.meta.json not written: .*int64"):
+            tio.write_dataset(ds, tmp_path / "dataset.csv", "fp")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_numpy_integer_w_writes_the_int_bytes(self, tmp_path):
+        # Dimensions used to keep an np.int64 w, which JSON cannot encode.
+        files = []
+        for w in (2, np.int64(2)):
+            out = tmp_path / type(w).__name__
+            out.mkdir()
+            channel = tm.build_random_tm(tm.Dimensions(w=w), 0.5, seed=1)
+            ds = tm.generate_dataset(channel, 50, tm.NoiseSpec(sigma=0.1), seed=2)
+            tio.write_dataset(ds, out / "dataset.csv", "fp")
+            tio.write_estimate(tm.fit_all_rows(ds), out / "estimate.json", "fp", "sha")
+            files.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert sorted(files[0]) == ["MANIFEST.json", "dataset.csv", "dataset.meta.json",
+                                    "estimate.json"]
+        assert files[0] == files[1]
 
     @pytest.mark.parametrize("binary", [False, True])
     def test_dataset_round_trip(self, tmp_path, channel4, binary):
@@ -560,6 +596,17 @@ class TestStreamingCodec:
         (tmp_path / "dataset.csv").write_text(data.replace("0.", "1.", 1))
         with pytest.raises(tio.ChainError, match="checksum"):
             tio.verify_dataset(tmp_path, fingerprint="fp")
+
+    def test_data_file_rewritten_after_its_metadata_is_refused(self, tmp_path, channel4):
+        # Registered, but not the file the metadata recorded: both readers
+        # refuse it on one path, with one message.
+        ds = tm.generate_dataset(channel4, 10, tm.NoiseSpec(sigma=0.1), seed=1)
+        tio.write_dataset(ds, tmp_path / "dataset.csv", fingerprint="fp")
+        tio.write_matrix(np.flipud(ds.samples), tmp_path / "dataset.csv")
+        message = "^dataset.csv does not match the checksum in its metadata$"
+        for read in (tio.verify_dataset, tio.read_dataset):
+            with pytest.raises(tio.ChainError, match=message):
+                read(tmp_path, fingerprint="fp")
 
 
 class TestCsvText:

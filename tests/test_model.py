@@ -306,15 +306,6 @@ def _estimate(**arrays):
         "row_objectives": np.zeros(16), "m_samples": None, **arrays})
 
 
-def _noise(sigma=None, beta=None):
-    """A ChannelNoiseEstimate from ``sigma`` or ``beta``, the other derived."""
-    if sigma is None:
-        sigma = 1.0 / np.sqrt(2.0 * np.asarray(beta, dtype=np.float64))
-    if beta is None:
-        beta = 1.0 / (2.0 * np.asarray(sigma, dtype=np.float64) ** 2)
-    return tm.ChannelNoiseEstimate(sigma_hat=sigma, beta_hat=beta)
-
-
 # Every record's array field but Dataset.samples, which TestSampleBuffer
 # covers: (record.field, shape, dtype, record of an array).
 RECORD_ARRAYS = [
@@ -330,8 +321,8 @@ RECORD_ARRAYS = [
     ("CouplingEstimate.active", (16, 31), bool, lambda x: _estimate(active=x)),
     ("CouplingEstimate.row_objectives", (16,), np.float64,
      lambda x: _estimate(row_objectives=x)),
-    ("ChannelNoiseEstimate.sigma_hat", (16,), np.float64, lambda x: _noise(sigma=x)),
-    ("ChannelNoiseEstimate.beta_hat", (16,), np.float64, lambda x: _noise(beta=x)),
+    ("ChannelNoiseEstimate.beta_hat", (16,), np.float64,
+     lambda x: tm.ChannelNoiseEstimate(beta_hat=x)),
 ]
 
 
@@ -693,3 +684,71 @@ class TestValidation:
         bad[0, 0] = np.nan
         with pytest.raises(ValueError):
             tm.TransmissionMatrix(dims=dims4, entries=bad)
+
+
+def _repro_data(w=2):
+    """The w=2 data of the count repros: density 0.5 seed 1, sigma 0.1, seed 2, M=50."""
+    channel = tm.build_random_tm(tm.Dimensions(w=w), 0.5, seed=1)
+    return tm.generate_dataset(channel, 50, tm.NoiseSpec(sigma=0.1), seed=2)
+
+
+# Every count a record or function takes, through model._count: (site, the
+# field its message names, minimum, call with the count, what it stored).
+COUNT_SITES = [
+    ("Dimensions.w", "w", 2, lambda v: tm.Dimensions(w=v), lambda r: r.w),
+    ("Moments.m_samples", "m_samples", 1,
+     lambda v: tm.Moments(tm.Dimensions(w=2), "forward", v, np.eye(8)), lambda r: r.m_samples),
+    ("generate_dataset.m_samples", "m_samples", 1,
+     lambda v: tm.generate_dataset(tm.build_random_tm(tm.Dimensions(w=2), 0.5, seed=1), v,
+                                   tm.NoiseSpec(sigma=0.1), seed=2),
+     lambda r: tm.Moments.of(r).m_samples),
+    ("CouplingEstimate.m_samples", "m_samples", 1, lambda v: _estimate(m_samples=v),
+     lambda r: r.m_samples),
+    ("SweepConfig.m_samples", "m_samples", 1,
+     lambda v: tm.SweepConfig(dims=tm.Dimensions(w=2), m_samples=v, include_balance=False),
+     lambda r: r.m_samples),
+    ("SweepConfig.replicates", "replicates", 1,
+     lambda v: tm.SweepConfig(dims=tm.Dimensions(w=2), replicates=v), lambda r: r.replicates),
+    ("bic_score.k_free", "k_free", 0, lambda v: tm.bic_score(v, 50, -1.5), None),
+    ("bic_score.m_samples", "m_samples", 1, lambda v: tm.bic_score(3, v, -1.5), None),
+]
+
+
+@pytest.mark.parametrize("site, field, minimum, build, stored", COUNT_SITES,
+                         ids=[c[0] for c in COUNT_SITES])
+class TestOneCountRule:
+    """Every count goes through one rule: an int or a numpy integer of at
+    least the minimum is stored as an int, and nothing else is taken."""
+
+    @pytest.mark.parametrize("kind", [int, np.int64, np.int32])
+    def test_integers_are_stored_as_int(self, site, field, minimum, build, stored, kind):
+        got = build(kind(minimum))
+        if stored is None:  # bic_score: the score of the int count, bit for bit
+            assert type(got) is float and got == build(minimum)
+        else:
+            assert type(stored(got)) is int and stored(got) == minimum
+
+    @pytest.mark.parametrize("bad", ["bool", "float", "np.float64", "below"])
+    def test_others_are_refused(self, site, field, minimum, build, stored, bad):
+        value = {"bool": True, "float": float(minimum), "np.float64": np.float64(minimum),
+                 "below": minimum - 1}[bad]
+        with pytest.raises(ValueError, match=f"^{field} must be an integer >= {minimum}, got "):
+            build(value)
+
+
+class TestCountRepros:
+    def test_numpy_integer_m_fits_with_the_int_bits(self):
+        ds = _repro_data()
+        c = tm.Moments.of(ds).c
+        fits = [tm.fit_all_rows(tm.Moments(ds.dims, "forward", m, c)) for m in (50, np.int64(50))]
+        assert type(fits[1].m_samples) is int
+        for name in ("a", "k", "row_objectives"):
+            assert getattr(fits[0], name).tobytes() == getattr(fits[1], name).tobytes(), name
+        assert fits[0].dataset_fingerprint == fits[1].dataset_fingerprint
+        assert fits[0].total_pl == fits[1].total_pl
+
+    @pytest.mark.parametrize("m", [2.5, True])
+    def test_m_that_is_not_an_integer_is_refused(self, m):
+        ds = _repro_data()
+        with pytest.raises(ValueError, match=f"^m_samples must be an integer >= 1, got {m!r}$"):
+            tm.Moments(ds.dims, "forward", m, tm.Moments.of(ds).c)
