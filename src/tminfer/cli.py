@@ -257,7 +257,7 @@ def cmd_report(args) -> int:
             raise tio.ChainError(f"{pname} holds a malformed selected, {doc['selected']!r}: "
                                  "expected the index of one of its records")
         tname = f"path_table{sfx}.csv"
-        tio.write_table(out / tname, ["k_active", "sigma", "total_pl", "bic", "selected_flag"],
+        tio.write_table(out / tname, ["k_free", "sigma", "total_pl", "bic", "selected_flag"],
                         rows)
         wrote.append(tname)
     if (out / "sweep.json").exists():

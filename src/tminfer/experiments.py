@@ -22,7 +22,9 @@ from .model import (
     Moments,
     NoiseSpec,
     TransmissionMatrix,
+    _check_density,
     _count,
+    _is_real,
     _one_blas_thread,
     build_random_tm,
     generate_dataset,
@@ -181,7 +183,8 @@ def infer_channel(
 @dataclass(frozen=True)
 class SweepConfig:
     """Grid definition for a noise sweep, refused here if bad, before any point
-    runs (``m_samples`` and ``replicates`` by ``model._count``); ``threads`` is
+    runs: the σ grid (stored as floats), the counts and ``master_seed`` (by
+    ``model._count``) and the density, as the CLI's config; ``threads`` is
     accepted and ignored and ``fit_opts`` is the row solve's fixed ``OptimOptions``."""
 
     dims: Dimensions
@@ -197,13 +200,16 @@ class SweepConfig:
     threads: int = 1
 
     def __post_init__(self) -> None:
-        grid = tuple(float(s) for s in self.sigma_grid)
-        if not grid or any(s < 0 for s in grid) or list(grid) != sorted(grid):
-            raise ValueError("sigma_grid must be nonempty, nonnegative, ascending")
-        object.__setattr__(self, "sigma_grid", grid)
-        for name in ("m_samples", "replicates"):
-            object.__setattr__(self, name, _count(getattr(self, name), name, 1))
+        grid = self.sigma_grid
+        if not (isinstance(grid, (list, tuple)) and grid and all(map(_is_real, grid))
+                and min(grid) >= 0 and list(grid) == sorted(grid)):
+            raise ValueError("sigma_grid must be a nonempty, ascending list or tuple of "
+                             f"finite, nonnegative numbers, got {grid!r}")
+        object.__setattr__(self, "sigma_grid", tuple(map(float, grid)))
+        for name, minimum in (("m_samples", 1), ("replicates", 1), ("master_seed", 0)):
+            object.__setattr__(self, name, _count(getattr(self, name), name, minimum))
         _scope_sites(self.dims, self.scope)  # refuses a scope outside SCOPES
+        _check_density(self.density, self.dims)
         if self.include_balance and self.m_samples <= self.dims.n - 1:
             raise ValueError(f"include_balance needs m_samples to exceed the {self.dims.n - 1} "
                              f"regressors of a full-support all row, got {self.m_samples}")

@@ -54,7 +54,7 @@ import numpy as np
 
 from . import __version__
 from .experiments import SweepConfig
-from .model import Dataset, Dimensions, Moments, _blas_threads, _frozen
+from .model import Dataset, Dimensions, Moments, _blas_threads, _frozen, _is_real
 from .optimize import CouplingEstimate, _scope_sites
 from .selection import DecimationOptions, DecimationPath
 
@@ -768,10 +768,6 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _is_real(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
-
-
 # The check of each field annotated int, float or bool, and what it expects.
 _FIELD_CHECKS = {
     "int": (_is_int, "an integer"),
@@ -804,15 +800,8 @@ class RunConfig:
             ok, kind = _FIELD_CHECKS.get(f.type, (lambda x: True, ""))
             if not ok(getattr(self, f.name)):
                 raise ConfigError(f"{f.name} must be {kind}, got {getattr(self, f.name)!r}")
-        if self.sigma_grid is not None and not (
-                isinstance(self.sigma_grid, (list, tuple))
-                and all(map(_is_real, self.sigma_grid))):
-            raise ConfigError(f"sigma_grid must be a list of finite numbers, "
-                              f"got {self.sigma_grid!r}")
         if not isinstance(self.decimation, dict):
             raise ConfigError(f"decimation must be an object, got {self.decimation!r}")
-        if not 0.0 < self.density <= 1.0:
-            raise ConfigError("density must lie in (0, 1]")
         if self.sigma < 0:
             raise ConfigError("sigma must be nonnegative")
         if self.seed < 0:
@@ -824,11 +813,7 @@ class RunConfig:
             decim_opts = DecimationOptions(**self.decimation)
         except ValueError as exc:
             raise ConfigError(f"decimation: {exc}") from exc
-        if self.sigma_grid is not None:
-            object.__setattr__(self, "sigma_grid",
-                               tuple(float(s) for s in self.sigma_grid))
-        # The sweep's own rules (on w, the scope, the grid and replicates)
-        # hold for every stage, so a bad value stops the first.
+        # The sweep's own rules hold for every stage, so a bad value stops the first.
         try:
             object.__setattr__(self, "_sweep_config", SweepConfig(
                 dims=self.dims, density=self.density, m_samples=self.m_samples,
@@ -837,6 +822,8 @@ class RunConfig:
                 decim_opts=decim_opts, include_balance=self.include_balance))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        if self.sigma_grid is not None:
+            object.__setattr__(self, "sigma_grid", self._sweep_config.sigma_grid)
         # Fewer samples than a full-support row's regressors interpolate them.
         regressors = self.w ** 2 if self.scope == "output" else 2 * self.w ** 2 - 1
         if self.m_samples <= regressors:
@@ -1036,23 +1023,21 @@ def read_estimate(path: str | Path, fingerprint: str | None = None,
     checked whole: their types and ``support`` here, the rest by ``CouplingEstimate``.
 
     Returns the ``CouplingEstimate``, or ``(estimate, Moments)`` with
-    ``with_moments``: the record of the fitted data that ``write_estimate``
-    stored (``ChainError`` if the file holds none, or one of other data).
+    ``with_moments``: the record ``write_estimate`` stored, its M checked by
+    ``fields=`` (``ChainError`` if the file holds none, or one of other data).
     """
     name = Path(path).name
-    doc = read_json_artifact(path, fingerprint)
+    moments_m = (("m_samples", _is_int, "an integer (tminfer < 0.3.0 wrote none; re-run fit)"),)
+    doc = read_json_artifact(path, fingerprint, moments_m if with_moments else ())
     if doc.get("format") != "tminfer-estimate":
         raise ChainError(f"{path} is not an estimate artifact")
     if dataset_sha256 is not None and doc.get("dataset_sha256") != dataset_sha256:
         raise ChainError(f"{name} was fitted on different data")
     if "support" not in doc:
         raise ChainError(f"{name} holds the per-row layout of tminfer <= 0.11.0; re-run fit")
-    if with_moments and ("second_moments" not in doc or "m_samples" not in doc):
+    if with_moments and "second_moments" not in doc:
         raise ChainError(f"{name} holds no second moments (tminfer < 0.3.0 wrote "
                          "none); re-run fit")
-    if with_moments and not _is_int(doc["m_samples"]):
-        raise ChainError(f"{name} holds a malformed m_samples, {doc['m_samples']!r}: "
-                         "expected an integer")
     try:
         dims = Dimensions(w=doc["w"])
         a = _json_array(doc, "a", np.float64, {int, float})

@@ -18,8 +18,8 @@ its dtype that owns its memory, or views immutable ``bytes``, is adopted;
 anything else is copied once and sealed, so no record shares memory with an
 array its caller can write.  An adopted array's owner could still flip its
 ``writeable`` flag back.
-Every count a record holds is taken by one rule too, ``_count``: an ``int``
-or a numpy integer, stored as an ``int``; a bool or a float is refused.
+Every count or seed a record holds is taken by one rule too, ``_count``: an
+``int`` or a numpy integer, stored as an ``int``; a bool or a float is refused.
 
 A ``Dataset`` is built from its samples, one read-only C-contiguous float64
 ``(M, n)`` table of site vectors; ``inputs`` and ``outputs`` are read-only
@@ -117,6 +117,19 @@ def _count(value, name: str, minimum: int) -> int:
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= minimum:
         return int(value)
     raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def _is_real(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _check_density(density: float, dims: Dimensions) -> None:
+    """ValueError unless ``density`` in (0, 1] draws a channel of ``dims``."""
+    if not (0.0 < density <= 1.0):
+        raise ValueError(f"density must lie in (0, 1], got {density!r}")
+    if density * dims.n_half < 1.0:
+        raise ValueError(f"density {density} gives an expected {density * dims.n_half:.3g} "
+                         f"active elements per row of {dims.n_half}; need density * n_half >= 1")
 
 
 def _all_finite(arr: np.ndarray) -> bool:
@@ -371,7 +384,7 @@ def build_random_tm(dims: Dimensions, density: float, seed: int | None = None) -
     ----------
     dims : Dimensions
     density : float
-        Activation probability, in (0, 1].
+        Activation probability, in (0, 1] and at least ``1 / n_half``.
     seed : int, optional
         Seed for the activation draw.
 
@@ -380,14 +393,8 @@ def build_random_tm(dims: Dimensions, density: float, seed: int | None = None) -
     TransmissionMatrix
         Direct-role matrix with nonnegative entries and unit row sums.
     """
-    if not (0.0 < density <= 1.0):
-        raise ValueError(f"density must lie in (0, 1], got {density!r}")
+    _check_density(density, dims)
     nh = dims.n_half
-    if density * nh < 1.0:
-        raise ValueError(
-            f"density {density} gives an expected {density * nh:.3g} active elements "
-            f"per row of {nh}; need density * n_half >= 1"
-        )
     rng = np.random.default_rng(seed)
     active = rng.random((nh, nh)) < density
     # Repair empty rows in row order so the draw sequence stays reproducible.
@@ -431,10 +438,11 @@ def generate_dataset(
     Inputs are i.i.d. uniform on [0, 1] per channel.  The draw order is fixed:
     all inputs first (sample-major, channel-minor), then all noise deviates,
     so a fixed seed reproduces the dataset bit for bit.  Both are drawn in
-    blocks of rows straight into the dataset's sample buffer; the stream and
-    the bits are those of drawing each whole array at once.
+    blocks of rows into the sample buffer, with the bits of whole-array draws.
+    ``m_samples`` and ``seed`` (unless None; ``meta`` keeps it) go through ``_count`` first.
     """
     m_samples = _count(m_samples, "m_samples", 1)
+    seed = None if seed is None else _count(seed, "seed", 0)
     nh = tm.dims.n_half
     rng = np.random.default_rng(seed)
     samples = np.empty((m_samples, 2 * nh))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import Dataset, Moments, _count
+from .model import Dataset, Moments, _count, _is_real
 from .optimize import CouplingEstimate, fit_all_rows, refit_rows
 
 __all__ = [
@@ -40,7 +40,7 @@ class DecimationOptions:
 
     def __post_init__(self) -> None:
         f = self.batch_fraction
-        if isinstance(f, bool) or not isinstance(f, (int, float)) or not 0.0 <= f < 1.0:
+        if not (_is_real(f) and 0.0 <= f < 1.0):
             raise ValueError(f"batch_fraction must be a number in [0, 1), got {f!r}")
 
 

@@ -223,6 +223,27 @@ class TestSweep:
             run_sweep(tm.SweepConfig(dims=tm.Dimensions(w=3), m_samples=60,
                                      sigma_grid=(0.1, 0.2), replicates=1, scope="bogus"))
 
+    @pytest.mark.parametrize("grid", [("0.1",), (True,), (float("nan"),), (), (0.2, 0.1)],
+                             ids=["string", "bool", "nan", "empty", "descending"])
+    def test_bad_sigma_grid_is_refused_before_any_point_runs(self, monkeypatch, grid):
+        # The grid used to be coerced by float() ("0.1" and True were taken),
+        # or a nan was recorded as every replicate's failure at its point.
+        monkeypatch.setattr(tm.experiments, "generate_dataset", lambda *args, **kw: 1 / 0)
+        with pytest.raises(ValueError, match="^sigma_grid must be a nonempty, ascending list "
+                           "or tuple of finite, nonnegative numbers, got "):
+            run_sweep(tm.SweepConfig(dims=tm.Dimensions(w=2), density=0.5, m_samples=40,
+                                     sigma_grid=grid, include_balance=False))
+
+    def test_density_that_cannot_draw_a_channel_is_refused(self):
+        # run_sweep used to raise it from the first replicate's channel draw.
+        with pytest.raises(ValueError, match=r"^density 0.2 gives an expected 0.8 active "
+                           r"elements per row of 4; need density \* n_half >= 1$"):
+            tm.SweepConfig(dims=tm.Dimensions(w=2), m_samples=40, include_balance=False)
+        for density in (0.0, 1.5, float("nan")):
+            with pytest.raises(ValueError, match="^density must lie in"):
+                tm.SweepConfig(dims=tm.Dimensions(w=2), density=density, m_samples=40,
+                               include_balance=False)
+
     @pytest.mark.parametrize("replicates", [2.5, True])
     def test_replicates_not_an_integer_is_refused_before_any_point_runs(self, replicates):
         # The config refuses it; run_sweep used to fail on it, or run one replicate for True.

@@ -202,26 +202,26 @@ class TestFormats:
     def test_dataset_metadata_json_cannot_hold_writes_nothing(self, tmp_path):
         # The data file used to be written and registered before the
         # metadata failed to encode, leaving a half-written dataset.
-        channel = tm.build_random_tm(tm.Dimensions(w=2), 0.5, seed=1)
-        ds = tm.generate_dataset(channel, 40, tm.NoiseSpec(sigma=0.1), seed=np.int64(2))
+        ds = tm.Dataset(tm.Dimensions(w=2), np.zeros((3, 8)), meta={"seed": np.int64(2)})
         with pytest.raises(ValueError, match="^dataset.meta.json not written: .*int64"):
             tio.write_dataset(ds, tmp_path / "dataset.csv", "fp")
         assert list(tmp_path.iterdir()) == []
 
     def test_numpy_integer_w_writes_the_int_bytes(self, tmp_path):
-        # Dimensions used to keep an np.int64 w, which JSON cannot encode.
+        # Dimensions used to keep an np.int64 w, and generate_dataset an
+        # np.int64 seed, which JSON cannot encode.
         files = []
-        for w in (2, np.int64(2)):
-            out = tmp_path / type(w).__name__
+        for i, (w, seed) in enumerate([(2, 2), (np.int64(2), 2), (2, np.int64(2))]):
+            out = tmp_path / str(i)
             out.mkdir()
             channel = tm.build_random_tm(tm.Dimensions(w=w), 0.5, seed=1)
-            ds = tm.generate_dataset(channel, 50, tm.NoiseSpec(sigma=0.1), seed=2)
+            ds = tm.generate_dataset(channel, 50, tm.NoiseSpec(sigma=0.1), seed=seed)
             tio.write_dataset(ds, out / "dataset.csv", "fp")
             tio.write_estimate(tm.fit_all_rows(ds), out / "estimate.json", "fp", "sha")
             files.append({p.name: p.read_bytes() for p in out.iterdir()})
         assert sorted(files[0]) == ["MANIFEST.json", "dataset.csv", "dataset.meta.json",
                                     "estimate.json"]
-        assert files[0] == files[1]
+        assert files[0] == files[1] == files[2]
 
     @pytest.mark.parametrize("binary", [False, True])
     def test_dataset_round_trip(self, tmp_path, channel4, binary):
@@ -1028,6 +1028,21 @@ class TestRecordedMoments:
         with pytest.raises(tio.ChainError, match="re-run fit"):
             tio.read_estimate(tmp_path / "e.json", with_moments=True)
 
+    def test_estimate_without_m_is_refused_by_its_field_check(self, tmp_path, data4_noisy):
+        # M is a registered field that Moments needs: with_moments checks it
+        # with the file's other fields, and a file without one says re-run fit.
+        est = tm.fit_all_rows(data4_noisy, scope="output")
+        tio.write_estimate(est, tmp_path / "e.json", fingerprint="fp",
+                           dataset_sha256="x", moments=tm.Moments.of(data4_noisy))
+        doc = json.loads((tmp_path / "e.json").read_text())
+        del doc["m_samples"]
+        (tmp_path / "e.json").write_text(json.dumps(doc))
+        register(tmp_path, "e.json")
+        assert tio.read_estimate(tmp_path / "e.json").m_samples is None
+        with pytest.raises(tio.ChainError, match=r"^e.json holds a malformed m_samples, None: "
+                           r"expected an integer \(tminfer < 0.3.0 wrote none; re-run fit\)$"):
+            tio.read_estimate(tmp_path / "e.json", with_moments=True)
+
     def test_dataset_sha256_checked(self, tmp_path, data4_noisy):
         est = tm.fit_all_rows(data4_noisy, scope="output")
         tio.write_estimate(est, tmp_path / "e.json", fingerprint="fp",
@@ -1099,9 +1114,10 @@ class TestCli:
         assert len(names) == 16
         assert sorted(json.loads((out / "MANIFEST.json").read_text())) == names
         assert sorted(p.name for p in out.iterdir()) == sorted([*names, "MANIFEST.json"])
-        table = (out / "path_table.csv").read_text().splitlines()
-        assert table[0] == "k_active,sigma,total_pl,bic,selected_flag"
-        assert sum(row.endswith(",1") for row in table[1:]) == 1
+        for name in ("path_table.csv", "path_table_reversed.csv"):
+            table = (out / name).read_text().splitlines()
+            assert table[0] == "k_free,sigma,total_pl,bic,selected_flag", name
+            assert sum(row.endswith(",1") for row in table[1:]) == 1, name
 
     @pytest.mark.parametrize("sigma, verdict", [(0.1, "certified"), (0.0, "not certified")])
     def test_fit_prints_the_certificate(self, tmp_path, capsys, sigma, verdict):
@@ -1816,6 +1832,28 @@ class TestCli:
         doc = json.loads((tmp_path / "run" / "eval.json").read_text())
         assert all(np.isfinite(doc[k]) for k in ("q_focus", "q_image_pinv",
                                                  "q_image_inverse"))
+
+
+def test_config_keeps_the_grid_its_sweep_stored(tmp_path):
+    # SweepConfig stores the grid as floats, so JSON [0, 0.1] is (0.0, 0.1)
+    # in the config and its fingerprint, as [0.0, 0.1] is.
+    a, b = (tio.RunConfig.from_file(write_config(tmp_path, {"sigma_grid": grid}, f"{i}.json"))
+            for i, grid in enumerate([[0, 0.1], [0.0, 0.1]]))
+    assert a.sigma_grid is a.sweep_config().sigma_grid
+    assert a.sigma_grid == (0.0, 0.1) and list(map(type, a.sigma_grid)) == [float, float]
+    assert tio.config_fingerprint(a) == tio.config_fingerprint(b)
+
+
+@pytest.mark.parametrize("stage", [*STAGES, "sweep"])
+def test_density_that_cannot_draw_a_channel_is_refused_at_load(tmp_path, capsys, stage):
+    # At w=2 the default density 0.2 draws 0.8 expected elements per row:
+    # the config used to load, and generate failed drawing the channel.
+    cfg = write_config(tmp_path, {"w": 2, "density": 0.2})
+    with pytest.raises(tio.ConfigError, match="^density 0.2 gives an expected 0.8 "):
+        tio.RunConfig.from_file(cfg)
+    assert main([*stage.split(), "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == ("error: density 0.2 gives an expected 0.8 active "
+                                       "elements per row of 4; need density * n_half >= 1\n")
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

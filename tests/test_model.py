@@ -692,8 +692,8 @@ def _repro_data(w=2):
     return tm.generate_dataset(channel, 50, tm.NoiseSpec(sigma=0.1), seed=2)
 
 
-# Every count a record or function takes, through model._count: (site, the
-# field its message names, minimum, call with the count, what it stored).
+# Every count or seed a record or function takes, through model._count: (site,
+# the field its message names, minimum, call with the count, what it stored).
 COUNT_SITES = [
     ("Dimensions.w", "w", 2, lambda v: tm.Dimensions(w=v), lambda r: r.w),
     ("Moments.m_samples", "m_samples", 1,
@@ -702,13 +702,22 @@ COUNT_SITES = [
      lambda v: tm.generate_dataset(tm.build_random_tm(tm.Dimensions(w=2), 0.5, seed=1), v,
                                    tm.NoiseSpec(sigma=0.1), seed=2),
      lambda r: tm.Moments.of(r).m_samples),
+    ("generate_dataset.seed", "seed", 0,
+     lambda v: tm.generate_dataset(tm.build_random_tm(tm.Dimensions(w=2), 0.5, seed=1), 50,
+                                   tm.NoiseSpec(sigma=0.1), seed=v),
+     lambda r: r.meta["seed"]),
     ("CouplingEstimate.m_samples", "m_samples", 1, lambda v: _estimate(m_samples=v),
      lambda r: r.m_samples),
     ("SweepConfig.m_samples", "m_samples", 1,
-     lambda v: tm.SweepConfig(dims=tm.Dimensions(w=2), m_samples=v, include_balance=False),
+     lambda v: tm.SweepConfig(dims=tm.Dimensions(w=2), density=0.5, m_samples=v,
+                              include_balance=False),
      lambda r: r.m_samples),
     ("SweepConfig.replicates", "replicates", 1,
-     lambda v: tm.SweepConfig(dims=tm.Dimensions(w=2), replicates=v), lambda r: r.replicates),
+     lambda v: tm.SweepConfig(dims=tm.Dimensions(w=2), density=0.5, replicates=v),
+     lambda r: r.replicates),
+    ("SweepConfig.master_seed", "master_seed", 0,
+     lambda v: tm.SweepConfig(dims=tm.Dimensions(w=2), density=0.5, master_seed=v),
+     lambda r: r.master_seed),
     ("bic_score.k_free", "k_free", 0, lambda v: tm.bic_score(v, 50, -1.5), None),
     ("bic_score.m_samples", "m_samples", 1, lambda v: tm.bic_score(3, v, -1.5), None),
 ]
