@@ -1,10 +1,11 @@
 """Command-line pipeline: generate, fit, select, extract, eval, sweep, report.
 
 Each verb reads prior-stage files from the output directory, so any stage can
-be re-run in isolation; only ``fit`` parses the samples, and ``select`` and
-``fit --reversed`` continue from the moments it records.  The ``--reversed``
-variants of fit/select/extract work on the input/output-swapped data and
-produce the inverse-map artifacts (suffix ``_reversed``, matrix
+be re-run in isolation; only ``fit`` parses the samples, and it records their
+second moments once, in ``estimate_full.json``: ``select`` continues from that
+record, and the ``--reversed`` stages from its ``Moments.reversed()``.  The
+``--reversed`` variants of fit/select/extract work on the input/output-swapped
+data and produce the inverse-map artifacts (suffix ``_reversed``, matrix
 ``t_inv_inf``).  Every setting comes from the config file, whose fingerprint
 every artifact records; ``binary_io`` names each array file (``_array_name``),
 and ``eval`` reads each matrix only under the hash that the stage which wrote
@@ -50,18 +51,13 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common(p)
         if name in ("fit", "select", "extract"):
             p.add_argument("--reversed", action="store_true", dest="reversed_data",
-                           help="work on the input/output-swapped dataset "
-                                "(inverse-map inference)")
+                           help="work on the input/output-swapped dataset (inverse-map inference)")
     return parser
 
 
 def _load(args) -> tuple[tio.RunConfig, Path, str]:
     cfg = tio.RunConfig.from_file(args.config)
     return cfg, Path(args.out), tio.config_fingerprint(cfg)
-
-
-def _suffix(args) -> str:
-    return "_reversed" if getattr(args, "reversed_data", False) else ""
 
 
 def _array_name(cfg: tio.RunConfig, stem: str) -> str:
@@ -87,37 +83,31 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _recorded_fit(out: Path, fp: str, sfx: str):
-    """Verified dataset meta, full fit and recorded moments of
-    ``estimate_full{sfx}.json``, checked against the data hash and direction."""
+def _recorded_fit(out: Path, fp: str):
+    """Verified dataset meta, forward full fit and the moments it records in
+    ``estimate_full.json``, checked against the data hash."""
     meta = tio.verify_dataset(out, fingerprint=fp)
-    name = f"estimate_full{sfx}.json"
-    est, moments = tio.read_estimate(out / name, fingerprint=fp,
-                                     dataset_sha256=meta["data_sha256"],
-                                     with_moments=True)
-    direction = "reversed" if sfx else "forward"
-    if moments.direction != direction:
-        raise tio.ChainError(f"{name} was fitted on the {moments.direction} "
-                             f"dataset, not the {direction} one")
+    est, moments = tio.read_estimate(out / "estimate_full.json", fingerprint=fp,
+                                     dataset_sha256=meta["data_sha256"], with_moments=True)
+    if moments.direction != "forward":
+        raise tio.ChainError("estimate_full.json was fitted on the reversed dataset")
     return meta, est, moments
 
 
 def cmd_fit(args) -> int:
     """Fit all rows under the full support mask."""
     cfg, out, fp = _load(args)
-    sfx = _suffix(args)
-    if sfx:
-        # The swapped samples' C is a block permutation of the forward C.
-        meta, _, moments = _recorded_fit(out, fp, "")
-        moments = moments.reversed()
+    sfx = "_reversed" if args.reversed_data else ""
+    if sfx:  # the swapped samples' C is a block permutation of the forward C
+        meta, _, forward = _recorded_fit(out, fp)
+        moments = forward.reversed()
     else:
         ds, meta = tio.read_dataset(out, fingerprint=fp)
         moments = Moments.of(ds)
     est = fit_all_rows(moments, scope=cfg.scope)
-    name = f"estimate_full{sfx}.json"
-    # The second moments ride along, so no later stage re-reads the samples.
-    tio.write_estimate(est, out / name, fingerprint=fp,
-                       dataset_sha256=meta["data_sha256"], moments=moments)
+    # The forward fit records C, so no later stage re-reads the samples.
+    tio.write_estimate(est, out / f"estimate_full{sfx}.json", fingerprint=fp,
+                       dataset_sha256=meta["data_sha256"], moments=None if sfx else moments)
     print(f"fit {len(est.a)} rows, total_pl={est.total_pl:.6g}")
     ratio = moments.input_pivot_ratio if cfg.scope == "output" else moments.pivot_ratio
     print(f"second moments {'C_II' if cfg.scope == 'output' else 'C'} "
@@ -129,10 +119,18 @@ def cmd_fit(args) -> int:
 def cmd_select(args) -> int:
     """Decimate from the full fit and pick the BIC-optimal support."""
     cfg, out, fp = _load(args)
-    sfx = _suffix(args)
-    meta, initial, moments = _recorded_fit(out, fp, sfx)
-    path, best = run_decimation(moments, scope=cfg.scope,
-                                decim_opts=cfg.sweep_config().decim_opts, initial=initial)
+    sfx = "_reversed" if args.reversed_data else ""
+    meta, initial, moments = _recorded_fit(out, fp)
+    if sfx:
+        moments = moments.reversed()
+        initial = tio.read_estimate(out / "estimate_full_reversed.json", fingerprint=fp,
+                                    dataset_sha256=meta["data_sha256"])
+    try:
+        path, best = run_decimation(moments, scope=cfg.scope,
+                                    decim_opts=cfg.sweep_config().decim_opts, initial=initial)
+    except ValueError as exc:  # the full fit is not one of the recorded moments
+        raise tio.ChainError(f"estimate_full{sfx}.json: {exc}; "
+                             f"re-run fit{' --reversed' if sfx else ''}") from exc
     tio.write_path(path, out / f"path{sfx}.json", fingerprint=fp, sigma=cfg.sigma,
                    dataset_sha256=meta["data_sha256"])
     tio.write_estimate(best, out / f"estimate_selected{sfx}.json", fingerprint=fp,
@@ -147,7 +145,7 @@ def cmd_extract(args) -> int:
     """Extract the channel matrix and per-channel noise from an estimate, and
     the input Gramian and its balance from an all-sites one."""
     cfg, out, fp = _load(args)
-    sfx = _suffix(args)
+    sfx = "_reversed" if args.reversed_data else ""
     name = f"estimate_selected{sfx}.json"
     if not (out / name).exists():
         name = f"estimate_full{sfx}.json"
@@ -214,10 +212,9 @@ def cmd_eval(args) -> int:
 def cmd_sweep(args) -> int:
     """Full pipeline over the sigma grid, one record per (sigma, replicate)."""
     cfg, out, fp = _load(args)
-    grid = cfg.sigma_grid if cfg.sigma_grid is not None else (cfg.sigma,)
-    report = run_sweep(cfg.sweep_config())
-    records = [asdict(r) for r in report.records]
-    doc = {"format": "tminfer-sweep", "sigma_grid": list(grid),
+    sweep = cfg.sweep_config()
+    records = [asdict(r) for r in run_sweep(sweep).records]
+    doc = {"format": "tminfer-sweep", "sigma_grid": list(sweep.sigma_grid),
            "replicates": cfg.replicates, "records": records}
     out.mkdir(parents=True, exist_ok=True)
     tio.write_json_artifact(doc, out / "sweep.json", fingerprint=fp)

@@ -1036,8 +1036,8 @@ def read_estimate(path: str | Path, fingerprint: str | None = None,
     if "support" not in doc:
         raise ChainError(f"{name} holds the per-row layout of tminfer <= 0.11.0; re-run fit")
     if with_moments and "second_moments" not in doc:
-        raise ChainError(f"{name} holds no second moments (tminfer < 0.3.0 wrote "
-                         "none); re-run fit")
+        raise ChainError(f"{name} holds no second moments (only a forward fit records "
+                         "them, and tminfer < 0.3.0 recorded none); re-run fit")
     try:
         dims = Dimensions(w=doc["w"])
         a = _json_array(doc, "a", np.float64, {int, float})

@@ -119,13 +119,16 @@ def _count(value, name: str, minimum: int) -> int:
     raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
-def _is_real(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+def _is_real(x) -> bool:  # a bool, a NaN, an infinity or an int past every float is not
+    try:
+        return type(x) is not bool and isinstance(x, (int, float, np.floating)) and math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 def _check_density(density: float, dims: Dimensions) -> None:
-    """ValueError unless ``density`` in (0, 1] draws a channel of ``dims``."""
-    if not (0.0 < density <= 1.0):
+    """ValueError unless ``density``, a number in (0, 1], draws a channel of ``dims``."""
+    if not (_is_real(density) and 0.0 < density <= 1.0):
         raise ValueError(f"density must lie in (0, 1], got {density!r}")
     if density * dims.n_half < 1.0:
         raise ValueError(f"density {density} gives an expected {density * dims.n_half:.3g} "
@@ -306,7 +309,7 @@ class Moments:
     """The sufficient statistics of a dataset for row fits, without its samples:
     ``dims``, ``direction``, ``m_samples`` (an integer >= 1, by ``_count``) and
     the second moments ``c = S^T S / M``.  The CLI also builds it from the ``c``
-    that ``fit`` recorded, so no stage after ``fit`` re-reads the samples.  The two
+    that forward ``fit`` recorded, so no later stage re-reads the samples.  The two
     certificates and ``fingerprint`` are computed on first use and kept.
     """
 

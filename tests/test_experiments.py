@@ -239,10 +239,14 @@ class TestSweep:
         with pytest.raises(ValueError, match=r"^density 0.2 gives an expected 0.8 active "
                            r"elements per row of 4; need density \* n_half >= 1$"):
             tm.SweepConfig(dims=tm.Dimensions(w=2), m_samples=40, include_balance=False)
-        for density in (0.0, 1.5, float("nan")):
-            with pytest.raises(ValueError, match="^density must lie in"):
+        # A bool was taken as density 1, and a string raised TypeError.
+        for density in (0.0, 1.5, float("nan"), float("inf"), True, "0.5", 10 ** 400):
+            with pytest.raises(ValueError, match=r"^density must lie in \(0, 1\], got "):
                 tm.SweepConfig(dims=tm.Dimensions(w=2), density=density, m_samples=40,
                                include_balance=False)
+        cfg = tm.SweepConfig(dims=tm.Dimensions(w=2), density=np.float32(0.5), m_samples=40,
+                             include_balance=False)
+        assert cfg.density == 0.5
 
     @pytest.mark.parametrize("replicates", [2.5, True])
     def test_replicates_not_an_integer_is_refused_before_any_point_runs(self, replicates):

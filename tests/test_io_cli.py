@@ -119,15 +119,20 @@ class TestRunConfig:
         {"decimation": {"batch_fraction": "0.1"}}, {"decimation": {"batch_fraction": 1.0}},
         {"decimation": [0.1]}, {"sigma_grid": [0.2, 0.1]}, {"sigma_grid": [-0.1]},
         {"sigma_grid": []}, {"replicates": 0},
+        # JSON integers past every float: math.isfinite raised OverflowError (exit 2).
+        {"sigma": 10 ** 400}, {"density": 10 ** 400}, {"sigma_grid": [0.0, 10 ** 400]},
+        {"decimation": {"batch_fraction": 10 ** 400}},
     ])
     def test_field_validation(self, tmp_path, capsys, bad):
-        # Every bad value stops the first stage as a validation error (exit 1).
+        # Every bad value stops the first stage as a validation error (exit 1)
+        # that names its field.
         path = write_config(tmp_path, bad)
         with pytest.raises(tio.ConfigError):
             tio.RunConfig.from_file(path)
         out = tmp_path / "out"
         assert main(["generate", "--config", str(path), "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {next(iter(bad))}")
         assert not out.exists()
 
     @pytest.mark.parametrize("overrides, regressors", [
@@ -1400,6 +1405,23 @@ class TestCli:
         assert self.run("extract", *common) == 0
         assert {n: (out / n).read_bytes() for n in names} == written
 
+    def test_reversed_estimate_written_by_0_18_0_feeds_select(self, tmp_path):
+        # tminfer 0.18.0 wrote a copy of the reversed C into the reversed
+        # estimate; the reader ignores it, and select --reversed writes the same files.
+        cfg, out = self.fitted(tmp_path)
+        common = ("--config", str(cfg), "--out", str(out))
+        for verb in ("fit --reversed", "select --reversed"):
+            assert self.run(*verb.split(), *common) == 0, verb
+        names = ("path_reversed.json", "estimate_selected_reversed.json")
+        written = {n: (out / n).read_bytes() for n in names}
+        _, forward = tio.read_estimate(out / "estimate_full.json", with_moments=True)
+        doc = json.loads((out / "estimate_full_reversed.json").read_text())
+        doc["second_moments"] = forward.reversed().c.tolist()
+        (out / "estimate_full_reversed.json").write_text(json.dumps(doc, indent=1) + "\n")
+        register(out, "estimate_full_reversed.json")
+        assert self.run("select", *common, "--reversed") == 0
+        assert {n: (out / n).read_bytes() for n in names} == written
+
     @pytest.mark.parametrize("edit, code", [({"total_pl": None}, 0), ({"m_samples": 5}, 1)],
                              ids=["null-total", "other-m"])
     def test_select_reads_the_total_from_the_rows_and_m(self, tmp_path, capsys, edit, code):
@@ -1554,6 +1576,17 @@ class TestCli:
         lines = (out / "sweep_table.csv").read_text().splitlines()
         assert len(lines) == 3
 
+    def test_sweep_records_the_grid_it_ran(self, tmp_path):
+        # Without a sigma_grid the sweep runs (sigma,) as a float: {"sigma": 0}
+        # wrote "sigma_grid": [0] beside records holding 0.0.
+        cfg = write_config(tmp_path, {"w": 2, "density": 0.5, "m_samples": 40, "sigma": 0,
+                                      "replicates": 1})
+        out = tmp_path / "run"
+        assert self.run("sweep", "--config", str(cfg), "--out", str(out)) == 0
+        doc = json.loads((out / "sweep.json").read_text())
+        assert doc["sigma_grid"] == [r["sigma"] for r in doc["records"]] == [0.0]
+        assert type(doc["sigma_grid"][0]) is float
+
     @pytest.mark.parametrize("flag", [["--seed", "7"], ["--scope", "all"], ["--binary-io"],
                                       ["--gramian"]], ids=lambda f: f[0])
     @pytest.mark.parametrize("verb", ["generate", "fit", "select", "extract", "eval",
@@ -1707,7 +1740,65 @@ class TestCli:
         register(out, "estimate_full_reversed.json")
         assert self.run("select", "--config", str(cfg), "--out", str(out),
                         "--reversed") == 1
-        assert "forward dataset" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: estimate_full_reversed.json: ")
+        assert err.endswith("; re-run fit --reversed\n")
+        assert not (out / "path_reversed.json").exists()
+
+    @pytest.mark.parametrize("stage", ["select", "fit --reversed", "select --reversed"])
+    @pytest.mark.parametrize("with_moments", [False, True], ids=["0.19.0", "0.18.0"])
+    def test_reversed_fit_registered_as_the_forward_one_is_refused(self, tmp_path, capsys,
+                                                                   stage, with_moments):
+        # A reversed estimate holds no second moments since 0.19.0; one that
+        # 0.18.0 wrote holds the reversed C, refused by its direction.
+        cfg, out = self.fitted(tmp_path)
+        assert self.run("fit", "--config", str(cfg), "--out", str(out), "--reversed") == 0
+        doc = json.loads((out / "estimate_full_reversed.json").read_text())
+        if with_moments:
+            _, forward = tio.read_estimate(out / "estimate_full.json", with_moments=True)
+            doc["second_moments"] = forward.reversed().c.tolist()
+        (out / "estimate_full.json").write_text(json.dumps(doc))
+        register(out, "estimate_full.json")
+        capsys.readouterr()
+        assert self.run(*stage.split(), "--config", str(cfg), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: estimate_full.json ")
+        assert ("fitted on the reversed dataset" if with_moments
+                else "holds no second moments") in err
+
+    def test_reversed_select_decimates_from_the_forward_record(self, tmp_path, capsys):
+        # estimate_full.json records the run's one C: select --reversed needs
+        # it registered, and decimates from its Moments.reversed(), starting
+        # at the reversed estimate, which holds no copy.
+        cfg, out = self.fitted(tmp_path)
+        common = ("--config", str(cfg), "--out", str(out))
+        assert self.run("fit", *common, "--reversed") == 0
+        rev_doc = json.loads((out / "estimate_full_reversed.json").read_text())
+        assert "second_moments" not in rev_doc and rev_doc["direction"] == "reversed"
+        manifest = json.loads((out / tio.MANIFEST).read_text())
+        del manifest["estimate_full.json"]
+        (out / tio.MANIFEST).write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert self.run("select", *common, "--reversed") == 1
+        assert "error: estimate_full.json is not registered" in capsys.readouterr().err
+        assert not (out / "path_reversed.json").exists()
+        register(out, "estimate_full.json")
+        assert self.run("select", *common, "--reversed") == 0
+        run_cfg = tio.RunConfig.from_file(cfg)
+        _, forward = tio.read_estimate(out / "estimate_full.json", with_moments=True)
+        initial = tio.read_estimate(out / "estimate_full_reversed.json")
+        path, best = tm.run_decimation(forward.reversed(), scope=run_cfg.scope,
+                                       decim_opts=run_cfg.sweep_config().decim_opts,
+                                       initial=initial)
+        ref = tmp_path / "ref"
+        ref.mkdir()
+        fp, sha = tio.config_fingerprint(run_cfg), rev_doc["dataset_sha256"]
+        tio.write_path(path, ref / "path_reversed.json", fingerprint=fp, sigma=run_cfg.sigma,
+                       dataset_sha256=sha)
+        tio.write_estimate(best, ref / "estimate_selected_reversed.json", fingerprint=fp,
+                           dataset_sha256=sha)
+        for name in ("path_reversed.json", "estimate_selected_reversed.json"):
+            assert (out / name).read_bytes() == (ref / name).read_bytes(), name
 
     def test_rewritten_dataset_blocks_select(self, tmp_path, capsys):
         cfg, out = self.fitted(tmp_path)
@@ -1756,11 +1847,11 @@ class TestCli:
         # At odd w too, where S^T S of the swapped table has other last bits.
         cfg, out = self.fitted(tmp_path, {"w": w})
         assert self.run("fit", "--config", str(cfg), "--out", str(out), "--reversed") == 0
-        est, moments = tio.read_estimate(out / "estimate_full_reversed.json",
-                                         with_moments=True)
+        est = tio.read_estimate(out / "estimate_full_reversed.json")
+        _, forward = tio.read_estimate(out / "estimate_full.json", with_moments=True)
         rev = tm.reverse_dataset(tio.read_dataset(out)[0])
         ref = tm.fit_all_rows(rev, scope="output")
-        assert moments.c.tobytes() == tm.Moments.of(rev).c.tobytes()
+        assert forward.reversed().c.tobytes() == tm.Moments.of(rev).c.tobytes()
         assert est.dataset_fingerprint == ref.dataset_fingerprint
         assert est.total_pl == ref.total_pl
         for r1, r2 in zip(est.rows, ref.rows):

@@ -57,10 +57,18 @@ class TestBuildRandomTm:
             assert k >= 1
             assert np.allclose(row[active], 1.0 / k)
 
-    @pytest.mark.parametrize("density", [0.0, -0.2, 1.2])
+    # True drew the density-1 channel, and "0.5" raised TypeError from the comparison.
+    @pytest.mark.parametrize("density", [
+        0.0, -0.2, 1.2, True, pytest.param("0.5", id="string"), None, float("nan"),
+        float("inf"), pytest.param(10 ** 400, id="int-past-every-float")])
     def test_rejects_bad_density(self, density):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^density must lie in \(0, 1\], got "):
             tm.build_random_tm(tm.Dimensions(w=4), density, seed=0)
+
+    def test_takes_a_numpy_float_density(self):
+        t = tm.build_random_tm(tm.Dimensions(w=4), np.float32(0.5), seed=0)
+        ref = tm.build_random_tm(tm.Dimensions(w=4), 0.5, seed=0)
+        assert np.array_equal(t.entries, ref.entries)
 
     def test_rejects_subcritical_density(self):
         with pytest.raises(ValueError):

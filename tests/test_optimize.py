@@ -280,7 +280,9 @@ class TestCertificate:
 
 
 class TestWideRowSolve:
-    """Blocks above 96 regressors: LU on one BLAS thread, or lstsq if singular."""
+    """Certified blocks solved by LU on one BLAS thread match the lstsq path, at
+    widths past the 96-regressor cutoff that 0.15.0 removed; a singular block
+    takes lstsq."""
 
     @pytest.mark.parametrize("scope", ["output", "all"])
     def test_matches_lstsq_reference(self, data12, scope, rng):

@@ -342,9 +342,9 @@ def test_fit_and_path_properties(ds, scope):
 @pytest.mark.slow
 @pytest.mark.parametrize("w, m", [(12, 5000), (16, 8000)])
 def test_wide_rows_match_the_lstsq_path(w, m):
-    # Every block here has more than 96 regressors, which LU solves on one
-    # BLAS thread: the path and the selection must be those of the lstsq
-    # reference.  (12, 5000) is criterion 10's data.
+    # Certified blocks solved by LU, on one BLAS thread, match the lstsq path:
+    # the path and the selection must be those of the lstsq reference.
+    # (12, 5000) is criterion 10's data.
     dims = tm.Dimensions(w=w)
     ds = tm.generate_dataset(tm.build_random_tm(dims, 0.2, seed=1), m,
                              tm.NoiseSpec(sigma=0.05), seed=2)
